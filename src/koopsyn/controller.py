@@ -317,7 +317,3 @@ def rescale_to_box(design, lifting, box, resolution=360):
 def export_boundary_dat(boundary, path):
     """Two whitespace-separated columns (x1 x2), one row per vertex."""
     np.savetxt(path, boundary.points, fmt="%.17g")
-
-
-def load_boundary_dat(path):
-    return np.loadtxt(path, ndmin=2)

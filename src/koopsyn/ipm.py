@@ -6,9 +6,11 @@ Solves
     subject to  F0_k + sum_i z_i Fi_k  >= 0   (PSD, one block per constraint)
 
 with an infeasible-start Mehrotra predictor-corrector using the HKM scaling.
-Everything is dense; intended for the desk-scale problems produced by the
-synthesis pipeline (a few dozen scalar variables, blocks of a few dozen
-rows).  The implementation follows the standard primal/dual pair
+Everything is dense.  Each block's coefficients are kept stacked as
+(p, n, n) and flattened once to (p, n*n), so the Schur complement is built
+from batched matrix products: per iteration a block of size n costs
+O(p*n^3 + p^2*n^2) for p scalar variables, plus one O(p^3) Cholesky of the
+Schur matrix.  The implementation follows the standard primal/dual pair
 
     (P) min sum_k <C_k, X_k>   s.t.  sum_k <A_ik, X_k> = b_i,  X_k >= 0
     (D) max b^T y              s.t.  sum_i y_i A_ik + S_k = C_k,  S_k >= 0
@@ -63,6 +65,15 @@ def _solve_spd(M, rhs):
     return None
 
 
+def _schur(Aflat, As, X, Sinv):
+    """Schur complement M_ij = sum_k <A_ik, X_k A_jk Sinv_k>, not symmetrized.
+
+    ``As`` holds each block's coefficients stacked as (p, n, n) and ``Aflat``
+    the same data reshaped to (p, n*n)."""
+    return sum(Af_k @ (X_k @ A_k @ Si_k).transpose(0, 2, 1).reshape(Af_k.shape).T
+               for Af_k, A_k, X_k, Si_k in zip(Aflat, As, X, Sinv))
+
+
 def solve_sdp(c, blocks, tol=1e-8, max_iters=200, step_frac=0.98, verbose=False):
     """Run the interior-point iteration; ``blocks`` is a list of (F0, Fi)
     with Fi stacked as (p, nk, nk)."""
@@ -78,6 +89,7 @@ def solve_sdp(c, blocks, tol=1e-8, max_iters=200, step_frac=0.98, verbose=False)
         As.append(-Fi / s)
         scales.append(s)
         dims.append(F0.shape[0])
+    Af = [A_k.reshape(p, nk * nk) for A_k, nk in zip(As, dims)]
     b = -c
     ntot = sum(dims)
 
@@ -93,8 +105,7 @@ def solve_sdp(c, blocks, tol=1e-8, max_iters=200, step_frac=0.98, verbose=False)
     y = np.zeros(p)
 
     def operator_A(Ms):
-        return np.array([sum(np.tensordot(A_k[i], M_k, axes=2)
-                             for A_k, M_k in zip(As, Ms)) for i in range(p)])
+        return sum(Af_k @ M_k.ravel() for Af_k, M_k in zip(Af, Ms))
 
     def residuals():
         rp = b - operator_A(X)
@@ -139,22 +150,16 @@ def solve_sdp(c, blocks, tol=1e-8, max_iters=200, step_frac=0.98, verbose=False)
             status = "numerical_failure"
             break
 
-        # Schur complement M_ij = sum_k <A_i, X A_j Sinv>
-        M = np.zeros((p, p))
-        XAS = []
-        for A_k, X_k, Si_k in zip(As, X, Sinv):
-            G = np.einsum("mn,jnl,lo->jmo", X_k, A_k, Si_k)
-            XAS.append(G)
-            M += np.einsum("imn,jnm->ij", A_k, G)
+        M = _schur(Af, As, X, Sinv)
         M = 0.5 * (M + M.T)
 
         def rhs_vector(tau_c, E):
             h = rp.copy()
-            for idx, (A_k, X_k, Si_k, Rd_k) in enumerate(zip(As, X, Sinv, Rd)):
+            for idx, (Af_k, X_k, Si_k, Rd_k) in enumerate(zip(Af, X, Sinv, Rd)):
                 T = X_k - tau_c * Si_k + X_k @ Rd_k @ Si_k
                 if E is not None:
                     T = T + E[idx]
-                h += np.einsum("imn,nm->i", A_k, T)
+                h += Af_k @ T.T.ravel()
             return h
 
         def directions(tau_c, E):

@@ -361,18 +361,6 @@ def add_roa_objective(problem):
 # -- post-solve verification helpers ------------------------------------
 
 
-def _scheduled_gain(design, z):
-    """Input produced by a design at reduced lift z (duck-typed design)."""
-    K = np.atleast_2d(design.K)
-    u_lin = K @ z
-    Kw = getattr(design, "Kw", None)
-    if Kw is None or not np.any(Kw):
-        return u_lin
-    m = K.shape[0]
-    W = np.eye(m) - Kw @ np.kron(np.eye(m), z.reshape(-1, 1))
-    return np.linalg.solve(W, u_lin)
-
-
 def primal_certificate(surrogate, region, design):
     """Dualized certificate at a solved design.
 

@@ -57,11 +57,6 @@ class Plant:
         return out
 
 
-def evaluate_vector_field(plant, x, u):
-    """Module-level alias for :meth:`Plant.vector_field`."""
-    return plant.vector_field(x, u)
-
-
 def make_example(example_id, **params):
     """Construct one of the built-in benchmark plants.
 

@@ -1,0 +1,77 @@
+"""Direct tests of the bundled interior-point method (``koopsyn.ipm``)."""
+
+import numpy as np
+
+from koopsyn import edmd, ipm, lmi, sdp, uncertainty
+
+
+def random_sym(rng, *shape):
+    G = rng.standard_normal(shape)
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
+
+
+def random_spd(rng, n):
+    G = rng.standard_normal((n, n))
+    return G @ G.T + n * np.eye(n)
+
+
+def test_known_optimum_mixed_blocks():
+    # min t + s  s.t.  t I - A >= 0 (4x4),  s - 2 >= 0 (1x1),
+    #                  [[t + 10, 1], [1, s]] >= 0 (2x2, inactive)
+    # optimum: t = lambda_max(A), s = 2
+    rng = np.random.default_rng(3)
+    A = random_sym(rng, 4, 4)
+    blocks = [
+        (-A, np.stack([np.eye(4), np.zeros((4, 4))])),
+        (np.array([[-2.0]]), np.array([[[0.0]], [[1.0]]])),
+        (np.array([[10.0, 1.0], [1.0, 0.0]]),
+         np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])),
+    ]
+    res = ipm.solve_sdp(np.array([1.0, 1.0]), blocks)
+    lam_max = np.linalg.eigvalsh(A)[-1]
+    assert res.status == "optimal"
+    assert np.allclose(res.z, [lam_max, 2.0], rtol=0.0, atol=1e-7)
+    assert abs(-res.dual_obj - (lam_max + 2.0)) <= 1e-7
+
+
+def test_no_variables():
+    # p = 0: every Fi is empty, and the only point is z = () with F0 > 0
+    res = ipm.solve_sdp(np.zeros(0), [(np.eye(2), np.zeros((0, 2, 2))),
+                                      (np.array([[1.0]]), np.zeros((0, 1, 1)))])
+    assert res.status == "optimal"
+    assert res.z.shape == (0,)
+
+
+def test_schur_matches_einsum_reference():
+    rng = np.random.default_rng(11)
+    p = 7
+    As, X, Sinv = [], [], []
+    for n in (1, 3, 8):
+        As.append(random_sym(rng, p, n, n))
+        X.append(random_spd(rng, n))
+        Sinv.append(random_spd(rng, n))
+    Aflat = [A_k.reshape(p, A_k.shape[1] ** 2) for A_k in As]
+    M = ipm._schur(Aflat, As, X, Sinv)
+    ref = sum(np.einsum("imn,jnm->ij", A_k, np.einsum("mn,jnl,lo->jmo", X_k, A_k, Si_k))
+              for A_k, X_k, Si_k in zip(As, X, Sinv))
+    assert M.shape == (p, p)
+    assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_theorem2_scaling_n15():
+    """Theorem-2 ROA design at (N, m) = (15, 3): 309 variables, largest block
+    81.  A dense Schur step that costs O(p n^4) per block takes minutes here;
+    the batched one takes seconds."""
+    N, m = 15, 3
+    rng = np.random.default_rng([0, N, m])
+    A = rng.standard_normal((N, N)) / np.sqrt(N)
+    A -= (np.max(np.linalg.eigvals(A).real) + 1.0) * np.eye(N)
+    B0 = rng.standard_normal((N, m))
+    B = tuple(0.1 * rng.standard_normal((N, N)) / np.sqrt(N) for _ in range(m))
+    surrogate = edmd.Surrogate(A=A, B0=B0, B=B, c_r=0.05, delta=0.05)
+    problem = lmi.add_roa_objective(
+        lmi.build_theorem2(surrogate, uncertainty.identity_region(N, 10.0)))
+    assignment, report = sdp.solve_problem(problem, sdp.SolverOptions())
+    assert report.status == "feasible"
+    assert report.iterations <= 13
+    assert sdp.verify(problem, assignment).ok
