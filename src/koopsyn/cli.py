@@ -11,7 +11,6 @@ that is unknown or not installed).
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import os
@@ -176,16 +175,26 @@ def _solver_options(cfg):
 # -- subcommands ------------------------------------------------------------
 
 
+def _collect(cfg, plant):
+    samp = cfg["sampling"]
+    return plants.collect_samples(plant, samp["d"], samp["seed"],
+                                  noise_bound=samp.get("noise_bound", 0.0))
+
+
+def _fit(cfg, lifting, samples):
+    eb = cfg["error_bound"]
+    return edmd.fit(edmd.build_data_matrices(lifting, samples), lifting=lifting,
+                    c_r=eb["c_r"], delta=eb["delta"])
+
+
 def cmd_collect(cfg):
     outdir = _outdir(cfg)
     plant = _plant(cfg)
-    samp = cfg["sampling"]
-    samples = plants.collect_samples(plant, samp["d"], samp["seed"],
-                                     noise_bound=samp.get("noise_bound", 0.0))
-    meta = plants.save_samples(samples, outdir, plant=plant)
+    meta = plants.save_samples(_collect(cfg, plant), outdir, plant=plant)
     outputs = [outdir / f for f in meta["files"]] + [outdir / "samples_meta.json"]
     _write_manifest(outdir, "collect", cfg, [], outputs)
-    print(f"collect: wrote {len(meta['files'])} batches of {samp['d']} samples to {outdir}")
+    print(f"collect: wrote {len(meta['files'])} batches of "
+          f"{cfg['sampling']['d']} samples to {outdir}")
     return EXIT_OK
 
 
@@ -196,10 +205,7 @@ def cmd_fit(cfg):
         raise FileNotFoundError(f"no sample files in {outdir}; run collect first")
     samples = plants.load_samples(outdir)
     lifting = _lifting(cfg, samples.batches[0].states.shape[1])
-    data = edmd.build_data_matrices(lifting, samples)
-    eb = cfg["error_bound"]
-    surrogate, report = edmd.fit(data, lifting=lifting, c_r=eb["c_r"],
-                                 delta=eb["delta"])
+    surrogate, report = _fit(cfg, lifting, samples)
     (outdir / "surrogate.json").write_text(surrogate.to_json() + "\n")
     with open(outdir / "fit_report.json", "w") as fh:
         json.dump({"batches": {str(k): v for k, v in report.batches.items()}},
@@ -227,14 +233,14 @@ def cmd_d0(cfg):
     return EXIT_OK
 
 
-def _resolve_region(cfg, surrogate, options, log_sink=None):
+def _resolve_region(cfg, surrogate, log_sink=None):
     rcfg = cfg["region"]
     if rcfg.get("heuristic"):
         region, log = uncertainty.procedure1_qz(
             surrogate, theorem=rcfg.get("theorem", cfg.get("theorem", 2)),
             rz=rcfg.get("rz", 1.0), rz_step1=rcfg.get("rz_step1"),
             epsilon=cfg.get("solver", {}).get("epsilon", 1e-6),
-            solver_options=options)
+            solver_options=_solver_options(cfg))
         if log_sink is not None:
             log_sink["heuristic"] = {
                 "P_hat": log.P_hat.tolist(),
@@ -250,15 +256,42 @@ def _resolve_region(cfg, surrogate, options, log_sink=None):
                                          Rz=float(rcfg["Rz"]))
 
 
-def _build_problem(surrogate, region, cfg, with_objective=True):
+def _design(cfg, surrogate, region):
+    """Pose, solve and independently verify the design SDP of ``cfg``.
+
+    With the ``maximize_roa`` objective the objective problem is solved
+    first; the feasibility problem is solved only when that solve is not
+    feasible, so it either rescues the design or names the most violated
+    constraint.  Raises ``sdp.InfeasibleError`` when no solve is feasible and
+    ``sdp.VerificationError`` when the verifier rejects the solution.
+    Returns (problem, report, check, design) for the problem that was kept.
+    """
     theorem = cfg.get("theorem", 1)
-    epsilon = cfg.get("solver", {}).get("epsilon", 1e-6)
+    scfg = cfg.get("solver", {})
+    options = _solver_options(cfg)
     build = lmi.build_theorem1 if theorem == 1 else lmi.build_theorem2
-    problem = build(surrogate, region, epsilon=epsilon)
-    if with_objective and \
-            cfg.get("solver", {}).get("objective", "feasibility") == "maximize_roa":
-        problem = lmi.add_roa_objective(problem)
-    return problem, theorem
+    problem = build(surrogate, region, epsilon=scfg.get("epsilon", 1e-6))
+    report = None
+    if scfg.get("objective", "feasibility") == "maximize_roa":
+        with_objective = lmi.add_roa_objective(problem)
+        assignment, report = sdp.solve_problem(with_objective, options)
+        if report.status == "feasible":
+            problem = with_objective
+    if report is None or report.status != "feasible":
+        assignment, report = sdp.solve_problem(problem, options)
+    if report.status != "feasible":
+        name, margin = min(report.block_min_eigs.items(), key=lambda kv: kv[1])
+        raise sdp.InfeasibleError(
+            f"design infeasible (status {report.status}); most violated "
+            f"constraint '{name}' with margin {margin:.3e}")
+    check = sdp.verify(problem, assignment)
+    if not check.ok:
+        raise sdp.VerificationError(
+            "solver reported feasible but the independent verifier rejected "
+            f"the solution (worst slack {check.worst():.3e})")
+    design = controller.DesignResult.from_assignment(theorem, assignment,
+                                                     margins=check.margins)
+    return problem, report, check, design
 
 
 def cmd_design(cfg):
@@ -267,41 +300,14 @@ def cmd_design(cfg):
     if not surrogate_path.exists():
         raise FileNotFoundError(f"no surrogate in {outdir}; run fit first")
     surrogate = edmd.Surrogate.from_json(surrogate_path.read_text())
-    options = _solver_options(cfg)
     log = {}
-    region = _resolve_region(cfg, surrogate, options, log_sink=log)
-    feas_problem, theorem = _build_problem(surrogate, region, cfg,
-                                           with_objective=False)
-    assignment, report = sdp.solve_problem(feas_problem, options)
-    if report.status != "feasible":
-        diagnosis = min(report.block_min_eigs.items(), key=lambda kv: kv[1])
-        print(f"design: INFEASIBLE (status {report.status}); most violated "
-              f"constraint '{diagnosis[0]}' with margin {diagnosis[1]:.3e}",
-              file=sys.stderr)
-        return EXIT_INFEASIBLE
-    problem, _ = _build_problem(surrogate, region, cfg)
-    if problem.objective is not None:
-        assignment2, report2 = sdp.solve_problem(problem, options)
-        if report2.status == "feasible":
-            assignment, report = assignment2, report2
-        else:
-            problem = feas_problem
-
-    check = sdp.verify(problem, assignment)
-    if not check.ok:
-        print("design: solver reported feasible but the independent verifier "
-              f"rejected the solution (worst slack {check.worst():.3e})",
-              file=sys.stderr)
-        return EXIT_VERIFICATION
-    design = controller.DesignResult.from_assignment(
-        theorem, assignment,
-        margins={k: v for k, v in check.margins.items()})
+    region = _resolve_region(cfg, surrogate, log_sink=log)
+    problem, report, check, design = _design(cfg, surrogate, region)
     (outdir / "design.json").write_text(design.to_json() + "\n")
     with open(outdir / "region.json", "w") as fh:
         json.dump(region.to_json_dict(), fh, sort_keys=True)
         fh.write("\n")
-    lifting = surrogate.lifting
-    boundary = controller.roa_boundary_2d(design, lifting,
+    boundary = controller.roa_boundary_2d(design, surrogate.lifting,
                                           resolution=cfg.get("resolution", 360))
     controller.export_boundary_dat(boundary, outdir / "roa.dat")
     log.update({
@@ -322,8 +328,24 @@ def cmd_design(cfg):
     return EXIT_OK
 
 
-def _traj_dat(path, traj):
-    verify.export_trajectory_dat(traj, path)
+def _lqr_grid(plant, surrogate, starts, weights, horizon, rtol):
+    """CARE/LQR baseline with R = w I for each weight, simulated from every
+    start.  Returns the report entry of each weight and its trajectories."""
+    entries, trajectories = [], []
+    for w in weights:
+        K_lqr, _, info = verify.lqr_baseline(surrogate, R=w * np.eye(surrogate.m))
+        ufn = verify.lqr_feedback(surrogate, surrogate.lifting, K_lqr)
+        trajs = [verify.simulate_feedback(plant, ufn, x0, horizon=horizon,
+                                          rtol=rtol, atol=rtol) for x0 in starts]
+        runs = [{"x0": np.asarray(x0).tolist(), "reason": traj.reason,
+                 "final_norm": float(np.linalg.norm(traj.final_state))}
+                for x0, traj in zip(starts, trajs)]
+        entries.append({"R": w, "K": K_lqr.ravel().tolist(),
+                        "care_relative_residual": info["relative_residual"],
+                        "trajectories": runs,
+                        "n_failed": sum(r["final_norm"] > 1e-6 for r in runs)})
+        trajectories.append(trajs)
+    return entries, trajectories
 
 
 def cmd_verify(cfg):
@@ -355,7 +377,7 @@ def cmd_verify(cfg):
                                rtol=rtol, atol=rtol)
         audit = verify.lyapunov_audit(traj)
         path = outdir / f"traj_{i:03d}.dat"
-        _traj_dat(path, traj)
+        verify.export_trajectory_dat(traj, path)
         outputs.append(path)
         results.append({
             "x0": np.asarray(x0).tolist(),
@@ -368,24 +390,9 @@ def cmd_verify(cfg):
     report = {"trajectories": results,
               "n_converged": sum(r["reason"] == "converged" for r in results)}
     if vcfg.get("lqr"):
-        weights = vcfg.get("lqr_weights", [0.01, 0.1, 1.0, 10.0])
-        lqr_results = []
-        for w in weights:
-            K_lqr, _, info = verify.lqr_baseline(surrogate, R=w * np.eye(surrogate.m))
-            ufn = verify.lqr_feedback(surrogate, lifting, K_lqr)
-            entry = {"R": w, "K": K_lqr.ravel().tolist(),
-                     "care_relative_residual": info["relative_residual"],
-                     "trajectories": []}
-            for x0 in starts[: min(8, len(starts))]:
-                traj = verify.simulate_feedback(plant, ufn, x0, horizon=horizon,
-                                                rtol=rtol, atol=rtol)
-                entry["trajectories"].append({
-                    "x0": np.asarray(x0).tolist(), "reason": traj.reason,
-                    "final_norm": float(np.linalg.norm(traj.final_state))})
-            entry["n_failed"] = sum(t["final_norm"] > 1e-6
-                                    for t in entry["trajectories"])
-            lqr_results.append(entry)
-        report["lqr_grid"] = lqr_results
+        report["lqr_grid"], _ = _lqr_grid(
+            plant, surrogate, starts[:8],
+            vcfg.get("lqr_weights", [0.01, 0.1, 1.0, 10.0]), horizon, rtol)
     with open(outdir / "verify_report.json", "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -397,33 +404,6 @@ def cmd_verify(cfg):
 
 
 # -- figure reproduction ----------------------------------------------------
-
-
-def _pipeline(cfg, region_override=None, theorem=None):
-    """Collect + fit + design in memory; returns the pieces figures need."""
-    cfg = copy.deepcopy(cfg)
-    if theorem is not None:
-        cfg["theorem"] = theorem
-    plant = _plant(cfg)
-    lifting = _lifting(cfg, plant.n)
-    samp = cfg["sampling"]
-    samples = plants.collect_samples(plant, samp["d"], samp["seed"],
-                                     noise_bound=samp.get("noise_bound", 0.0))
-    eb = cfg["error_bound"]
-    surrogate, _ = edmd.fit(edmd.build_data_matrices(lifting, samples),
-                            lifting=lifting, c_r=eb["c_r"], delta=eb["delta"])
-    options = _solver_options(cfg)
-    region = region_override or _resolve_region(cfg, surrogate, options)
-    problem, thm = _build_problem(surrogate, region, cfg)
-    assignment, report = sdp.solve_problem(problem, options)
-    if report.status != "feasible":
-        raise sdp.InfeasibleError(f"figure pipeline infeasible: {report.status}")
-    check = sdp.verify(problem, assignment)
-    if not check.ok:
-        raise RuntimeError("design verification failed in figure pipeline")
-    design = controller.DesignResult.from_assignment(thm, assignment,
-                                                     margins=check.margins)
-    return plant, lifting, surrogate, region, design
 
 
 def _fig1(outdir):
@@ -442,8 +422,7 @@ def _fig1(outdir):
     return files
 
 
-def _save_design(outdir, stem, surrogate, region, design, boundary,
-                 region_boundary=None):
+def _save_design(outdir, stem, region, design, boundary, region_boundary=None):
     files = []
     p = outdir / f"{stem}_roa.dat"
     controller.export_boundary_dat(boundary, p)
@@ -466,55 +445,25 @@ def _save_design(outdir, stem, surrogate, region, design, boundary,
 def cmd_reproduce(figure, outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    files = []
     if figure == "fig1":
-        files += _fig1(outdir)
-    elif figure == "fig2":
-        cfg = example_config("cooked_up")
-        plant, lifting, surrogate, region, design = _pipeline(cfg)
-        boundary = controller.roa_boundary_2d(design, lifting, resolution=360)
-        (outdir / "fig2_surrogate.json").write_text(surrogate.to_json() + "\n")
-        files.append(outdir / "fig2_surrogate.json")
-        files += _save_design(outdir, "fig2", surrogate, region, design, boundary)
-    elif figure == "fig3":
-        cfg = example_config("cooked_up_xy")
-        tuned = uncertainty.UncertaintyRegion(
-            Qz=-np.diag([2.5, 2.5, 1.25, 0.005]), Sz=np.zeros(4), Rz=1000.0)
-        for stem, override in (("fig3_ball", None), ("fig3_tuned", tuned)):
-            plant, lifting, surrogate, region, design = _pipeline(
-                cfg, region_override=override)
-            boundary = controller.roa_boundary_2d(design, lifting, resolution=360)
-            rb = controller.region_boundary_2d(region, lifting, resolution=360)
-            files += _save_design(outdir, stem, surrogate, region, design,
-                                  boundary, region_boundary=rb)
-        (outdir / "fig3_surrogate.json").write_text(surrogate.to_json() + "\n")
-        files.append(outdir / "fig3_surrogate.json")
-    elif figure in ("fig4", "fig5"):
-        cfg = example_config("pendulum" if figure == "fig4" else "pendulum_shaped")
-        designs = {}
-        for thm in (1, 2):
-            plant, lifting, surrogate, region, design = _pipeline(cfg, theorem=thm)
-            designs[thm] = design
-            boundary = controller.roa_boundary_2d(design, lifting, resolution=360)
-            files += _save_design(outdir, f"{figure}_thm{thm}", surrogate, region,
-                                  design, boundary)
-        rb = controller.region_boundary_2d(region, lifting, resolution=360)
-        controller.export_boundary_dat(rb, outdir / f"{figure}_region.dat")
-        files.append(outdir / f"{figure}_region.dat")
-        (outdir / f"{figure}_surrogate.json").write_text(surrogate.to_json() + "\n")
-        files.append(outdir / f"{figure}_surrogate.json")
-        if figure == "fig5":
-            files += _fig5_trajectories(outdir, plant, lifting, surrogate,
-                                        designs, cfg)
+        files = _fig1(outdir)
+    elif figure in ("fig2", "fig3", "fig4", "fig5"):
+        example = {"fig2": "cooked_up", "fig3": "cooked_up_xy",
+                   "fig4": "pendulum", "fig5": "pendulum_shaped"}[figure]
+        cfg = example_config(example)
+        plant = _plant(cfg)
+        surrogate, _ = _fit(cfg, _lifting(cfg, plant.n), _collect(cfg, plant))
+        files = _reproduce_designs(figure, outdir, cfg, plant, surrogate)
+        p = outdir / f"{figure}_surrogate.json"
+        p.write_text(surrogate.to_json() + "\n")
+        files.append(p)
     else:
         raise ValueError(f"unknown figure id '{figure}' (use fig1..fig5)")
     manifest = {"figure": figure, "files": sorted(str(f.name) for f in files)}
     if figure != "fig1":
         # certified sets can reach far beyond the sampling box; record the
         # box so plots can show both
-        plant_id = {"fig2": "cooked_up", "fig3": "cooked_up_xy",
-                    "fig4": "pendulum", "fig5": "pendulum"}[figure]
-        manifest["sampling_box"] = plants.make_example(plant_id).state_box.tolist()
+        manifest["sampling_box"] = plant.state_box.tolist()
     with open(outdir / f"{figure}_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -522,12 +471,46 @@ def cmd_reproduce(figure, outdir):
     return EXIT_OK
 
 
-def fig5_start_set(lifting, designs, fraction=0.95,
+def _reproduce_designs(figure, outdir, cfg, plant, surrogate):
+    """Design and boundary files of fig2..fig5 from one fitted surrogate."""
+    lifting = surrogate.lifting
+    region = _resolve_region(cfg, surrogate)
+    if figure == "fig2":
+        design = _design(cfg, surrogate, region)[3]
+        boundary = controller.roa_boundary_2d(design, lifting, resolution=360)
+        return _save_design(outdir, "fig2", region, design, boundary)
+    if figure == "fig3":
+        tuned = uncertainty.UncertaintyRegion(
+            Qz=-np.diag([2.5, 2.5, 1.25, 0.005]), Sz=np.zeros(4), Rz=1000.0)
+        files = []
+        for stem, reg in (("fig3_ball", region), ("fig3_tuned", tuned)):
+            design = _design(cfg, surrogate, reg)[3]
+            boundary = controller.roa_boundary_2d(design, lifting, resolution=360)
+            rb = controller.region_boundary_2d(reg, lifting, resolution=360)
+            files += _save_design(outdir, stem, reg, design, boundary,
+                                  region_boundary=rb)
+        return files
+    files, designs, boundaries = [], {}, {}
+    for thm in (1, 2):
+        designs[thm] = _design({**cfg, "theorem": thm}, surrogate, region)[3]
+        boundaries[thm] = controller.roa_boundary_2d(designs[thm], lifting,
+                                                     resolution=360)
+        files += _save_design(outdir, f"{figure}_thm{thm}", region,
+                              designs[thm], boundaries[thm])
+    rb = controller.region_boundary_2d(region, lifting, resolution=360)
+    controller.export_boundary_dat(rb, outdir / f"{figure}_region.dat")
+    files.append(outdir / f"{figure}_region.dat")
+    if figure == "fig5":
+        files += _fig5_trajectories(outdir, plant, surrogate, designs,
+                                    boundaries, cfg)
+    return files
+
+
+def fig5_start_set(boundaries, fraction=0.95,
                    degrees=(45.0, 135.0, 225.0, 315.0)):
     """Documented start set for the closed-loop comparison: four polar
-    directions at 95 percent of the smaller certified radius."""
-    boundaries = {t: controller.roa_boundary_2d(d, lifting, resolution=360)
-                  for t, d in designs.items()}
+    directions at 95 percent of the smallest certified radius among the
+    given boundaries."""
     starts = []
     for deg in degrees:
         th = np.deg2rad(deg)
@@ -537,48 +520,33 @@ def fig5_start_set(lifting, designs, fraction=0.95,
     return starts
 
 
-def _fig5_trajectories(outdir, plant, lifting, surrogate, designs, cfg):
+def _fig5_trajectories(outdir, plant, surrogate, designs, boundaries, cfg):
     files = []
-    starts = fig5_start_set(lifting, designs)
+    starts = fig5_start_set(boundaries)
     vcfg = cfg.get("verify", {})
     rtol = float(vcfg.get("rtol", 1e-8))
     horizon = float(vcfg.get("horizon", 50.0))
     for thm, design in designs.items():
         for i, x0 in enumerate(starts):
-            traj = verify.simulate(plant, design, lifting, x0, horizon=horizon,
-                                   rtol=rtol, atol=rtol)
+            traj = verify.simulate(plant, design, surrogate.lifting, x0,
+                                   horizon=horizon, rtol=rtol, atol=rtol)
             path = outdir / f"fig5_traj_thm{thm}_{i}.dat"
-            _traj_dat(path, traj)
+            verify.export_trajectory_dat(traj, path)
             files.append(path)
-    weights = vcfg.get("lqr_weights", [0.01, 0.1, 1.0, 10.0])
-    grid_report = []
-    first_failing = None
-    for w in weights:
-        K_lqr, _, _ = verify.lqr_baseline(surrogate, R=w * np.eye(surrogate.m))
-        ufn = verify.lqr_feedback(surrogate, lifting, K_lqr)
-        entry = {"R": w, "K": K_lqr.ravel().tolist(), "results": []}
-        trajs = []
-        for x0 in starts:
-            traj = verify.simulate_feedback(plant, ufn, x0, horizon=horizon,
-                                            rtol=rtol, atol=rtol)
-            trajs.append(traj)
-            entry["results"].append({"x0": np.asarray(x0).tolist(),
-                                     "reason": traj.reason,
-                                     "final_norm": float(np.linalg.norm(traj.final_state))})
-        entry["n_failed"] = sum(r["final_norm"] > 1e-6 for r in entry["results"])
-        if entry["n_failed"] and first_failing is None:
-            first_failing = (w, trajs)
-        grid_report.append(entry)
-    if first_failing is not None:
-        for i, traj in enumerate(first_failing[1]):
-            path = outdir / f"fig5_traj_lqr_{i}.dat"
-            _traj_dat(path, traj)
-            files.append(path)
+    grid, trajectories = _lqr_grid(
+        plant, surrogate, starts,
+        vcfg.get("lqr_weights", [0.01, 0.1, 1.0, 10.0]), horizon, rtol)
+    failing = [(e["R"], trajs) for e, trajs in zip(grid, trajectories)
+               if e["n_failed"]]
+    plotted_weight, plotted = failing[0] if failing else (None, [])
+    for i, traj in enumerate(plotted):
+        path = outdir / f"fig5_traj_lqr_{i}.dat"
+        verify.export_trajectory_dat(traj, path)
+        files.append(path)
     with open(outdir / "fig5_lqr_report.json", "w") as fh:
-        json.dump({"weight_grid": grid_report,
+        json.dump({"weight_grid": grid,
                    "starts": [np.asarray(s).tolist() for s in starts],
-                   "plotted_weight": None if first_failing is None
-                   else first_failing[0]}, fh, indent=1, sort_keys=True)
+                   "plotted_weight": plotted_weight}, fh, indent=1, sort_keys=True)
         fh.write("\n")
     files.append(outdir / "fig5_lqr_report.json")
     return files
@@ -644,6 +612,9 @@ def main(argv=None):
     except sdp.InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except sdp.VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

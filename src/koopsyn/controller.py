@@ -178,12 +178,27 @@ def _ray_crossing(value_fn, direction, r_max, tol=1e-8, value_tol=1e-9):
     return 0.5 * (r_lo + r_hi), True
 
 
+def _polar_sweep(value_fn, r_max, resolution, tol):
+    """Boundary value_fn = 1 on ``resolution`` equally spaced rays from the
+    origin; rays that never cross within ``r_max`` are flagged open and
+    clipped at the cap rather than silently dropped."""
+    angles = np.linspace(0.0, 2.0 * np.pi, int(resolution), endpoint=False)
+    radii = np.empty(angles.size)
+    open_rays = np.zeros(angles.size, dtype=bool)
+    for i, th in enumerate(angles):
+        d = np.array([np.cos(th), np.sin(th)])
+        r, crossed = _ray_crossing(value_fn, d, r_max, tol=tol)
+        radii[i] = r
+        open_rays[i] = not crossed
+    pts = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+    pts = np.vstack([pts, pts[:1]])
+    return Boundary(angles=angles, radii=radii, points=pts, open_rays=open_rays)
+
+
 def roa_boundary_2d(design, lifting, resolution=360, r_max=None, tol=1e-8):
     """Polar sweep of the region-of-attraction boundary for planar states.
 
-    For each angle the unique crossing V = 1 is bracketed and bisected; rays
-    that never cross within the search cap are flagged open and clipped at
-    the cap rather than silently dropped.
+    For each angle the unique crossing V = 1 is bracketed and bisected.
     """
     if lifting.n != 2:
         raise ValueError("boundary sweep requires a planar state space")
@@ -193,17 +208,7 @@ def roa_boundary_2d(design, lifting, resolution=360, r_max=None, tol=1e-8):
     def value(x):
         return roa_membership(design, lifting, x)[1]
 
-    angles = np.linspace(0.0, 2.0 * np.pi, int(resolution), endpoint=False)
-    radii = np.empty(angles.size)
-    open_rays = np.zeros(angles.size, dtype=bool)
-    for i, th in enumerate(angles):
-        d = np.array([np.cos(th), np.sin(th)])
-        r, crossed = _ray_crossing(value, d, r_max, tol=tol)
-        radii[i] = r
-        open_rays[i] = not crossed
-    pts = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
-    pts = np.vstack([pts, pts[:1]])
-    return Boundary(angles=angles, radii=radii, points=pts, open_rays=open_rays)
+    return _polar_sweep(value, r_max, resolution, tol)
 
 
 def region_boundary_2d(region, lifting, resolution=360, r_max=None, tol=1e-8):
@@ -222,17 +227,7 @@ def region_boundary_2d(region, lifting, resolution=360, r_max=None, tol=1e-8):
     def value(x):
         return 1.0 - membership(region, lifting.lift_reduced(x))[1] / margin0
 
-    angles = np.linspace(0.0, 2.0 * np.pi, int(resolution), endpoint=False)
-    radii = np.empty(angles.size)
-    open_rays = np.zeros(angles.size, dtype=bool)
-    for i, th in enumerate(angles):
-        d = np.array([np.cos(th), np.sin(th)])
-        r, crossed = _ray_crossing(value, d, r_max, tol=tol)
-        radii[i] = r
-        open_rays[i] = not crossed
-    pts = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
-    pts = np.vstack([pts, pts[:1]])
-    return Boundary(angles=angles, radii=radii, points=pts, open_rays=open_rays)
+    return _polar_sweep(value, r_max, resolution, tol)
 
 
 def polygon_area(points):

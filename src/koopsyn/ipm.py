@@ -36,7 +36,6 @@ class IPMResult:
     rel_gap: float
     primal_obj: float
     dual_obj: float
-    X: list = field(default_factory=list)
     history: list = field(default_factory=list)
 
 
@@ -77,17 +76,19 @@ def _schur(Aflat, As, X, Sinv):
 def solve_sdp(c, blocks, tol=1e-8, max_iters=200, step_frac=0.98, verbose=False):
     """Run the interior-point iteration; ``blocks`` is a list of (F0, Fi)
     with Fi stacked as (p, nk, nk)."""
+    if not blocks:
+        raise ValueError("solve_sdp needs at least one constraint block "
+                         "(got an empty blocks list)")
     c = np.asarray(c, dtype=float)
     p = c.size
     # standard-form data with per-block magnitude scaling
-    Cs, As, scales, dims = [], [], [], []
+    Cs, As, dims = [], [], []
     for F0, Fi in blocks:
         F0 = np.asarray(F0, dtype=float)
         Fi = np.asarray(Fi, dtype=float).reshape(p, F0.shape[0], F0.shape[0])
         s = max(1.0, np.max(np.abs(F0)), np.max(np.abs(Fi)) if Fi.size else 0.0)
         Cs.append(F0 / s)
         As.append(-Fi / s)
-        scales.append(s)
         dims.append(F0.shape[0])
     Af = [A_k.reshape(p, nk * nk) for A_k, nk in zip(As, dims)]
     b = -c
@@ -220,6 +221,5 @@ def solve_sdp(c, blocks, tol=1e-8, max_iters=200, step_frac=0.98, verbose=False)
         rel_gap=float(abs(gap) / (1.0 + abs(pobj) + abs(dobj))),
         primal_obj=float(pobj),
         dual_obj=dobj,
-        X=[X_k * s for X_k, s in zip(X, scales)],
         history=history,
     )

@@ -168,7 +168,6 @@ class Lifting:
 
     n: int
     observables: tuple
-    lipschitz_hint: float | None = None
     _checked: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -289,11 +288,11 @@ def _validate(L):
             raise DictionaryError(f"observable {k} must vanish at the origin (got {v})")
 
 
-def make_lifting(n, extras=(), lipschitz_hint=None):
+def make_lifting(n, extras=()):
     """Build a dictionary from the extra observables only; the constant and
     coordinate maps are prepended automatically."""
     obs = (constant(),) + tuple(coordinate(k) for k in range(n)) + tuple(extras)
-    return Lifting(n=n, observables=obs, lipschitz_hint=lipschitz_hint)
+    return Lifting(n=n, observables=obs)
 
 
 def identity_lifting(n):

@@ -23,6 +23,11 @@ class InfeasibleError(RuntimeError):
     """Raised by pipeline steps when a design problem has no solution."""
 
 
+class VerificationError(RuntimeError):
+    """Raised by pipeline steps when the independent verifier rejects a
+    solution that the solver reported feasible."""
+
+
 class BackendUnavailableError(ValueError):
     """Raised when the selected solver backend is unknown or its package is
     not installed; a bad-input error, since the other backend still works."""

@@ -227,6 +227,16 @@ def test_criterion_10_figures(figures_dir):
            f"{areas['fig5_thm2']:.1f} > {areas['fig4_thm2']:.1f}")
 
 
+def test_cli_design_matches_figure_design(figures_dir, tmp_path):
+    """The CLI stages and ``reproduce fig2`` share one design routine, so the
+    same config gives byte-identical artifacts."""
+    for cmd in ("collect", "fit", "design"):
+        assert cli.main([cmd, "--example", "cooked_up", "--out", str(tmp_path)]) == 0
+    for name in ("design.json", "roa.dat", "surrogate.json", "region.json"):
+        assert (tmp_path / name).read_bytes() == \
+            (figures_dir / f"fig2_{name}").read_bytes(), name
+
+
 def test_criterion_11_lqr_contrast(figures_dir):
     doc = json.loads((figures_dir / "fig5_lqr_report.json").read_text())
     grid = doc["weight_grid"]

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from koopsyn import cli
+from koopsyn import cli, sdp
 
 
 def run_pipeline(tmp_path, example="cooked_up", d=400, extra=()):
@@ -134,6 +135,34 @@ class TestFitAndDesign:
         assert "unknown solver backend 'foo'" in capsys.readouterr().err
         assert not (tmp_path / "design.json").exists()
 
+    def test_objective_failure_falls_back_to_feasibility(self, tmp_path,
+                                                          monkeypatch):
+        out = str(tmp_path)
+        for cmd in ("collect", "fit"):
+            assert cli.main([cmd, "--example", "cooked_up", "--out", out,
+                             "--d", "400"]) == 0
+        solve, reports = sdp.solve, []
+
+        def objective_stalls(program, options=None):
+            report = solve(program, options)
+            if np.any(program.c):
+                report.status = "iteration_limit"
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr(sdp, "solve", objective_stalls)
+        assert cli.main(["design", "--example", "cooked_up", "--out", out,
+                         "--d", "400"]) == 0
+        assert [r.status for r in reports] == ["iteration_limit", "feasible"]
+        log = json.loads((tmp_path / "design_log.json").read_text())
+        assert log["status"] == "feasible"
+        assert log["iterations"] == reports[1].iterations
+        manifest = log["constraint_manifest"]
+        assert manifest["objective"] is None
+        assert "roa_radius" not in [c["name"] for c in manifest["constraints"]]
+        design = json.loads((tmp_path / "design.json").read_text())
+        assert "roa_radius" not in design["margins"]
+
     def test_design_deterministic(self, tmp_path):
         a = run_pipeline(tmp_path / "a")
         b = run_pipeline(tmp_path / "b")
@@ -165,6 +194,22 @@ class TestFitAndDesign:
         final_names = [c["name"]
                        for c in log["constraint_manifest"]["constraints"]]
         assert "invariance" in final_names
+
+
+class TestReproduceCommand:
+    def test_verifier_rejection_exit_code(self, tmp_path, monkeypatch, capsys):
+        verify = sdp.verify
+
+        def reject(problem, assignment, slack=1e-7):
+            return dataclasses.replace(verify(problem, assignment, slack), ok=False)
+
+        monkeypatch.setattr(sdp, "verify", reject)
+        rc = cli.main(["reproduce", "fig2", "--out", str(tmp_path)])
+        assert rc == cli.EXIT_VERIFICATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "verifier rejected" in err
+        assert not (tmp_path / "fig2_design.json").exists()
 
 
 class TestVerifyCommand:

@@ -1,6 +1,7 @@
 """Direct tests of the bundled interior-point method (``koopsyn.ipm``)."""
 
 import numpy as np
+import pytest
 
 from koopsyn import edmd, ipm, lmi, sdp, uncertainty
 
@@ -40,6 +41,12 @@ def test_no_variables():
                                       (np.array([[1.0]]), np.zeros((0, 1, 1)))])
     assert res.status == "optimal"
     assert res.z.shape == (0,)
+
+
+def test_empty_blocks_rejected():
+    # with no PSD block the barrier has no cone (and mu = gap / 0)
+    with pytest.raises(ValueError, match="at least one constraint block"):
+        ipm.solve_sdp(np.array([1.0]), [])
 
 
 def test_schur_matches_einsum_reference():
