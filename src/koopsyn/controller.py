@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matops import sym
+from .matops import quadratic_rows, sym
 
 
 class FeedbackSingularError(RuntimeError):
@@ -107,29 +107,81 @@ class DesignResult:
                             margins=doc.get("margins", {}))
 
 
+class ClosedLoop:
+    """Feedback u(x) and certificate value V(x) of one gain set on one
+    lifting, composed once.
+
+    The reduced lift is the tuple of the observables' own evaluators, without
+    the shape and finiteness checks of ``Lifting.lift``: a non-finite lift
+    gives a non-finite u or V, which the caller handles.  ``u = K z`` for a
+    linear design; a scheduled design (nonzero ``Kw``) solves
+    ``(I - Kw (I_m kron z)) u = K z`` and refuses states where that matrix is
+    singular beyond ``cond_limit``.  ``V = z' P_inv z``.
+    """
+
+    def __init__(self, lifting, K, Kw=None, P_inv=None, cond_limit=1e12):
+        self.lifting = lifting
+        self.K = np.atleast_2d(K)
+        self.P_inv = P_inv
+        self.cond_limit = cond_limit
+        self._fns = tuple(ob.fn for ob in lifting.observables[1:])
+        m, N = self.K.shape
+        # (m, m, N) @ z is Kw (I_m kron z) without forming the Kronecker product
+        self._Kw = None if Kw is None or not np.any(Kw) else Kw.reshape(m, m, N)
+        self._eye = np.eye(m)
+
+    @classmethod
+    def of(cls, design, lifting, cond_limit=1e12):
+        return cls(lifting, design.K, design.Kw, design.P_inv, cond_limit)
+
+    def lift(self, x):
+        """Reduced lift of a single state."""
+        return np.array([fn(x) for fn in self._fns])
+
+    def feedback(self, x):
+        return self.feedback_of_lift(self.lift(x))
+
+    def value(self, x):
+        return self.value_of_lift(self.lift(x))
+
+    def feedback_of_lift(self, z):
+        u = self.K @ z
+        if self._Kw is None:
+            return u
+        W = self._eye - self._Kw @ z
+        if not np.all(np.isfinite(W)):
+            # np.linalg.cond raises on a non-finite matrix; pass the
+            # non-finite lift on as u, as a linear design does
+            return np.full(u.shape, np.nan)
+        cond = np.linalg.cond(W)
+        if not np.isfinite(cond) or cond > self.cond_limit:
+            raise FeedbackSingularError(
+                f"scheduling matrix condition {cond:.3e} exceeds {self.cond_limit:.1e}")
+        return np.linalg.solve(W, u)
+
+    def value_of_lift(self, z):
+        return float(z @ self.P_inv @ z)
+
+    def value_many(self, X):
+        """V at every row of X (d, n), through the checked batch lift.  Each
+        row's value is independent of the batch it comes in, but may differ
+        from ``value`` in the last bits (see ``matops.quadratic_rows``)."""
+        return quadratic_rows(self.lifting.lift_reduced_many(X), self.P_inv)
+
+
 def feedback(design, lifting, x, cond_limit=1e12):
     """Evaluate the feedback law at a state.
 
     Linear designs return K z; scheduled designs solve the m x m scheduling
     system and refuse states where it is singular beyond ``cond_limit``.
     """
-    z = lifting.lift_reduced(x)
-    u_lin = design.K @ z
-    if design.Kw is None or not np.any(design.Kw):
-        return u_lin
-    m = design.m
-    W = np.eye(m) - design.Kw @ np.kron(np.eye(m), z.reshape(-1, 1))
-    cond = np.linalg.cond(W)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise FeedbackSingularError(
-            f"scheduling matrix condition {cond:.3e} exceeds {cond_limit:.1e}")
-    return np.linalg.solve(W, u_lin)
+    loop = ClosedLoop.of(design, lifting, cond_limit)
+    return loop.feedback_of_lift(lifting.lift_reduced(x))
 
 
 def roa_membership(design, lifting, x):
     """(inside?, V(x)) for the certified sublevel set V(x) <= 1."""
-    z = lifting.lift_reduced(x)
-    V = float(z @ design.P_inv @ z)
+    V = ClosedLoop.of(design, lifting).value_of_lift(lifting.lift_reduced(x))
     return V <= 1.0, V
 
 
@@ -145,52 +197,48 @@ class Boundary:
         return not bool(np.any(self.open_rays))
 
 
-def _ray_crossing(value_fn, direction, r_max, tol=1e-8, value_tol=1e-9):
-    """First radius r with value_fn(r * direction) = 1 along a ray.
+def _polar_sweep(value_many, r_max, resolution, tol):
+    """Boundary value = 1 on ``resolution`` equally spaced rays from the
+    origin, all rays advanced in lockstep on batched values.
 
-    value_fn(0) must be < 1.  Returns (radius, crossed?).  Bracketing grows
-    geometrically; bisection then polishes to |value - 1| <= value_tol or
-    radius tolerance ``tol``.
+    ``value_many`` maps states (d, 2) to values (d,) and must be < 1 at the
+    origin.  Each ray brackets its first crossing by growing its radius from
+    1e-6 by a factor 1.6, then bisects it to |value - 1| <= 1e-9 or a bracket
+    of ``tol * max(1, r)``, at most 200 times.  Rays that never cross within
+    ``r_max`` are flagged open and clipped at the cap rather than silently
+    dropped.
     """
-    r_lo, v_lo = 0.0, 0.0
-    r_hi = min(1e-6, r_max)
-    crossed = False
-    while r_hi <= r_max:
-        v = value_fn(r_hi * direction)
-        if v >= 1.0:
-            crossed = True
-            break
-        r_lo, v_lo = r_hi, v
-        r_hi *= 1.6
-    if not crossed:
-        return r_max, False
-    for _ in range(200):
-        r_mid = 0.5 * (r_lo + r_hi)
-        v = value_fn(r_mid * direction)
-        if abs(v - 1.0) <= value_tol:
-            return r_mid, True
-        if v < 1.0:
-            r_lo = r_mid
-        else:
-            r_hi = r_mid
-        if r_hi - r_lo <= tol * max(1.0, r_mid):
-            break
-    return 0.5 * (r_lo + r_hi), True
-
-
-def _polar_sweep(value_fn, r_max, resolution, tol):
-    """Boundary value_fn = 1 on ``resolution`` equally spaced rays from the
-    origin; rays that never cross within ``r_max`` are flagged open and
-    clipped at the cap rather than silently dropped."""
     angles = np.linspace(0.0, 2.0 * np.pi, int(resolution), endpoint=False)
-    radii = np.empty(angles.size)
-    open_rays = np.zeros(angles.size, dtype=bool)
-    for i, th in enumerate(angles):
-        d = np.array([np.cos(th), np.sin(th)])
-        r, crossed = _ray_crossing(value_fn, d, r_max, tol=tol)
-        radii[i] = r
-        open_rays[i] = not crossed
-    pts = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    r_lo = np.zeros(angles.size)
+    r_hi = np.full(angles.size, min(1e-6, r_max))
+    radii = np.full(angles.size, float(r_max))
+    open_rays = np.ones(angles.size, dtype=bool)
+    rays = np.flatnonzero(r_hi <= r_max)
+    while rays.size:
+        crossed = value_many(r_hi[rays, None] * dirs[rays]) >= 1.0
+        open_rays[rays[crossed]] = False
+        rays = rays[~crossed]
+        r_lo[rays] = r_hi[rays]
+        r_hi[rays] *= 1.6
+        rays = rays[r_hi[rays] <= r_max]
+    on_value = np.zeros(angles.size, dtype=bool)
+    rays = np.flatnonzero(~open_rays)
+    for _ in range(200):
+        if not rays.size:
+            break
+        r_mid = 0.5 * (r_lo[rays] + r_hi[rays])
+        v = value_many(r_mid[:, None] * dirs[rays])
+        hit = np.abs(v - 1.0) <= 1e-9
+        radii[rays[hit]] = r_mid[hit]
+        on_value[rays[hit]] = True
+        rays, r_mid, below = rays[~hit], r_mid[~hit], v[~hit] < 1.0
+        r_lo[rays[below]] = r_mid[below]
+        r_hi[rays[~below]] = r_mid[~below]
+        rays = rays[r_hi[rays] - r_lo[rays] > tol * np.maximum(1.0, r_mid)]
+    rest = ~open_rays & ~on_value
+    radii[rest] = 0.5 * (r_lo[rest] + r_hi[rest])
+    pts = radii[:, None] * dirs
     pts = np.vstack([pts, pts[:1]])
     return Boundary(angles=angles, radii=radii, points=pts, open_rays=open_rays)
 
@@ -204,17 +252,14 @@ def roa_boundary_2d(design, lifting, resolution=360, r_max=None, tol=1e-8):
         raise ValueError("boundary sweep requires a planar state space")
     if r_max is None:
         r_max = 1e3 * max(1.0, float(np.sqrt(np.linalg.eigvalsh(design.P)[-1])))
-
-    def value(x):
-        return roa_membership(design, lifting, x)[1]
-
-    return _polar_sweep(value, r_max, resolution, tol)
+    return _polar_sweep(ClosedLoop.of(design, lifting).value_many, r_max,
+                        resolution, tol)
 
 
 def region_boundary_2d(region, lifting, resolution=360, r_max=None, tol=1e-8):
     """Boundary of {x : lift of x lies in the uncertainty region} for planar
     states, by the same polar sweep used for the certified set."""
-    from .uncertainty import membership
+    from .uncertainty import margins, membership
 
     if lifting.n != 2:
         raise ValueError("boundary sweep requires a planar state space")
@@ -224,10 +269,10 @@ def region_boundary_2d(region, lifting, resolution=360, r_max=None, tol=1e-8):
     if r_max is None:
         r_max = 1e3 * max(1.0, float(np.sqrt(region.Rz)))
 
-    def value(x):
-        return 1.0 - membership(region, lifting.lift_reduced(x))[1] / margin0
+    def value_many(X):
+        return 1.0 - margins(region, lifting.lift_reduced_many(X)) / margin0
 
-    return _polar_sweep(value, r_max, resolution, tol)
+    return _polar_sweep(value_many, r_max, resolution, tol)
 
 
 def polygon_area(points):
@@ -255,33 +300,28 @@ def containment_check(design, region, lifting, resolution=180, radial=8,
     certified set (V > 1) are pulled back inside, since the guarantee only
     covers the set itself.
     """
-    from .uncertainty import membership
+    from .uncertainty import margins
 
     if boundary is None:
         boundary = roa_boundary_2d(design, lifting, resolution=resolution)
     fractions = np.linspace(1.0 / radial, 1.0, radial)
-    worst = np.inf
-    worst_state = np.zeros(lifting.n)
-    violations = []
-    checked = 0
-    for th, r in zip(boundary.angles, boundary.radii):
-        d = np.array([np.cos(th), np.sin(th)])
-        for frac in fractions:
-            x = frac * r * d
-            for _ in range(60):
-                if roa_membership(design, lifting, x)[1] <= 1.0:
-                    break
-                x = 0.999999 * x
-            _, margin = membership(region, lifting.lift_reduced(x))
-            checked += 1
-            if margin < worst:
-                worst = margin
-                worst_state = x
-            if margin < -slack:
-                violations.append((x.copy(), margin))
-    return ContainmentReport(ok=not violations, worst_margin=float(worst),
-                             worst_state=worst_state, checked=checked,
-                             violations=tuple(violations))
+    dirs = np.column_stack([np.cos(boundary.angles), np.sin(boundary.angles)])
+    X = ((boundary.radii[:, None] * fractions)[:, :, None]
+         * dirs[:, None, :]).reshape(-1, lifting.n)
+    value_many = ClosedLoop.of(design, lifting).value_many
+    outside = np.arange(len(X))
+    for _ in range(60):
+        outside = outside[~(value_many(X[outside]) <= 1.0)]
+        if not outside.size:
+            break
+        X[outside] *= 0.999999
+    margin = margins(region, lifting.lift_reduced_many(X))
+    worst = int(np.argmin(margin))
+    violations = tuple((X[i].copy(), float(margin[i]))
+                       for i in np.flatnonzero(margin < -slack))
+    return ContainmentReport(ok=not violations, worst_margin=float(margin[worst]),
+                             worst_state=X[worst].copy(), checked=len(X),
+                             violations=violations)
 
 
 def rescale_to_box(design, lifting, box, resolution=360):
@@ -293,16 +333,14 @@ def rescale_to_box(design, lifting, box, resolution=360):
     """
     box = np.asarray(box, dtype=float)
     angles = np.linspace(0.0, 2.0 * np.pi, int(resolution), endpoint=False)
-    beta = 1.0
-    for th in angles:
-        d = np.array([np.cos(th), np.sin(th)])
-        # distance to the box boundary along d
-        with np.errstate(divide="ignore"):
-            t_hi = np.where(d > 0, box[:, 1] / d, np.inf)
-            t_lo = np.where(d < 0, box[:, 0] / d, np.inf)
-        r_box = float(np.min(np.minimum(t_hi, t_lo)))
-        _, V = roa_membership(design, lifting, r_box * d)
-        beta = min(beta, V)
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    # distance to the box boundary along each ray
+    with np.errstate(divide="ignore"):
+        t_hi = np.where(dirs > 0, box[:, 1] / dirs, np.inf)
+        t_lo = np.where(dirs < 0, box[:, 0] / dirs, np.inf)
+    r_box = np.min(np.minimum(t_hi, t_lo), axis=1)
+    V = ClosedLoop.of(design, lifting).value_many(r_box[:, None] * dirs)
+    beta = min(1.0, float(np.min(V)))
     if beta >= 1.0:
         return design, 1.0
     scaled = replace(design, P=beta * design.P, L=design.L * beta)

@@ -17,6 +17,16 @@ def min_eig(M):
     return float(np.linalg.eigvalsh(sym(np.asarray(M, dtype=float)))[0])
 
 
+def quadratic_rows(Z, M):
+    """z' M z for every row z of Z (d, N), from elementwise products summed
+    in a fixed order, so that a row's value does not depend on the other rows
+    or on d (a BLAS product may change its summation order with the batch
+    shape, and rounds differently from the single-vector ``z @ M @ z``)."""
+    N = M.shape[0]
+    ZM = sum(Z[:, k, None] * M[k] for k in range(N))
+    return sum(ZM[:, k] * Z[:, k] for k in range(N))
+
+
 def svec(S):
     """Vectorize a symmetric matrix: upper triangle, row-major, off-diagonal
     entries scaled by sqrt(2) so that <svec a, svec b> = <a, b>_F."""

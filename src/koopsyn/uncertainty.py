@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matops import min_eig, sym
+from .matops import min_eig, quadratic_rows, sym
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,18 @@ def identity_region(N, rz):
     return UncertaintyRegion(Qz=-np.eye(N), Sz=np.zeros(N), Rz=float(rz))
 
 
+def margins(region, V):
+    """Quadratic-form margins of the rows of V (d, N); a row is a member when
+    its margin is nonnegative."""
+    V = np.asarray(V, dtype=float)
+    linear = sum(V[:, k] * region.Sz[k] for k in range(region.N))
+    return quadratic_rows(V, region.Qz) + 2.0 * linear + region.Rz
+
+
 def membership(region, v):
     """Quadratic-form margin of v; nonnegative margin means membership."""
-    v = np.asarray(v, dtype=float).reshape(region.N)
-    margin = float(v @ region.Qz @ v + 2.0 * (region.Sz @ v) + region.Rz)
+    v = np.asarray(v, dtype=float).reshape(1, region.N)
+    margin = float(margins(region, v)[0])
     return margin >= 0.0, margin
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import schur, solve_continuous_lyapunov
 
 from . import controller
@@ -33,11 +32,10 @@ def simulate(plant, design, lifting, x0, horizon=50.0, rtol=1e-9, atol=1e-9,
     Embedded adaptive Runge-Kutta 4(5); terminates early once the state norm
     falls below ``converged_tol`` or grows beyond ``escape_radius``.
     """
-    u_fn = lambda x: controller.feedback(design, lifting, x)  # noqa: E731
-    V_fn = lambda x: controller.roa_membership(design, lifting, x)[1]  # noqa: E731
-    return simulate_feedback(plant, u_fn, x0, horizon=horizon, rtol=rtol,
-                             atol=atol, converged_tol=converged_tol,
-                             escape_radius=escape_radius, V_fn=V_fn)
+    loop = controller.ClosedLoop.of(design, lifting)
+    return simulate_feedback(plant, loop.feedback, x0, horizon=horizon,
+                             rtol=rtol, atol=atol, converged_tol=converged_tol,
+                             escape_radius=escape_radius, V_fn=loop.value)
 
 
 class _FeedbackFailure(Exception):
@@ -47,13 +45,22 @@ class _FeedbackFailure(Exception):
 def simulate_feedback(plant, u_fn, x0, horizon=50.0, rtol=1e-9, atol=1e-9,
                       converged_tol=1e-8, escape_radius=1e6, V_fn=None,
                       max_step=np.inf):
+    """Integrate ``plant`` under ``u_fn`` from ``x0``; see :func:`simulate`.
+
+    A feedback that turns singular ends the run with reason
+    ``singular_feedback``; a right-hand side that turns non-finite ends it
+    with ``numerical_failure``, the integrator shrinking its step until it
+    gives up.
+    """
+    from scipy.integrate import solve_ivp
+
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
 
     def rhs(_, x):
         try:
-            u = np.atleast_1d(u_fn(x))
+            u = u_fn(x)
         except controller.FeedbackSingularError as exc:
             raise _FeedbackFailure(str(exc)) from exc
         return plant.vector_field(x, u)
@@ -70,16 +77,23 @@ def simulate_feedback(plant, u_fn, x0, horizon=50.0, rtol=1e-9, atol=1e-9,
     ev_escape.terminal = True
     ev_escape.direction = 1.0
 
+    def stopped_at_start(reason):
+        return Trajectory(t=np.array([0.0]), states=x0[None, :],
+                          inputs=np.full((1, plant.m), np.nan),
+                          V=np.array([V_fn(x0) if V_fn else np.nan]),
+                          reason=reason)
+
     reason = "horizon"
     try:
+        # from a non-finite start derivative solve_ivp picks a NaN first step
+        # and never terminates
+        if not np.all(np.isfinite(rhs(0.0, x0))):
+            return stopped_at_start("numerical_failure")
         sol = solve_ivp(rhs, (0.0, float(horizon)), x0, method="RK45",
                         rtol=rtol, atol=atol, events=(ev_converged, ev_escape),
                         max_step=max_step, dense_output=False)
     except _FeedbackFailure:
-        return Trajectory(t=np.array([0.0]), states=x0[None, :],
-                          inputs=np.full((1, plant.m), np.nan),
-                          V=np.array([V_fn(x0) if V_fn else np.nan]),
-                          reason="singular_feedback")
+        return stopped_at_start("singular_feedback")
     if not sol.success:
         reason = "numerical_failure"
     elif sol.status == 1:
@@ -193,9 +207,8 @@ def lqr_baseline(surrogate, Q=None, R=None):
 
 
 def lqr_feedback(surrogate, lifting, K_lqr):
-    """Closure computing u = -K_lqr * reduced lift, for simulate_feedback."""
-    K = np.atleast_2d(K_lqr)
-    return lambda x: -(K @ lifting.lift_reduced(x))
+    """Feedback u = -K_lqr * reduced lift, for simulate_feedback."""
+    return controller.ClosedLoop(lifting, -np.atleast_2d(K_lqr)).feedback
 
 
 def export_trajectory_dat(traj, path):

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 
-from koopsyn import cli, sdp
+from koopsyn import cli, controller, edmd, sdp
 
 
 def run_pipeline(tmp_path, example="cooked_up", d=400, extra=()):
@@ -223,6 +223,21 @@ class TestVerifyCommand:
         assert (tmp_path / "traj_000.dat").exists()
         cols = np.loadtxt(tmp_path / "traj_000.dat", ndmin=2)
         assert cols.shape[1] == 1 + 2 + 1 + 1  # t, states, input, V
+        # the batched start sampler keeps the one-draw-per-try stream
+        design = controller.DesignResult.from_json(
+            (tmp_path / "design.json").read_text())
+        lifting = edmd.Surrogate.from_json(
+            (tmp_path / "surrogate.json").read_text()).lifting
+        vcfg = cli.example_config("cooked_up")["verify"]
+        rng = np.random.default_rng(vcfg["seed"])
+        rmax = float(np.max(controller.roa_boundary_2d(
+            design, lifting, resolution=180).radii))
+        expected = []
+        while len(expected) < vcfg["n_starts"]:
+            x = rng.uniform(-rmax, rmax, size=2)
+            if controller.roa_membership(design, lifting, x)[1] <= 0.99:
+                expected.append(x.tolist())
+        assert [r["x0"] for r in rep["trajectories"]] == expected
 
     def test_verify_lqr_grid(self, tmp_path):
         cfg = cli.example_config("cooked_up")

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from koopsyn import controller, uncertainty
-from koopsyn.controller import (DesignResult, FeedbackSingularError, feedback,
-                                polygon_area, region_boundary_2d, roa_boundary_2d,
-                                roa_membership)
+from koopsyn.controller import (ClosedLoop, DesignResult, FeedbackSingularError,
+                                feedback, polygon_area, region_boundary_2d,
+                                roa_boundary_2d, roa_membership)
 from koopsyn.lifting import estimate_lipschitz, identity_lifting
 
 
@@ -56,6 +56,46 @@ class TestFeedback:
         for alpha in (0.25, 2.0, -3.0):
             np.testing.assert_allclose(design_cooked.K @ (alpha * z),
                                        alpha * (design_cooked.K @ z), atol=1e-12)
+
+
+class TestClosedLoop:
+    """The precomposed evaluator against the feedback and certificate
+    formulas on the checked lift, bit for bit: the trajectory files depend on
+    every bit."""
+
+    @pytest.mark.parametrize("which", [("design_cooked", "lifting_cooked"),
+                                       ("design_pendulum_shaped_thm2",
+                                        "lifting_pendulum")])
+    def test_bitwise_equal_to_wrappers(self, request, which):
+        design, lifting = (request.getfixturevalue(name) for name in which)
+        loop = ClosedLoop.of(design, lifting)
+        m = design.m
+        X = np.random.default_rng(41).uniform(-4.0, 4.0, size=(1000, 2))
+        for x in X:
+            z = lifting.lift_reduced(x)
+            u_ref = design.K @ z
+            if design.theorem == 2:
+                W = np.eye(m) - design.Kw @ np.kron(np.eye(m), z.reshape(-1, 1))
+                u_ref = np.linalg.solve(W, u_ref)
+            V_ref = float(z @ design.P_inv @ z)
+            assert np.array_equal(loop.feedback(x), u_ref)
+            assert np.array_equal(feedback(design, lifting, x), u_ref)
+            assert loop.value(x) == V_ref
+            assert roa_membership(design, lifting, x) == (V_ref <= 1.0, V_ref)
+        # the batch values sum in another order: a few units of roundoff
+        Z = lifting.lift_reduced_many(X)
+        V = np.array([loop.value(x) for x in X])
+        bound = 16 * np.finfo(float).eps * np.linalg.norm(design.P_inv, 2) \
+            * np.sum(Z * Z, axis=1)
+        assert np.all(np.abs(loop.value_many(X) - V) <= bound)
+
+    def test_lqr_gain(self, lifting_cooked):
+        from koopsyn import verify
+
+        K = np.array([[0.5, -1.25, 3.0]])
+        u = verify.lqr_feedback(None, lifting_cooked, K)
+        for x in np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 2)):
+            assert np.array_equal(u(x), -(K @ lifting_cooked.lift_reduced(x)))
 
 
 class TestDesignResult:
@@ -125,6 +165,96 @@ class TestBoundary:
         b = roa_boundary_2d(d, L, resolution=8, r_max=10.0)
         assert np.any(b.open_rays) and not b.closed
         assert np.all(b.radii[b.open_rays] == 10.0)
+
+
+def reference_sweep(value_fn, r_max, resolution, tol, value_tol=1e-9):
+    """Per-ray scalar bracketing and bisection, one ray after another: the
+    specification the lockstep sweep must reproduce.  Also returns how each
+    ray stopped ("open", "value", "bracket" or "cap")."""
+    angles = np.linspace(0.0, 2.0 * np.pi, int(resolution), endpoint=False)
+    radii, open_rays, stops = [], [], []
+    for th in angles:
+        d = np.array([np.cos(th), np.sin(th)])
+        r_lo, r_hi = 0.0, min(1e-6, r_max)
+        crossed = False
+        while r_hi <= r_max:
+            if value_fn(r_hi * d) >= 1.0:
+                crossed = True
+                break
+            r_lo = r_hi
+            r_hi *= 1.6
+        if not crossed:
+            radii.append(r_max)
+            open_rays.append(True)
+            stops.append("open")
+            continue
+        stop = "cap"
+        for _ in range(200):
+            r_mid = 0.5 * (r_lo + r_hi)
+            v = value_fn(r_mid * d)
+            if abs(v - 1.0) <= value_tol:
+                stop = "value"
+                break
+            if v < 1.0:
+                r_lo = r_mid
+            else:
+                r_hi = r_mid
+            if r_hi - r_lo <= tol * max(1.0, r_mid):
+                stop = "bracket"
+                break
+        radii.append(r_mid if stop == "value" else 0.5 * (r_lo + r_hi))
+        open_rays.append(False)
+        stops.append(stop)
+    return np.array(radii), np.array(open_rays), stops
+
+
+class TestPolarSweep:
+    """Lockstep sweep against the per-ray reference on the same batched value
+    function, evaluated one state at a time: radii and open rays equal."""
+
+    @staticmethod
+    def check(boundary, value_many, r_max, resolution, tol=1e-8):
+        radii, open_rays, stops = reference_sweep(
+            lambda x: value_many(x[None, :])[0], r_max, resolution, tol)
+        assert np.array_equal(boundary.radii, radii)
+        assert np.array_equal(boundary.open_rays, open_rays)
+        return stops
+
+    @pytest.mark.parametrize("which", [("design_cooked", "lifting_cooked"),
+                                       ("design_pendulum_shaped_thm2",
+                                        "lifting_pendulum")])
+    def test_designs(self, request, which):
+        design, lifting = (request.getfixturevalue(name) for name in which)
+        r_max = 1e3 * max(1.0, float(np.sqrt(np.linalg.eigvalsh(design.P)[-1])))
+        b = roa_boundary_2d(design, lifting, resolution=72)
+        stops = self.check(b, ClosedLoop.of(design, lifting).value_many, r_max, 72)
+        assert "open" not in stops
+
+    def test_open_rays(self):
+        L = identity_lifting(2)
+        d = linear_design(np.zeros((1, 2)), P=np.diag([1.0e6, 1.0]))
+        b = roa_boundary_2d(d, L, resolution=16, r_max=10.0)
+        stops = self.check(b, ClosedLoop.of(d, L).value_many, 10.0, 16)
+        assert "open" in stops and set(stops) != {"open"}
+
+    def test_value_tolerance_stops(self):
+        # an ellipse with semi-axes 100 and about 55: a shallow value slope
+        # at the crossing lets |V - 1| <= 1e-9 hold on some rays before the
+        # bracket is tol * r wide
+        L = identity_lifting(2)
+        d = linear_design(np.zeros((1, 2)), P=np.diag([1.0e4, 3.0e3]))
+        b = roa_boundary_2d(d, L, resolution=64)
+        stops = self.check(b, ClosedLoop.of(d, L).value_many, 1e5, 64)
+        assert "value" in stops and "bracket" in stops
+
+    def test_region_boundary(self, lifting_cooked, region_cooked):
+        from koopsyn.uncertainty import margins
+
+        b = region_boundary_2d(region_cooked, lifting_cooked, resolution=48)
+        r_max = 1e3 * np.sqrt(region_cooked.Rz)
+        self.check(b, lambda X: 1.0 - margins(
+            region_cooked, lifting_cooked.lift_reduced_many(X)) / region_cooked.Rz,
+            r_max, 48)
 
 
 class TestContainment:

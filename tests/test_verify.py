@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are
 
 from koopsyn import plants, verify
 from koopsyn.controller import DesignResult
-from koopsyn.lifting import identity_lifting
+from koopsyn.lifting import custom, identity_lifting, make_lifting
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +92,49 @@ class TestSimulate:
                                    atol=rtol)
             errs.append(abs(traj.states[-1, 0] - np.exp(-traj.t[-1])))
         assert errs[1] <= errs[0] / 4.0
+
+    def test_scheduling_turns_singular(self):
+        # the m = 2 scheduling matrix [[1, -1e4 x1], [0, 1]] has condition
+        # about (1e4 x1)^2, past the 1e12 limit once the unstable x1 = 0.5 e^t
+        # passes 100 (t = 5.3), well inside the escape radius
+        zero = lambda x: np.zeros(np.shape(x))  # noqa: E731
+        plant = plants.Plant(
+            name="unstable", n=2, m=2,
+            f=lambda x: np.asarray(x, dtype=float) * np.array([1.0, -1.0]),
+            g=(zero, zero), state_box=[[-1.0, 1.0]] * 2,
+            input_box=[[-1.0, 1.0]] * 2)
+        Lw = np.zeros((2, 4))
+        Lw[0, 2] = 1.0e4
+        design = DesignResult(theorem=2, P=np.eye(2), L=np.zeros((2, 2)),
+                              tau=1.0, nu=1.0, Lam=np.eye(2), Lw=Lw)
+        traj = verify.simulate(plant, design, identity_lifting(2),
+                               np.array([0.5, 0.5]), horizon=50.0)
+        assert traj.reason == "singular_feedback"
+
+    def test_non_finite_lift_is_numerical_failure(self, scalar_plant):
+        # an observable that is NaN on (0, 0.5): x(t) = exp(-t) reaches it
+        # at t = ln 2, where the run ends with a reason rather than an error
+        hole = custom(lambda x: np.nan if 0.0 < x[0] < 0.5 else 0.0)
+        L = make_lifting(1, [hole])
+        traj = verify.simulate(scalar_plant, zero_design(2), L, np.array([1.0]))
+        assert traj.reason == "numerical_failure"
+        assert abs(traj.t[-1] - np.log(2.0)) < 1e-6
+        assert np.all(np.isfinite(traj.states)) and np.all(traj.states > 0.5)
+        start = verify.simulate(scalar_plant, zero_design(2), L, np.array([0.25]))
+        assert start.reason == "numerical_failure"
+        assert np.array_equal(start.t, [0.0])
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = "import sys, koopsyn.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestLyapunovAudit:
