@@ -330,13 +330,15 @@ def cmd_design(cfg):
 
 def _lqr_grid(plant, surrogate, starts, weights, horizon, rtol):
     """CARE/LQR baseline with R = w I for each weight, simulated from every
-    start.  Returns the report entry of each weight and its trajectories."""
+    start (one batch per weight).  Returns the report entry of each weight
+    and its trajectories."""
     entries, trajectories = [], []
     for w in weights:
         K_lqr, _, info = verify.lqr_baseline(surrogate, R=w * np.eye(surrogate.m))
-        ufn = verify.lqr_feedback(surrogate, surrogate.lifting, K_lqr)
-        trajs = [verify.simulate_feedback(plant, ufn, x0, horizon=horizon,
-                                          rtol=rtol, atol=rtol) for x0 in starts]
+        trajs = verify.simulate_many(
+            plant, verify.lqr_loop(surrogate.lifting, K_lqr),
+            np.reshape(starts, (-1, plant.n)), horizon=horizon, rtol=rtol,
+            atol=rtol)
         runs = [{"x0": np.asarray(x0).tolist(), "reason": traj.reason,
                  "final_norm": float(np.linalg.norm(traj.final_state))}
                 for x0, traj in zip(starts, trajs)]
@@ -346,6 +348,23 @@ def _lqr_grid(plant, surrogate, starts, weights, horizon, rtol):
                         "n_failed": sum(r["final_norm"] > 1e-6 for r in runs)})
         trajectories.append(trajs)
     return entries, trajectories
+
+
+def _certified_starts(design, lifting, n_starts, seed):
+    """Up to ``n_starts`` states with V <= 0.99, rejection-sampled (at most
+    100000 tries) from the square that holds the certified boundary."""
+    rng = np.random.default_rng(seed)
+    boundary = controller.roa_boundary_2d(design, lifting, resolution=180)
+    rmax = float(np.max(boundary.radii))
+    value_many = controller.ClosedLoop.of(design, lifting).value_many
+    # rejection sampling in blocks of tries; a block of k draws is the same
+    # stream as k single draws, so the starts do not depend on the block size
+    starts, tries = [], 0
+    while len(starts) < n_starts and tries < 100000:
+        X = rng.uniform(-rmax, rmax, size=(min(1000, 100000 - tries), lifting.n))
+        tries += len(X)
+        starts.extend(X[value_many(X) <= 0.99][:n_starts - len(starts)])
+    return starts
 
 
 def cmd_verify(cfg):
@@ -361,22 +380,14 @@ def cmd_verify(cfg):
     n_starts = int(vcfg.get("n_starts", 20))
     horizon = float(vcfg.get("horizon", 50.0))
     rtol = float(vcfg.get("rtol", 1e-8))
-    rng = np.random.default_rng(int(vcfg.get("seed", 123)))
-    boundary = controller.roa_boundary_2d(design, lifting, resolution=180)
-    rmax = float(np.max(boundary.radii))
-    value_many = controller.ClosedLoop.of(design, lifting).value_many
-    # rejection sampling in blocks of tries; a block of k draws is the same
-    # stream as k single draws, so the starts do not depend on the block size
-    starts, tries = [], 0
-    while len(starts) < n_starts and tries < 100000:
-        X = rng.uniform(-rmax, rmax, size=(min(1000, 100000 - tries), plant.n))
-        tries += len(X)
-        starts.extend(X[value_many(X) <= 0.99][:n_starts - len(starts)])
+    starts = _certified_starts(design, lifting, n_starts,
+                               int(vcfg.get("seed", 123)))
     results = []
     outputs = []
-    for i, x0 in enumerate(starts):
-        traj = verify.simulate(plant, design, lifting, x0, horizon=horizon,
-                               rtol=rtol, atol=rtol)
+    trajs = verify.simulate_many(plant, controller.ClosedLoop.of(design, lifting),
+                                 np.reshape(starts, (-1, plant.n)),
+                                 horizon=horizon, rtol=rtol, atol=rtol)
+    for i, (x0, traj) in enumerate(zip(starts, trajs)):
         audit = verify.lyapunov_audit(traj)
         path = outdir / f"traj_{i:03d}.dat"
         verify.export_trajectory_dat(traj, path)
@@ -529,9 +540,10 @@ def _fig5_trajectories(outdir, plant, surrogate, designs, boundaries, cfg):
     rtol = float(vcfg.get("rtol", 1e-8))
     horizon = float(vcfg.get("horizon", 50.0))
     for thm, design in designs.items():
-        for i, x0 in enumerate(starts):
-            traj = verify.simulate(plant, design, surrogate.lifting, x0,
-                                   horizon=horizon, rtol=rtol, atol=rtol)
+        trajs = verify.simulate_many(
+            plant, controller.ClosedLoop.of(design, surrogate.lifting),
+            np.array(starts), horizon=horizon, rtol=rtol, atol=rtol)
+        for i, traj in enumerate(trajs):
             path = outdir / f"fig5_traj_thm{thm}_{i}.dat"
             verify.export_trajectory_dat(traj, path)
             files.append(path)

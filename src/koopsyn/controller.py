@@ -116,7 +116,12 @@ class ClosedLoop:
     gives a non-finite u or V, which the caller handles.  ``u = K z`` for a
     linear design; a scheduled design (nonzero ``Kw``) solves
     ``(I - Kw (I_m kron z)) u = K z`` and refuses states where that matrix is
-    singular beyond ``cond_limit``.  ``V = z' P_inv z``.
+    singular (see ``_singular``).  ``V = z' P_inv z``.
+
+    The single-state methods use matrix products; the batch methods
+    (``*_many``, ``*_of_lifts``) sum over the lift in a fixed order, as
+    ``matops.quadratic_rows`` does, so that a row's values do not depend on
+    its batch.  The two may differ in the last bits.
     """
 
     def __init__(self, lifting, K, Kw=None, P_inv=None, cond_limit=1e12):
@@ -124,11 +129,16 @@ class ClosedLoop:
         self.K = np.atleast_2d(K)
         self.P_inv = P_inv
         self.cond_limit = cond_limit
-        self._fns = tuple(ob.fn for ob in lifting.observables[1:])
+        self._observables = lifting.observables[1:]
+        self._fns = tuple(ob.fn for ob in self._observables)
         m, N = self.K.shape
         # (m, m, N) @ z is Kw (I_m kron z) without forming the Kronecker product
         self._Kw = None if Kw is None or not np.any(Kw) else Kw.reshape(m, m, N)
         self._eye = np.eye(m)
+        # per-observable coefficients of the fixed-order sums over z
+        self._K_cols = [self.K[:, k].copy() for k in range(N)]
+        if self._Kw is not None:
+            self._Kw_cols = [self._Kw[:, :, k].copy() for k in range(N)]
 
     @classmethod
     def of(cls, design, lifting, cond_limit=1e12):
@@ -150,23 +160,65 @@ class ClosedLoop:
             return u
         W = self._eye - self._Kw @ z
         if not np.all(np.isfinite(W)):
-            # np.linalg.cond raises on a non-finite matrix; pass the
-            # non-finite lift on as u, as a linear design does
+            # the SVD raises on a non-finite matrix; pass the non-finite
+            # lift on as u, as a linear design does
             return np.full(u.shape, np.nan)
-        cond = np.linalg.cond(W)
-        if not np.isfinite(cond) or cond > self.cond_limit:
+        if self._singular(W[None])[0]:
             raise FeedbackSingularError(
-                f"scheduling matrix condition {cond:.3e} exceeds {self.cond_limit:.1e}")
+                f"scheduling matrix singular beyond condition {self.cond_limit:.1e}")
         return np.linalg.solve(W, u)
 
     def value_of_lift(self, z):
         return float(z @ self.P_inv @ z)
 
+    def lift_many(self, X):
+        """Reduced lift of every row of X (d, n), unchecked like ``lift``."""
+        Z = np.empty((len(X), len(self._observables)))
+        for k, ob in enumerate(self._observables):
+            Z[:, k] = ob.fn(X) if ob.vectorized else [ob.fn(x) for x in X]
+        return Z
+
+    def feedback_of_lifts(self, Z):
+        """u at every row of Z (d, N), and a flag per row that is set where
+        the scheduling matrix is singular; such rows get u = NaN instead of
+        an exception."""
+        U = Z[:, :1] * self._K_cols[0]
+        for k in range(1, Z.shape[1]):
+            U = U + Z[:, k, None] * self._K_cols[k]
+        singular = np.zeros(len(Z), dtype=bool)
+        if self._Kw is None:
+            return U, singular
+        KwZ = Z[:, 0, None, None] * self._Kw_cols[0]
+        for k in range(1, Z.shape[1]):
+            KwZ = KwZ + Z[:, k, None, None] * self._Kw_cols[k]
+        W = self._eye - KwZ
+        finite = np.all(np.isfinite(W), axis=(1, 2))
+        singular[finite] = self._singular(W[finite])
+        solve = finite & ~singular
+        U[~solve] = np.nan
+        U[solve] = np.linalg.solve(W[solve], U[solve, :, None])[..., 0]
+        return U, singular
+
+    def value_of_lifts(self, Z):
+        """V at every row of Z (d, N); NaN when no certificate is attached."""
+        if self.P_inv is None:
+            return np.full(len(Z), np.nan)
+        return quadratic_rows(Z, self.P_inv)
+
     def value_many(self, X):
-        """V at every row of X (d, n), through the checked batch lift.  Each
-        row's value is independent of the batch it comes in, but may differ
-        from ``value`` in the last bits (see ``matops.quadratic_rows``)."""
-        return quadratic_rows(self.lifting.lift_reduced_many(X), self.P_inv)
+        """V at every row of X (d, n), through the checked batch lift."""
+        return self.value_of_lifts(self.lifting.lift_reduced_many(X))
+
+    def _singular(self, W):
+        """Per matrix of the stack W (d, m, m): whether its condition number
+        exceeds ``cond_limit`` or its smallest singular value falls below
+        ``1 / cond_limit``.  W is I at the origin, so the second test measures
+        the distance to singularity on the same scale; it is the only test
+        that can refuse m = 1, where the condition number is always 1."""
+        s = np.linalg.svd(W, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = s[:, 0] / s[:, -1]
+        return ~(cond <= self.cond_limit) | (s[:, -1] < 1.0 / self.cond_limit)
 
 
 def feedback(design, lifting, x, cond_limit=1e12):

@@ -45,15 +45,20 @@ class Plant:
             raise ValueError("drift must vanish at the origin (controlled equilibrium)")
 
     def vector_field(self, x, u):
-        """Evaluate ``f(x) + sum_i u_i g_i(x)``; ``x`` may be a batch (d, n)
-        as long as ``u`` is a single input vector."""
+        """Evaluate ``f(x) + sum_i u_i g_i(x)``.
+
+        ``x`` is one state (n,) or a batch (d, n).  ``u`` is one input (m,),
+        shared by every row of a batch, or one input per row (d, m).
+        """
         x = np.asarray(x, dtype=float)
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if x.shape[-1] != self.n or u.shape != (self.m,):
+        if x.shape[-1] != self.n or u.shape[-1] != self.m or not (
+                u.ndim == 1 or (u.ndim == 2 and x.ndim == 2
+                                and u.shape[0] == x.shape[0])):
             raise ValueError("dimension mismatch in vector field evaluation")
-        out = np.asarray(self.f(x), dtype=float).copy()
+        out = np.asarray(self.f(x), dtype=float)
         for i in range(self.m):
-            out += u[i] * np.asarray(self.g[i](x), dtype=float)
+            out = out + u[..., i, None] * np.asarray(self.g[i](x), dtype=float)
         return out
 
 
@@ -73,8 +78,10 @@ def make_example(example_id, **params):
 
         def f(x):
             x = np.asarray(x, dtype=float)
-            return np.stack([rho * x[..., 0],
-                             lam * (x[..., 1] - x[..., 0] ** 2)], axis=-1)
+            out = np.empty(x.shape)
+            out[..., 0] = rho * x[..., 0]
+            out[..., 1] = lam * (x[..., 1] - x[..., 0] ** 2)
+            return out
 
         def g1(x):
             x = np.asarray(x, dtype=float)
@@ -97,9 +104,11 @@ def make_example(example_id, **params):
 
         def f(x):
             x = np.asarray(x, dtype=float)
-            return np.stack([x[..., 1],
-                             (grav / length) * np.sin(x[..., 0])
-                             - (fric / ml2) * x[..., 1]], axis=-1)
+            out = np.empty(x.shape)
+            out[..., 0] = x[..., 1]
+            out[..., 1] = ((grav / length) * np.sin(x[..., 0])
+                           - (fric / ml2) * x[..., 1])
+            return out
 
         def g1(x):
             x = np.asarray(x, dtype=float)

@@ -27,89 +27,336 @@ class Trajectory:
 
 def simulate(plant, design, lifting, x0, horizon=50.0, rtol=1e-9, atol=1e-9,
              converged_tol=1e-8, escape_radius=1e6):
-    """Integrate the true plant under the synthesized feedback.
-
-    Embedded adaptive Runge-Kutta 4(5); terminates early once the state norm
-    falls below ``converged_tol`` or grows beyond ``escape_radius``.
-    """
+    """Integrate the true plant under the synthesized feedback from one
+    start; see :func:`simulate_many`."""
     loop = controller.ClosedLoop.of(design, lifting)
-    return simulate_feedback(plant, loop.feedback, x0, horizon=horizon,
-                             rtol=rtol, atol=atol, converged_tol=converged_tol,
-                             escape_radius=escape_radius, V_fn=loop.value)
+    return simulate_many(plant, loop, np.asarray(x0, dtype=float)[None, :],
+                         horizon=horizon, rtol=rtol, atol=atol,
+                         converged_tol=converged_tol,
+                         escape_radius=escape_radius)[0]
 
 
-class _FeedbackFailure(Exception):
-    pass
+class _PointwiseLoop:
+    """The batch interface of ``controller.ClosedLoop`` over functions of a
+    single state: u_fn(x), which may raise ``FeedbackSingularError``, and
+    V_fn(x) or None."""
+
+    def __init__(self, u_fn, V_fn, m):
+        self.u_fn, self.V_fn, self.m = u_fn, V_fn, m
+
+    def lift_many(self, X):
+        return X
+
+    def feedback_of_lifts(self, X):
+        U = np.empty((len(X), self.m))
+        singular = np.zeros(len(X), dtype=bool)
+        for i, x in enumerate(X):
+            try:
+                U[i] = self.u_fn(x)
+            except controller.FeedbackSingularError:
+                U[i] = np.nan
+                singular[i] = True
+        return U, singular
+
+    def value_of_lifts(self, X):
+        if self.V_fn is None:
+            return np.full(len(X), np.nan)
+        return np.array([self.V_fn(x) for x in X], dtype=float)
 
 
 def simulate_feedback(plant, u_fn, x0, horizon=50.0, rtol=1e-9, atol=1e-9,
                       converged_tol=1e-8, escape_radius=1e6, V_fn=None,
                       max_step=np.inf):
-    """Integrate ``plant`` under ``u_fn`` from ``x0``; see :func:`simulate`.
+    """Integrate ``plant`` under the single-state feedback ``u_fn`` from
+    ``x0``, recording ``V_fn`` when given; see :func:`simulate_many`."""
+    loop = _PointwiseLoop(u_fn, V_fn, plant.m)
+    return simulate_many(plant, loop, np.asarray(x0, dtype=float)[None, :],
+                         horizon=horizon, rtol=rtol, atol=atol,
+                         converged_tol=converged_tol,
+                         escape_radius=escape_radius, max_step=max_step)[0]
 
-    A feedback that turns singular ends the run with reason
-    ``singular_feedback``; a right-hand side that turns non-finite ends it
-    with ``numerical_failure``, the integrator shrinking its step until it
-    gives up.
+
+# Dormand-Prince 4(5): stage nodes are not needed for an autonomous system;
+# _A row s combines stages 0..s-1, _B gives the 5th-order solution, _E the
+# difference to the embedded 4th-order one (stage 6 is f at the new state),
+# and _P the quartic dense output of Shampine (1986), as in scipy's RK45.
+_A = ((),
+      (1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B = (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+      1 / 40)
+_P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+       -12715105075 / 11282082432),
+      (0, 0, 0, 0),
+      (0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+       87487479700 / 32700410799),
+      (0, -1754552775 / 470086768, 14199869525 / 1410260304,
+       -10690763975 / 1880347072),
+      (0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+       701980252875 / 199316789632),
+      (0, -282668133 / 205662961, 2019193451 / 616988883,
+       -1453857185 / 822651844),
+      (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_REASONS = np.array(["", "converged", "left_domain", "horizon",
+                     "numerical_failure", "singular_feedback"])
+_CONVERGED, _LEFT, _HORIZON, _FAILURE, _SINGULAR = range(1, 6)
+_ERROR_EXPONENT = -1.0 / 5.0        # the error estimate is of order 4
+_EPS = np.finfo(float).eps
+
+
+def _combine(K, coeffs):
+    """sum_j coeffs[j] K[j] over the nonzero coefficients, in index order."""
+    out = None
+    for k, c in zip(K, coeffs):
+        if c:
+            out = k * c if out is None else out + k * c
+    return out
+
+
+def _norm_rows(X):
+    """Euclidean norm of every row, summed in a fixed order."""
+    return np.sqrt(sum(X[:, j] * X[:, j] for j in range(X.shape[1])))
+
+
+def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
+                  converged_tol=1e-8, escape_radius=1e6, max_step=np.inf):
+    """Integrate ``plant`` under the feedback of ``loop`` from every row of
+    ``X0`` (d, n); returns one :class:`Trajectory` per row.
+
+    ``loop`` is a ``controller.ClosedLoop`` (or offers its ``lift_many``,
+    ``feedback_of_lifts`` and ``value_of_lifts``).  All starts advance
+    together as one (d, n) array with an explicit Dormand-Prince 4(5) pair,
+    each row under the step control of scipy's ``RK45``: its initial-step
+    rule, RMS error norm, safety factor 0.9, step factors in [0.2, 10] with
+    no growth right after a rejection, ``max_step``, and a minimum step of
+    10 ulp of t.  A run ends with reason ``converged`` when the state norm
+    falls to ``converged_tol`` and ``left_domain`` when it rises to
+    ``escape_radius`` (both located by Brent's method on the step's quartic
+    dense output), ``horizon`` at t = ``horizon``, ``numerical_failure``
+    when the step falls below the minimum (a non-finite right-hand side
+    shrinks it until it does) and ``singular_feedback`` when the feedback
+    flags a state.  A run that ends ``singular_feedback``, or
+    ``numerical_failure`` at its start, keeps only its start state, with
+    u = NaN.
+
+    Every operation is row-wise and every sum runs in a fixed order (the
+    loop's batch methods keep the same rule), so a row's trajectory does not
+    depend on the batch it is integrated in, and a row that turns singular
+    or non-finite ends alone.  The u and V columns are evaluated in one
+    batched pass after integration.
     """
-    from scipy.integrate import solve_ivp
-
-    x0 = np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(x0)):
+    X0 = np.asarray(X0, dtype=float)
+    if X0.ndim != 2 or X0.shape[1] != plant.n:
+        raise ValueError(f"starts must have shape (d, {plant.n})")
+    if not np.all(np.isfinite(X0)):
         raise ValueError("initial state must be finite")
+    t_bound = float(horizon)
+    if not t_bound > 0.0:
+        raise ValueError("horizon must be positive")
+    if not max_step > 0.0:
+        raise ValueError("max_step must be positive")
+    rtol = max(float(rtol), 100 * _EPS)
+    if atol < 0:
+        raise ValueError("atol must be nonnegative")
+    d, n = X0.shape
+    if d == 0:
+        return []
+    sqrt_n = n ** 0.5
+    code = np.zeros(d, dtype=np.int8)      # index into _REASONS; 0 = running
 
-    def rhs(_, x):
-        try:
-            u = u_fn(x)
-        except controller.FeedbackSingularError as exc:
-            raise _FeedbackFailure(str(exc)) from exc
-        return plant.vector_field(x, u)
+    def rhs(X):
+        U, singular = loop.feedback_of_lifts(loop.lift_many(X))
+        return plant.vector_field(X, U), singular
 
-    def ev_converged(_, x):
-        return float(np.linalg.norm(x)) - converged_tol
+    def rms(X):
+        return _norm_rows(X) / sqrt_n
 
-    ev_converged.terminal = True
-    ev_converged.direction = -1.0
+    # accepted states as (row, t, x) blocks, in time order per row
+    rec_rows, rec_t, rec_x = [np.arange(d)], [np.zeros(d)], [X0]
+    f, singular = rhs(X0)
+    # from a non-finite start derivative the initial-step rule gives NaN
+    at_start = ~singular & ~np.all(np.isfinite(f), axis=1)
+    code[at_start] = _FAILURE
+    code[singular] = _SINGULAR
+    live = np.flatnonzero(code == 0)
+    y, f = X0[live], f[live]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # initial step (Hairer, Norsett & Wanner, II.4)
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = rms(y / scale), rms(f / scale)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, t_bound)
+        f1, singular = rhs(y + h0[:, None] * f)
+        d2 = rms((f1 - f) / scale) / h0
+        # fmax skips a NaN d2 (non-finite f1), as Python's max does in RK45
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.fmax(d1, d2)) ** (1.0 / 5.0))
+        h_abs = np.minimum(np.minimum(np.minimum(100 * h0, h1), t_bound),
+                           max_step)
+    code[live[singular]] = _SINGULAR
+    keep = ~singular
+    live, y, f, h_abs = live[keep], y[keep], f[keep], h_abs[keep]
+    t = np.zeros(live.size)
+    rejected = np.zeros(live.size, dtype=bool)
+    norm = _norm_rows(y)
+    g_conv, g_esc = norm - converged_tol, norm - escape_radius
 
-    def ev_escape(_, x):
-        return float(np.linalg.norm(x)) - escape_radius
+    while live.size:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+            # a new step starts from h_abs clipped to [min_step, max_step]
+            h_abs = np.where(rejected, h_abs,
+                             np.where(h_abs > max_step, max_step,
+                                      np.maximum(h_abs, min_step)))
+            t_new = np.minimum(t + h_abs, t_bound)
+            h = (t_new - t)[:, None]
+            K = [f]
+            singular = np.zeros(live.size, dtype=bool)
+            for a in _A[1:]:
+                k, flag = rhs(y + _combine(K, a) * h)
+                K.append(k)
+                singular |= flag
+            y_new = y + h * _combine(K, _B)
+            f_new, flag = rhs(y_new)
+            K.append(f_new)
+            singular |= flag
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = rms(_combine(K, _E) * h / scale)
+            grow = _SAFETY * err ** _ERROR_EXPONENT
+            # a NaN error norm rejects the step and shrinks it by MIN_FACTOR
+            factor = np.where(err == 0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, grow))
+            factor = np.where(err < 1, np.where(rejected, np.minimum(1.0, factor),
+                                                factor),
+                              np.fmax(_MIN_FACTOR, grow))
+        step_code = np.where(h_abs < min_step, _FAILURE,
+                             np.where(singular, _SINGULAR, 0))
+        h_abs = h[:, 0] * factor
+        accepted = (err < 1) & (step_code == 0)
+        rejected = ~accepted
+        norm = _norm_rows(y_new)
+        gc_new, ge_new = norm - converged_tol, norm - escape_radius
+        hit_conv = accepted & (g_conv >= 0) & (gc_new <= 0)
+        hit_esc = accepted & (g_esc <= 0) & (ge_new >= 0)
+        for i in np.flatnonzero(hit_conv | hit_esc):
+            t_new[i], y_new[i], step_code[i] = _locate_event(
+                t[i], t_new[i], y[i], [k[i] for k in K],
+                (converged_tol, escape_radius), (hit_conv[i], hit_esc[i]))
+        step_code[accepted & (step_code == 0) & (t_new >= t_bound)] = _HORIZON
+        acc = np.flatnonzero(accepted)
+        rec_rows.append(live[acc])
+        rec_t.append(t_new[acc])
+        rec_x.append(y_new[acc])
+        t = np.where(accepted, t_new, t)
+        y = np.where(accepted[:, None], y_new, y)
+        f = np.where(accepted[:, None], f_new, f)
+        g_conv = np.where(accepted, gc_new, g_conv)
+        g_esc = np.where(accepted, ge_new, g_esc)
+        done = step_code != 0
+        if done.any():
+            code[live[done]] = step_code[done]
+            keep = ~done
+            live, t, y, f, h_abs, rejected, g_conv, g_esc = (
+                a[keep] for a in (live, t, y, f, h_abs, rejected, g_conv, g_esc))
+    stopped = (code == _SINGULAR) | at_start
+    return _trajectories(loop, X0, _REASONS[code].tolist(), stopped, rec_rows,
+                         rec_t, rec_x)
 
-    ev_escape.terminal = True
-    ev_escape.direction = 1.0
 
-    def stopped_at_start(reason):
-        return Trajectory(t=np.array([0.0]), states=x0[None, :],
-                          inputs=np.full((1, plant.m), np.nan),
-                          V=np.array([V_fn(x0) if V_fn else np.nan]),
-                          reason=reason)
+def _locate_event(t_old, t_new, y_old, K, levels, active):
+    """The first terminal event inside one accepted step of one row: the
+    root of ||x(t)|| - level on the step's dense output.  Returns
+    (t, x(t), reason)."""
+    Q = [_combine(K, [row[q] for row in _P]) for q in range(4)]
+    h = t_new - t_old
 
-    reason = "horizon"
-    try:
-        # from a non-finite start derivative solve_ivp picks a NaN first step
-        # and never terminates
-        if not np.all(np.isfinite(rhs(0.0, x0))):
-            return stopped_at_start("numerical_failure")
-        sol = solve_ivp(rhs, (0.0, float(horizon)), x0, method="RK45",
-                        rtol=rtol, atol=atol, events=(ev_converged, ev_escape),
-                        max_step=max_step, dense_output=False)
-    except _FeedbackFailure:
-        return stopped_at_start("singular_feedback")
-    if not sol.success:
-        reason = "numerical_failure"
-    elif sol.status == 1:
-        reason = "converged" if sol.t_events[0].size else "left_domain"
-    ts = sol.t
-    xs = sol.y.T
-    us = np.empty((ts.size, plant.m))
-    Vs = np.full(ts.size, np.nan)
-    for i, x in enumerate(xs):
-        try:
-            us[i] = np.atleast_1d(u_fn(x))
-        except controller.FeedbackSingularError:
-            us[i] = np.nan
-        if V_fn is not None:
-            Vs[i] = V_fn(x)
-    return Trajectory(t=ts, states=xs, inputs=us, V=Vs, reason=reason)
+    def sol(t):
+        x = (t - t_old) / h
+        p = x
+        out = Q[0] * p
+        for q in Q[1:]:
+            p = p * x
+            out = out + q * p
+        return h * out + y_old
+
+    roots = [_brentq(lambda t, lv=level: _norm_rows(sol(t)[None, :])[0] - lv,
+                     t_old, t_new) if on else np.inf
+             for level, on in zip(levels, active)]
+    first = int(np.argmin(roots))
+    return roots[first], sol(roots[first]), (_CONVERGED, _LEFT)[first]
+
+
+def _brentq(fn, xa, xb, tol=4 * _EPS, maxiter=100):
+    """Root of ``fn`` bracketed by [xa, xb] with Brent's method, step for
+    step as scipy.optimize.brentq with xtol = rtol = ``tol``, which the
+    event location of scipy's ``solve_ivp`` uses (Brent, "Algorithms for
+    Minimization without Derivatives", 1973, ch. 4)."""
+    xpre, xcur = xa, xb
+    fpre, fcur = fn(xpre), fn(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if np.signbit(fpre) == np.signbit(fcur):
+        raise ValueError("event is not bracketed by the step")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + tol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fn(xcur)
+    raise RuntimeError("event location did not converge")
+
+
+def _trajectories(loop, X0, reasons, stopped, rec_rows, rec_t, rec_x):
+    """Split the recorded blocks by row and add the u and V columns,
+    evaluated in one batched pass.  Rows flagged ``stopped`` keep only their
+    start, with u = NaN."""
+    rows = np.concatenate(rec_rows)
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    T, S = np.concatenate(rec_t)[order], np.concatenate(rec_x)[order]
+    Z = loop.lift_many(S)
+    U, _ = loop.feedback_of_lifts(Z)
+    V = loop.value_of_lifts(Z)
+    bounds = np.searchsorted(rows, np.arange(len(X0) + 1))
+    out = []
+    for i, reason in enumerate(reasons):
+        lo, hi = bounds[i], bounds[i + 1]
+        if stopped[i]:
+            hi = lo + 1
+            U[lo] = np.nan
+        out.append(Trajectory(t=T[lo:hi], states=S[lo:hi], inputs=U[lo:hi],
+                              V=V[lo:hi], reason=reason))
+    return out
 
 
 @dataclass(frozen=True)
@@ -206,9 +453,15 @@ def lqr_baseline(surrogate, Q=None, R=None):
     return K, P, info
 
 
+def lqr_loop(lifting, K_lqr):
+    """Closed loop of u = -K_lqr * reduced lift, for simulate_many; it
+    carries no certificate."""
+    return controller.ClosedLoop(lifting, -np.atleast_2d(K_lqr))
+
+
 def lqr_feedback(surrogate, lifting, K_lqr):
-    """Feedback u = -K_lqr * reduced lift, for simulate_feedback."""
-    return controller.ClosedLoop(lifting, -np.atleast_2d(K_lqr)).feedback
+    """Single-state form of :func:`lqr_loop`, for simulate_feedback."""
+    return lqr_loop(lifting, K_lqr).feedback
 
 
 def export_trajectory_dat(traj, path):

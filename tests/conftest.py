@@ -1,11 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from koopsyn import controller, edmd, lmi, plants, sdp, uncertainty
+from koopsyn import cli, controller, edmd, lmi, plants, sdp, uncertainty
 from koopsyn.lifting import make_lifting, poly, sine
 
 EXACT_A = np.array([[-2.0, 0.0, 0.0], [0.0, -4.0, 5.0], [0.0, 0.0, 1.0]])
 EXACT_B0 = np.array([[0.0], [1.0], [1.0]])
+
+
+@pytest.fixture(scope="session")
+def figures_dir(tmp_path_factory):
+    """Every ``reproduce`` output; fig2, fig3_ball, fig4_thm1 and fig5_thm1
+    are the designs of the four built-in examples."""
+    out = tmp_path_factory.mktemp("figures")
+    for fig in ("fig1", "fig2", "fig3", "fig4", "fig5"):
+        rc = cli.cmd_reproduce(fig, out)
+        assert rc == 0
+    return Path(out)
 
 
 @pytest.fixture(scope="session")

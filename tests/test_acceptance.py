@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,15 +18,6 @@ from conftest import EXACT_A, EXACT_B0, sample_roa_starts
 def report(num, ok, details):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {details}")
     assert ok, details
-
-
-@pytest.fixture(scope="module")
-def figures_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("figures")
-    for fig in ("fig1", "fig2", "fig3", "fig4", "fig5"):
-        rc = cli.cmd_reproduce(fig, out)
-        assert rc == 0
-    return Path(out)
 
 
 def load_stem(figdir, stem, surrogate_name):
@@ -154,10 +144,10 @@ def test_criterion_07_closed_loop_suite(plant_cooked, lifting_cooked,
              (plant_pendulum, lifting_pendulum, design_pendulum_shaped, 100, 43))
     worst_inc, worst_final, total = -np.inf, 0.0, 0
     for plant, lifting, design, n, seed in cases:
-        starts = sample_roa_starts(design, lifting, n, seed)
-        for x0 in starts:
-            traj = verify.simulate(plant, design, lifting, x0, horizon=50.0,
-                                   rtol=1e-8, atol=1e-8)
+        starts = np.array(sample_roa_starts(design, lifting, n, seed))
+        loop = controller.ClosedLoop.of(design, lifting)
+        for traj in verify.simulate_many(plant, loop, starts, horizon=50.0,
+                                         rtol=1e-8, atol=1e-8):
             audit = verify.lyapunov_audit(traj)
             worst_inc = max(worst_inc, audit.max_increase)
             worst_final = max(worst_final,

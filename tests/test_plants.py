@@ -46,6 +46,14 @@ class TestVectorField:
         with pytest.raises(ValueError):
             plant_cooked.vector_field(np.zeros(3), np.array([0.0]))
 
+    def test_one_input_per_row(self, plant_pendulum):
+        rng = np.random.default_rng(4)
+        X, U = rng.normal(size=(7, 2)), rng.normal(size=(7, 1))
+        rows = [plant_pendulum.vector_field(x, u) for x, u in zip(X, U)]
+        assert np.array_equal(plant_pendulum.vector_field(X, U), rows)
+        with pytest.raises(ValueError):
+            plant_pendulum.vector_field(X, U[:6])
+
 
 class TestSampling:
     def test_deterministic(self, plant_cooked):

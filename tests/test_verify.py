@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are
 
-from koopsyn import plants, verify
-from koopsyn.controller import DesignResult
+from koopsyn import cli, edmd, plants, verify
+from koopsyn.controller import ClosedLoop, DesignResult, FeedbackSingularError
 from koopsyn.lifting import custom, identity_lifting, make_lifting
 
 
@@ -124,17 +124,171 @@ class TestSimulate:
         assert start.reason == "numerical_failure"
         assert np.array_equal(start.t, [0.0])
 
+    def test_m1_near_singular_scheduling(self, scalar_plant):
+        # the 1 x 1 scheduling matrix W = 1 + x has condition 1 wherever it
+        # is nonzero, so its size is what must refuse it: 1e-13 at the
+        # start -1 + 1e-13, from where the plant decays to the origin
+        design = DesignResult(theorem=2, P=np.eye(1), L=np.zeros((1, 1)),
+                              tau=1.0, nu=1.0, Lam=np.eye(1),
+                              Lw=np.array([[-1.0]]))
+        lifting = identity_lifting(1)
+        traj = verify.simulate(scalar_plant, design, lifting,
+                               np.array([-1.0 + 1e-13]))
+        assert traj.reason == "singular_feedback"
+        assert np.array_equal(traj.t, [0.0])
+        ok = verify.simulate(scalar_plant, design, lifting,
+                             np.array([-1.0 + 1e-11]))
+        assert ok.reason == "converged"
+        loop = ClosedLoop.of(design, lifting)
+        loop.feedback(np.array([-1.0 + 1e-11]))
+        with pytest.raises(FeedbackSingularError):
+            loop.feedback(np.array([-1.0 + 1e-13]))
 
-def test_cli_import_leaves_scipy_integrate_out():
+
+def _subprocess_modules(code):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
-    code = "import sys, koopsyn.cli; print('scipy.integrate' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    code = "import sys, koopsyn.cli; print('scipy.integrate' in sys.modules)"
+    assert _subprocess_modules(code) == "False"
+
+
+def test_simulate_leaves_scipy_integrate_out():
+    code = ("import sys, numpy as np\n"
+            "from koopsyn import controller, plants, verify\n"
+            "from koopsyn.lifting import make_lifting, sine\n"
+            "design = controller.DesignResult(theorem=1, P=np.eye(3),\n"
+            "    L=np.array([[-20.0, -5.0, 0.0]]), tau=1.0, nu=1.0, lam=1.0)\n"
+            "traj = verify.simulate(plants.make_example('pendulum'), design,\n"
+            "    make_lifting(2, [sine(0)]), np.array([0.3, -0.2]))\n"
+            "print(traj.reason, 'scipy.integrate' in sys.modules)")
+    assert _subprocess_modules(code) == "converged False"
+
+
+# the designs of the four built-in examples among the figure outputs
+EXAMPLE_STEMS = (("cooked_up", "fig2", "fig2"),
+                 ("cooked_up_xy", "fig3_ball", "fig3"),
+                 ("pendulum", "fig4_thm1", "fig4"),
+                 ("pendulum_shaped", "fig5_thm1", "fig5"))
+
+
+def example_case(figures_dir, example):
+    _, stem, fig = next(s for s in EXAMPLE_STEMS if s[0] == example)
+    surrogate = edmd.Surrogate.from_json(
+        (figures_dir / f"{fig}_surrogate.json").read_text())
+    design = DesignResult.from_json(
+        (figures_dir / f"{stem}_design.json").read_text())
+    cfg = cli.example_config(example)
+    starts = cli._certified_starts(design, surrogate.lifting,
+                                   cfg["verify"]["n_starts"],
+                                   cfg["verify"]["seed"])
+    return (plants.make_example(cfg["plant"]["id"]),
+            ClosedLoop.of(design, surrogate.lifting), np.array(starts))
+
+
+def scipy_reference(plant, loop, x0, horizon, tol):
+    """The single-start integration with scipy's RK45 and terminal events."""
+    from scipy.integrate import solve_ivp
+
+    def converged(_, x):
+        return np.linalg.norm(x) - 1e-8
+
+    def escaped(_, x):
+        return np.linalg.norm(x) - 1e6
+
+    converged.terminal, converged.direction = True, -1.0
+    escaped.terminal, escaped.direction = True, 1.0
+    sol = solve_ivp(lambda _, x: plant.vector_field(x, loop.feedback(x)),
+                    (0.0, horizon), x0, method="RK45", rtol=tol, atol=tol,
+                    events=(converged, escaped))
+    if sol.status == 1:
+        reason = "converged" if sol.t_events[0].size else "left_domain"
+    else:
+        reason = {0: "horizon", -1: "numerical_failure"}[sol.status]
+    return reason, sol.y.T
+
+
+class TestSimulateMany:
+    @pytest.mark.parametrize("example", [s[0] for s in EXAMPLE_STEMS])
+    def test_matches_scipy_rk45(self, figures_dir, example):
+        # the first 5 of the 20 certified starts of `verify`, to bound the
+        # time the scalar reference takes
+        plant, loop, starts = example_case(figures_dir, example)
+        tol = cli.example_config(example)["verify"]["rtol"]
+        for x0, traj in zip(starts[:5], verify.simulate_many(
+                plant, loop, starts[:5], horizon=50.0, rtol=tol, atol=tol)):
+            reason, states = scipy_reference(plant, loop, x0, 50.0, tol)
+            assert traj.reason == reason
+            assert traj.states.shape == states.shape
+            assert np.all(np.abs(traj.states - states)
+                          <= 10 * (tol + tol * np.abs(states)))
+
+    @pytest.mark.parametrize("example", ["cooked_up_xy", "pendulum_shaped"])
+    def test_row_independent_of_batch(self, figures_dir, example):
+        plant, loop, starts = example_case(figures_dir, example)
+        assert len(starts) == 20
+        batch = verify.simulate_many(plant, loop, starts, rtol=1e-8, atol=1e-8)
+        for i in (0, 11, 19):
+            alone = verify.simulate_many(plant, loop, starts[i:i + 1],
+                                         rtol=1e-8, atol=1e-8)[0]
+            assert alone.reason == batch[i].reason
+            for field in ("t", "states", "inputs", "V"):
+                np.testing.assert_array_equal(getattr(alone, field),
+                                              getattr(batch[i], field))
+
+    def test_brentq_matches_scipy(self):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(400):
+            c = rng.normal(size=4)
+            t0, t1 = np.sort(rng.uniform(0.0, 2.0, size=2))
+            fn = lambda t: float(np.hypot(c[0] + c[1] * t, c[2] * t * t)  # noqa: E731
+                                 + c[3] * t - 0.5)
+            if np.sign(fn(t0)) == np.sign(fn(t1)):
+                continue
+            checked += 1
+            eps4 = 4 * np.finfo(float).eps
+            assert verify._brentq(fn, t0, t1) == brentq(fn, t0, t1, xtol=eps4,
+                                                        rtol=eps4)
+        assert checked > 50
+
+    def test_each_row_keeps_its_reason(self):
+        # xdot = x^3 - x: starts inside (-1, 1) converge, outside escape.
+        # u = K z = hole(x) is NaN on (3, 4), which the escaping start 1.5
+        # crosses; W = 1 - plateau(x) is 0 on (-0.8, -0.7), which the
+        # converging start -0.9 crosses
+        hole = custom(lambda x: np.nan if 3.0 < x[0] < 4.0 else 0.0)
+        plateau = custom(lambda x: 1.0 if -0.8 < x[0] < -0.7 else 0.0)
+        lifting = make_lifting(1, [hole, plateau])
+        design = DesignResult(theorem=2, P=np.eye(3),
+                              L=np.array([[0.0, 1.0, 0.0]]), tau=1.0, nu=1.0,
+                              Lam=np.eye(1), Lw=np.array([[0.0, 0.0, 1.0]]))
+        loop = ClosedLoop.of(design, lifting)
+        plant = plants.Plant(name="cubic", n=1, m=1,
+                             f=lambda x: np.asarray(x) ** 3 - np.asarray(x),
+                             g=(lambda x: np.zeros(np.shape(x)),),
+                             state_box=[[-1.0, 1.0]], input_box=[[-1.0, 1.0]])
+        starts = np.array([[0.5], [-1.5], [-0.9], [1.5]])
+        trajs = verify.simulate_many(plant, loop, starts, escape_radius=100.0)
+        assert [t.reason for t in trajs] == ["converged", "left_domain",
+                                             "singular_feedback",
+                                             "numerical_failure"]
+        assert np.array_equal(trajs[2].t, [0.0])
+        assert 1.5 <= trajs[3].states[-1, 0] <= 3.0
+        for x0, traj in zip(starts, trajs):
+            alone = verify.simulate_many(plant, loop, x0[None, :],
+                                         escape_radius=100.0)[0]
+            np.testing.assert_array_equal(alone.states, traj.states)
 
 
 class TestLyapunovAudit:
@@ -212,7 +366,7 @@ class TestRoAInvariance:
         from conftest import sample_roa_starts
 
         starts = sample_roa_starts(design_cooked, lifting_cooked, 25, seed=31)
-        for x0 in starts:
-            traj = verify.simulate(plant_cooked, design_cooked, lifting_cooked,
-                                   x0, rtol=1e-8, atol=1e-8)
+        loop = ClosedLoop.of(design_cooked, lifting_cooked)
+        for traj in verify.simulate_many(plant_cooked, loop, np.array(starts),
+                                         rtol=1e-8, atol=1e-8):
             assert np.nanmax(traj.V) <= 1.0 + 1e-4
