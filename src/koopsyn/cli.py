@@ -4,8 +4,8 @@ data reproduction.
 A single JSON config drives every stage; each stage reads the previous
 stage's artifacts from the output directory and writes a manifest with the
 input hashes and the effective config.  Exit codes: 0 success, 2 infeasible
-design, 3 verification failure, 4 bad input (including a solver backend
-that is unknown or not installed).
+design, 3 verification failure, 4 bad input (including a bad command line
+and a solver backend other than the bundled ``ipm``).
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ EXIT_INFEASIBLE = 2
 EXIT_VERIFICATION = 3
 EXIT_BAD_INPUT = 4
 
+OBJECTIVES = ("feasibility", "maximize_roa")
+
 
 # -- configuration ----------------------------------------------------------
 
@@ -43,8 +45,8 @@ def example_config(name):
             "error_bound": {"c_r": 0.1, "delta": 0.05},
             "region": {"Qz": (-np.eye(3)).tolist(), "Sz": [0.0, 0.0, 0.0], "Rz": 500.0},
             "theorem": 1,
-            "solver": {"backend": "ipm", "tol": 1e-8, "max_iters": 200,
-                       "epsilon": 1e-6, "objective": "maximize_roa"},
+            "solver": {"tol": 1e-8, "max_iters": 200, "epsilon": 1e-6,
+                       "objective": "maximize_roa"},
             "verify": {"n_starts": 20, "seed": 123, "horizon": 50.0,
                        "rtol": 1e-8, "lqr": False},
             "output_dir": "out_cooked_up",
@@ -68,8 +70,8 @@ def example_config(name):
             "error_bound": {"c_r": 0.02, "delta": 0.05},
             "region": {"Qz": (-np.eye(3)).tolist(), "Sz": [0.0] * 3, "Rz": 12.0},
             "theorem": 1,
-            "solver": {"backend": "ipm", "tol": 1e-8, "max_iters": 200,
-                       "epsilon": 1e-6, "objective": "maximize_roa"},
+            "solver": {"tol": 1e-8, "max_iters": 200, "epsilon": 1e-6,
+                       "objective": "maximize_roa"},
             "verify": {"n_starts": 20, "seed": 123, "horizon": 50.0,
                        "rtol": 1e-8, "lqr": True,
                        "lqr_weights": [0.01, 0.1, 1.0, 10.0]},
@@ -94,6 +96,13 @@ def validate_config(cfg):
         raise ValueError("need at least one sample per batch")
     if cfg.get("theorem", 1) not in (1, 2):
         raise ValueError("theorem must be 1 or 2")
+    solver = cfg.get("solver", {})
+    if solver.get("backend", "ipm") != "ipm":
+        raise ValueError(f"unknown solver backend '{solver['backend']}' "
+                         "(the bundled 'ipm' is the only one)")
+    if solver.get("objective", "feasibility") not in OBJECTIVES:
+        raise ValueError(f"unknown solver objective '{solver['objective']}' "
+                         f"(choose from {', '.join(OBJECTIVES)})")
     return cfg
 
 
@@ -166,8 +175,7 @@ def _write_manifest(outdir, command, cfg, inputs, outputs):
 
 def _solver_options(cfg):
     s = cfg.get("solver", {})
-    return sdp.SolverOptions(backend=s.get("backend", "ipm"),
-                             tol=s.get("tol", 1e-8),
+    return sdp.SolverOptions(tol=s.get("tol", 1e-8),
                              max_iters=s.get("max_iters", 200),
                              t_cap=s.get("t_cap", 1.0))
 
@@ -581,8 +589,7 @@ def _add_common(sub):
     sub.add_argument("--delta", type=float, help="probabilistic tolerance")
     sub.add_argument("--rz", type=float, help="region radius parameter")
     sub.add_argument("--theorem", type=int, choices=(1, 2))
-    sub.add_argument("--backend", choices=("ipm", "cvxopt"))
-    sub.add_argument("--objective", choices=("feasibility", "maximize_roa"))
+    sub.add_argument("--objective", choices=OBJECTIVES)
 
 
 def _overrides(args):
@@ -590,7 +597,7 @@ def _overrides(args):
         "out": "output_dir", "d": "sampling.d", "seed": "sampling.seed",
         "noise_bound": "sampling.noise_bound", "c_r": "error_bound.c_r",
         "delta": "error_bound.delta", "rz": "region.Rz", "theorem": "theorem",
-        "backend": "solver.backend", "objective": "solver.objective",
+        "objective": "solver.objective",
     }
     out = {}
     for attr, key in pairs.items():
@@ -600,8 +607,16 @@ def _overrides(args):
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as bad input (exit 4) in one ``error:``
+    line, instead of argparse's usage text and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="koopsyn",
         description="Bilinear Koopman surrogates with certified feedback synthesis")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -612,8 +627,8 @@ def main(argv=None):
     rep.add_argument("--out", default="figures")
     exa = subs.add_parser("example-config")
     exa.add_argument("name")
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "reproduce":
             return cmd_reproduce(args.figure, args.out)
         if args.command == "example-config":

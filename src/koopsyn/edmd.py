@@ -99,8 +99,11 @@ def least_squares_fit(Y, X, cutoff=1e-12):
     sinv = np.zeros_like(s)
     sinv[keep] = 1.0 / s[keep]
     Theta = Y @ (Vt.T * sinv) @ U.T
-    resid = float(np.linalg.norm(Y - Theta @ X, "fro"))
-    ynorm = float(np.linalg.norm(Y, "fro"))
+    # einsum, not np.linalg.norm: the latter's BLAS dot sums in an order that
+    # follows the BLAS thread count, which fit_report.json must not
+    R = Y - Theta @ X
+    resid = float(np.sqrt(np.einsum("ij,ij->", R, R)))
+    ynorm = float(np.sqrt(np.einsum("ij,ij->", Y, Y)))
     diag = {
         "rank": rank,
         "rows": X.shape[0],
@@ -164,10 +167,6 @@ class Surrogate:
         """Concatenation [B_1 ... B_m], shape (N, N*m)."""
         return np.hstack(self.B)
 
-    def B_hat(self, i):
-        """Raw input-batch generator block A + B_i (1-based channel index)."""
-        return self.A + self.B[i - 1]
-
     def predict(self, z, u):
         """Surrogate vector field A z + B0 u + Btilde (u kron z)."""
         z = np.asarray(z, dtype=float)
@@ -178,21 +177,6 @@ class Surrogate:
         for i in range(self.m):
             out += u[i] * (self.B[i] @ z)
         return out
-
-    def generator_blocks(self):
-        """Full (N+1)-dimensional generator surrogates in the lifted basis:
-        the zero-input block has zero first row and column, the input blocks
-        zero first row."""
-        N = self.N
-        L0 = np.zeros((N + 1, N + 1))
-        L0[1:, 1:] = self.A
-        Ls = [L0]
-        for i in range(self.m):
-            Li = np.zeros((N + 1, N + 1))
-            Li[1:, 0] = self.B0[:, i]
-            Li[1:, 1:] = self.B_hat(i + 1)
-            Ls.append(Li)
-        return Ls
 
     def to_json(self):
         def enc(M):

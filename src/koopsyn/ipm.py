@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+STEP_FRAC = 0.98    # fraction of the step to the cone boundary taken
+
 
 @dataclass
 class IPMResult:
@@ -73,7 +75,7 @@ def _schur(Aflat, As, X, Sinv):
                for Af_k, A_k, X_k, Si_k in zip(Aflat, As, X, Sinv))
 
 
-def solve_sdp(c, blocks, tol=1e-8, max_iters=200, step_frac=0.98, verbose=False):
+def solve_sdp(c, blocks, tol=1e-8, max_iters=200):
     """Run the interior-point iteration; ``blocks`` is a list of (F0, Fi)
     with Fi stacked as (p, nk, nk)."""
     if not blocks:
@@ -128,9 +130,6 @@ def solve_sdp(c, blocks, tol=1e-8, max_iters=200, step_frac=0.98, verbose=False)
                    for R, C_k in zip(Rd, Cs))
         relgap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
         history.append((pinf, dinf, relgap))
-        if verbose:
-            print(f"  it {it:3d}  pinf {pinf:9.2e}  dinf {dinf:9.2e}  "
-                  f"gap {relgap:9.2e}  mu {mu:9.2e}")
         if pinf <= tol and dinf <= tol and relgap <= tol:
             status = "optimal"
             it -= 1
@@ -183,8 +182,8 @@ def solve_sdp(c, blocks, tol=1e-8, max_iters=200, step_frac=0.98, verbose=False)
         dy_a, dX_a, dS_a = pred
         ap = min((_max_step(X_k, dX_k) for X_k, dX_k in zip(X, dX_a)), default=1.0)
         ad = min((_max_step(S_k, dS_k) for S_k, dS_k in zip(S, dS_a)), default=1.0)
-        ap *= step_frac
-        ad *= step_frac
+        ap *= STEP_FRAC
+        ad *= STEP_FRAC
         gap_aff = sum(np.tensordot(X_k + ap * dX_k, S_k + ad * dS_k, axes=2)
                       for X_k, dX_k, S_k, dS_k in zip(X, dX_a, S, dS_a))
         sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3, 1e-10, 1.0))
@@ -196,9 +195,9 @@ def solve_sdp(c, blocks, tol=1e-8, max_iters=200, step_frac=0.98, verbose=False)
             status = "numerical_failure"
             break
         dy, dX, dS = corr
-        ap = step_frac * min((_max_step(X_k, dX_k) for X_k, dX_k in zip(X, dX)),
+        ap = STEP_FRAC * min((_max_step(X_k, dX_k) for X_k, dX_k in zip(X, dX)),
                              default=1.0)
-        ad = step_frac * min((_max_step(S_k, dS_k) for S_k, dS_k in zip(S, dS)),
+        ad = STEP_FRAC * min((_max_step(S_k, dS_k) for S_k, dS_k in zip(S, dS)),
                              default=1.0)
         if max(ap, ad) < 1e-10:
             status = "numerical_failure"

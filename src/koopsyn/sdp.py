@@ -1,12 +1,12 @@
-"""Conic lowering of synthesis problems and pluggable SDP solving.
+"""Conic lowering of synthesis problems and their SDP solve.
 
 The lowering scalarizes all decision variables (symmetric matrices via the
 upper-triangle/sqrt(2) convention) and emits one PSD block per constraint
-with the required margin folded into the constant term.  Two backends
-satisfy the same contract: the bundled dense interior-point method (no
-external dependency) and an adapter to CVXOPT when it is installed.  Every
-feasible answer is re-checked against the original affine expressions by an
-eigenvalue verifier that does not share code with the solvers.
+with the required margin folded into the constant term.  Programs are
+solved by the bundled dense interior-point method (no external
+dependency).  Every feasible answer is re-checked against the original
+affine expressions by an eigenvalue verifier that does not share code with
+the solver.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ class InfeasibleError(RuntimeError):
 class VerificationError(RuntimeError):
     """Raised by pipeline steps when the independent verifier rejects a
     solution that the solver reported feasible."""
-
-
-class BackendUnavailableError(ValueError):
-    """Raised when the selected solver backend is unknown or its package is
-    not installed; a bad-input error, since the other backend still works."""
 
 
 @dataclass(frozen=True)
@@ -85,12 +80,9 @@ def lower(problem):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    backend: str = "ipm"          # "ipm" | "cvxopt"
     tol: float = 1e-8
     max_iters: int = 200
     t_cap: float = 1.0
-    step_frac: float = 0.98
-    verbose: bool = False
 
 
 @dataclass
@@ -127,11 +119,19 @@ def _wrap_feasibility(program, t_cap):
                         varmap=program.varmap, nvars=p + 1)
 
 
-def _solve_ipm(program, options):
-    res = ipm.solve_sdp(program.c,
-                        [(F0, Fi) for (_, F0, Fi, _) in program.blocks],
-                        tol=options.tol, max_iters=options.max_iters,
-                        step_frac=options.step_frac, verbose=options.verbose)
+def solve(program, options=None):
+    """Solve a ConicProgram with the bundled interior-point method.
+
+    A zero objective is treated as a feasibility question and answered via
+    the capped max-margin phase-I wrap; never raises on solver divergence.
+    """
+    options = options or SolverOptions()
+    t0 = time.monotonic()
+    feasibility = not np.any(program.c)
+    solved = _wrap_feasibility(program, options.t_cap) if feasibility else program
+    res = ipm.solve_sdp(solved.c, [(F0, Fi) for (_, F0, Fi, _) in solved.blocks],
+                        tol=options.tol, max_iters=options.max_iters)
+    wall = time.monotonic() - t0
     info = {
         "solver_status": res.status,
         "primal_infeas": res.primal_infeas,
@@ -139,76 +139,19 @@ def _solve_ipm(program, options):
         "rel_gap": res.rel_gap,
         "objective": res.dual_obj,
     }
-    return res.status, res.z, res.iterations, info
-
-
-def _solve_cvxopt(program, options):
-    try:
-        from cvxopt import matrix, solvers
-    except ImportError as exc:
-        raise BackendUnavailableError(
-            "solver backend 'cvxopt' needs the cvxopt package, which is not "
-            "installed (pip install -e .[cvxopt])") from exc
-    p = program.nvars
-    Gs, hs = [], []
-    for _, F0, Fi, _ in program.blocks:
-        dim = F0.shape[0]
-        G = np.empty((dim * dim, p))
-        for i in range(p):
-            G[:, i] = (-Fi[i]).ravel(order="F")
-        Gs.append(matrix(G))
-        hs.append(matrix(F0))
-    opts = {"show_progress": options.verbose, "maxiters": options.max_iters,
-            "abstol": options.tol, "reltol": options.tol,
-            "feastol": options.tol}
-    sol = solvers.sdp(matrix(program.c), Gs=Gs, hs=hs, options=opts)
-    z = np.array(sol["x"]).ravel() if sol["x"] is not None else np.zeros(p)
-    smap = {"optimal": "optimal", "unknown": "iteration_limit"}
-    status = smap.get(sol["status"], "numerical_failure")
-    info = {"solver_status": sol["status"], "objective": float(program.c @ z)}
-    return status, z, int(sol.get("iterations", 0) or 0), info
-
-
-_BACKENDS = {"ipm": _solve_ipm, "cvxopt": _solve_cvxopt}
-
-
-def solve(program, options=None):
-    """Solve a ConicProgram through the selected backend.
-
-    A zero objective is treated as a feasibility question and answered via
-    the capped max-margin phase-I wrap; never raises on solver divergence.
-    Raises BackendUnavailableError for an unknown backend name or one whose
-    package is not installed.
-    """
-    options = options or SolverOptions()
-    try:
-        backend = _BACKENDS[options.backend]
-    except KeyError:
-        raise BackendUnavailableError(
-            f"unknown solver backend '{options.backend}' "
-            f"(choose from {', '.join(_BACKENDS)})") from None
-    t0 = time.monotonic()
-    feasibility = not np.any(program.c)
-    solved = _wrap_feasibility(program, options.t_cap) if feasibility else program
-    raw_status, z_full, iters, info = backend(solved, options)
-    wall = time.monotonic() - t0
+    z, status = res.z, res.status
     if feasibility:
-        t_star = z_full[-1]
-        z = z_full[:-1]
-        info["t_star"] = float(t_star)
-        if raw_status == "optimal":
-            status = "feasible" if t_star > 0.0 else "infeasible_certificate"
-        else:
-            status = raw_status if raw_status != "optimal" else "feasible"
-    else:
-        z = z_full
-        status = "feasible" if raw_status == "optimal" else raw_status
+        z, t_star = z[:-1], float(z[-1])
+        info["t_star"] = t_star
+    if status == "optimal":
+        status = ("feasible" if not feasibility or t_star > 0.0
+                  else "infeasible_certificate")
     mineigs = {}
     for name, F0, Fi, margin in program.blocks:
         val = F0 + np.tensordot(z, Fi, axes=1) + margin * np.eye(F0.shape[0])
         mineigs[name] = float(np.linalg.eigvalsh(0.5 * (val + val.T))[0])
     return SolveReport(status=status, assignment=program.split(z), z=z,
-                       block_min_eigs=mineigs, iterations=iters,
+                       block_min_eigs=mineigs, iterations=res.iterations,
                        wall_time=wall, diagnostics=info)
 
 
@@ -243,20 +186,3 @@ def verify(problem, assignment, slack=1e-7):
         if lam_min < con.margin - slack:
             ok = False
     return VerificationReport(ok=ok, margins=margins, slack=slack)
-
-
-def export_sparse(program):
-    """Plain-text triplet dump: one line per nonzero, per PSD block,
-    ``block <k> <var index | -1 for constant> <row> <col> <value>`` with the
-    margin already folded into the constant."""
-    lines = [f"nvars {program.nvars}", f"nblocks {len(program.blocks)}"]
-    for k, (name, F0, Fi, _) in enumerate(program.blocks):
-        lines.append(f"# block {k} name {name} dim {F0.shape[0]}")
-        for (r, cidx) in zip(*np.nonzero(F0)):
-            lines.append(f"block {k} -1 {r} {cidx} {float(F0[r, cidx])!r}")
-        for i in range(program.nvars):
-            for (r, cidx) in zip(*np.nonzero(Fi[i])):
-                lines.append(f"block {k} {i} {r} {cidx} {float(Fi[i][r, cidx])!r}")
-    obj = " ".join(repr(float(v)) for v in program.c)
-    lines.append(f"objective {obj}")
-    return "\n".join(lines) + "\n"

@@ -459,11 +459,6 @@ def lqr_loop(lifting, K_lqr):
     return controller.ClosedLoop(lifting, -np.atleast_2d(K_lqr))
 
 
-def lqr_feedback(surrogate, lifting, K_lqr):
-    """Single-state form of :func:`lqr_loop`, for simulate_feedback."""
-    return lqr_loop(lifting, K_lqr).feedback
-
-
 def export_trajectory_dat(traj, path):
     """Whitespace-separated columns (t, x_1..x_n, u_1..u_m, V)."""
     cols = [traj.t[:, None], traj.states, traj.inputs, traj.V[:, None]]

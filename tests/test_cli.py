@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from koopsyn import cli, controller, edmd, sdp
 
@@ -24,6 +28,18 @@ class TestConfig:
 
     def test_unknown_example(self):
         assert cli.main(["example-config", "nope"]) == cli.EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("flags", [["--theorem", "3"], ["--backend", "ipm"]],
+                             ids=["theorem", "backend"])
+    def test_bad_command_line_exit_code(self, tmp_path, capsys, flags):
+        rc = cli.main(["design", "--example", "cooked_up", "--out",
+                       str(tmp_path / "out"), *flags])
+        assert rc == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert flags[0] in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_rejected(self, tmp_path):
         cfg = cli.example_config("cooked_up")
@@ -107,6 +123,8 @@ class TestFitAndDesign:
         assert rc == cli.EXIT_INFEASIBLE
 
     def test_missing_backend_exit_code(self, tmp_path, monkeypatch, capsys):
+        # Asking for cvxopt on the command line is still bad input, not a
+        # crash: the flag is gone, so argparse refuses it in one error line.
         monkeypatch.setitem(sys.modules, "cvxopt", None)
         out = str(tmp_path)
         for cmd in ("collect", "fit"):
@@ -122,18 +140,41 @@ class TestFitAndDesign:
         assert not (tmp_path / "design.json").exists()
 
     def test_unknown_backend_in_config(self, tmp_path, capsys):
+        for key, value in (("backend", "foo"), ("backend", "cvxopt"),
+                           ("objective", "maximise_roa")):
+            cfg = cli.example_config("cooked_up")
+            cfg["output_dir"] = str(tmp_path / value)
+            cfg["solver"][key] = value
+            path = tmp_path / f"{value}.json"
+            path.write_text(json.dumps(cfg))
+            for cmd in ("collect", "design"):
+                rc = cli.main([cmd, "--config", str(path)])
+                assert rc == cli.EXIT_BAD_INPUT, (value, cmd)
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1 and err.startswith("error: ")
+                assert f"unknown solver {key} '{value}'" in err
+            assert not (tmp_path / value).exists()
         cfg = cli.example_config("cooked_up")
-        cfg["output_dir"] = str(tmp_path)
-        cfg["sampling"]["d"] = 200
-        cfg["solver"]["backend"] = "foo"
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        for cmd in ("collect", "fit"):
-            assert cli.main([cmd, "--config", str(path)]) == 0
-        capsys.readouterr()
-        assert cli.main(["design", "--config", str(path)]) == cli.EXIT_BAD_INPUT
-        assert "unknown solver backend 'foo'" in capsys.readouterr().err
-        assert not (tmp_path / "design.json").exists()
+        cfg["solver"]["backend"] = "ipm"
+        assert cli.validate_config(cfg) is cfg
+
+    def test_fit_report_independent_of_blas_threads(self, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+            out = tmp_path / f"threads{threads}"
+            for cmd in ("collect", "fit"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "koopsyn.cli", cmd, "--example",
+                     "cooked_up", "--out", str(out)],
+                    env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+            reports.append((out / "fit_report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_objective_failure_falls_back_to_feasibility(self, tmp_path,
                                                           monkeypatch):

@@ -93,7 +93,7 @@ class TestClosedLoop:
         from koopsyn import verify
 
         K = np.array([[0.5, -1.25, 3.0]])
-        u = verify.lqr_feedback(None, lifting_cooked, K)
+        u = verify.lqr_loop(lifting_cooked, K).feedback
         for x in np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 2)):
             assert np.array_equal(u(x), -(K @ lifting_cooked.lift_reduced(x)))
 

@@ -79,12 +79,6 @@ class TestFit:
         bound = 1e-8 * np.linalg.norm(dm.Y[0], "fro") * np.linalg.norm(dm.X0, "fro")
         assert np.linalg.norm(R, "fro") <= bound
 
-    def test_generator_structure(self, surrogate_fitted):
-        L0, L1 = surrogate_fitted.generator_blocks()
-        assert np.array_equal(L0[0], np.zeros(4))
-        assert np.array_equal(L0[:, 0], np.zeros(4))
-        assert np.array_equal(L1[0], np.zeros(4))
-
     def test_residual_trend(self, lifting_cooked, plant_cooked):
         rels = []
         for d in (50, 500, 5000):

@@ -1,5 +1,3 @@
-import importlib.util
-
 import numpy as np
 import pytest
 
@@ -8,11 +6,6 @@ from koopsyn.lmi import AffineMatrixExpr, Constraint, SynthesisProblem, Variable
 from koopsyn.matops import smat, svec
 
 from conftest import solve_design
-
-needs_cvxopt = pytest.mark.skipif(importlib.util.find_spec("cvxopt") is None,
-                                  reason="cvxopt is not installed")
-BACKENDS = ["ipm", pytest.param("cvxopt", marks=needs_cvxopt)]
-
 
 def scalar_problem(*exprs_and_margins, objective=None):
     v = (VariableSpec("p", "scalar", ()),)
@@ -69,18 +62,16 @@ class TestLower:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_trivially_feasible(self, backend):
+    def test_trivially_feasible(self):
         prob = scalar_problem((lambda a: np.array([[a["p"] - 1.0]]), 0.0))
-        asg, rep = sdp.solve_problem(prob, sdp.SolverOptions(backend=backend))
+        asg, rep = sdp.solve_problem(prob)
         assert rep.status == "feasible"
         assert asg["p"] >= 1.0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_trivially_infeasible(self, backend):
+    def test_trivially_infeasible(self):
         prob = scalar_problem((lambda a: np.array([[a["p"] - 1.0]]), 0.0),
                               (lambda a: np.array([[-a["p"] - 1.0]]), 0.0))
-        asg, rep = sdp.solve_problem(prob, sdp.SolverOptions(backend=backend))
+        asg, rep = sdp.solve_problem(prob)
         assert rep.status == "infeasible_certificate"
         assert rep.diagnostics["t_star"] == pytest.approx(-1.0, abs=1e-6)
 
@@ -131,23 +122,7 @@ class TestVerify:
 
     def test_solver_agnostic(self, surrogate_fitted, region_cooked):
         prob = lmi.build_theorem1(surrogate_fitted, region_cooked)
-        for opts in (sdp.SolverOptions(backend="ipm", t_cap=1.0),
-                     sdp.SolverOptions(backend="ipm", t_cap=0.1)):
+        for opts in (sdp.SolverOptions(t_cap=1.0), sdp.SolverOptions(t_cap=0.1)):
             asg, rep = sdp.solve_problem(prob, opts)
             assert rep.status == "feasible"
             assert sdp.verify(prob, asg).ok
-
-    @needs_cvxopt
-    def test_solver_agnostic_cvxopt(self, surrogate_fitted, region_cooked):
-        prob = lmi.build_theorem1(surrogate_fitted, region_cooked)
-        asg, rep = sdp.solve_problem(prob, sdp.SolverOptions(backend="cvxopt"))
-        assert rep.status == "feasible"
-        assert sdp.verify(prob, asg).ok
-
-
-class TestExport:
-    def test_sparse_dump(self):
-        prob = scalar_problem((lambda a: np.array([[a["p"] - 1.0]]), 0.0))
-        text = sdp.export_sparse(sdp.lower(prob))
-        assert "nvars 1" in text
-        assert "block 0 -1 0 0 -1.0" in text
