@@ -4,13 +4,14 @@ data reproduction.
 A single JSON config drives every stage; each stage reads the previous
 stage's artifacts from the output directory and writes a manifest with the
 input hashes and the effective config.  Exit codes: 0 success, 2 infeasible
-design, 3 verification failure, 4 bad input (including a bad command line
-and a solver backend other than the bundled ``ipm``).
+design, 3 verification failure, 4 bad input (including a bad command line,
+an unknown config key and a solver backend other than the bundled ``ipm``).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -31,6 +32,19 @@ OBJECTIVES = ("feasibility", "maximize_roa")
 
 
 # -- configuration ----------------------------------------------------------
+
+
+# the config keys the stages read: plain values, then sections with their
+# keys (plant.params is free-form; plants.make_example checks it)
+CONFIG_VALUES = ("theorem", "resolution", "output_dir")
+CONFIG_SECTIONS = {
+    "plant": ("id", "params"), "lifting": ("extras",),
+    "sampling": ("d", "seed", "noise_bound"), "error_bound": ("c_r", "delta"),
+    "region": ("Qz", "Sz", "Rz", "heuristic", "rz", "rz_step1", "theorem"),
+    "solver": ("tol", "max_iters", "t_cap", "epsilon", "objective", "backend"),
+    "verify": ("n_starts", "seed", "horizon", "rtol", "lqr", "lqr_weights"),
+    "d0": tuple(f.name for f in dataclasses.fields(bounds.QuadratureSpec)),
+}
 
 
 def example_config(name):
@@ -87,6 +101,14 @@ def example_config(name):
 
 
 def validate_config(cfg):
+    for key, value in cfg.items():
+        if key not in CONFIG_VALUES and key not in CONFIG_SECTIONS:
+            raise ValueError(f"unknown config key '{key}'")
+        if key in CONFIG_SECTIONS and not isinstance(value, dict):
+            raise ValueError(f"config section '{key}' must be an object")
+        for sub in value if key in CONFIG_SECTIONS else ():
+            if sub not in CONFIG_SECTIONS[key]:
+                raise ValueError(f"unknown config key '{key}.{sub}'")
     eb = cfg["error_bound"]
     if eb["c_r"] <= 0:
         raise ValueError("c_r must be positive")

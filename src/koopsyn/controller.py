@@ -7,7 +7,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .lifting import evaluate
 from .matops import quadratic_rows, sym
+
+COND_LIMIT = 1e12           # scheduling-matrix refusal limit, see _singular
+CONTAINMENT_SLACK = 1e-8    # region margins below -slack are violations
 
 
 class FeedbackSingularError(RuntimeError):
@@ -111,28 +115,22 @@ class ClosedLoop:
     """Feedback u(x) and certificate value V(x) of one gain set on one
     lifting, composed once.
 
-    The reduced lift is the tuple of the observables' own evaluators, without
-    the shape and finiteness checks of ``Lifting.lift``: a non-finite lift
-    gives a non-finite u or V, which the caller handles.  ``u = K z`` for a
-    linear design; a scheduled design (nonzero ``Kw``) solves
-    ``(I - Kw (I_m kron z)) u = K z`` and refuses states where that matrix is
-    singular (see ``_singular``).  ``V = z' P_inv z``.
-
-    The single-state methods use matrix products; the batch methods
-    (``*_many``, ``*_of_lifts``) sum over the lift in a fixed order, as
-    ``matops.quadratic_rows`` does, so that a row's values do not depend on
-    its batch.  The two may differ in the last bits.
+    ``u = K z`` for a linear design; a scheduled design (nonzero ``Kw``)
+    solves ``(I - Kw (I_m kron z)) u = K z`` and refuses states where that
+    matrix is singular (see ``_singular``).  ``V = z' P_inv z``.  The batch
+    methods (``*_many``, ``*_of_lifts``) sum over the lift in a fixed order,
+    as ``matops.quadratic_rows`` does, so that a row's values do not depend
+    on its batch; the single-state methods are one-row calls of them on the
+    checked lift.
     """
 
-    def __init__(self, lifting, K, Kw=None, P_inv=None, cond_limit=1e12):
+    def __init__(self, lifting, K, Kw=None, P_inv=None):
         self.lifting = lifting
         self.K = np.atleast_2d(K)
         self.P_inv = P_inv
-        self.cond_limit = cond_limit
         self._observables = lifting.observables[1:]
-        self._fns = tuple(ob.fn for ob in self._observables)
         m, N = self.K.shape
-        # (m, m, N) @ z is Kw (I_m kron z) without forming the Kronecker product
+        # (m, m, N): column k holds the coefficients of z_k in Kw (I_m kron z)
         self._Kw = None if Kw is None or not np.any(Kw) else Kw.reshape(m, m, N)
         self._eye = np.eye(m)
         # per-observable coefficients of the fixed-order sums over z
@@ -141,42 +139,27 @@ class ClosedLoop:
             self._Kw_cols = [self._Kw[:, :, k].copy() for k in range(N)]
 
     @classmethod
-    def of(cls, design, lifting, cond_limit=1e12):
-        return cls(lifting, design.K, design.Kw, design.P_inv, cond_limit)
-
-    def lift(self, x):
-        """Reduced lift of a single state."""
-        return np.array([fn(x) for fn in self._fns])
+    def of(cls, design, lifting):
+        return cls(lifting, design.K, design.Kw, design.P_inv)
 
     def feedback(self, x):
-        return self.feedback_of_lift(self.lift(x))
+        """u at one state; raises ``FeedbackSingularError`` where the
+        scheduling matrix is singular."""
+        U, singular = self.feedback_of_lifts(self.lifting.lift_reduced(x)[None])
+        if singular[0]:
+            raise FeedbackSingularError(
+                f"scheduling matrix singular beyond condition {COND_LIMIT:.1e}")
+        return U[0]
 
     def value(self, x):
-        return self.value_of_lift(self.lift(x))
-
-    def feedback_of_lift(self, z):
-        u = self.K @ z
-        if self._Kw is None:
-            return u
-        W = self._eye - self._Kw @ z
-        if not np.all(np.isfinite(W)):
-            # the SVD raises on a non-finite matrix; pass the non-finite
-            # lift on as u, as a linear design does
-            return np.full(u.shape, np.nan)
-        if self._singular(W[None])[0]:
-            raise FeedbackSingularError(
-                f"scheduling matrix singular beyond condition {self.cond_limit:.1e}")
-        return np.linalg.solve(W, u)
-
-    def value_of_lift(self, z):
-        return float(z @ self.P_inv @ z)
+        """V at one state; NaN when no certificate is attached."""
+        return float(self.value_of_lifts(self.lifting.lift_reduced(x)[None])[0])
 
     def lift_many(self, X):
-        """Reduced lift of every row of X (d, n), unchecked like ``lift``."""
-        Z = np.empty((len(X), len(self._observables)))
-        for k, ob in enumerate(self._observables):
-            Z[:, k] = ob.fn(X) if ob.vectorized else [ob.fn(x) for x in X]
-        return Z
+        """Reduced lift of every row of X (d, n), without the finiteness
+        check of ``Lifting.lift_many``: a non-finite lift gives a non-finite
+        u or V, which the caller handles."""
+        return evaluate(self._observables, X)
 
     def feedback_of_lifts(self, Z):
         """u at every row of Z (d, N), and a flag per row that is set where
@@ -211,29 +194,24 @@ class ClosedLoop:
 
     def _singular(self, W):
         """Per matrix of the stack W (d, m, m): whether its condition number
-        exceeds ``cond_limit`` or its smallest singular value falls below
-        ``1 / cond_limit``.  W is I at the origin, so the second test measures
+        exceeds ``COND_LIMIT`` or its smallest singular value falls below
+        ``1 / COND_LIMIT``.  W is I at the origin, so the second test measures
         the distance to singularity on the same scale; it is the only test
         that can refuse m = 1, where the condition number is always 1."""
         s = np.linalg.svd(W, compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = s[:, 0] / s[:, -1]
-        return ~(cond <= self.cond_limit) | (s[:, -1] < 1.0 / self.cond_limit)
+        return ~(cond <= COND_LIMIT) | (s[:, -1] < 1.0 / COND_LIMIT)
 
 
-def feedback(design, lifting, x, cond_limit=1e12):
-    """Evaluate the feedback law at a state.
-
-    Linear designs return K z; scheduled designs solve the m x m scheduling
-    system and refuse states where it is singular beyond ``cond_limit``.
-    """
-    loop = ClosedLoop.of(design, lifting, cond_limit)
-    return loop.feedback_of_lift(lifting.lift_reduced(x))
+def feedback(design, lifting, x):
+    """The design's feedback at one state (see ``ClosedLoop.feedback``)."""
+    return ClosedLoop.of(design, lifting).feedback(x)
 
 
 def roa_membership(design, lifting, x):
     """(inside?, V(x)) for the certified sublevel set V(x) <= 1."""
-    V = ClosedLoop.of(design, lifting).value_of_lift(lifting.lift_reduced(x))
+    V = ClosedLoop.of(design, lifting).value(x)
     return V <= 1.0, V
 
 
@@ -344,7 +322,7 @@ class ContainmentReport:
 
 
 def containment_check(design, region, lifting, resolution=180, radial=8,
-                      slack=1e-8, boundary=None):
+                      boundary=None):
     """Numerically confirm that the lift of every swept region-of-attraction
     state lies in the uncertainty region (the invariance inequality's
     guarantee).  States are taken on the boundary grid and on interior rings;
@@ -370,7 +348,7 @@ def containment_check(design, region, lifting, resolution=180, radial=8,
     margin = margins(region, lifting.lift_reduced_many(X))
     worst = int(np.argmin(margin))
     violations = tuple((X[i].copy(), float(margin[i]))
-                       for i in np.flatnonzero(margin < -slack))
+                       for i in np.flatnonzero(margin < -CONTAINMENT_SLACK))
     return ContainmentReport(ok=not violations, worst_margin=float(margin[worst]),
                              worst_state=X[worst].copy(), checked=len(X),
                              violations=violations)

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+SVD_CUTOFF = 1e-12    # relative singular-value cutoff of the pseudo-inverse
+
 
 class FitError(ValueError):
     pass
@@ -81,11 +83,11 @@ def build_data_matrices(lifting, samples):
     return DataMatrices(N=N, m=m, X0=X0, X_input=X_input, Y=Y, u_scales=u_scales)
 
 
-def least_squares_fit(Y, X, cutoff=1e-12):
+def least_squares_fit(Y, X):
     """Minimum-norm solution of min ||Y - Theta X||_F via SVD pseudo-inverse.
 
-    Singular values below ``cutoff * sigma_max`` are truncated.  Returns the
-    coefficient matrix and a diagnostics dict (rank, condition number,
+    Singular values below ``SVD_CUTOFF * sigma_max`` are truncated.  Returns
+    the coefficient matrix and a diagnostics dict (rank, condition number,
     absolute and relative residual).
     """
     Y = np.asarray(Y, dtype=float)
@@ -94,7 +96,7 @@ def least_squares_fit(Y, X, cutoff=1e-12):
         raise FitError("non-finite entries in regression data")
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     smax = s[0] if s.size else 0.0
-    keep = s > cutoff * smax
+    keep = s > SVD_CUTOFF * smax
     rank = int(np.count_nonzero(keep))
     sinv = np.zeros_like(s)
     sinv[keep] = 1.0 / s[keep]
@@ -218,7 +220,7 @@ class FitReport:
         return max(d["relative_residual"] for d in self.batches.values())
 
 
-def fit(data, lifting=None, c_r=None, delta=None, cutoff=1e-12):
+def fit(data, lifting=None, c_r=None, delta=None):
     """Solve the per-batch least-squares problems and assemble the surrogate.
 
     The zero-input batch yields A; each basis-input batch yields
@@ -227,12 +229,12 @@ def fit(data, lifting=None, c_r=None, delta=None, cutoff=1e-12):
     """
     N, m = data.N, data.m
     report = {}
-    A, diag0 = least_squares_fit(data.Y[0], data.X0, cutoff)
+    A, diag0 = least_squares_fit(data.Y[0], data.X0)
     report[0] = diag0
     B0 = np.zeros((N, m))
     Bs = []
     for k in range(1, m + 1):
-        Theta, diag = least_squares_fit(data.Y[k], data.X_input[k], cutoff)
+        Theta, diag = least_squares_fit(data.Y[k], data.X_input[k])
         report[k] = diag
         alpha = data.u_scales[k]
         B0[:, k - 1] = Theta[:, 0] / alpha

@@ -10,7 +10,7 @@ the reduced lift drops the leading constant entry and therefore vanishes at
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -149,6 +149,18 @@ def custom(fn, grad=None, name="custom"):
     return Observable(kind=name, params={}, fn=fn, grad=grad, vectorized=False)
 
 
+def evaluate(observables, X, grad=False):
+    """Observable k (its gradient when ``grad``) at every row of X (d, n) in
+    column k of a new (d, len(observables)) array (d, len(observables), n
+    for gradients): vectorized observables on the whole batch, custom ones
+    row by row."""
+    out = np.empty((len(X), len(observables)) + (X.shape[1:] if grad else ()))
+    for k, ob in enumerate(observables):
+        fn = ob.grad if grad else ob.fn
+        out[:, k] = fn(X) if ob.vectorized else [fn(x) for x in X]
+    return out
+
+
 _CATALOG = {
     "constant": lambda params: constant(),
     "coordinate": lambda params: coordinate(params["index"]),
@@ -168,12 +180,9 @@ class Lifting:
 
     n: int
     observables: tuple
-    _checked: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self._checked:
-            _validate(self)
-            object.__setattr__(self, "_checked", True)
+        _validate(self)
 
     @property
     def N(self):
@@ -181,14 +190,11 @@ class Lifting:
         return len(self.observables) - 1
 
     # -- evaluation -----------------------------------------------------
+    # the single-state methods are one-row calls of the batch methods
 
     def lift(self, x):
         """Full lifted vector Phi(x) of length N+1."""
-        x = self._check_state(x)
-        out = np.array([self._eval(ob, x) for ob in self.observables])
-        if not np.all(np.isfinite(out)):
-            raise ValueError("non-finite observable value at x=%r" % (x,))
-        return out
+        return self.lift_many(self._check_state(x)[None])[0]
 
     def lift_reduced(self, x):
         """Reduced lifted vector (drops the constant entry); zero at x=0."""
@@ -197,7 +203,7 @@ class Lifting:
     def lift_gradient(self, x):
         """Gradient matrix, row k = grad(phi_k)(x), shape (N+1, n)."""
         x = self._check_state(x)
-        G = np.vstack([np.asarray(ob.grad(x), dtype=float) for ob in self.observables])
+        G = self.gradient_many(x[None])[0]
         if not np.all(np.isfinite(G)):
             raise ValueError("non-finite observable gradient at x=%r" % (x,))
         return G
@@ -205,15 +211,10 @@ class Lifting:
     def lift_many(self, X):
         """Vectorized full lift; X has shape (d, n), result (d, N+1)."""
         X = np.asarray(X, dtype=float)
-        cols = []
-        for ob in self.observables:
-            if ob.vectorized:
-                cols.append(np.asarray(ob.fn(X), dtype=float))
-            else:
-                cols.append(np.array([ob.fn(row) for row in X], dtype=float))
-        out = np.column_stack(cols)
+        out = evaluate(self.observables, X)
         if not np.all(np.isfinite(out)):
-            raise ValueError("non-finite observable value in batch")
+            bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))[0]
+            raise ValueError("non-finite observable value at x=%r" % (X[bad],))
         return out
 
     def lift_reduced_many(self, X):
@@ -222,13 +223,7 @@ class Lifting:
     def gradient_many(self, X):
         """Vectorized gradients; result has shape (d, N+1, n)."""
         X = np.asarray(X, dtype=float)
-        mats = []
-        for ob in self.observables:
-            if ob.vectorized:
-                mats.append(np.asarray(ob.grad(X), dtype=float))
-            else:
-                mats.append(np.array([ob.grad(row) for row in X], dtype=float))
-        return np.stack(mats, axis=1)
+        return evaluate(self.observables, X, grad=True)
 
     # -- serialization --------------------------------------------------
 
@@ -260,10 +255,6 @@ class Lifting:
         if x.shape != (self.n,):
             raise ValueError(f"state has shape {x.shape}, expected ({self.n},)")
         return x
-
-    @staticmethod
-    def _eval(ob, x):
-        return float(ob.fn(x))
 
 
 def _validate(L):

@@ -371,7 +371,7 @@ def primal_certificate(surrogate, region, design):
     its minimum eigenvalue is positive.  Independent of the solver.
     """
     N, m = surrogate.N, surrogate.m
-    P_inv = sym(np.linalg.inv(design.P))
+    P_inv = design.P_inv
     tau = design.tau
     c_r = surrogate.c_r
     A, B0, Bt = surrogate.A, surrogate.B0, surrogate.B_tilde
@@ -447,7 +447,7 @@ def closed_loop_form(surrogate, design, z, delta_phi, eps_vec):
     z = np.asarray(z, dtype=float).reshape(N)
     delta_phi = np.asarray(delta_phi, dtype=float).reshape(N)
     eps_vec = np.asarray(eps_vec, dtype=float).reshape(N)
-    P_inv = sym(np.linalg.inv(design.P))
+    P_inv = design.P_inv
     K = np.atleast_2d(design.K)
     Kw = np.atleast_2d(design.Kw) if getattr(design, "Kw", None) is not None \
         else np.zeros((m, N * m))

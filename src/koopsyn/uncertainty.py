@@ -15,6 +15,8 @@ import numpy as np
 
 from .matops import min_eig, quadratic_rows, sym
 
+TRACE_CAP_SCALE = 1e3    # the pilot synthesis caps trace(P) at N times this
+
 
 @dataclass(frozen=True)
 class UncertaintyRegion:
@@ -167,13 +169,14 @@ class HeuristicLog:
 
 
 def procedure1_qz(surrogate, theorem=2, rz=1.0, rz_step1=None, epsilon=1e-6,
-                  trace_cap_scale=1e3, solver_options=None):
+                  solver_options=None):
     """Shape the region from an unconstrained pilot synthesis.
 
     Step 1 solves the chosen design LMI with the ball region (Qz = -I,
     Sz = 0) while omitting the invariance constraint, so the optimizer is
-    free to pick the sublevel-set shape; a trace cap trace(P) <= N * scale
-    keeps that problem bounded (artifact decision, recorded in the log).
+    free to pick the sublevel-set shape; a trace cap
+    trace(P) <= N * ``TRACE_CAP_SCALE`` keeps that problem bounded (artifact
+    decision, recorded in the log).
     Step 2 normalizes the resulting shape into Qz = -inv(P) / ||inv(P)||_2
     and returns the region with the user radius parameter ``rz``.
     """
@@ -190,7 +193,7 @@ def procedure1_qz(surrogate, theorem=2, rz=1.0, rz_step1=None, epsilon=1e-6,
     else:
         raise ValueError("theorem must be 1 or 2")
     problem = lmi.drop_constraint(problem, "invariance")
-    cap = float(trace_cap_scale) * N
+    cap = TRACE_CAP_SCALE * N
     problem = lmi.add_trace_cap(problem, "P", cap)
     assignment, report = sdp.solve_problem(problem, solver_options)
     if report.status != "feasible":

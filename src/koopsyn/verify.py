@@ -107,6 +107,7 @@ _REASONS = np.array(["", "converged", "left_domain", "horizon",
 _CONVERGED, _LEFT, _HORIZON, _FAILURE, _SINGULAR = range(1, 6)
 _ERROR_EXPONENT = -1.0 / 5.0        # the error estimate is of order 4
 _EPS = np.finfo(float).eps
+CARE_REFINE_STEPS, CARE_RESIDUAL_TOL = 3, 1e-8    # Newton-Kleinman polish
 
 
 def _combine(K, coeffs):
@@ -399,14 +400,15 @@ def hautus_stabilizable(A, B, tol=1e-9):
     return True
 
 
-def solve_care(A, B, Q, R, refine_steps=3, residual_tol=1e-8):
+def solve_care(A, B, Q, R):
     """Continuous algebraic Riccati equation via the Hamiltonian Schur method
     with Newton-Kleinman refinement.
 
     Builds the Hamiltonian, extracts its stable invariant subspace through a
     real ordered Schur decomposition, forms P from the subspace basis, and
-    polishes with Kleinman iterations (each solves one Lyapunov equation)
-    until the residual ||A'P + PA - PBinv(R)B'P + Q|| is small.
+    polishes with at most ``CARE_REFINE_STEPS`` Kleinman iterations (each
+    solves one Lyapunov equation) until the residual
+    ||A'P + PA - PBinv(R)B'P + Q|| is at most ``CARE_RESIDUAL_TOL * ||Q||``.
     """
     A = np.asarray(A, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -428,8 +430,8 @@ def solve_care(A, B, Q, R, refine_steps=3, residual_tol=1e-8):
         return A.T @ Pm + Pm @ A - Pm @ B @ Rinv @ B.T @ Pm + Q
 
     qnorm = max(np.linalg.norm(Q, "fro"), 1e-30)
-    for _ in range(refine_steps):
-        if np.linalg.norm(residual(P), "fro") <= residual_tol * qnorm:
+    for _ in range(CARE_REFINE_STEPS):
+        if np.linalg.norm(residual(P), "fro") <= CARE_RESIDUAL_TOL * qnorm:
             break
         K = Rinv @ B.T @ P
         Acl = A - B @ K

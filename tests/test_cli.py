@@ -48,6 +48,42 @@ class TestConfig:
         path.write_text(json.dumps(cfg))
         assert cli.main(["collect", "--config", str(path)]) == cli.EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("where", ["solver.objectve", "verfy", "d0.points"])
+    def test_unknown_config_key(self, tmp_path, capsys, where):
+        # a misspelt key would otherwise fall back to its default unnoticed
+        cfg = cli.example_config("cooked_up")
+        cfg["output_dir"] = str(tmp_path / "out")
+        section, _, key = where.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[key] = {}
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(cfg))
+        for cmd in ("collect", "d0"):
+            assert cli.main([cmd, "--config", str(path)]) == cli.EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert err == f"error: unknown config key '{where}'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_section_not_object(self, tmp_path, capsys):
+        cfg = cli.example_config("cooked_up")
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["verify"] = 5
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["collect", "--config", str(path)]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: config section 'verify' must be an object\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("example", ["cooked_up", "cooked_up_xy",
+                                         "pendulum", "pendulum_shaped"])
+    def test_known_config_keys_accepted(self, example):
+        cfg = cli.example_config(example)
+        assert cli.validate_config(cfg) is cfg
+        cfg.update(resolution=90, d0={"method": "mc", "samples": 1 << 21,
+                                      "replicates": 8, "seed": 0, "sobol": True})
+        cfg["solver"].update(t_cap=1.0, backend="ipm")
+        assert cli.validate_config(cfg) is cfg
+
     def test_env_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KOOPSYN_OUT", str(tmp_path))
         rc = cli.main(["collect", "--example", "cooked_up", "--out", "sub",

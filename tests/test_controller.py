@@ -15,6 +15,13 @@ def linear_design(K, P=None, theorem=1, **kw):
                         lam=1.0, **kw)
 
 
+def _scheduled_m1():
+    """m = 1 scheduled design whose scheduling matrix 1 - z_1 vanishes at
+    x_1 = 1."""
+    return DesignResult(theorem=2, P=np.eye(3), L=np.ones((1, 3)), tau=1.0,
+                        nu=1.0, Lam=np.array([[1.0]]), Lw=np.array([[1.0, 0, 0]]))
+
+
 class TestFeedback:
     def test_zero_state(self, design_cooked, lifting_cooked):
         assert np.linalg.norm(feedback(design_cooked, lifting_cooked,
@@ -45,11 +52,8 @@ class TestFeedback:
                                    atol=1e-12)
 
     def test_singular_scheduling_rejected(self, lifting_cooked):
-        d = DesignResult(theorem=2, P=np.eye(3), L=np.ones((1, 3)), tau=1.0,
-                         nu=1.0, Lam=np.array([[1.0]]), Lw=np.array([[1.0, 0, 0]]))
-        # scheduling matrix 1 - z_1 vanishes at x_1 = 1
         with pytest.raises(FeedbackSingularError):
-            feedback(d, lifting_cooked, np.array([1.0, 0.0]))
+            feedback(_scheduled_m1(), lifting_cooked, np.array([1.0, 0.0]))
 
     def test_linear_in_lift(self, design_cooked, lifting_cooked):
         z = lifting_cooked.lift_reduced(np.array([0.4, 1.1]))
@@ -58,10 +62,81 @@ class TestFeedback:
                                        alpha * (design_cooked.K @ z), atol=1e-12)
 
 
+def _feedback_rows(design, lifting, X):
+    return ClosedLoop.of(design, lifting).feedback_of_lifts(
+        lifting.lift_reduced_many(X))
+
+
+# single-state entry point -> (its value at one state x, the batch call on
+# the states X), both as functions of (design, lifting, region, x or X)
+ONE_ROW = {
+    "Lifting.lift": (lambda d, L, r, x: L.lift(x),
+                     lambda d, L, r, X: L.lift_many(X)),
+    "Lifting.lift_reduced": (lambda d, L, r, x: L.lift_reduced(x),
+                             lambda d, L, r, X: L.lift_reduced_many(X)),
+    "Lifting.lift_gradient": (lambda d, L, r, x: L.lift_gradient(x),
+                              lambda d, L, r, X: L.gradient_many(X)),
+    "ClosedLoop.feedback": (lambda d, L, r, x: ClosedLoop.of(d, L).feedback(x),
+                            lambda d, L, r, X: _feedback_rows(d, L, X)[0]),
+    "ClosedLoop.value": (lambda d, L, r, x: ClosedLoop.of(d, L).value(x),
+                         lambda d, L, r, X: ClosedLoop.of(d, L).value_many(X)),
+    "controller.feedback": (lambda d, L, r, x: feedback(d, L, x),
+                            lambda d, L, r, X: _feedback_rows(d, L, X)[0]),
+    "roa_membership": (
+        lambda d, L, r, x: roa_membership(d, L, x),
+        lambda d, L, r, X: [(V <= 1.0, V)
+                            for V in ClosedLoop.of(d, L).value_many(X)]),
+    "uncertainty.membership": (
+        lambda d, L, r, x: uncertainty.membership(r, L.lift_reduced(x)),
+        lambda d, L, r, X: [(M >= 0.0, M) for M in uncertainty.margins(
+            r, L.lift_reduced_many(X))]),
+}
+
+DESIGNS = {"theorem1": ("design_cooked", "lifting_cooked", "region_cooked"),
+           "theorem2": ("design_pendulum_shaped_thm2", "lifting_pendulum",
+                        "region_pendulum_shaped")}
+
+
+class TestOneRow:
+    """Every single-state entry point is its row of the batch call, bit for
+    bit: there is one evaluator."""
+
+    @pytest.mark.parametrize("design_name", sorted(DESIGNS))
+    @pytest.mark.parametrize("entry", sorted(ONE_ROW))
+    def test_equals_batch_row(self, request, entry, design_name):
+        design, lifting, region = (request.getfixturevalue(name)
+                                   for name in DESIGNS[design_name])
+        if isinstance(region, tuple):           # (region, heuristic log)
+            region = region[0]
+        single, batch = ONE_ROW[entry]
+        X = np.random.default_rng(41).uniform(-4.0, 4.0, size=(1000, 2))
+        rows = batch(design, lifting, region, X)
+        for x, row in zip(X, rows):
+            one = single(design, lifting, region, x)
+            if isinstance(row, tuple):
+                assert one == row
+            else:
+                assert np.array_equal(one, row)
+
+    def test_singular_row_raises(self, lifting_cooked):
+        design = _scheduled_m1()
+        X = np.array([[0.5, 0.0], [1.0, 0.0], [-0.5, 2.0]])
+        U, singular = _feedback_rows(design, lifting_cooked, X)
+        assert singular.tolist() == [False, True, False]
+        assert np.isnan(U[1, 0]) and np.all(np.isfinite(U[[0, 2]]))
+        loop = ClosedLoop.of(design, lifting_cooked)
+        for i in (0, 2):
+            assert np.array_equal(loop.feedback(X[i]), U[i])
+        with pytest.raises(FeedbackSingularError):
+            loop.feedback(X[1])
+        with pytest.raises(FeedbackSingularError):
+            feedback(design, lifting_cooked, X[1])
+
+
 class TestClosedLoop:
-    """The precomposed evaluator against the feedback and certificate
-    formulas on the checked lift, bit for bit: the trajectory files depend on
-    every bit."""
+    """The single-state methods against their batch rows, bit for bit, and
+    against the matrix-product formulas of the feedback and the certificate,
+    which sum in another order, up to a few units of roundoff."""
 
     @pytest.mark.parametrize("which", [("design_cooked", "lifting_cooked"),
                                        ("design_pendulum_shaped_thm2",
@@ -71,31 +146,42 @@ class TestClosedLoop:
         loop = ClosedLoop.of(design, lifting)
         m = design.m
         X = np.random.default_rng(41).uniform(-4.0, 4.0, size=(1000, 2))
-        for x in X:
+        U, singular = loop.feedback_of_lifts(lifting.lift_reduced_many(X))
+        assert not singular.any()
+        V = loop.value_many(X)
+        eps = np.finfo(float).eps
+        nK = np.linalg.norm(design.K, 2)
+        nKw = 0.0 if design.Kw is None else np.linalg.norm(design.Kw, 2)
+        for x, u, v in zip(X, U, V):
             z = lifting.lift_reduced(x)
+            nz = np.linalg.norm(z)
+            # the bitwise reference: the single state is its batch row
+            assert np.array_equal(loop.feedback(x), u)
+            assert loop.value(x) == v
             u_ref = design.K @ z
+            W = np.eye(m)
             if design.theorem == 2:
-                W = np.eye(m) - design.Kw @ np.kron(np.eye(m), z.reshape(-1, 1))
+                W = W - design.Kw @ np.kron(np.eye(m), z.reshape(-1, 1))
                 u_ref = np.linalg.solve(W, u_ref)
-            V_ref = float(z @ design.P_inv @ z)
-            assert np.array_equal(loop.feedback(x), u_ref)
-            assert np.array_equal(feedback(design, lifting, x), u_ref)
-            assert loop.value(x) == V_ref
-            assert roa_membership(design, lifting, x) == (V_ref <= 1.0, V_ref)
-        # the batch values sum in another order: a few units of roundoff
-        Z = lifting.lift_reduced_many(X)
-        V = np.array([loop.value(x) for x in X])
-        bound = 16 * np.finfo(float).eps * np.linalg.norm(design.P_inv, 2) \
-            * np.sum(Z * Z, axis=1)
-        assert np.all(np.abs(loop.value_many(X) - V) <= bound)
+            # K z and W to a few ulp, carried through inv(W)
+            bound = 16 * eps * np.linalg.norm(np.linalg.inv(W), 2) \
+                * (nK * nz + nKw * nz * np.linalg.norm(u_ref))
+            assert np.linalg.norm(u - u_ref) <= bound
+            bound = 16 * eps * np.linalg.norm(design.P_inv, 2) * nz * nz
+            assert abs(v - float(z @ design.P_inv @ z)) <= bound
 
     def test_lqr_gain(self, lifting_cooked):
         from koopsyn import verify
 
         K = np.array([[0.5, -1.25, 3.0]])
-        u = verify.lqr_loop(lifting_cooked, K).feedback
-        for x in np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 2)):
-            assert np.array_equal(u(x), -(K @ lifting_cooked.lift_reduced(x)))
+        loop = verify.lqr_loop(lifting_cooked, K)
+        X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 2))
+        U, _ = loop.feedback_of_lifts(lifting_cooked.lift_reduced_many(X))
+        bound = 16 * np.finfo(float).eps * np.linalg.norm(K, 2)
+        for x, u in zip(X, U):
+            z = lifting_cooked.lift_reduced(x)
+            assert np.array_equal(loop.feedback(x), u)
+            assert np.linalg.norm(u + K @ z) <= bound * np.linalg.norm(z)
 
 
 class TestDesignResult:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,14 @@ class TestValidation:
     def test_rejects_nonvanishing_extra(self):
         with pytest.raises(DictionaryError):
             make_lifting(1, [custom(lambda x: float(np.cos(x[0])))])
+
+    def test_replace_revalidates(self):
+        # a copy is checked like a new dictionary: an extra observable that
+        # does not vanish at the origin is refused either way
+        L = make_lifting(1)
+        cos = custom(lambda x: float(np.cos(x[0])))
+        with pytest.raises(DictionaryError):
+            dataclasses.replace(L, observables=L.observables + (cos,))
 
     def test_rejects_missing_coordinates(self):
         from koopsyn.lifting import constant
