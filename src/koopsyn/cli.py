@@ -125,6 +125,7 @@ def validate_config(cfg):
     if solver.get("objective", "feasibility") not in OBJECTIVES:
         raise ValueError(f"unknown solver objective '{solver['objective']}' "
                          f"(choose from {', '.join(OBJECTIVES)})")
+    bounds.QuadratureSpec(**cfg.get("d0", {}))    # refuses a bad d0 spec
     return cfg
 
 
@@ -254,8 +255,7 @@ def cmd_d0(cfg):
     plant = _plant(cfg)
     lifting = _lifting(cfg, plant.n)
     eb = cfg["error_bound"]
-    qcfg = cfg.get("d0", {})
-    quad = bounds.QuadratureSpec(**qcfg) if qcfg else bounds.QuadratureSpec()
+    quad = bounds.QuadratureSpec(**cfg.get("d0", {}))
     req = bounds.compute_d0(plant, lifting, eb["c_r"], eb["delta"], quad)
     (outdir / "d0_report.json").write_text(req.to_json() + "\n")
     _write_manifest(outdir, "d0", cfg, [], [outdir / "d0_report.json"])

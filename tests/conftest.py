@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopsyn import cli, controller, edmd, lmi, plants, sdp, uncertainty
+from koopsyn import bounds, cli, controller, edmd, lmi, plants, sdp, uncertainty
 from koopsyn.lifting import make_lifting, poly, sine
 
 EXACT_A = np.array([[-2.0, 0.0, 0.0], [0.0, -4.0, 5.0], [0.0, 0.0, 1.0]])
@@ -45,6 +45,16 @@ def plant_cooked():
 @pytest.fixture(scope="session")
 def plant_pendulum():
     return plants.make_example("pendulum")
+
+
+@pytest.fixture(scope="session")
+def d0_cooked(plant_cooked, lifting_cooked):
+    """The default grid and the default Monte-Carlo d0 of the planar
+    example, (grid, mc), at c_r = 0.1 and delta = 0.05."""
+    grid = bounds.compute_d0(plant_cooked, lifting_cooked, 0.1, 0.05)
+    mc = bounds.compute_d0(plant_cooked, lifting_cooked, 0.1, 0.05,
+                           bounds.QuadratureSpec(method="mc"))
+    return grid, mc
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from koopsyn import bounds, cli, controller, edmd, lmi, plants, sdp, uncertainty, verify
+from koopsyn import cli, controller, edmd, lmi, plants, sdp, uncertainty, verify
 from koopsyn.lifting import make_lifting, poly
 
 from conftest import EXACT_A, EXACT_B0, sample_roa_starts
@@ -172,10 +172,8 @@ def test_criterion_08_containment(figures_dir):
                   f"{len(ALL_STEMS)} designs")
 
 
-def test_criterion_09_d0(plant_cooked, lifting_cooked):
-    grid = bounds.compute_d0(plant_cooked, lifting_cooked, 0.1, 0.05)
-    mc = bounds.compute_d0(plant_cooked, lifting_cooked, 0.1, 0.05,
-                           bounds.QuadratureSpec(method="mc"))
+def test_criterion_09_d0(d0_cooked):
+    grid, mc = d0_cooked
     in_band = 6.9e16 <= grid.d0_float <= 6.9e18
     agree = abs(mc.d0_float - grid.d0_float) <= 0.05 * grid.d0_float
     ok = in_band and agree

@@ -1,12 +1,46 @@
+import json
+
 import numpy as np
 import pytest
 
 from koopsyn import bounds
+from koopsyn.lifting import Observable, custom, make_lifting, poly
 
 
 @pytest.fixture(scope="module")
-def req_grid(plant_cooked, lifting_cooked):
-    return bounds.compute_d0(plant_cooked, lifting_cooked, 0.1, 0.05)
+def req_grid(d0_cooked):
+    return d0_cooked[0]
+
+
+def one_shot_moments(plant, lifting, chunks):
+    """C, A_k, sigma_C_fro and sigma_A_fro by the unblocked formula: every
+    chunk's moments in one product per field, with per-point weights."""
+    tables = []
+    for pts in chunks:
+        w = np.full(len(pts), 1.0 / len(pts))
+        V = lifting.lift_many(pts)
+        G = lifting.gradient_many(pts)
+        fields = [np.asarray(plant.f(pts), dtype=float)]
+        for i in range(plant.m):
+            fields.append(fields[0] + np.asarray(plant.g[i](pts), dtype=float))
+        Ws = [np.einsum("dkn,dn->dk", G, F) for F in fields]
+        Vw = V * w[:, None]
+        V2w = V ** 2 * w[:, None]
+        tables.append((Vw.T @ V, [Vw.T @ W for W in Ws], V2w.T @ (V ** 2),
+                       [V2w.T @ (W ** 2) for W in Ws]))
+    R = len(tables)
+    box = plant.state_box
+    volume = float(np.prod(box[:, 1] - box[:, 0]))
+    EC = sum(t[0] for t in tables) / R
+    C2 = sum(t[2] for t in tables) / R
+    EA = [sum(t[1][k] for t in tables) / R for k in range(plant.m + 1)]
+    A2 = [sum(t[3][k] for t in tables) / R for k in range(plant.m + 1)]
+
+    def sigma_fro(first, second):
+        return np.linalg.norm(np.sqrt(np.maximum(second - first ** 2, 0.0)), "fro")
+
+    return (volume * EC, [volume * E for E in EA], sigma_fro(EC, C2),
+            np.array([sigma_fro(E, E2) for E, E2 in zip(EA, A2)]))
 
 
 class TestComputeD0:
@@ -46,15 +80,12 @@ class TestComputeD0:
             assert (abs(a.sigma_A_fro[k] - b.sigma_A_fro[k])
                     < 0.01 * b.sigma_A_fro[k])
 
-    def test_mc_matches_grid(self, plant_cooked, lifting_cooked, req_grid):
-        mc = bounds.compute_d0(plant_cooked, lifting_cooked, 0.1, 0.05,
-                               bounds.QuadratureSpec(method="mc"))
+    def test_mc_matches_grid(self, d0_cooked):
+        req_grid, mc = d0_cooked
         assert abs(mc.d0_float - req_grid.d0_float) <= 0.05 * req_grid.d0_float
         assert mc.mc_stderr is not None
 
     def test_report_json(self, req_grid):
-        import json
-
         doc = json.loads(req_grid.to_json())
         assert doc["d0"] >= 1
         assert doc["log10_d0"] == pytest.approx(np.log10(req_grid.d0_float))
@@ -68,14 +99,74 @@ class TestComputeD0:
             bounds.compute_d0(plant_cooked, lifting_cooked, 0.1, 1.5)
 
     def test_nonfinite_integrand_reported(self, plant_cooked):
-        from koopsyn.lifting import custom, make_lifting
-
         # pole at x1 = 0.125, which is a midpoint-grid node for 8 points/axis
         spiky = make_lifting(2, [custom(lambda x: float(x[0] / (x[0] - 0.125)))])
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ValueError):
                 bounds.compute_d0(plant_cooked, spiky, 0.1, 0.05,
                                   bounds.QuadratureSpec(points_per_axis=8))
+
+
+class TestStreamedQuadrature:
+    @pytest.mark.parametrize("case", ["grid", "sobol", "custom"])
+    def test_equals_one_shot_formula(self, plant_cooked, lifting_cooked, case):
+        lifting = lifting_cooked
+        # 10201 grid rows: one full block and a partial one
+        spec = bounds.QuadratureSpec(points_per_axis=101)
+        if case == "sobol":
+            spec = bounds.QuadratureSpec(method="mc", samples=40000,
+                                         replicates=2, seed=5)
+        elif case == "custom":
+            lifting = make_lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))]),
+                                       custom(lambda x: float(x[0] * np.sin(x[1])))])
+        box = plant_cooked.state_box
+        chunks = (bounds._grid_points(box, spec.points_per_axis)
+                  if spec.method == "grid" else list(bounds._mc_points(box, spec, 2)))
+        assert max(len(c) for c in chunks) > bounds.BLOCK_ROWS
+        C, A_k, sigma_C, sigma_A = one_shot_moments(plant_cooked, lifting, chunks)
+        req = bounds.compute_d0(plant_cooked, lifting, 0.1, 0.05, spec)
+
+        def rel(a, b):
+            return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
+
+        assert rel(req.C, C) <= 1e-12
+        for got, want in zip(req.A_k, A_k, strict=True):
+            assert rel(got, want) <= 1e-12
+        assert rel(req.sigma_C_fro, sigma_C) <= 1e-12
+        assert rel(req.sigma_A_fro, sigma_A) <= 1e-12
+
+    def test_nonfinite_lift_in_second_block(self, plant_cooked):
+        pts = bounds._grid_points(plant_cooked.state_box, 101)[0]
+        cut = pts[(bounds.BLOCK_ROWS // 101 + 1) * 101, 0]
+        assert np.flatnonzero(pts[:, 0] >= cut)[0] >= bounds.BLOCK_ROWS
+        spike = Observable(
+            kind="spike", params={},
+            fn=lambda X: np.where(X[..., 0] >= cut, np.nan, X[..., 0] * X[..., 1]),
+            grad=lambda X: np.zeros(np.shape(X)))
+        with pytest.raises(ValueError, match="non-finite observable value"):
+            bounds.compute_d0(plant_cooked, make_lifting(2, [spike]), 0.1, 0.05,
+                              bounds.QuadratureSpec(points_per_axis=101))
+
+    def test_report_counts_integrated_points(self, plant_cooked, lifting_cooked,
+                                             req_grid):
+        # Sobol rounds each replicate up to a power of two: 8 x 128 points
+        mc = bounds.compute_d0(plant_cooked, lifting_cooked, 0.1, 0.05,
+                               bounds.QuadratureSpec(method="mc", samples=1000))
+        assert json.loads(mc.to_json())["quadrature"] == {
+            "method": "mc", "samples": 1000, "replicates": 8, "seed": 0,
+            "sobol": True, "points_integrated": 1024}
+        assert json.loads(req_grid.to_json())["quadrature"] == {
+            "method": "grid", "points_per_axis": 101, "points_integrated": 10201}
+
+    @pytest.mark.parametrize("field", ["points_per_axis", "samples", "replicates"])
+    @pytest.mark.parametrize("value", [0, -3, 8.0, "8"])
+    def test_degenerate_spec_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            bounds.QuadratureSpec(**{field: value})
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown quadrature method 'sobol'"):
+            bounds.QuadratureSpec(method="sobol")
 
 
 class TestRemainderBound:

@@ -20,6 +20,17 @@ def run_pipeline(tmp_path, example="cooked_up", d=400, extra=()):
     return tmp_path
 
 
+def run_cli_subprocess(threads, *argv):
+    """``koopsyn`` in a fresh interpreter limited to ``threads`` BLAS threads."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "koopsyn.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestConfig:
     def test_example_dump(self, capsys):
         assert cli.main(["example-config", "cooked_up"]) == 0
@@ -195,20 +206,12 @@ class TestFitAndDesign:
         assert cli.validate_config(cfg) is cfg
 
     def test_fit_report_independent_of_blas_threads(self, tmp_path):
-        src = Path(cli.__file__).resolve().parents[1]
         reports = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
             out = tmp_path / f"threads{threads}"
             for cmd in ("collect", "fit"):
-                proc = subprocess.run(
-                    [sys.executable, "-m", "koopsyn.cli", cmd, "--example",
-                     "cooked_up", "--out", str(out)],
-                    env=env, capture_output=True, text=True, timeout=300)
-                assert proc.returncode == 0, proc.stderr
+                run_cli_subprocess(threads, cmd, "--example", "cooked_up",
+                                   "--out", str(out))
             reports.append((out / "fit_report.json").read_bytes())
         assert reports[0] == reports[1]
 
@@ -339,3 +342,43 @@ class TestD0Command:
         assert rc == 0
         doc = json.loads((tmp_path / "d0_report.json").read_text())
         assert 16.8 <= doc["log10_d0"] <= 18.8
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"method": "mc", "replicates": 0},
+         "d0 quadrature: replicates must be an integer >= 1"),
+        ({"method": "grid", "points_per_axis": 0},
+         "d0 quadrature: points_per_axis must be an integer >= 1"),
+        ({"method": "qmc"}, "unknown quadrature method 'qmc'")])
+    def test_degenerate_quadrature_rejected(self, tmp_path, capsys, spec, message):
+        cfg = cli.example_config("cooked_up")
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["d0"] = spec
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(cfg))
+        for cmd in ("collect", "d0"):
+            assert cli.main([cmd, "--config", str(path)]) == cli.EXIT_BAD_INPUT
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_report_independent_of_blas_threads_and_run(self, tmp_path):
+        # grid: 10201 rows; Monte Carlo: two replicates of 16384 Sobol points,
+        # so both stream through more than one row block
+        specs = {"grid": {"method": "grid", "points_per_axis": 101},
+                 "mc": {"method": "mc", "samples": 1 << 15, "replicates": 2,
+                        "seed": 3, "sobol": True}}
+        for name, spec in specs.items():
+            reports = []
+            # one run in this process, then one each at 1 and 2 BLAS threads
+            for run, threads in enumerate((None, "1", "2")):
+                cfg = cli.example_config("cooked_up")
+                cfg["output_dir"] = str(tmp_path / f"{name}{run}")
+                cfg["d0"] = spec
+                path = tmp_path / f"{name}{run}.json"
+                path.write_text(json.dumps(cfg))
+                if threads is None:
+                    assert cli.main(["d0", "--config", str(path)]) == 0
+                else:
+                    run_cli_subprocess(threads, "d0", "--config", str(path))
+                reports.append((tmp_path / f"{name}{run}" / "d0_report.json")
+                               .read_bytes())
+            assert reports[0] == reports[1] == reports[2], name
