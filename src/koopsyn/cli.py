@@ -100,6 +100,14 @@ def example_config(name):
     raise ValueError(f"unknown example config '{name}'")
 
 
+def _theorems(cfg):
+    """The design's theorem (1 unless set) and the theorem of the region
+    heuristic's pilot synthesis (the design's unless ``region.theorem`` is
+    set)."""
+    design = cfg.get("theorem", 1)
+    return design, cfg.get("region", {}).get("theorem", design)
+
+
 def validate_config(cfg):
     for key, value in cfg.items():
         if key not in CONFIG_VALUES and key not in CONFIG_SECTIONS:
@@ -116,8 +124,11 @@ def validate_config(cfg):
         raise ValueError("delta must lie in (0, 1)")
     if cfg["sampling"]["d"] < 1:
         raise ValueError("need at least one sample per batch")
-    if cfg.get("theorem", 1) not in (1, 2):
+    design_theorem, pilot_theorem = _theorems(cfg)
+    if design_theorem not in (1, 2):
         raise ValueError("theorem must be 1 or 2")
+    if pilot_theorem not in (1, 2):
+        raise ValueError("region.theorem must be 1 or 2")
     solver = cfg.get("solver", {})
     if solver.get("backend", "ipm") != "ipm":
         raise ValueError(f"unknown solver backend '{solver['backend']}' "
@@ -182,6 +193,13 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _write_json(path, doc, indent=1):
+    """Write ``doc`` as sorted-key JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(outdir, command, cfg, inputs, outputs):
     doc = {
         "command": command,
@@ -190,9 +208,7 @@ def _write_manifest(outdir, command, cfg, inputs, outputs):
         "outputs": sorted(str(o) for o in outputs),
     }
     path = outdir / f"manifest_{command}.json"
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
     return path
 
 
@@ -238,10 +254,8 @@ def cmd_fit(cfg):
     lifting = _lifting(cfg, samples.batches[0].states.shape[1])
     surrogate, report = _fit(cfg, lifting, samples)
     (outdir / "surrogate.json").write_text(surrogate.to_json() + "\n")
-    with open(outdir / "fit_report.json", "w") as fh:
-        json.dump({"batches": {str(k): v for k, v in report.batches.items()}},
-                  fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "fit_report.json",
+                {"batches": {str(k): v for k, v in report.batches.items()}})
     inputs = [meta_path] + [outdir / f for f in json.loads(meta_path.read_text())["files"]]
     _write_manifest(outdir, "fit", cfg, inputs,
                     [outdir / "surrogate.json", outdir / "fit_report.json"])
@@ -267,7 +281,7 @@ def _resolve_region(cfg, surrogate, log_sink=None):
     rcfg = cfg["region"]
     if rcfg.get("heuristic"):
         region, log = uncertainty.procedure1_qz(
-            surrogate, theorem=rcfg.get("theorem", cfg.get("theorem", 2)),
+            surrogate, theorem=_theorems(cfg)[1],
             rz=rcfg.get("rz", 1.0), rz_step1=rcfg.get("rz_step1"),
             epsilon=cfg.get("solver", {}).get("epsilon", 1e-6),
             solver_options=_solver_options(cfg))
@@ -296,7 +310,7 @@ def _design(cfg, surrogate, region):
     ``sdp.VerificationError`` when the verifier rejects the solution.
     Returns (problem, report, check, design) for the problem that was kept.
     """
-    theorem = cfg.get("theorem", 1)
+    theorem = _theorems(cfg)[0]
     scfg = cfg.get("solver", {})
     options = _solver_options(cfg)
     build = lmi.build_theorem1 if theorem == 1 else lmi.build_theorem2
@@ -334,9 +348,7 @@ def cmd_design(cfg):
     region = _resolve_region(cfg, surrogate, log_sink=log)
     problem, report, check, design = _design(cfg, surrogate, region)
     (outdir / "design.json").write_text(design.to_json() + "\n")
-    with open(outdir / "region.json", "w") as fh:
-        json.dump(region.to_json_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "region.json", region.to_json_dict(), indent=None)
     boundary = controller.roa_boundary_2d(design, surrogate.lifting,
                                           resolution=cfg.get("resolution", 360))
     controller.export_boundary_dat(boundary, outdir / "roa.dat")
@@ -347,9 +359,7 @@ def cmd_design(cfg):
         "verification": {k: list(v) for k, v in check.margins.items()},
         "roa_closed": boundary.closed,
     })
-    with open(outdir / "design_log.json", "w") as fh:
-        json.dump(log, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "design_log.json", log)
     _write_manifest(outdir, "design", cfg, [surrogate_path],
                     [outdir / "design.json", outdir / "region.json",
                      outdir / "roa.dat", outdir / "design_log.json"])
@@ -436,9 +446,7 @@ def cmd_verify(cfg):
         report["lqr_grid"], _ = _lqr_grid(
             plant, surrogate, starts[:8],
             vcfg.get("lqr_weights", [0.01, 0.1, 1.0, 10.0]), horizon, rtol)
-    with open(outdir / "verify_report.json", "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "verify_report.json", report)
     outputs.append(outdir / "verify_report.json")
     _write_manifest(outdir, "verify", cfg,
                     [outdir / "design.json", outdir / "surrogate.json"], outputs)
@@ -474,9 +482,7 @@ def _save_design(outdir, stem, region, design, boundary, region_boundary=None):
     p.write_text(design.to_json() + "\n")
     files.append(p)
     p = outdir / f"{stem}_region.json"
-    with open(p, "w") as fh:
-        json.dump(region.to_json_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(p, region.to_json_dict(), indent=None)
     files.append(p)
     if region_boundary is not None:
         p = outdir / f"{stem}_region.dat"
@@ -507,9 +513,7 @@ def cmd_reproduce(figure, outdir):
         # certified sets can reach far beyond the sampling box; record the
         # box so plots can show both
         manifest["sampling_box"] = plant.state_box.tolist()
-    with open(outdir / f"{figure}_manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / f"{figure}_manifest.json", manifest)
     print(f"reproduce {figure}: wrote {len(files)} files to {outdir}")
     return EXIT_OK
 
@@ -587,11 +591,10 @@ def _fig5_trajectories(outdir, plant, surrogate, designs, boundaries, cfg):
         path = outdir / f"fig5_traj_lqr_{i}.dat"
         verify.export_trajectory_dat(traj, path)
         files.append(path)
-    with open(outdir / "fig5_lqr_report.json", "w") as fh:
-        json.dump({"weight_grid": grid,
-                   "starts": [np.asarray(s).tolist() for s in starts],
-                   "plotted_weight": plotted_weight}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "fig5_lqr_report.json",
+                {"weight_grid": grid,
+                 "starts": [np.asarray(s).tolist() for s in starts],
+                 "plotted_weight": plotted_weight})
     files.append(outdir / "fig5_lqr_report.json")
     return files
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lifting import evaluate
-from .matops import quadratic_rows, sym
+from .matops import decode_matrix, encode_matrix, quadratic_rows, sym
 
 COND_LIMIT = 1e12           # scheduling-matrix refusal limit, see _singular
 CONTAINMENT_SLACK = 1e-8    # region margins below -slack are violations
@@ -73,21 +73,15 @@ class DesignResult:
     @staticmethod
     def from_assignment(theorem, assignment, margins=None):
         if theorem == 1:
-            return DesignResult(theorem=1, P=assignment["P"], L=assignment["L"],
-                                tau=float(assignment["tau"]), nu=float(assignment["nu"]),
-                                lam=float(assignment["lam"]), margins=margins or {})
-        return DesignResult(theorem=2, P=assignment["P"], L=assignment["L"],
+            multipliers = {"lam": float(assignment["lam"])}
+        else:
+            multipliers = {"Lam": assignment["Lam"], "Lw": assignment["Lw"]}
+        return DesignResult(theorem=theorem, P=assignment["P"], L=assignment["L"],
                             tau=float(assignment["tau"]), nu=float(assignment["nu"]),
-                            Lam=assignment["Lam"], Lw=assignment["Lw"],
-                            margins=margins or {})
+                            margins=margins or {}, **multipliers)
 
     def to_json(self):
-        def enc(M):
-            if M is None:
-                return None
-            M = np.atleast_2d(np.asarray(M, dtype=float))
-            return {"shape": list(M.shape), "data": M.ravel().tolist()}
-
+        enc = encode_matrix
         doc = {"theorem": self.theorem, "P": enc(self.P), "L": enc(self.L),
                "Lw": enc(self.Lw), "Lambda": enc(self.Lam),
                "lam": self.lam, "tau": self.tau, "nu": self.nu,
@@ -99,12 +93,7 @@ class DesignResult:
     @staticmethod
     def from_json(text):
         doc = json.loads(text)
-
-        def dec(obj):
-            if obj is None:
-                return None
-            return np.asarray(obj["data"], dtype=float).reshape(obj["shape"])
-
+        dec = decode_matrix
         return DesignResult(theorem=int(doc["theorem"]), P=dec(doc["P"]),
                             L=dec(doc["L"]), Lw=dec(doc["Lw"]), Lam=dec(doc["Lambda"]),
                             lam=doc.get("lam"), tau=float(doc["tau"]), nu=float(doc["nu"]),

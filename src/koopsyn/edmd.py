@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .matops import decode_matrix, encode_matrix
+
 SVD_CUTOFF = 1e-12    # relative singular-value cutoff of the pseudo-inverse
 
 
@@ -181,14 +183,10 @@ class Surrogate:
         return out
 
     def to_json(self):
-        def enc(M):
-            M = np.asarray(M, dtype=float)
-            return {"shape": list(M.shape), "data": M.ravel().tolist()}
-
         doc = {
-            "A": enc(self.A),
-            "B0": enc(self.B0),
-            "B": [enc(Bi) for Bi in self.B],
+            "A": encode_matrix(self.A),
+            "B0": encode_matrix(self.B0),
+            "B": [encode_matrix(Bi) for Bi in self.B],
             "c_r": self.c_r,
             "delta": self.delta,
         }
@@ -201,10 +199,7 @@ class Surrogate:
         from .lifting import Lifting
 
         doc = json.loads(text)
-
-        def dec(obj):
-            return np.asarray(obj["data"], dtype=float).reshape(obj["shape"])
-
+        dec = decode_matrix
         lifting = Lifting.from_descriptor(doc["lifting"]) if "lifting" in doc else None
         return Surrogate(A=dec(doc["A"]), B0=dec(doc["B0"]),
                          B=tuple(dec(b) for b in doc["B"]),

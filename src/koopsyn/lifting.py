@@ -286,11 +286,6 @@ def make_lifting(n, extras=()):
     return Lifting(n=n, observables=obs)
 
 
-def identity_lifting(n):
-    """Dictionary containing only the constant and the coordinates (N = n)."""
-    return make_lifting(n)
-
-
 def estimate_lipschitz(L, box, samples, seed=0):
     """Estimate the local Lipschitz constant of the full lift on a box.
 

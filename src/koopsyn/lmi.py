@@ -2,10 +2,11 @@
 
 Constraints are represented as symmetric matrix-valued affine functions of
 the decision variables, materialized by probing a block-formula callback on
-a component basis.  Two designs are provided: the single-input linear lift
-feedback (theorem 1) and the gain-scheduled multi-input feedback
-(theorem 2), each paired with the sublevel-set invariance inequality that
-confines the certified region inside the uncertainty region.
+a component basis.  Two designs are provided, both from one stability
+formula: the gain-scheduled multi-input feedback (theorem 2) and, as its
+special case with m = 1 and no scheduling gain, the single-input linear lift
+feedback (theorem 1).  Each is paired with the sublevel-set invariance
+inequality that confines the certified region inside the uncertainty region.
 """
 
 from __future__ import annotations
@@ -40,13 +41,7 @@ class VariableSpec:
         if self.kind == "sym":
             return sym_basis(self.shape[0])
         if self.kind == "full":
-            out = []
-            for i in range(self.shape[0]):
-                for j in range(self.shape[1]):
-                    E = np.zeros(self.shape)
-                    E[i, j] = 1.0
-                    out.append(E)
-            return out
+            return list(np.eye(self.ncomp).reshape(self.ncomp, *self.shape))
         return [1.0]
 
     def components(self, value):
@@ -202,69 +197,31 @@ def _invariance_expr(variables, region, N):
 def build_theorem1(surrogate, region, epsilon=1e-6):
     """Single-input design: linear feedback on the reduced lift.
 
-    Constraint ``stability`` is the strict 4x4 block inequality coupling the
-    closed-loop dissipation with the two uncertainty multipliers (block rows
-    N, 1, N+1, N); ``invariance`` keeps the certified sublevel set inside
-    the uncertainty region.
+    The gain-scheduled LMI of :func:`build_theorem2` with m = 1, the
+    scheduling gain ``Lw`` fixed at zero and the scalar multiplier ``lam``
+    in place of ``Lam``: constraint ``stability`` is the strict 4x4 block
+    inequality with block rows (N, 1, N+1, N); ``invariance`` keeps the
+    certified sublevel set inside the uncertainty region.
     """
     if surrogate.m != 1:
         raise ValueError("this design handles single-input surrogates only")
-    if surrogate.c_r is None:
-        raise ValueError("surrogate needs a remainder bound c_r")
-    N = surrogate.N
-    A, B0, Bt = surrogate.A, surrogate.B0, surrogate.B_tilde
-    crinv2 = surrogate.c_r ** -2.0
-    tS_col = region.tS.reshape(N, 1)
-    tR = region.tR
-    inv_tQ = region.inv_tQ
-
-    variables = (
-        VariableSpec("P", "sym", (N, N)),
-        VariableSpec("L", "full", (1, N)),
-        VariableSpec("lam", "scalar", ()),
-        VariableSpec("tau", "scalar", ()),
-        VariableSpec("nu", "scalar", ()),
-    )
-
-    def stability(a):
-        P, L, lam, tau = a["P"], a["L"], a["lam"], a["tau"]
-        X = A @ P + B0 @ L
-        b11 = -X - X.T - tau * np.eye(N)
-        b21 = -L - lam * (tS_col.T @ Bt.T)
-        b22 = lam * np.array([[tR]])
-        b31 = -np.vstack([P, L])
-        b32 = np.zeros((N + 1, 1))
-        b33 = 0.5 * tau * crinv2 * np.eye(N + 1)
-        b41 = lam * Bt.T
-        b42 = np.zeros((N, 1))
-        b43 = np.zeros((N, N + 1))
-        b44 = -lam * inv_tQ
-        return block([
-            [b11,   b21.T, b31.T, b41.T],
-            [b21,   b22,   b32.T, b42.T],
-            [b31,   b32,   b33,   b43.T],
-            [b41,   b42,   b43,   b44],
-        ])
-
-    stability_expr = AffineMatrixExpr.from_function(stability, variables)
-    eps_stab = epsilon * max(1.0, stability_expr.data_magnitude())
-    constraints = (
-        Constraint("stability", stability_expr, eps_stab),
-        Constraint("invariance", _invariance_expr(variables, region, N), 0.0),
-        *_positivity_constraints(variables, ("P", "tau", "lam", "nu"), epsilon),
-    )
-    return SynthesisProblem(variables=variables, constraints=constraints,
-                            N=N, m=1, theorem=1, epsilon=epsilon,
-                            meta={"c_r": surrogate.c_r})
+    return _build(surrogate, region, epsilon, scheduled=False)
 
 
 def build_theorem2(surrogate, region, epsilon=1e-6):
     """Multi-input gain-scheduled design.
 
-    The strict constraint has block rows (N, m, N+m, N*m) with the
-    Kronecker-structured multiplier blocks; for m = 1 with the scheduling
-    gain frozen at zero it coincides entrywise with the single-input design.
+    The strict constraint ``stability`` has block rows (N, m, N+m, N*m)
+    with the Kronecker-structured multiplier blocks; ``invariance`` keeps
+    the certified sublevel set inside the uncertainty region.
     """
+    return _build(surrogate, region, epsilon, scheduled=True)
+
+
+def _build(surrogate, region, epsilon, scheduled):
+    """Both designs from one stability block formula: the scheduled one
+    solves for ``Lw`` and a symmetric ``Lam``, the unscheduled one (m = 1)
+    holds ``Lw`` at zero and reads its scalar ``lam`` as a 1x1 ``Lam``."""
     if surrogate.c_r is None:
         raise ValueError("surrogate needs a remainder bound c_r")
     N, m = surrogate.N, surrogate.m
@@ -274,18 +231,20 @@ def build_theorem2(surrogate, region, epsilon=1e-6):
     tR = region.tR
     inv_tQ = region.inv_tQ
     Im = np.eye(m)
-
-    variables = (
-        VariableSpec("P", "sym", (N, N)),
-        VariableSpec("L", "full", (m, N)),
-        VariableSpec("Lw", "full", (m, N * m)),
-        VariableSpec("Lam", "sym", (m, m)),
-        VariableSpec("tau", "scalar", ()),
-        VariableSpec("nu", "scalar", ()),
-    )
+    Lw_zero = np.zeros((m, N * m))
+    if scheduled:
+        multipliers = (VariableSpec("Lw", "full", (m, N * m)),
+                       VariableSpec("Lam", "sym", (m, m)))
+    else:
+        multipliers = (VariableSpec("lam", "scalar", ()),)
+    variables = (VariableSpec("P", "sym", (N, N)), VariableSpec("L", "full", (m, N)),
+                 *multipliers,
+                 VariableSpec("tau", "scalar", ()), VariableSpec("nu", "scalar", ()))
 
     def stability(a):
-        P, L, Lw, Lam, tau = a["P"], a["L"], a["Lw"], a["Lam"], a["tau"]
+        P, L, tau = a["P"], a["L"], a["tau"]
+        Lw = a["Lw"] if scheduled else Lw_zero
+        Lam = np.atleast_2d(a["Lam"] if scheduled else a["lam"])
         X = A @ P + B0 @ L
         b11 = -X - X.T - tau * np.eye(N)
         b21 = -L - np.kron(Lam, tS_col.T) @ Bt.T - np.kron(Im, tS_col.T) @ Lw.T @ B0.T
@@ -310,14 +269,15 @@ def build_theorem2(surrogate, region, epsilon=1e-6):
 
     stability_expr = AffineMatrixExpr.from_function(stability, variables)
     eps_stab = epsilon * max(1.0, stability_expr.data_magnitude())
+    positive = ("P", "Lam", "tau", "nu") if scheduled else ("P", "tau", "lam", "nu")
     constraints = (
         Constraint("stability", stability_expr, eps_stab),
         Constraint("invariance", _invariance_expr(variables, region, N), 0.0),
-        *_positivity_constraints(variables, ("P", "Lam", "tau", "nu"), epsilon),
+        *_positivity_constraints(variables, positive, epsilon),
     )
     return SynthesisProblem(variables=variables, constraints=constraints,
-                            N=N, m=m, theorem=2, epsilon=epsilon,
-                            meta={"c_r": surrogate.c_r})
+                            N=N, m=m, theorem=2 if scheduled else 1,
+                            epsilon=epsilon, meta={"c_r": surrogate.c_r})
 
 
 def drop_constraint(problem, name):
@@ -370,51 +330,35 @@ def primal_certificate(surrogate, region, design):
     inequality holds, so the NEGATED matrix is returned and passing means
     its minimum eigenvalue is positive.  Independent of the solver.
     """
+    from .uncertainty import multiplier
+
     N, m = surrogate.N, surrogate.m
     P_inv = design.P_inv
-    tau = design.tau
-    c_r = surrogate.c_r
     A, B0, Bt = surrogate.A, surrogate.B0, surrogate.B_tilde
     K = np.atleast_2d(design.K)
+    # a theorem-1 design is the m = 1 case with Lam = [[lam]] and Kw = 0
+    Lam = np.atleast_2d(design.Lam if design.theorem == 2 else design.lam)
+    Kw = np.zeros((m, N * m)) if design.Kw is None else np.atleast_2d(design.Kw)
     A_K = A + B0 @ K
+    B_Kw = Bt + B0 @ Kw
+    Pi_D = multiplier(region, np.linalg.inv(Lam))
+    nd = m * (N + 1)
+    nr = 2 * N + m
     zero = np.zeros
-    if design.theorem == 1:
-        lam = design.lam
-        mid = block([
-            [zero((N, N)), P_inv, zero((N, N + 1)), zero((N, 2 * N + 1))],
-            [P_inv, zero((N, N)), zero((N, N + 1)), zero((N, 2 * N + 1))],
-            [zero((N + 1, 2 * N)), region.block_matrix() / lam, zero((N + 1, 2 * N + 1))],
-            [zero((2 * N + 1, 2 * N)), zero((2 * N + 1, N + 1)),
-             _pi_r(N, 1, c_r) / tau],
-        ])
-        psi_t = block([
-            [np.eye(N), A_K.T, zero((N, N)), K.T, zero((N, N)), np.hstack([np.eye(N), K.T])],
-            [zero((N, N)), Bt.T, np.eye(N), zero((N, 1)), zero((N, N)), zero((N, N + 1))],
-            [zero((N, N)), np.eye(N), zero((N, N)), zero((N, 1)), np.eye(N), zero((N, N + 1))],
-        ])
-    else:
-        from .uncertainty import multiplier
-
-        Lam = np.atleast_2d(design.Lam)
-        Kw = np.atleast_2d(design.Kw)
-        B_Kw = Bt + B0 @ Kw
-        Pi_D = multiplier(region, np.linalg.inv(Lam))
-        nd = m * (N + 1)
-        nr = 2 * N + m
-        mid = block([
-            [zero((N, N)), P_inv, zero((N, nd)), zero((N, nr))],
-            [P_inv, zero((N, N)), zero((N, nd)), zero((N, nr))],
-            [zero((nd, 2 * N)), Pi_D, zero((nd, nr))],
-            [zero((nr, 2 * N)), zero((nr, nd)), _pi_r(N, m, c_r) / tau],
-        ])
-        psi_t = block([
-            [np.eye(N), A_K.T, zero((N, m * N)), K.T, zero((N, N)),
-             np.hstack([np.eye(N), K.T])],
-            [zero((m * N, N)), B_Kw.T, np.eye(m * N), Kw.T, zero((m * N, N)),
-             np.hstack([zero((m * N, N)), Kw.T])],
-            [zero((N, N)), np.eye(N), zero((N, m * N)), zero((N, m)), np.eye(N),
-             zero((N, N + m))],
-        ])
+    mid = block([
+        [zero((N, N)), P_inv, zero((N, nd)), zero((N, nr))],
+        [P_inv, zero((N, N)), zero((N, nd)), zero((N, nr))],
+        [zero((nd, 2 * N)), Pi_D, zero((nd, nr))],
+        [zero((nr, 2 * N)), zero((nr, nd)), _pi_r(N, m, surrogate.c_r) / design.tau],
+    ])
+    psi_t = block([
+        [np.eye(N), A_K.T, zero((N, m * N)), K.T, zero((N, N)),
+         np.hstack([np.eye(N), K.T])],
+        [zero((m * N, N)), B_Kw.T, np.eye(m * N), Kw.T, zero((m * N, N)),
+         np.hstack([zero((m * N, N)), Kw.T])],
+        [zero((N, N)), np.eye(N), zero((N, m * N)), zero((N, m)), np.eye(N),
+         zero((N, N + m))],
+    ])
     G = -sym(psi_t @ mid @ psi_t.T)
     # definiteness is congruence-invariant; Jacobi equilibration keeps the
     # decision out of roundoff when P is badly spread
@@ -449,8 +393,7 @@ def closed_loop_form(surrogate, design, z, delta_phi, eps_vec):
     eps_vec = np.asarray(eps_vec, dtype=float).reshape(N)
     P_inv = design.P_inv
     K = np.atleast_2d(design.K)
-    Kw = np.atleast_2d(design.Kw) if getattr(design, "Kw", None) is not None \
-        else np.zeros((m, N * m))
+    Kw = np.zeros((m, N * m)) if design.Kw is None else np.atleast_2d(design.Kw)
     A_K = surrogate.A + surrogate.B0 @ K
     B_Kw = surrogate.B_tilde + surrogate.B0 @ Kw
     Delta = np.kron(np.eye(m), delta_phi.reshape(N, 1))

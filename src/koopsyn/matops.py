@@ -80,3 +80,19 @@ def block(rows):
     """Assemble a dense matrix from a nested list of blocks (np.block with
     float conversion)."""
     return np.block([[np.asarray(b, dtype=float) for b in row] for row in rows])
+
+
+def encode_matrix(M):
+    """JSON form ``{"shape", "data"}`` of an array (``None`` stays ``None``);
+    vectors and scalars are stored as 2-D rows."""
+    if M is None:
+        return None
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    return {"shape": list(M.shape), "data": M.ravel().tolist()}
+
+
+def decode_matrix(obj):
+    """Inverse of :func:`encode_matrix`."""
+    if obj is None:
+        return None
+    return np.asarray(obj["data"], dtype=float).reshape(obj["shape"])

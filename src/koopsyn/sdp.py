@@ -39,11 +39,9 @@ class ConicProgram:
 
     def split(self, z):
         """Devectorize a solution vector into an assignment dict."""
-        from .lmi import VariableSpec
-
         out = {}
         for name, kind, shape, off, ncomp in self.varmap:
-            v = VariableSpec(name, kind, shape)
+            v = lmi.VariableSpec(name, kind, shape)
             out[name] = v.from_components(np.asarray(z[off:off + ncomp]))
         return out
 

@@ -77,6 +77,60 @@ def region_cooked():
     return uncertainty.identity_region(3, 500.0)
 
 
+def theorem1_stability_reference(surrogate, region):
+    """The single-input stability block as the paper states theorem 1
+    (scalar multiplier lam, no scheduling gain), probed on theorem 1's
+    variables.  Kept apart from ``lmi`` so that both builders, which share
+    one block formula, are checked against a formula they do not run."""
+    N = surrogate.N
+    A, B0, Bt = surrogate.A, surrogate.B0, surrogate.B_tilde
+    crinv2 = surrogate.c_r ** -2.0
+    tS_col = region.tS.reshape(N, 1)
+    variables = (lmi.VariableSpec("P", "sym", (N, N)),
+                 lmi.VariableSpec("L", "full", (1, N)),
+                 lmi.VariableSpec("lam", "scalar", ()),
+                 lmi.VariableSpec("tau", "scalar", ()),
+                 lmi.VariableSpec("nu", "scalar", ()))
+
+    def stability(a):
+        P, L, lam, tau = a["P"], a["L"], a["lam"], a["tau"]
+        X = A @ P + B0 @ L
+        b11 = -X - X.T - tau * np.eye(N)
+        b21 = -L - lam * (tS_col.T @ Bt.T)
+        b22 = lam * np.array([[region.tR]])
+        b31 = -np.vstack([P, L])
+        b32 = np.zeros((N + 1, 1))
+        b33 = 0.5 * tau * crinv2 * np.eye(N + 1)
+        b41 = lam * Bt.T
+        b42 = np.zeros((N, 1))
+        b43 = np.zeros((N, N + 1))
+        b44 = -lam * region.inv_tQ
+        return np.block([
+            [b11,   b21.T, b31.T, b41.T],
+            [b21,   b22,   b32.T, b42.T],
+            [b31,   b32,   b33,   b43.T],
+            [b41,   b42,   b43,   b44],
+        ])
+
+    return lmi.AffineMatrixExpr.from_function(stability, variables)
+
+
+def matches_theorem1_reference(surrogate, region):
+    """True when the stability expressions of both builders equal the
+    reference entry for entry (theorem 2's ``Lam`` standing for ``lam``;
+    its ``Lw`` coefficients have no counterpart)."""
+    ref = theorem1_stability_reference(surrogate, region)
+    e1 = lmi.build_theorem1(surrogate, region).constraint("stability").expr
+    e2 = lmi.build_theorem2(surrogate, region).constraint("stability").expr
+    rename = {"lam": "Lam"}
+    return (np.array_equal(ref.constant, e1.constant)
+            and np.array_equal(ref.constant, e2.constant)
+            and e1.coeffs.keys() == ref.coeffs.keys()
+            and all(np.array_equal(M, e1.coeffs[name])
+                    and np.array_equal(M, e2.coeffs[rename.get(name, name)])
+                    for name, M in ref.coeffs.items()))
+
+
 def solve_design(surrogate, region, theorem, maximize_roa=True, options=None):
     build = lmi.build_theorem1 if theorem == 1 else lmi.build_theorem2
     problem = build(surrogate, region)

@@ -85,6 +85,19 @@ class TestConfig:
         assert err == "error: config section 'verify' must be an object\n"
         assert not (tmp_path / "out").exists()
 
+    def test_bad_region_theorem_rejected(self, tmp_path, capsys):
+        cfg = cli.example_config("pendulum_shaped")
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["region"]["theorem"] = 3
+        path = tmp_path / "pilot.json"
+        path.write_text(json.dumps(cfg))
+        for cmd in ("collect", "fit", "design"):
+            assert cli.main([cmd, "--config", str(path)]) == cli.EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: region.theorem must be 1 or 2\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("example", ["cooked_up", "cooked_up_xy",
                                          "pendulum", "pendulum_shaped"])
     def test_known_config_keys_accepted(self, example):
@@ -274,6 +287,21 @@ class TestFitAndDesign:
         final_names = [c["name"]
                        for c in log["constraint_manifest"]["constraints"]]
         assert "invariance" in final_names
+
+
+    @pytest.mark.parametrize("theorem", [None, 1, 2])
+    def test_heuristic_pilot_follows_design_theorem(self, surrogate_pendulum,
+                                                    theorem):
+        # without region.theorem the pilot runs the design's theorem, which
+        # is 1 when the config names none
+        cfg = cli.example_config("pendulum_shaped")
+        del cfg["region"]["theorem"], cfg["theorem"]
+        if theorem is not None:
+            cfg["theorem"] = theorem
+        log = {}
+        cli._resolve_region(cli.validate_config(cfg), surrogate_pendulum, log)
+        multiplier = "Lam_pos" if theorem == 2 else "lam_pos"
+        assert multiplier in log["heuristic"]["step1_constraints"]
 
 
 class TestReproduceCommand:

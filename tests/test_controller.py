@@ -5,7 +5,7 @@ from koopsyn import controller, uncertainty
 from koopsyn.controller import (ClosedLoop, DesignResult, FeedbackSingularError,
                                 feedback, polygon_area, region_boundary_2d,
                                 roa_boundary_2d, roa_membership)
-from koopsyn.lifting import estimate_lipschitz, identity_lifting
+from koopsyn.lifting import estimate_lipschitz, make_lifting
 
 
 def linear_design(K, P=None, theorem=1, **kw):
@@ -221,7 +221,7 @@ class TestRoAMembership:
 
 class TestBoundary:
     def test_unit_circle(self):
-        L = identity_lifting(2)
+        L = make_lifting(2)
         d = linear_design(np.zeros((1, 2)), P=np.eye(2))
         b = roa_boundary_2d(d, L, resolution=64)
         assert np.max(np.abs(b.radii - 1.0)) <= 1e-9
@@ -240,13 +240,13 @@ class TestBoundary:
         assert np.max(np.abs(b.points[:, 1])) >= 12.0
 
     def test_polygon_area_circle(self):
-        L = identity_lifting(2)
+        L = make_lifting(2)
         d = linear_design(np.zeros((1, 2)), P=np.eye(2))
         b = roa_boundary_2d(d, L, resolution=720)
         assert polygon_area(b.points) == pytest.approx(np.pi, rel=1e-3)
 
     def test_open_rays_flagged_at_cap(self):
-        L = identity_lifting(2)
+        L = make_lifting(2)
         d = linear_design(np.zeros((1, 2)), P=np.diag([1.0e6, 1.0]))
         b = roa_boundary_2d(d, L, resolution=8, r_max=10.0)
         assert np.any(b.open_rays) and not b.closed
@@ -317,7 +317,7 @@ class TestPolarSweep:
         assert "open" not in stops
 
     def test_open_rays(self):
-        L = identity_lifting(2)
+        L = make_lifting(2)
         d = linear_design(np.zeros((1, 2)), P=np.diag([1.0e6, 1.0]))
         b = roa_boundary_2d(d, L, resolution=16, r_max=10.0)
         stops = self.check(b, ClosedLoop.of(d, L).value_many, 10.0, 16)
@@ -327,7 +327,7 @@ class TestPolarSweep:
         # an ellipse with semi-axes 100 and about 55: a shallow value slope
         # at the crossing lets |V - 1| <= 1e-9 hold on some rays before the
         # bracket is tol * r wide
-        L = identity_lifting(2)
+        L = make_lifting(2)
         d = linear_design(np.zeros((1, 2)), P=np.diag([1.0e4, 3.0e3]))
         b = roa_boundary_2d(d, L, resolution=64)
         stops = self.check(b, ClosedLoop.of(d, L).value_many, 1e5, 64)
@@ -385,7 +385,7 @@ class TestRescale:
 
 class TestRegionBoundary:
     def test_ball_region_circle_in_lifted_identity(self):
-        L = identity_lifting(2)
+        L = make_lifting(2)
         reg = uncertainty.identity_region(2, 4.0)
         b = region_boundary_2d(reg, L, resolution=32)
         assert np.max(np.abs(b.radii - 2.0)) <= 1e-6

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopsyn.lifting import (DictionaryError, Lifting, cosine_minus_one, custom,
-                             estimate_lipschitz, identity_lifting, make_lifting,
-                             poly, sine)
+                             estimate_lipschitz, make_lifting, poly, sine)
 
 
 def pendulum_lifting():
@@ -96,7 +95,7 @@ class TestGradient:
 
 class TestLipschitz:
     def test_identity_exact(self):
-        L = identity_lifting(2)
+        L = make_lifting(2)
         box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
         assert estimate_lipschitz(L, box, 500) == pytest.approx(1.0, abs=1e-12)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from koopsyn import bounds, controller, lmi, uncertainty
 from koopsyn.edmd import Surrogate
 from koopsyn.lifting import make_lifting, poly
 
-from conftest import EXACT_A, EXACT_B0, solve_design
+from conftest import EXACT_A, EXACT_B0, matches_theorem1_reference, solve_design
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +37,32 @@ def random_assignment(problem, rng):
         else:
             out[v.name] = rng.normal(size=v.shape)
     return out
+
+
+def theorem1_certificate_reference(surrogate, region, design):
+    """The dualized certificate of a single-input design, assembled with the
+    scalar multiplier as theorem 1 states it (no Kronecker blocks, no
+    scheduling gain); returns the negated form G."""
+    N = surrogate.N
+    z = np.zeros
+    K = np.atleast_2d(design.K)
+    A_K = surrogate.A + surrogate.B0 @ K
+    pi_r = np.block([[-np.eye(N), z((N, N + 1))],
+                     [z((N + 1, N)), 2.0 * surrogate.c_r ** 2 * np.eye(N + 1)]])
+    mid = np.block([
+        [z((N, N)), design.P_inv, z((N, N + 1)), z((N, 2 * N + 1))],
+        [design.P_inv, z((N, N)), z((N, N + 1)), z((N, 2 * N + 1))],
+        [z((N + 1, 2 * N)), region.block_matrix() / design.lam, z((N + 1, 2 * N + 1))],
+        [z((2 * N + 1, 2 * N)), z((2 * N + 1, N + 1)), pi_r / design.tau],
+    ])
+    psi_t = np.block([
+        [np.eye(N), A_K.T, z((N, N)), K.T, z((N, N)), np.hstack([np.eye(N), K.T])],
+        [z((N, N)), surrogate.B_tilde.T, np.eye(N), z((N, 1)), z((N, N)),
+         z((N, N + 1))],
+        [z((N, N)), np.eye(N), z((N, N)), z((N, 1)), np.eye(N), z((N, N + 1))],
+    ])
+    G = psi_t @ mid @ psi_t.T
+    return -0.5 * (G + G.T)
 
 
 class TestTheorem1:
@@ -91,12 +119,7 @@ class TestTheorem2:
         assert prob.variable("Lw").shape == (m, N * m)
 
     def test_reduces_to_theorem1(self, stressed_pair):
-        s, reg = stressed_pair
-        e1 = lmi.build_theorem1(s, reg).constraint("stability").expr
-        e2 = lmi.build_theorem2(s, reg).constraint("stability").expr
-        assert np.array_equal(e1.constant, e2.constant)
-        for a, b in (("P", "P"), ("L", "L"), ("tau", "tau"), ("lam", "Lam")):
-            assert np.array_equal(e1.coeffs[a], e2.coeffs[b])
+        assert matches_theorem1_reference(*stressed_pair)
 
 
 class TestEvaluate:
@@ -164,6 +187,24 @@ class TestSolvedCertificates:
                                   design_cooked):
         _, mineig = lmi.primal_certificate(surrogate_fitted, region_cooked,
                                            design_cooked)
+        assert mineig > 0.0
+
+    @pytest.mark.parametrize("stem, surrogate_file", [
+        ("fig2", "fig2_surrogate.json"), ("fig4_thm1", "fig4_surrogate.json"),
+        ("fig5_thm1", "fig5_surrogate.json")])
+    def test_theorem1_matches_scalar_assembly(self, figures_dir, stem,
+                                              surrogate_file):
+        # the theorem-1 designs of the cooked_up, pendulum and
+        # pendulum_shaped examples
+        s = Surrogate.from_json((figures_dir / surrogate_file).read_text())
+        design = controller.DesignResult.from_json(
+            (figures_dir / f"{stem}_design.json").read_text())
+        region = uncertainty.UncertaintyRegion.from_json_dict(
+            json.loads((figures_dir / f"{stem}_region.json").read_text()))
+        assert design.theorem == 1
+        G, mineig = lmi.primal_certificate(s, region, design)
+        ref = theorem1_certificate_reference(s, region, design)
+        assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert mineig > 0.0
 
     def test_dualization_theorem2(self, surrogate_pendulum,

@@ -9,7 +9,7 @@ from scipy.linalg import solve_continuous_are
 
 from koopsyn import cli, edmd, plants, verify
 from koopsyn.controller import ClosedLoop, DesignResult, FeedbackSingularError
-from koopsyn.lifting import custom, identity_lifting, make_lifting
+from koopsyn.lifting import custom, make_lifting
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ class TestSimulate:
         assert np.max(np.abs(traj.states)) == 0.0
 
     def test_linear_decay_closed_form(self, scalar_plant):
-        L = identity_lifting(1)
+        L = make_lifting(1)
         traj = verify.simulate(scalar_plant, zero_design(1), L, np.array([1.0]),
                                horizon=1.0)
         idx = np.argmin(np.abs(traj.t - 1.0))
@@ -45,7 +45,7 @@ class TestSimulate:
         assert abs(traj.states[idx, 0] - np.exp(-traj.t[idx])) < 1e-6
 
     def test_converged_status(self, scalar_plant):
-        L = identity_lifting(1)
+        L = make_lifting(1)
         traj = verify.simulate(scalar_plant, zero_design(1), L, np.array([1.0]),
                                horizon=50.0)
         assert traj.reason == "converged"
@@ -65,7 +65,7 @@ class TestSimulate:
                             f=lambda x: np.asarray(x, dtype=float),
                             g=scalar_plant.g, state_box=[[-1.0, 1.0]],
                             input_box=[[-1.0, 1.0]])
-        L = identity_lifting(1)
+        L = make_lifting(1)
         traj = verify.simulate(grow, zero_design(1), L, np.array([1.0]),
                                horizon=50.0, escape_radius=100.0)
         assert traj.reason == "left_domain"
@@ -84,7 +84,7 @@ class TestSimulate:
         assert errs[1] <= errs[0] / 4.0
 
     def test_tolerance_scaling(self, scalar_plant):
-        L = identity_lifting(1)
+        L = make_lifting(1)
         errs = []
         for rtol in (1.6e-6, 1e-7):
             traj = verify.simulate(scalar_plant, zero_design(1), L,
@@ -107,7 +107,7 @@ class TestSimulate:
         Lw[0, 2] = 1.0e4
         design = DesignResult(theorem=2, P=np.eye(2), L=np.zeros((2, 2)),
                               tau=1.0, nu=1.0, Lam=np.eye(2), Lw=Lw)
-        traj = verify.simulate(plant, design, identity_lifting(2),
+        traj = verify.simulate(plant, design, make_lifting(2),
                                np.array([0.5, 0.5]), horizon=50.0)
         assert traj.reason == "singular_feedback"
 
@@ -131,7 +131,7 @@ class TestSimulate:
         design = DesignResult(theorem=2, P=np.eye(1), L=np.zeros((1, 1)),
                               tau=1.0, nu=1.0, Lam=np.eye(1),
                               Lw=np.array([[-1.0]]))
-        lifting = identity_lifting(1)
+        lifting = make_lifting(1)
         traj = verify.simulate(scalar_plant, design, lifting,
                                np.array([-1.0 + 1e-13]))
         assert traj.reason == "singular_feedback"
