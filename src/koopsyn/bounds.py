@@ -239,12 +239,3 @@ def compute_d0(plant, lifting, c_r, delta, quad=None):
                            quadrature=dict(quad.describe(),
                                            points_integrated=points),
                            mc_stderr=mc_stderr)
-
-
-def remainder_bound(surrogate, z, u):
-    """Proportional remainder budget c_r (||z|| + ||u||)."""
-    if surrogate.c_r is None:
-        raise ValueError("surrogate carries no remainder bound")
-    z = np.asarray(z, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return float(surrogate.c_r * (np.linalg.norm(z) + np.linalg.norm(u)))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,7 +11,6 @@ from .lifting import evaluate
 from .matops import decode_matrix, encode_matrix, quadratic_rows, sym
 
 COND_LIMIT = 1e12           # scheduling-matrix refusal limit, see _singular
-CONTAINMENT_SLACK = 1e-8    # region margins below -slack are violations
 
 
 class FeedbackSingularError(RuntimeError):
@@ -278,18 +277,16 @@ def roa_boundary_2d(design, lifting, resolution=360, r_max=None, tol=1e-8):
 def region_boundary_2d(region, lifting, resolution=360, r_max=None, tol=1e-8):
     """Boundary of {x : lift of x lies in the uncertainty region} for planar
     states, by the same polar sweep used for the certified set."""
-    from .uncertainty import margins, membership
+    from .uncertainty import margins
 
     if lifting.n != 2:
         raise ValueError("boundary sweep requires a planar state space")
-    margin0 = membership(region, np.zeros(region.N))[1]
-    if margin0 <= 0.0:
-        raise ValueError("origin must lie inside the uncertainty region")
     if r_max is None:
         r_max = 1e3 * max(1.0, float(np.sqrt(region.Rz)))
 
     def value_many(X):
-        return 1.0 - margins(region, lifting.lift_reduced_many(X)) / margin0
+        # the origin's margin is Rz, which the region forces positive
+        return 1.0 - margins(region, lifting.lift_reduced_many(X)) / region.Rz
 
     return _polar_sweep(value_many, r_max, resolution, tol)
 
@@ -299,71 +296,6 @@ def polygon_area(points):
     pts = np.asarray(points, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * abs(float(np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1])))
-
-
-@dataclass(frozen=True)
-class ContainmentReport:
-    ok: bool
-    worst_margin: float
-    worst_state: np.ndarray
-    checked: int
-    violations: tuple
-
-
-def containment_check(design, region, lifting, resolution=180, radial=8,
-                      boundary=None):
-    """Numerically confirm that the lift of every swept region-of-attraction
-    state lies in the uncertainty region (the invariance inequality's
-    guarantee).  States are taken on the boundary grid and on interior rings;
-    candidates that the boundary bisection left marginally outside the
-    certified set (V > 1) are pulled back inside, since the guarantee only
-    covers the set itself.
-    """
-    from .uncertainty import margins
-
-    if boundary is None:
-        boundary = roa_boundary_2d(design, lifting, resolution=resolution)
-    fractions = np.linspace(1.0 / radial, 1.0, radial)
-    dirs = np.column_stack([np.cos(boundary.angles), np.sin(boundary.angles)])
-    X = ((boundary.radii[:, None] * fractions)[:, :, None]
-         * dirs[:, None, :]).reshape(-1, lifting.n)
-    value_many = ClosedLoop.of(design, lifting).value_many
-    outside = np.arange(len(X))
-    for _ in range(60):
-        outside = outside[~(value_many(X[outside]) <= 1.0)]
-        if not outside.size:
-            break
-        X[outside] *= 0.999999
-    margin = margins(region, lifting.lift_reduced_many(X))
-    worst = int(np.argmin(margin))
-    violations = tuple((X[i].copy(), float(margin[i]))
-                       for i in np.flatnonzero(margin < -CONTAINMENT_SLACK))
-    return ContainmentReport(ok=not violations, worst_margin=float(margin[worst]),
-                             worst_state=X[worst].copy(), checked=len(X),
-                             violations=violations)
-
-
-def rescale_to_box(design, lifting, box, resolution=360):
-    """Shrink the certified set until it fits inside a state box.
-
-    Returns a design with P scaled by the largest feasible factor <= 1 found
-    by a ray sweep (any sublevel set of the certified Lyapunov function is
-    itself certified, so shrinking is sound; growing would not be).
-    """
-    box = np.asarray(box, dtype=float)
-    angles = np.linspace(0.0, 2.0 * np.pi, int(resolution), endpoint=False)
-    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    # distance to the box boundary along each ray
-    with np.errstate(divide="ignore"):
-        t_hi = np.where(dirs > 0, box[:, 1] / dirs, np.inf)
-        t_lo = np.where(dirs < 0, box[:, 0] / dirs, np.inf)
-    r_box = np.min(np.minimum(t_hi, t_lo), axis=1)
-    V = ClosedLoop.of(design, lifting).value_many(r_box[:, None] * dirs)
-    beta = min(1.0, float(np.min(V)))
-    if beta >= 1.0:
-        return design, 1.0
-    scaled = replace(design, P=beta * design.P, L=design.L * beta)
-    return scaled, float(beta)
 
 
 def export_boundary_dat(boundary, path):

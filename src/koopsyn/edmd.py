@@ -171,17 +171,6 @@ class Surrogate:
         """Concatenation [B_1 ... B_m], shape (N, N*m)."""
         return np.hstack(self.B)
 
-    def predict(self, z, u):
-        """Surrogate vector field A z + B0 u + Btilde (u kron z)."""
-        z = np.asarray(z, dtype=float)
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if z.shape != (self.N,) or u.shape != (self.m,):
-            raise ValueError("dimension mismatch in surrogate prediction")
-        out = self.A @ z + self.B0 @ u
-        for i in range(self.m):
-            out += u[i] * (self.B[i] @ z)
-        return out
-
     def to_json(self):
         doc = {
             "A": encode_matrix(self.A),

@@ -200,14 +200,6 @@ class Lifting:
         """Reduced lifted vector (drops the constant entry); zero at x=0."""
         return self.lift(x)[1:]
 
-    def lift_gradient(self, x):
-        """Gradient matrix, row k = grad(phi_k)(x), shape (N+1, n)."""
-        x = self._check_state(x)
-        G = self.gradient_many(x[None])[0]
-        if not np.all(np.isfinite(G)):
-            raise ValueError("non-finite observable gradient at x=%r" % (x,))
-        return G
-
     def lift_many(self, X):
         """Vectorized full lift; X has shape (d, n), result (d, N+1)."""
         X = np.asarray(X, dtype=float)
@@ -284,32 +276,3 @@ def make_lifting(n, extras=()):
     coordinate maps are prepended automatically."""
     obs = (constant(),) + tuple(coordinate(k) for k in range(n)) + tuple(extras)
     return Lifting(n=n, observables=obs)
-
-
-def estimate_lipschitz(L, box, samples, seed=0):
-    """Estimate the local Lipschitz constant of the full lift on a box.
-
-    Draws ``samples`` point pairs (every fourth pair is anchored at the
-    origin) and returns the largest difference quotient
-    ``||Phi(x) - Phi(y)|| / ||x - y||``.  For a fixed seed the estimate is
-    nondecreasing in ``samples`` because the pair stream is extended, never
-    reshuffled.
-    """
-    box = np.asarray(box, dtype=float)
-    if box.shape != (L.n, 2) or np.any(box[:, 1] <= box[:, 0]):
-        raise ValueError("domain box must be (n, 2) with lo < hi per axis")
-    samples = int(samples)
-    if samples < 2:
-        raise ValueError("need at least 2 sample pairs")
-    rng = np.random.default_rng(seed)
-    U = rng.random((samples, 2, L.n))
-    pts = box[:, 0] + U * (box[:, 1] - box[:, 0])
-    pts[3::4, 1, :] = 0.0
-    X = pts[:, 0, :]
-    Y = pts[:, 1, :]
-    dxy = np.linalg.norm(X - Y, axis=1)
-    keep = dxy > 1e-12
-    PX = L.lift_many(X[keep])
-    PY = L.lift_many(Y[keep])
-    ratios = np.linalg.norm(PX - PY, axis=1) / dxy[keep]
-    return float(np.max(ratios))

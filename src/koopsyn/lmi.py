@@ -374,29 +374,3 @@ def _pi_r(N, m, c_r):
         [-np.eye(N), np.zeros((N, N + m))],
         [np.zeros((N + m, N)), 2.0 * c_r ** 2 * np.eye(N + m)],
     ])
-
-
-def closed_loop_form(surrogate, design, z, delta_phi, eps_vec):
-    """Dissipation quadratic form 2 z^T inv(P) (A_K z + B_Kw Delta mu + eps).
-
-    ``delta_phi`` realizes the structured uncertainty Delta = I_m kron
-    delta_phi, and the input is the uncertainty-consistent feedback
-    mu = inv(I - Kw Delta) K z (for linear designs simply K z, and for
-    delta_phi equal to the reduced lift this is the closed-loop input).
-    Negativity over the certified region, all admissible realizations, and
-    all remainder vectors within the proportional bound is what the solved
-    strict inequality guarantees.
-    """
-    N, m = surrogate.N, surrogate.m
-    z = np.asarray(z, dtype=float).reshape(N)
-    delta_phi = np.asarray(delta_phi, dtype=float).reshape(N)
-    eps_vec = np.asarray(eps_vec, dtype=float).reshape(N)
-    P_inv = design.P_inv
-    K = np.atleast_2d(design.K)
-    Kw = np.zeros((m, N * m)) if design.Kw is None else np.atleast_2d(design.Kw)
-    A_K = surrogate.A + surrogate.B0 @ K
-    B_Kw = surrogate.B_tilde + surrogate.B0 @ Kw
-    Delta = np.kron(np.eye(m), delta_phi.reshape(N, 1))
-    mu = np.linalg.solve(np.eye(m) - Kw @ Delta, K @ z)
-    rhs = A_K @ z + B_Kw @ (Delta @ mu) + eps_vec
-    return float(2.0 * z @ P_inv @ rhs)

@@ -12,11 +12,6 @@ def sym(M):
     return 0.5 * (M + M.T)
 
 
-def min_eig(M):
-    """Smallest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh(sym(np.asarray(M, dtype=float)))[0])
-
-
 def quadratic_rows(Z, M):
     """z' M z for every row z of Z (d, N), from elementwise products summed
     in a fixed order, so that a row's value does not depend on the other rows

@@ -2,9 +2,10 @@
 Kronecker-structured multiplier class.
 
 A region is the set of vectors v with [v; 1]^T [[Qz, Sz], [Sz^T, Rz]] [v; 1]
->= 0, Qz negative definite, Rz > 0.  The block inverse of that matrix and the
-closed-form multiplier inverse are precomputed here because the synthesis
-LMIs consume them directly.
+>= 0, Qz negative definite, Rz > 0.  The blocks tQ, tS, tR of that matrix's
+inverse are precomputed here because the synthesis LMIs consume them
+directly: the multiplier built with Lt = inv(Lambda) has the closed-form
+inverse [[Lambda kron tQ, Lambda kron tS], [Lambda kron tS^T, Lambda kron tR]].
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matops import min_eig, quadratic_rows, sym
+from .matops import quadratic_rows, sym
 
 TRACE_CAP_SCALE = 1e3    # the pilot synthesis caps trace(P) at N times this
 
@@ -65,15 +66,6 @@ class UncertaintyRegion:
         M[N, N] = self.Rz
         return M
 
-    def inverse_block_matrix(self):
-        N = self.N
-        M = np.empty((N + 1, N + 1))
-        M[:N, :N] = self.tQ
-        M[:N, N] = self.tS
-        M[N, :N] = self.tS
-        M[N, N] = self.tR
-        return M
-
     def to_json_dict(self):
         return {"Qz": self.Qz.tolist(), "Sz": self.Sz.tolist(), "Rz": self.Rz}
 
@@ -97,13 +89,6 @@ def margins(region, V):
     return quadratic_rows(V, region.Qz) + 2.0 * linear + region.Rz
 
 
-def membership(region, v):
-    """Quadratic-form margin of v; nonnegative margin means membership."""
-    v = np.asarray(v, dtype=float).reshape(1, region.N)
-    margin = float(margins(region, v)[0])
-    return margin >= 0.0, margin
-
-
 def multiplier(region, Lambda_tilde):
     """Assemble the structured multiplier
 
@@ -115,44 +100,6 @@ def multiplier(region, Lambda_tilde):
     top = np.hstack([np.kron(Lt, region.Qz), np.kron(Lt, Szc)])
     bot = np.hstack([np.kron(Lt, Szc.T), np.kron(Lt, np.array([[region.Rz]]))])
     return np.vstack([top, bot])
-
-
-def multiplier_inverse(region, Lambda):
-    """Closed-form inverse of the multiplier built with Lt = inv(Lambda):
-
-    [[L kron tQ, L kron tS], [L kron tS^T, L kron tR]].
-
-    ``Lambda`` must be symmetric positive definite.
-    """
-    L = np.atleast_2d(np.asarray(Lambda, dtype=float))
-    if min_eig(L) <= 0.0:
-        raise ValueError("Lambda must be symmetric positive definite")
-    tSc = region.tS.reshape(-1, 1)
-    top = np.hstack([np.kron(L, region.tQ), np.kron(L, tSc)])
-    bot = np.hstack([np.kron(L, tSc.T), np.kron(L, np.array([[region.tR]]))])
-    return np.vstack([top, bot])
-
-
-def kron_delta_membership(region, Delta, rtol=1e-9):
-    """True iff Delta = I_m kron v for a single region member v.
-
-    Block extraction first checks the Kronecker structure, then tests the
-    extracted vector.
-    """
-    D = np.asarray(Delta, dtype=float)
-    N = region.N
-    if D.ndim != 2 or D.shape[0] % N != 0:
-        raise ValueError("Delta must have shape (m*N, m)")
-    m = D.shape[0] // N
-    if D.shape[1] != m:
-        raise ValueError("Delta must have shape (m*N, m)")
-    v = D[:N, 0]
-    scale = max(1.0, float(np.max(np.abs(v))))
-    rebuilt = np.kron(np.eye(m), v.reshape(N, 1))
-    if np.max(np.abs(D - rebuilt)) > rtol * scale:
-        return False
-    inside, _ = membership(region, v)
-    return inside
 
 
 @dataclass(frozen=True)
@@ -168,13 +115,14 @@ class HeuristicLog:
     step1_report: object
 
 
-def procedure1_qz(surrogate, theorem=2, rz=1.0, rz_step1=None, epsilon=1e-6,
+def procedure1_qz(surrogate, theorem, rz=1.0, rz_step1=None, epsilon=1e-6,
                   solver_options=None):
     """Shape the region from an unconstrained pilot synthesis.
 
-    Step 1 solves the chosen design LMI with the ball region (Qz = -I,
-    Sz = 0) while omitting the invariance constraint, so the optimizer is
-    free to pick the sublevel-set shape; a trace cap
+    Step 1 solves the design LMI of ``theorem`` (1 or 2; required, so that
+    the pilot poses the theorem its caller designs with) with the ball
+    region (Qz = -I, Sz = 0) while omitting the invariance constraint, so
+    the optimizer is free to pick the sublevel-set shape; a trace cap
     trace(P) <= N * ``TRACE_CAP_SCALE`` keeps that problem bounded (artifact
     decision, recorded in the log).
     Step 2 normalizes the resulting shape into Qz = -inv(P) / ||inv(P)||_2

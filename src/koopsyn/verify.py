@@ -25,17 +25,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def simulate(plant, design, lifting, x0, horizon=50.0, rtol=1e-9, atol=1e-9,
-             converged_tol=1e-8, escape_radius=1e6):
-    """Integrate the true plant under the synthesized feedback from one
-    start; see :func:`simulate_many`."""
-    loop = controller.ClosedLoop.of(design, lifting)
-    return simulate_many(plant, loop, np.asarray(x0, dtype=float)[None, :],
-                         horizon=horizon, rtol=rtol, atol=atol,
-                         converged_tol=converged_tol,
-                         escape_radius=escape_radius)[0]
-
-
 class _PointwiseLoop:
     """The batch interface of ``controller.ClosedLoop`` over functions of a
     single state: u_fn(x), which may raise ``FeedbackSingularError``, and

@@ -131,6 +131,37 @@ def matches_theorem1_reference(surrogate, region):
                     for name, M in ref.coeffs.items()))
 
 
+def multiplier_inverse_reference(region, Lam):
+    """The closed-form inverse of ``uncertainty.multiplier(region,
+    inv(Lam))`` as the paper states it, from the region's inverse blocks:
+    [[Lam kron tQ, Lam kron tS], [Lam kron tS^T, Lam kron tR]]."""
+    Lam = np.atleast_2d(Lam)
+    tS = region.tS.reshape(-1, 1)
+    return np.block([[np.kron(Lam, region.tQ), np.kron(Lam, tS)],
+                     [np.kron(Lam, tS.T), np.kron(Lam, [[region.tR]])]])
+
+
+def containment_margins(design, region, lifting, resolution=180, radial=8):
+    """Region margins of the lifts of swept certified states: the invariance
+    inequality guarantees they are nonnegative.  The states lie on the
+    boundary sweep and on ``radial`` rings inside it; those that the
+    bisection left marginally outside the certified set (V > 1) are pulled
+    back in, since the guarantee covers only the set itself."""
+    boundary = controller.roa_boundary_2d(design, lifting, resolution=resolution)
+    fractions = np.linspace(1.0 / radial, 1.0, radial)
+    dirs = np.column_stack([np.cos(boundary.angles), np.sin(boundary.angles)])
+    X = ((boundary.radii[:, None] * fractions)[:, :, None]
+         * dirs[:, None, :]).reshape(-1, lifting.n)
+    value_many = controller.ClosedLoop.of(design, lifting).value_many
+    outside = np.arange(len(X))
+    for _ in range(60):
+        outside = outside[~(value_many(X[outside]) <= 1.0)]
+        if not outside.size:
+            break
+        X[outside] *= 0.999999
+    return uncertainty.margins(region, lifting.lift_reduced_many(X))
+
+
 def solve_design(surrogate, region, theorem, maximize_roa=True, options=None):
     build = lmi.build_theorem1 if theorem == 1 else lmi.build_theorem2
     problem = build(surrogate, region)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from koopsyn import bounds
+from koopsyn import bounds, lmi
 from koopsyn.lifting import Observable, custom, make_lifting, poly
 
 
@@ -170,18 +170,40 @@ class TestStreamedQuadrature:
 
 
 class TestRemainderBound:
+    """The proportional remainder bound ||eps|| <= c_r (||z|| + ||u||) as the
+    design LMIs encode it: every remainder within the budget makes the
+    quadratic form of the static multiplier ``lmi._pi_r`` nonnegative."""
+
+    @staticmethod
+    def form(surrogate, eps, z, u):
+        w = np.concatenate([eps, z, np.atleast_1d(u)])
+        return float(w @ lmi._pi_r(surrogate.N, surrogate.m, surrogate.c_r) @ w)
+
+    @staticmethod
+    def at_budget(surrogate, z, u, direction):
+        budget = surrogate.c_r * (np.linalg.norm(z) + np.linalg.norm(u))
+        return budget * direction / np.linalg.norm(direction)
+
     def test_zero(self, surrogate_exact):
-        assert bounds.remainder_bound(surrogate_exact, np.zeros(3), 0.0) == 0.0
+        zero = np.zeros(3)
+        assert self.form(surrogate_exact, zero, zero, 0.0) == 0.0
+        assert self.form(surrogate_exact, np.array([1e-3, 0.0, 0.0]), zero,
+                         0.0) < 0.0
 
     def test_formula(self, surrogate_exact):
         z = np.array([2.0, 0.0, 0.0])
-        assert bounds.remainder_bound(surrogate_exact, z, 1.0) == pytest.approx(0.3)
+        eps = self.at_budget(surrogate_exact, z, 1.0, np.array([0.0, 1.0, 0.0]))
+        assert np.linalg.norm(eps) == pytest.approx(0.3)
+        # -||eps||^2 + 2 c_r^2 (||z||^2 + ||u||^2) = -0.09 + 0.1
+        assert self.form(surrogate_exact, eps, z, 1.0) == pytest.approx(0.01)
 
     def test_homogeneous(self, surrogate_exact):
         rng = np.random.default_rng(1)
         z = rng.normal(size=3)
         u = rng.normal(size=1)
-        base = bounds.remainder_bound(surrogate_exact, z, u)
+        eps = self.at_budget(surrogate_exact, z, u, rng.normal(size=3))
+        base = self.form(surrogate_exact, eps, z, u)
+        assert base >= 0.0
         for t in (0.5, 2.0, 7.5):
-            assert bounds.remainder_bound(surrogate_exact, t * z, t * u) == \
-                pytest.approx(t * base, rel=1e-12)
+            assert self.form(surrogate_exact, t * eps, t * z, t * u) == \
+                pytest.approx(t * t * base, rel=1e-12)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from koopsyn import controller, uncertainty
+from koopsyn import uncertainty
 from koopsyn.controller import (ClosedLoop, DesignResult, FeedbackSingularError,
                                 feedback, polygon_area, region_boundary_2d,
                                 roa_boundary_2d, roa_membership)
-from koopsyn.lifting import estimate_lipschitz, make_lifting
+from koopsyn.lifting import make_lifting
+
+from conftest import containment_margins
 
 
 def linear_design(K, P=None, theorem=1, **kw):
@@ -67,14 +69,15 @@ def _feedback_rows(design, lifting, X):
         lifting.lift_reduced_many(X))
 
 
-# single-state entry point -> (its value at one state x, the batch call on
-# the states X), both as functions of (design, lifting, region, x or X)
+# single-state entry point, or one-row batch call -> (its value at one
+# state x, the batch call on the states X), both as functions of (design,
+# lifting, region, x or X)
 ONE_ROW = {
     "Lifting.lift": (lambda d, L, r, x: L.lift(x),
                      lambda d, L, r, X: L.lift_many(X)),
     "Lifting.lift_reduced": (lambda d, L, r, x: L.lift_reduced(x),
                              lambda d, L, r, X: L.lift_reduced_many(X)),
-    "Lifting.lift_gradient": (lambda d, L, r, x: L.lift_gradient(x),
+    "Lifting.gradient_many": (lambda d, L, r, x: L.gradient_many(x[None])[0],
                               lambda d, L, r, X: L.gradient_many(X)),
     "ClosedLoop.feedback": (lambda d, L, r, x: ClosedLoop.of(d, L).feedback(x),
                             lambda d, L, r, X: _feedback_rows(d, L, X)[0]),
@@ -86,10 +89,9 @@ ONE_ROW = {
         lambda d, L, r, x: roa_membership(d, L, x),
         lambda d, L, r, X: [(V <= 1.0, V)
                             for V in ClosedLoop.of(d, L).value_many(X)]),
-    "uncertainty.membership": (
-        lambda d, L, r, x: uncertainty.membership(r, L.lift_reduced(x)),
-        lambda d, L, r, X: [(M >= 0.0, M) for M in uncertainty.margins(
-            r, L.lift_reduced_many(X))]),
+    "uncertainty.margins": (
+        lambda d, L, r, x: uncertainty.margins(r, L.lift_reduced(x)[None])[0],
+        lambda d, L, r, X: uncertainty.margins(r, L.lift_reduced_many(X))),
 }
 
 DESIGNS = {"theorem1": ("design_cooked", "lifting_cooked", "region_cooked"),
@@ -346,41 +348,22 @@ class TestPolarSweep:
 class TestContainment:
     def test_certified_design_contained(self, design_cooked, region_cooked,
                                         lifting_cooked):
-        rep = controller.containment_check(design_cooked, region_cooked,
-                                           lifting_cooked, resolution=90)
-        assert rep.ok
-        assert rep.worst_margin >= -1e-8
+        margin = containment_margins(design_cooked, region_cooked,
+                                     lifting_cooked, resolution=90)
+        assert np.min(margin) >= -1e-8
 
     def test_tight_for_maximized_design(self, design_cooked, region_cooked,
                                         lifting_cooked):
-        rep = controller.containment_check(design_cooked, region_cooked,
-                                           lifting_cooked, resolution=90)
-        assert rep.worst_margin <= 0.02 * region_cooked.Rz
+        margin = containment_margins(design_cooked, region_cooked,
+                                     lifting_cooked, resolution=90)
+        assert np.min(margin) <= 0.02 * region_cooked.Rz
 
     def test_shrunken_region_violated(self, design_cooked, region_cooked,
                                       lifting_cooked):
         smaller = uncertainty.identity_region(3, region_cooked.Rz / 2.0)
-        rep = controller.containment_check(design_cooked, smaller,
-                                           lifting_cooked, resolution=90)
-        assert not rep.ok and len(rep.violations) > 0
-
-
-class TestRescale:
-    def test_fits_box(self, design_cooked, lifting_cooked, plant_cooked):
-        scaled, beta = controller.rescale_to_box(design_cooked, lifting_cooked,
-                                                 plant_cooked.state_box,
-                                                 resolution=180)
-        assert 0.0 < beta <= 1.0
-        b = roa_boundary_2d(scaled, lifting_cooked, resolution=90)
-        assert np.max(np.abs(b.points)) <= 1.0 + 1e-6
-        np.testing.assert_allclose(scaled.K, design_cooked.K, atol=1e-10)
-
-    def test_already_inside_is_noop(self, design_cooked, lifting_cooked):
-        huge = np.array([[-1e4, 1e4], [-1e4, 1e4]])
-        scaled, beta = controller.rescale_to_box(design_cooked, lifting_cooked,
-                                                 huge, resolution=60)
-        assert beta == 1.0
-        assert scaled is design_cooked
+        margin = containment_margins(design_cooked, smaller, lifting_cooked,
+                                     resolution=90)
+        assert np.any(margin < -1e-8)
 
 
 class TestRegionBoundary:
@@ -393,8 +376,16 @@ class TestRegionBoundary:
 
 class TestLyapunovSandwich:
     def test_bounds_hold(self, design_cooked, lifting_cooked, plant_cooked):
-        L_phi = estimate_lipschitz(lifting_cooked, plant_cooked.state_box, 5000,
-                                   seed=21)
+        # Lipschitz bound of the lift on the box: the largest difference
+        # quotient over sampled pairs, every fourth anchored at the origin
+        box = plant_cooked.state_box
+        pairs = box[:, 0] + np.random.default_rng(21).random((5000, 2, 2)) \
+            * (box[:, 1] - box[:, 0])
+        pairs[3::4, 1] = 0.0
+        X, Y = pairs[:, 0], pairs[:, 1]
+        L_phi = np.max(np.linalg.norm(lifting_cooked.lift_many(X)
+                                      - lifting_cooked.lift_many(Y), axis=1)
+                       / np.linalg.norm(X - Y, axis=1))
         w = np.linalg.eigvalsh(design_cooked.P_inv)
         rng = np.random.default_rng(22)
         for _ in range(100):

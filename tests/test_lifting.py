@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopsyn.lifting import (DictionaryError, Lifting, cosine_minus_one, custom,
-                             estimate_lipschitz, make_lifting, poly, sine)
+                             make_lifting, poly, sine)
 
 
 def pendulum_lifting():
@@ -57,12 +57,12 @@ class TestGradient:
     def test_structure_rows(self, lifting_cooked_xy):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            G = lifting_cooked_xy.lift_gradient(rng.normal(size=2))
+            G = lifting_cooked_xy.gradient_many(rng.normal(size=(1, 2)))[0]
             assert np.array_equal(G[0], np.zeros(2))
             assert np.array_equal(G[1:3], np.eye(2))
 
     def test_pendulum_sine_row(self):
-        G = pendulum_lifting().lift_gradient(np.zeros(2))
+        G = pendulum_lifting().gradient_many(np.zeros((1, 2)))[0]
         np.testing.assert_allclose(G[3], [1.0, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("factory", [
@@ -75,7 +75,7 @@ class TestGradient:
         rng = np.random.default_rng(42)
         for _ in range(100):
             x = rng.uniform(-2.0, 2.0, size=L.n)
-            G = L.lift_gradient(x)
+            G = L.gradient_many(x[None])[0]
             for k, ob in enumerate(L.observables):
                 h = 1e-6 * (1.0 + np.abs(x))
                 fd = np.empty(L.n)
@@ -89,41 +89,8 @@ class TestGradient:
 
     def test_custom_fd_fallback(self):
         L = make_lifting(1, [custom(lambda x: float(np.tanh(x[0])))])
-        G = L.lift_gradient(np.array([0.3]))
+        G = L.gradient_many(np.array([[0.3]]))[0]
         assert abs(G[2, 0] - (1 - np.tanh(0.3) ** 2)) < 1e-8
-
-
-class TestLipschitz:
-    def test_identity_exact(self):
-        L = make_lifting(2)
-        box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-        assert estimate_lipschitz(L, box, 500) == pytest.approx(1.0, abs=1e-12)
-
-    def test_quadratic_converges(self):
-        L = make_lifting(1, [poly([(1.0, (2,))])])
-        box = np.array([[-5.0, 5.0]])
-        est = estimate_lipschitz(L, box, 20000, seed=3)
-        assert est == pytest.approx(np.sqrt(101.0), rel=0.02)
-        assert est <= np.sqrt(101.0) + 1e-9
-
-    def test_at_least_one(self, lifting_pendulum):
-        box = np.array([[-2.0, 10.0], [-2.0, 10.0]])
-        assert estimate_lipschitz(lifting_pendulum, box, 100) >= 1.0
-
-    def test_monotone_in_samples(self, lifting_cooked):
-        box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-        vals = [estimate_lipschitz(lifting_cooked, box, s, seed=5)
-                for s in (100, 1000, 5000)]
-        assert vals[0] <= vals[1] <= vals[2]
-
-    def test_degenerate_box(self, lifting_cooked):
-        with pytest.raises(ValueError):
-            estimate_lipschitz(lifting_cooked, np.array([[0.0, 0.0], [0.0, 1.0]]), 10)
-
-    def test_too_few_samples(self, lifting_cooked):
-        box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-        with pytest.raises(ValueError):
-            estimate_lipschitz(lifting_cooked, box, 1)
 
 
 class TestValidation:

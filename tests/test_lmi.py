@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from koopsyn import bounds, controller, lmi, uncertainty
+from koopsyn import controller, lmi, uncertainty
 from koopsyn.edmd import Surrogate
 from koopsyn.lifting import make_lifting, poly
 
@@ -20,6 +20,22 @@ def stressed_pair():
     reg = uncertainty.UncertaintyRegion(Qz=-np.diag([1.0, 2.0, 3.0]),
                                         Sz=np.array([0.1, -0.2, 0.3]), Rz=50.0)
     return s, reg
+
+
+def dissipation_form(surrogate, design, z, delta_phi, eps):
+    """2 z' inv(P) (A_K z + B_Kw Delta mu + eps), with Delta = I_m kron
+    delta_phi and the uncertainty-consistent input mu = inv(I - Kw Delta) K z
+    (K z for a linear design; the closed-loop input when delta_phi is the
+    reduced lift).  The solved strict inequality makes it negative on the
+    certified set, for every admissible Delta and every remainder eps
+    within the proportional bound."""
+    N, m = surrogate.N, surrogate.m
+    Kw = np.zeros((m, N * m)) if design.Kw is None else design.Kw
+    Delta = np.kron(np.eye(m), delta_phi.reshape(N, 1))
+    mu = np.linalg.solve(np.eye(m) - Kw @ Delta, design.K @ z)
+    rhs = ((surrogate.A + surrogate.B0 @ design.K) @ z
+           + (surrogate.B_tilde + surrogate.B0 @ Kw) @ (Delta @ mu) + eps)
+    return float(2.0 * z @ design.P_inv @ rhs)
 
 
 def zero_assignment(problem):
@@ -219,8 +235,6 @@ class TestSolvedCertificates:
                                                  region_pendulum_shaped,
                                                  design_pendulum_shaped_thm2,
                                                  lifting_pendulum):
-        from koopsyn.uncertainty import membership
-
         region, _ = region_pendulum_shaped
         design = design_pendulum_shaped_thm2
         rng = np.random.default_rng(14)
@@ -235,13 +249,13 @@ class TestSolvedCertificates:
             v = rng.normal(size=3)
             a = float(v @ region.Qz @ v)
             v = v * np.sqrt(-region.Rz / a)
-            assert abs(membership(region, v)[1]) < 1e-9 * region.Rz
+            assert abs(uncertainty.margins(region, v[None])[0]) < 1e-9 * region.Rz
             Delta = v.reshape(-1, 1)
             mu = np.linalg.solve(np.eye(1) - design.Kw @ Delta, design.K @ z)
             e = rng.normal(size=3)
             eps = surrogate_pendulum.c_r * (np.linalg.norm(z) + np.linalg.norm(mu)) \
                 * e / np.linalg.norm(e)
-            q = lmi.closed_loop_form(surrogate_pendulum, design, z, v, eps)
+            q = dissipation_form(surrogate_pendulum, design, z, v, eps)
             assert q < 0.0
             checked += 1
 
@@ -260,8 +274,8 @@ class TestSolvedCertificates:
             dphi = boundary_radius * d / np.linalg.norm(d)
             mu = design_cooked.K @ z
             e = rng.normal(size=3)
-            eps = bounds.remainder_bound(surrogate_fitted, z, mu) \
+            eps = surrogate_fitted.c_r * (np.linalg.norm(z) + np.linalg.norm(mu)) \
                 * e / np.linalg.norm(e)
-            q = lmi.closed_loop_form(surrogate_fitted, design_cooked, z, dphi, eps)
+            q = dissipation_form(surrogate_fitted, design_cooked, z, dphi, eps)
             assert q < 0.0
             checked += 1

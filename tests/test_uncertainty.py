@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from koopsyn import uncertainty
-from koopsyn.uncertainty import (UncertaintyRegion, identity_region,
-                                 kron_delta_membership, membership, multiplier,
-                                 multiplier_inverse, procedure1_qz)
+from koopsyn.uncertainty import (UncertaintyRegion, identity_region, margins,
+                                 multiplier, procedure1_qz)
+
+from conftest import multiplier_inverse_reference
 
 
 def random_region(rng, N):
@@ -25,7 +26,8 @@ class TestRegion:
         rng = np.random.default_rng(0)
         for N in (1, 2, 3, 5):
             reg = random_region(rng, N)
-            prod = reg.block_matrix() @ reg.inverse_block_matrix()
+            inverse = multiplier_inverse_reference(reg, 1.0)
+            prod = reg.block_matrix() @ inverse
             assert np.max(np.abs(prod - np.eye(N + 1))) <= 1e-10
 
     def test_json_round_trip(self):
@@ -37,27 +39,30 @@ class TestRegion:
 class TestMembership:
     def test_origin_margin(self):
         reg = identity_region(4, 7.0)
-        inside, margin = membership(reg, np.zeros(4))
-        assert inside and margin == pytest.approx(7.0)
+        margin = margins(reg, np.zeros((1, 4)))[0]
+        assert margin == pytest.approx(7.0)
 
     def test_ball_boundary(self):
         reg = identity_region(2, 650.0)
-        inside, margin = membership(reg, np.array([5.0, 25.0]))
+        margin = margins(reg, np.array([[5.0, 25.0]]))[0]
         assert margin == pytest.approx(0.0, abs=1e-12)
-        assert inside
+        assert margin >= 0.0
 
     def test_weighted_boundary(self):
         reg = UncertaintyRegion(Qz=-0.5 * np.diag([5.0 ** -2, 5.0 ** -4]),
                                 Sz=np.zeros(2), Rz=1.0)
-        _, margin = membership(reg, np.array([5.0, 25.0]))
+        margin = margins(reg, np.array([[5.0, 25.0]]))[0]
         assert margin == pytest.approx(0.0, abs=1e-12)
 
 
 class TestMultiplier:
     def test_scalar_reduces_to_region_inverse(self):
         reg = identity_region(3, 5.0)
-        inv = multiplier_inverse(reg, np.array([[1.0]]))
-        np.testing.assert_allclose(inv, reg.inverse_block_matrix(), atol=1e-14)
+        Pi = multiplier(reg, np.array([[1.0]]))
+        np.testing.assert_array_equal(Pi, reg.block_matrix())
+        np.testing.assert_allclose(np.linalg.inv(Pi),
+                                   multiplier_inverse_reference(reg, 1.0),
+                                   atol=1e-14)
 
     def test_closed_form_inverse(self):
         rng = np.random.default_rng(7)
@@ -68,7 +73,7 @@ class TestMultiplier:
             W = rng.normal(size=(m, m))
             Lam = W @ W.T + 0.2 * np.eye(m)
             Pi = multiplier(reg, np.linalg.inv(Lam))
-            Pi_inv = multiplier_inverse(reg, Lam)
+            Pi_inv = multiplier_inverse_reference(reg, Lam)
             err = np.max(np.abs(Pi @ Pi_inv - np.eye(m * (N + 1))))
             assert err <= 1e-9
 
@@ -76,17 +81,18 @@ class TestMultiplier:
         rng = np.random.default_rng(8)
         N, m = 3, 2
         reg = random_region(rng, N)
-        Pi_inv = multiplier_inverse(reg, np.eye(m))
+        # with Lt = I the multiplier is a permutation of I_m kron the region
+        # matrix, so its inverse permutes I_m kron the region inverse
+        Pi = multiplier(reg, np.eye(m))
         T = np.vstack([np.kron(np.eye(m), np.hstack([np.eye(N), np.zeros((N, 1))])),
                        np.kron(np.eye(m), np.hstack([np.zeros((1, N)), np.eye(1)]))])
         assert np.allclose(T @ T.T, np.eye(m * (N + 1)), atol=1e-14)
-        expected = T @ np.kron(np.eye(m), reg.inverse_block_matrix()) @ T.T
-        np.testing.assert_allclose(Pi_inv, expected, atol=1e-12)
-
-    def test_singular_lambda_rejected(self):
-        reg = identity_region(2, 1.0)
-        with pytest.raises(ValueError):
-            multiplier_inverse(reg, np.zeros((2, 2)))
+        np.testing.assert_allclose(
+            Pi, T @ np.kron(np.eye(m), reg.block_matrix()) @ T.T, atol=1e-14)
+        np.testing.assert_allclose(
+            multiplier_inverse_reference(reg, np.eye(m)),
+            T @ np.kron(np.eye(m), np.linalg.inv(reg.block_matrix())) @ T.T,
+            atol=1e-12)
 
     def test_psd_compatibility_sampled(self):
         rng = np.random.default_rng(9)
@@ -97,41 +103,13 @@ class TestMultiplier:
             Lt = W @ W.T
             v = rng.normal(size=3)
             v *= rng.uniform(0, 1) ** 0.5 / max(np.linalg.norm(v), 1e-12)
-            inside, margin = membership(reg, v)
-            if not inside:
+            if margins(reg, v[None])[0] < 0.0:
                 continue
             Delta = np.kron(np.eye(m), v.reshape(-1, 1))
             Pi = multiplier(reg, Lt)
             stack = np.vstack([Delta, np.eye(m)])
             form = stack.T @ Pi @ stack
             assert np.linalg.eigvalsh(form)[0] >= -1e-9
-
-
-class TestKronMembership:
-    def test_structured_inside(self):
-        reg = identity_region(2, 10.0)
-        v = np.array([1.0, 2.0])
-        Delta = np.kron(np.eye(3), v.reshape(-1, 1))
-        assert kron_delta_membership(reg, Delta)
-
-    def test_mismatched_blocks(self):
-        reg = identity_region(2, 10.0)
-        Delta = np.kron(np.eye(2), np.array([[1.0], [2.0]]))
-        Delta[2, 1] = 1.5
-        assert not kron_delta_membership(reg, Delta)
-
-    def test_outside_vector(self):
-        reg = identity_region(2, 1.0)
-        Delta = np.kron(np.eye(2), np.array([[3.0], [0.0]]))
-        assert not kron_delta_membership(reg, Delta)
-
-    def test_m1_equals_membership(self):
-        rng = np.random.default_rng(10)
-        reg = random_region(rng, 3)
-        for _ in range(20):
-            v = rng.normal(size=3) * 2
-            assert kron_delta_membership(reg, v.reshape(-1, 1)) == \
-                membership(reg, v)[0]
 
 
 class TestProcedure1:
@@ -141,6 +119,10 @@ class TestProcedure1:
         assert np.linalg.norm(region.Qz, 2) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.eigvalsh(region.Qz)[-1] < 0.0
         assert region.Rz == 500.0
+
+    def test_theorem_required(self, surrogate_fitted):
+        with pytest.raises(TypeError):
+            procedure1_qz(surrogate_fitted, rz=500.0, rz_step1=500.0)
 
     def test_step1_omits_invariance(self, surrogate_fitted):
         _, log = procedure1_qz(surrogate_fitted, theorem=2, rz=500.0,

@@ -29,16 +29,22 @@ def zero_design(n):
                         nu=1.0, lam=1.0)
 
 
+def simulate_one(plant, design, lifting, x0, **options):
+    """The run from one start: a one-row batch of ``verify.simulate_many``."""
+    return verify.simulate_many(plant, ClosedLoop.of(design, lifting),
+                                np.asarray(x0, dtype=float)[None], **options)[0]
+
+
 class TestSimulate:
     def test_equilibrium_stays(self, plant_cooked, design_cooked, lifting_cooked):
-        traj = verify.simulate(plant_cooked, design_cooked, lifting_cooked,
-                               np.zeros(2), horizon=1.0)
+        traj = simulate_one(plant_cooked, design_cooked, lifting_cooked,
+                            np.zeros(2), horizon=1.0)
         assert np.max(np.abs(traj.states)) == 0.0
 
     def test_linear_decay_closed_form(self, scalar_plant):
         L = make_lifting(1)
-        traj = verify.simulate(scalar_plant, zero_design(1), L, np.array([1.0]),
-                               horizon=1.0)
+        traj = simulate_one(scalar_plant, zero_design(1), L, np.array([1.0]),
+                            horizon=1.0)
         idx = np.argmin(np.abs(traj.t - 1.0))
         assert traj.t[-1] >= 1.0 - 1e-9
         assert abs(traj.states[-1, 0] - np.exp(-traj.t[-1])) < 1e-6
@@ -46,16 +52,16 @@ class TestSimulate:
 
     def test_converged_status(self, scalar_plant):
         L = make_lifting(1)
-        traj = verify.simulate(scalar_plant, zero_design(1), L, np.array([1.0]),
-                               horizon=50.0)
+        traj = simulate_one(scalar_plant, zero_design(1), L, np.array([1.0]),
+                            horizon=50.0)
         assert traj.reason == "converged"
         assert np.linalg.norm(traj.final_state) <= 1.1e-8
 
     def test_certified_start_converges(self, plant_pendulum,
                                        design_pendulum_shaped, lifting_pendulum):
-        traj = verify.simulate(plant_pendulum, design_pendulum_shaped,
-                               lifting_pendulum, np.array([1.0, -1.0]),
-                               rtol=1e-8, atol=1e-8)
+        traj = simulate_one(plant_pendulum, design_pendulum_shaped,
+                            lifting_pendulum, np.array([1.0, -1.0]),
+                            rtol=1e-8, atol=1e-8)
         assert traj.reason == "converged"
         audit = verify.lyapunov_audit(traj)
         assert audit.ok
@@ -66,8 +72,8 @@ class TestSimulate:
                             g=scalar_plant.g, state_box=[[-1.0, 1.0]],
                             input_box=[[-1.0, 1.0]])
         L = make_lifting(1)
-        traj = verify.simulate(grow, zero_design(1), L, np.array([1.0]),
-                               horizon=50.0, escape_radius=100.0)
+        traj = simulate_one(grow, zero_design(1), L, np.array([1.0]),
+                            horizon=50.0, escape_radius=100.0)
         assert traj.reason == "left_domain"
 
     def test_integrator_order(self, scalar_plant):
@@ -87,9 +93,9 @@ class TestSimulate:
         L = make_lifting(1)
         errs = []
         for rtol in (1.6e-6, 1e-7):
-            traj = verify.simulate(scalar_plant, zero_design(1), L,
-                                   np.array([1.0]), horizon=1.0, rtol=rtol,
-                                   atol=rtol)
+            traj = simulate_one(scalar_plant, zero_design(1), L,
+                                np.array([1.0]), horizon=1.0, rtol=rtol,
+                                atol=rtol)
             errs.append(abs(traj.states[-1, 0] - np.exp(-traj.t[-1])))
         assert errs[1] <= errs[0] / 4.0
 
@@ -107,8 +113,8 @@ class TestSimulate:
         Lw[0, 2] = 1.0e4
         design = DesignResult(theorem=2, P=np.eye(2), L=np.zeros((2, 2)),
                               tau=1.0, nu=1.0, Lam=np.eye(2), Lw=Lw)
-        traj = verify.simulate(plant, design, make_lifting(2),
-                               np.array([0.5, 0.5]), horizon=50.0)
+        traj = simulate_one(plant, design, make_lifting(2),
+                            np.array([0.5, 0.5]), horizon=50.0)
         assert traj.reason == "singular_feedback"
 
     def test_non_finite_lift_is_numerical_failure(self, scalar_plant):
@@ -116,11 +122,11 @@ class TestSimulate:
         # at t = ln 2, where the run ends with a reason rather than an error
         hole = custom(lambda x: np.nan if 0.0 < x[0] < 0.5 else 0.0)
         L = make_lifting(1, [hole])
-        traj = verify.simulate(scalar_plant, zero_design(2), L, np.array([1.0]))
+        traj = simulate_one(scalar_plant, zero_design(2), L, np.array([1.0]))
         assert traj.reason == "numerical_failure"
         assert abs(traj.t[-1] - np.log(2.0)) < 1e-6
         assert np.all(np.isfinite(traj.states)) and np.all(traj.states > 0.5)
-        start = verify.simulate(scalar_plant, zero_design(2), L, np.array([0.25]))
+        start = simulate_one(scalar_plant, zero_design(2), L, np.array([0.25]))
         assert start.reason == "numerical_failure"
         assert np.array_equal(start.t, [0.0])
 
@@ -132,12 +138,12 @@ class TestSimulate:
                               tau=1.0, nu=1.0, Lam=np.eye(1),
                               Lw=np.array([[-1.0]]))
         lifting = make_lifting(1)
-        traj = verify.simulate(scalar_plant, design, lifting,
-                               np.array([-1.0 + 1e-13]))
+        traj = simulate_one(scalar_plant, design, lifting,
+                            np.array([-1.0 + 1e-13]))
         assert traj.reason == "singular_feedback"
         assert np.array_equal(traj.t, [0.0])
-        ok = verify.simulate(scalar_plant, design, lifting,
-                             np.array([-1.0 + 1e-11]))
+        ok = simulate_one(scalar_plant, design, lifting,
+                          np.array([-1.0 + 1e-11]))
         assert ok.reason == "converged"
         loop = ClosedLoop.of(design, lifting)
         loop.feedback(np.array([-1.0 + 1e-11]))
@@ -167,8 +173,9 @@ def test_simulate_leaves_scipy_integrate_out():
             "from koopsyn.lifting import make_lifting, sine\n"
             "design = controller.DesignResult(theorem=1, P=np.eye(3),\n"
             "    L=np.array([[-20.0, -5.0, 0.0]]), tau=1.0, nu=1.0, lam=1.0)\n"
-            "traj = verify.simulate(plants.make_example('pendulum'), design,\n"
-            "    make_lifting(2, [sine(0)]), np.array([0.3, -0.2]))\n"
+            "loop = controller.ClosedLoop.of(design, make_lifting(2, [sine(0)]))\n"
+            "traj = verify.simulate_many(plants.make_example('pendulum'), loop,\n"
+            "    np.array([[0.3, -0.2]]))[0]\n"
             "print(traj.reason, 'scipy.integrate' in sys.modules)")
     assert _subprocess_modules(code) == "converged False"
 
@@ -294,15 +301,15 @@ class TestSimulateMany:
 class TestLyapunovAudit:
     def test_equilibrium_zero_increase(self, plant_cooked, design_cooked,
                                        lifting_cooked):
-        traj = verify.simulate(plant_cooked, design_cooked, lifting_cooked,
-                               np.zeros(2), horizon=1.0)
+        traj = simulate_one(plant_cooked, design_cooked, lifting_cooked,
+                            np.zeros(2), horizon=1.0)
         rep = verify.lyapunov_audit(traj)
         assert rep.ok and rep.max_increase == 0.0
 
     def test_certified_design_passes(self, plant_cooked, design_cooked,
                                      lifting_cooked):
-        traj = verify.simulate(plant_cooked, design_cooked, lifting_cooked,
-                               np.array([5.0, 5.0]), rtol=1e-8, atol=1e-8)
+        traj = simulate_one(plant_cooked, design_cooked, lifting_cooked,
+                            np.array([5.0, 5.0]), rtol=1e-8, atol=1e-8)
         assert verify.lyapunov_audit(traj).ok
 
     def test_destabilizing_gain_fails(self, plant_cooked, design_cooked,
@@ -310,16 +317,16 @@ class TestLyapunovAudit:
         import dataclasses
 
         flipped = dataclasses.replace(design_cooked, L=-design_cooked.L)
-        traj = verify.simulate(plant_cooked, flipped, lifting_cooked,
-                               np.array([0.1, 0.1]), horizon=5.0,
-                               escape_radius=1e3)
+        traj = simulate_one(plant_cooked, flipped, lifting_cooked,
+                            np.array([0.1, 0.1]), horizon=5.0,
+                            escape_radius=1e3)
         assert not verify.lyapunov_audit(traj).ok
 
     def test_requires_in_roa_start(self, plant_cooked, design_cooked,
                                    lifting_cooked):
-        traj = verify.simulate(plant_cooked, design_cooked, lifting_cooked,
-                               np.array([100.0, 100.0]), horizon=0.1,
-                               escape_radius=1e9)
+        traj = simulate_one(plant_cooked, design_cooked, lifting_cooked,
+                            np.array([100.0, 100.0]), horizon=0.1,
+                            escape_radius=1e9)
         with pytest.raises(ValueError):
             verify.lyapunov_audit(traj)
 
