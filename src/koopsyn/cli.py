@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, controller, edmd, lmi, plants, sdp, uncertainty, verify
-from .lifting import make_lifting, poly, sine
+from .lifting import make_lifting, observable
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -108,6 +109,10 @@ def _theorems(cfg):
     return design, cfg.get("region", {}).get("theorem", design)
 
 
+def _is_number(value, kind):
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def validate_config(cfg):
     for key, value in cfg.items():
         if key not in CONFIG_VALUES and key not in CONFIG_SECTIONS:
@@ -118,6 +123,11 @@ def validate_config(cfg):
             if sub not in CONFIG_SECTIONS[key]:
                 raise ValueError(f"unknown config key '{key}.{sub}'")
     eb = cfg["error_bound"]
+    for key in ("c_r", "delta"):
+        if not _is_number(eb[key], numbers.Real):
+            raise ValueError(f"error_bound.{key} must be a number")
+    if not _is_number(cfg["sampling"]["d"], numbers.Integral):
+        raise ValueError("sampling.d must be an integer")
     if eb["c_r"] <= 0:
         raise ValueError("c_r must be positive")
     if not (0.0 < eb["delta"] < 1.0):
@@ -137,6 +147,7 @@ def validate_config(cfg):
         raise ValueError(f"unknown solver objective '{solver['objective']}' "
                          f"(choose from {', '.join(OBJECTIVES)})")
     bounds.QuadratureSpec(**cfg.get("d0", {}))    # refuses a bad d0 spec
+    _extras(cfg)                                  # refuses an unknown observable
     return cfg
 
 
@@ -171,20 +182,14 @@ def _plant(cfg):
     return plants.make_example(spec["id"], **spec.get("params", {}))
 
 
-def _lifting(cfg, n):
+def _extras(cfg):
+    """The extra observables of ``lifting.extras``, decoded by the catalog."""
     extras = []
     for item in cfg["lifting"]["extras"]:
-        kind = item["kind"]
-        params = item.get("params", {})
-        if kind == "poly":
-            extras.append(poly(params["terms"]))
-        elif kind == "sine":
-            extras.append(sine(params["index"]))
-        elif kind in ("coordinate", "constant"):
+        if item["kind"] in ("coordinate", "constant"):
             raise ValueError("constant and coordinates are implied, not extras")
-        else:
-            raise ValueError(f"unsupported extra observable kind '{kind}'")
-    return make_lifting(n, extras)
+        extras.append(observable(item["kind"], item.get("params", {})))
+    return extras
 
 
 def _sha256(path):
@@ -251,7 +256,7 @@ def cmd_fit(cfg):
     if not meta_path.exists():
         raise FileNotFoundError(f"no sample files in {outdir}; run collect first")
     samples = plants.load_samples(outdir)
-    lifting = _lifting(cfg, samples.batches[0].states.shape[1])
+    lifting = make_lifting(samples.batches[0].states.shape[1], _extras(cfg))
     surrogate, report = _fit(cfg, lifting, samples)
     (outdir / "surrogate.json").write_text(surrogate.to_json() + "\n")
     _write_json(outdir / "fit_report.json",
@@ -267,7 +272,7 @@ def cmd_fit(cfg):
 def cmd_d0(cfg):
     outdir = _outdir(cfg)
     plant = _plant(cfg)
-    lifting = _lifting(cfg, plant.n)
+    lifting = make_lifting(plant.n, _extras(cfg))
     eb = cfg["error_bound"]
     quad = bounds.QuadratureSpec(**cfg.get("d0", {}))
     req = bounds.compute_d0(plant, lifting, eb["c_r"], eb["delta"], quad)
@@ -323,12 +328,13 @@ def _design(cfg, surrogate, region):
             problem = with_objective
     if report is None or report.status != "feasible":
         assignment, report = sdp.solve_problem(problem, options)
+    check = sdp.verify(problem, assignment)
     if report.status != "feasible":
-        name, margin = min(report.block_min_eigs.items(), key=lambda kv: kv[1])
+        name, (eig, req) = min(check.margins.items(),
+                               key=lambda kv: kv[1][0] - kv[1][1])
         raise sdp.InfeasibleError(
             f"design infeasible (status {report.status}); most violated "
-            f"constraint '{name}' with margin {margin:.3e}")
-    check = sdp.verify(problem, assignment)
+            f"constraint '{name}' with margin {eig - req:.3e}")
     if not check.ok:
         raise sdp.VerificationError(
             "solver reported feasible but the independent verifier rejected "
@@ -501,7 +507,8 @@ def cmd_reproduce(figure, outdir):
                    "fig4": "pendulum", "fig5": "pendulum_shaped"}[figure]
         cfg = example_config(example)
         plant = _plant(cfg)
-        surrogate, _ = _fit(cfg, _lifting(cfg, plant.n), _collect(cfg, plant))
+        lifting = make_lifting(plant.n, _extras(cfg))
+        surrogate, _ = _fit(cfg, lifting, _collect(cfg, plant))
         files = _reproduce_designs(figure, outdir, cfg, plant, surrogate)
         p = outdir / f"{figure}_surrogate.json"
         p.write_text(surrogate.to_json() + "\n")

@@ -20,34 +20,17 @@ class DictionaryError(ValueError):
     """Raised when a dictionary violates the required structure."""
 
 
-def _fd_gradient(fn, x, rel_step=1e-6):
-    # central differences, step scaled per coordinate
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for k in range(x.size):
-        h = rel_step * (1.0 + abs(x[k]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h
-        xm[k] -= h
-        g[k] = (fn(xp) - fn(xm)) / (2.0 * h)
-    return g
-
-
 @dataclass(frozen=True)
 class Observable:
     """Scalar observable with value and gradient evaluators.
 
-    ``fn`` maps ``(..., n) -> (...)`` and ``grad`` maps ``(..., n) -> (..., n)``
-    for catalog observables; custom observables may only support single
-    points.
+    ``fn`` maps ``(..., n) -> (...)`` and ``grad`` maps ``(..., n) -> (..., n)``.
     """
 
     kind: str
     params: dict
     fn: Callable
     grad: Callable
-    vectorized: bool = True
 
 
 def constant():
@@ -142,22 +125,13 @@ def cosine_minus_one(index):
                       grad=grad)
 
 
-def custom(fn, grad=None, name="custom"):
-    """Wrap a user closure; gradients fall back to central differences."""
-    if grad is None:
-        grad = lambda x: _fd_gradient(fn, x)  # noqa: E731
-    return Observable(kind=name, params={}, fn=fn, grad=grad, vectorized=False)
-
-
 def evaluate(observables, X, grad=False):
     """Observable k (its gradient when ``grad``) at every row of X (d, n) in
     column k of a new (d, len(observables)) array (d, len(observables), n
-    for gradients): vectorized observables on the whole batch, custom ones
-    row by row."""
+    for gradients)."""
     out = np.empty((len(X), len(observables)) + (X.shape[1:] if grad else ()))
     for k, ob in enumerate(observables):
-        fn = ob.grad if grad else ob.fn
-        out[:, k] = fn(X) if ob.vectorized else [fn(x) for x in X]
+        out[:, k] = (ob.grad if grad else ob.fn)(X)
     return out
 
 
@@ -168,6 +142,14 @@ _CATALOG = {
     "sine": lambda params: sine(params["index"]),
     "cosine_minus_one": lambda params: cosine_minus_one(params["index"]),
 }
+
+
+def observable(kind, params):
+    """The catalog observable ``kind`` with ``params``."""
+    if kind not in _CATALOG:
+        raise ValueError(f"unknown observable kind '{kind}' "
+                         f"(choose from {', '.join(_CATALOG)})")
+    return _CATALOG[kind](params)
 
 
 @dataclass(frozen=True)
@@ -233,7 +215,7 @@ class Lifting:
 
     @staticmethod
     def from_descriptor(desc):
-        obs = tuple(_CATALOG[o["kind"]](o.get("params", {})) for o in desc["observables"])
+        obs = tuple(observable(o["kind"], o.get("params", {})) for o in desc["observables"])
         return Lifting(n=int(desc["n"]), observables=obs)
 
     @staticmethod
@@ -254,19 +236,17 @@ def _validate(L):
     if len(L.observables) < n + 1:
         raise DictionaryError("dictionary must contain the constant and all coordinates")
     rng = np.random.default_rng(0)
-    probes = [np.zeros(n)] + [rng.uniform(-1.0, 1.0, size=n) for _ in range(3)]
-    ob0 = L.observables[0]
-    for x in probes:
-        if abs(float(ob0.fn(x)) - 1.0) > 1e-12 or np.any(np.abs(ob0.grad(x)) > 1e-12):
-            raise DictionaryError("observable 0 must be identically 1")
+    # the origin, then three random states
+    probes = np.vstack([np.zeros(n), rng.uniform(-1.0, 1.0, size=(3, n))])
+    values = evaluate(L.observables, probes)
+    if (np.any(np.abs(values[:, 0] - 1.0) > 1e-12)
+            or np.any(np.abs(L.observables[0].grad(probes)) > 1e-12)):
+        raise DictionaryError("observable 0 must be identically 1")
     for k in range(1, n + 1):
-        ob = L.observables[k]
-        for x in probes:
-            if abs(float(ob.fn(x)) - x[k - 1]) > 1e-12:
-                raise DictionaryError(f"observable {k} must be the coordinate map x_{k}")
-    origin = np.zeros(n)
+        if np.any(np.abs(values[:, k] - probes[:, k - 1]) > 1e-12):
+            raise DictionaryError(f"observable {k} must be the coordinate map x_{k}")
     for k in range(n + 1, len(L.observables)):
-        v = float(L.observables[k].fn(origin))
+        v = float(values[0, k])
         if not np.isfinite(v) or abs(v) > 1e-12:
             raise DictionaryError(f"observable {k} must vanish at the origin (got {v})")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matops import block, smat, svec, sym, sym_basis, sym_dim
+from .matops import block, smat, svec, sym, sym_dim
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,7 @@ class VariableSpec:
         return np.zeros(self.shape)
 
     def basis(self):
-        if self.kind == "sym":
-            return sym_basis(self.shape[0])
-        if self.kind == "full":
-            return list(np.eye(self.ncomp).reshape(self.ncomp, *self.shape))
-        return [1.0]
+        return [self.from_components(e) for e in np.eye(self.ncomp)]
 
     def components(self, value):
         if self.kind == "sym":
@@ -126,12 +122,6 @@ class SynthesisProblem:
         for v in self.variables:
             if v.name == name:
                 return v
-        raise KeyError(name)
-
-    def constraint(self, name):
-        for c in self.constraints:
-            if c.name == name:
-                return c
         raise KeyError(name)
 
     def manifest(self):

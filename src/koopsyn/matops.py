@@ -56,21 +56,6 @@ def sym_dim(n):
     return n * (n + 1) // 2
 
 
-def sym_basis(n):
-    """Orthonormal (Frobenius) basis of symmetric n x n matrices, ordered
-    consistently with :func:`svec`."""
-    basis = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        basis.append(E)
-        for j in range(i + 1, n):
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = 1.0 / _SQRT2
-            basis.append(E)
-    return basis
-
-
 def block(rows):
     """Assemble a dense matrix from a nested list of blocks (np.block with
     float conversion)."""

@@ -89,7 +89,6 @@ class SolveReport:
     #                               numerical_failure | iteration_limit
     assignment: dict
     z: np.ndarray
-    block_min_eigs: dict
     iterations: int
     wall_time: float
     diagnostics: dict = field(default_factory=dict)
@@ -144,13 +143,9 @@ def solve(program, options=None):
     if status == "optimal":
         status = ("feasible" if not feasibility or t_star > 0.0
                   else "infeasible_certificate")
-    mineigs = {}
-    for name, F0, Fi, margin in program.blocks:
-        val = F0 + np.tensordot(z, Fi, axes=1) + margin * np.eye(F0.shape[0])
-        mineigs[name] = float(np.linalg.eigvalsh(0.5 * (val + val.T))[0])
     return SolveReport(status=status, assignment=program.split(z), z=z,
-                       block_min_eigs=mineigs, iterations=res.iterations,
-                       wall_time=wall, diagnostics=info)
+                       iterations=res.iterations, wall_time=wall,
+                       diagnostics=info)
 
 
 def solve_problem(problem, options=None):

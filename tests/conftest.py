@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from koopsyn import bounds, cli, controller, edmd, lmi, plants, sdp, uncertainty
-from koopsyn.lifting import make_lifting, poly, sine
+from koopsyn.lifting import Observable, make_lifting, poly, sine
 
 EXACT_A = np.array([[-2.0, 0.0, 0.0], [0.0, -4.0, 5.0], [0.0, 0.0, 1.0]])
 EXACT_B0 = np.array([[0.0], [1.0], [1.0]])
@@ -115,13 +115,26 @@ def theorem1_stability_reference(surrogate, region):
     return lmi.AffineMatrixExpr.from_function(stability, variables)
 
 
+def outside_catalog(fn, grad=None):
+    """An observable the catalog does not hold: ``fn`` and ``grad`` map
+    states (..., n) to values (...) and gradients (..., n); the gradient is
+    zero unless given."""
+    return Observable(kind="outside_catalog", params={}, fn=fn,
+                      grad=grad or (lambda X: np.zeros(np.shape(X))))
+
+
+def constraint(problem, name):
+    """The constraint of ``problem`` called ``name``."""
+    return next(c for c in problem.constraints if c.name == name)
+
+
 def matches_theorem1_reference(surrogate, region):
     """True when the stability expressions of both builders equal the
     reference entry for entry (theorem 2's ``Lam`` standing for ``lam``;
     its ``Lw`` coefficients have no counterpart)."""
     ref = theorem1_stability_reference(surrogate, region)
-    e1 = lmi.build_theorem1(surrogate, region).constraint("stability").expr
-    e2 = lmi.build_theorem2(surrogate, region).constraint("stability").expr
+    e1 = constraint(lmi.build_theorem1(surrogate, region), "stability").expr
+    e2 = constraint(lmi.build_theorem2(surrogate, region), "stability").expr
     rename = {"lam": "Lam"}
     return (np.array_equal(ref.constant, e1.constant)
             and np.array_equal(ref.constant, e2.constant)

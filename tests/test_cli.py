@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,54 @@ class TestConfig:
         cfg["solver"].update(t_cap=1.0, backend="ipm")
         assert cli.validate_config(cfg) is cfg
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("error_bound", "c_r", "0.1", "error_bound.c_r must be a number"),
+        ("error_bound", "delta", True, "error_bound.delta must be a number"),
+        ("sampling", "d", "500", "sampling.d must be an integer"),
+        ("sampling", "d", 500.0, "sampling.d must be an integer"),
+        ("sampling", "d", True, "sampling.d must be an integer"),
+    ], ids=["c_r-string", "delta-bool", "d-string", "d-float", "d-bool"])
+    def test_non_numeric_value_rejected(self, tmp_path, capsys, section, key,
+                                        value, message):
+        cfg = cli.example_config("cooked_up")
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg[section][key] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["collect", "--config", str(path)]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_observable_kind_rejected(self, tmp_path, capsys):
+        cfg = cli.example_config("cooked_up")
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["lifting"]["extras"].append({"kind": "tanh", "params": {"index": 0}})
+        path = tmp_path / "tanh.json"
+        path.write_text(json.dumps(cfg))
+        for cmd in ("collect", "fit", "d0", "design", "verify"):
+            assert cli.main([cmd, "--config", str(path)]) == cli.EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: unknown observable kind 'tanh'")
+            assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_cosine_minus_one_extra(self, tmp_path):
+        cfg = cli.example_config("pendulum")
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["lifting"]["extras"].append(
+            {"kind": "cosine_minus_one", "params": {"index": 0}})
+        cfg["d0"] = {"points_per_axis": 21}
+        path = tmp_path / "cos.json"
+        path.write_text(json.dumps(cfg))
+        for cmd in ("collect", "fit", "d0"):
+            assert cli.main([cmd, "--config", str(path), "--d", "200"]) == 0, cmd
+        desc = json.loads((tmp_path / "out" / "surrogate.json").read_text())["lifting"]
+        assert desc["observables"][-1] == {"kind": "cosine_minus_one",
+                                           "params": {"index": 0}}
+
     def test_env_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KOOPSYN_OUT", str(tmp_path))
         rc = cli.main(["collect", "--example", "cooked_up", "--out", "sub",
@@ -172,15 +221,23 @@ class TestFitAndDesign:
         K = np.asarray(design["K"]["data"]).reshape(design["K"]["shape"])
         assert abs(K[0, 0]) < 0.05
 
-    def test_infeasible_exit_code(self, tmp_path):
+    def test_infeasible_exit_code(self, tmp_path, capsys):
         out = str(tmp_path)
         assert cli.main(["collect", "--example", "cooked_up", "--out", out,
                          "--d", "200"]) == 0
         assert cli.main(["fit", "--example", "cooked_up", "--out", out,
                          "--d", "200", "--c-r", "10.0"]) == 0
+        capsys.readouterr()
         rc = cli.main(["design", "--example", "cooked_up", "--out", out,
                        "--d", "200", "--c-r", "10.0"])
         assert rc == cli.EXIT_INFEASIBLE
+        # the named constraint misses its required margin by the most, which
+        # need not be the one with the smallest eigenvalue
+        err = capsys.readouterr().err
+        found = re.fullmatch(r"error: design infeasible \(status \w+\); most "
+                             r"violated constraint '(\w+)' with margin (\S+)\n",
+                             err)
+        assert found and found[1] == "stability" and float(found[2]) < 0.0
 
     def test_missing_backend_exit_code(self, tmp_path, monkeypatch, capsys):
         # Asking for cvxopt on the command line is still bad input, not a

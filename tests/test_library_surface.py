@@ -3,7 +3,10 @@
 Every public module-level function or class of ``src/koopsyn``, and every
 public method of such a class, must be named somewhere in ``src/koopsyn``
 outside its own definition, or in ``perfbench/*.py``.  A name that only the
-tests use belongs in the tests.
+tests use belongs in the tests.  Names are identifiers: names, attributes
+and imported names, plus, in ``perfbench/*.py``, the words of string
+literals, because the benchmark's tracer lists its targets as strings.
+Docstrings and comments name nothing.
 """
 
 import ast
@@ -36,23 +39,38 @@ def _public_definitions(tree):
                     yield f"{node.name}.{sub.name}", sub
 
 
-def _words(text):
-    return Counter(re.findall(r"\w+", text))
+def _identifiers(node, strings=False):
+    """Count of every identifier under ``node``; with ``strings``, also of
+    every word of its string literals other than docstrings."""
+    docstrings = {id(sub.value) for sub in ast.walk(node)
+                  if isinstance(sub, ast.Expr) and isinstance(sub.value, ast.Constant)}
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names.update(sub.name.split("."))
+        elif (strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and id(sub) not in docstrings):
+            names.update(re.findall(r"\w+", sub.value))
+    return names
 
 
 def unnamed_definitions():
-    sources = {p: p.read_text()
-               for p in sorted((ROOT / "src" / "koopsyn").glob("*.py"))}
-    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    words = _words("\n".join(bench + list(sources.values())))
+    trees = {p: ast.parse(p.read_text())
+             for p in sorted((ROOT / "src" / "koopsyn").glob("*.py"))}
+    names = Counter()
+    for tree in trees.values():
+        names += _identifiers(tree)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        names += _identifiers(ast.parse(path.read_text()), strings=True)
     unnamed = []
-    for path, text in sources.items():
-        lines = text.splitlines()
-        for qualname, node in _public_definitions(ast.parse(text)):
+    for path, tree in trees.items():
+        for qualname, node in _public_definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            own = _words("\n".join(lines[first - 1:node.end_lineno]))
-            if words[name] == own[name]:
+            if names[name] == _identifiers(node)[name]:
                 unnamed.append(f"{path.stem}.{qualname}")
     return unnamed
 

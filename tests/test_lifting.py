@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopsyn.lifting import (DictionaryError, Lifting, cosine_minus_one, custom,
-                             make_lifting, poly, sine)
+from koopsyn.lifting import (DictionaryError, Lifting, cosine_minus_one, make_lifting,
+                             observable, poly, sine)
+
+from conftest import outside_catalog
 
 
 def pendulum_lifting():
@@ -31,8 +33,8 @@ class TestLift:
             lifting_cooked.lift(np.zeros(3))
 
     def test_nonfinite_rejected(self):
-        L = make_lifting(1, [custom(lambda x: float(x[0]) if x[0] > -0.5
-                                    else float("nan"))])
+        L = make_lifting(1, [outside_catalog(
+            lambda X: np.where(X[..., 0] > -0.5, X[..., 0], np.nan))])
         with pytest.raises(ValueError):
             L.lift(np.array([-1.0]))
 
@@ -87,22 +89,17 @@ class TestGradient:
                 scale = max(1.0, np.linalg.norm(G[k]))
                 assert np.linalg.norm(G[k] - fd) <= 1e-6 * scale
 
-    def test_custom_fd_fallback(self):
-        L = make_lifting(1, [custom(lambda x: float(np.tanh(x[0])))])
-        G = L.gradient_many(np.array([[0.3]]))[0]
-        assert abs(G[2, 0] - (1 - np.tanh(0.3) ** 2)) < 1e-8
-
 
 class TestValidation:
     def test_rejects_nonvanishing_extra(self):
         with pytest.raises(DictionaryError):
-            make_lifting(1, [custom(lambda x: float(np.cos(x[0])))])
+            make_lifting(1, [outside_catalog(lambda X: np.cos(X[..., 0]))])
 
     def test_replace_revalidates(self):
         # a copy is checked like a new dictionary: an extra observable that
         # does not vanish at the origin is refused either way
         L = make_lifting(1)
-        cos = custom(lambda x: float(np.cos(x[0])))
+        cos = outside_catalog(lambda X: np.cos(X[..., 0]))
         with pytest.raises(DictionaryError):
             dataclasses.replace(L, observables=L.observables + (cos,))
 
@@ -125,7 +122,15 @@ class TestSerialization:
         x = np.array([0.7, -1.3])
         np.testing.assert_array_equal(L2.lift(x), lifting_cooked_xy.lift(x))
 
+    def test_observable_decodes_the_catalog(self):
+        X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(7, 2))
+        ob = observable("cosine_minus_one", {"index": 1})
+        np.testing.assert_array_equal(ob.fn(X), cosine_minus_one(1).fn(X))
+        np.testing.assert_array_equal(ob.grad(X), cosine_minus_one(1).grad(X))
+        with pytest.raises(ValueError, match="unknown observable kind 'tanh'"):
+            observable("tanh", {"index": 0})
+
     def test_custom_not_serializable(self):
-        L = make_lifting(1, [custom(lambda x: float(x[0] ** 3))])
+        L = make_lifting(1, [outside_catalog(lambda X: X[..., 0] ** 3)])
         with pytest.raises(ValueError):
             L.descriptor()

@@ -7,7 +7,8 @@ from koopsyn import controller, lmi, uncertainty
 from koopsyn.edmd import Surrogate
 from koopsyn.lifting import make_lifting, poly
 
-from conftest import EXACT_A, EXACT_B0, matches_theorem1_reference, solve_design
+from conftest import (EXACT_A, EXACT_B0, constraint, matches_theorem1_reference,
+                      solve_design)
 
 
 @pytest.fixture(scope="module")
@@ -86,16 +87,16 @@ class TestTheorem1:
         s, reg = stressed_pair
         prob = lmi.build_theorem1(s, reg)
         N = s.N
-        assert prob.constraint("stability").expr.dim == 3 * N + 2
-        assert prob.constraint("invariance").expr.dim == 2 * N + 2
+        assert constraint(prob, "stability").expr.dim == 3 * N + 2
+        assert constraint(prob, "invariance").expr.dim == 2 * N + 2
 
     def test_zero_assignment_values(self, stressed_pair):
         s, reg = stressed_pair
         prob = lmi.build_theorem1(s, reg)
-        val, me = lmi.evaluate(prob.constraint("stability"),
+        val, me = lmi.evaluate(constraint(prob, "stability"),
                                zero_assignment(prob), prob.variables)
         assert np.max(np.abs(val)) == 0.0 and me == 0.0
-        vali, mei = lmi.evaluate(prob.constraint("invariance"),
+        vali, mei = lmi.evaluate(constraint(prob, "invariance"),
                                  zero_assignment(prob), prob.variables)
         assert mei == pytest.approx(0.0, abs=1e-15)
         assert np.count_nonzero(vali) == 1 and vali[-1, -1] == 1.0
@@ -117,7 +118,7 @@ class TestTheorem2:
         s, reg = stressed_pair
         prob = lmi.build_theorem2(s, reg)
         N, m = s.N, s.m
-        assert prob.constraint("stability").expr.dim == 2 * N + 2 * m + N * m
+        assert constraint(prob, "stability").expr.dim == 2 * N + 2 * m + N * m
 
     def test_shaped_pendulum_design_uses_scheduling(self,
                                                     design_pendulum_shaped_thm2):
@@ -131,7 +132,7 @@ class TestTheorem2:
                       B=tuple(rng.normal(size=(N, N)) for _ in range(m)), c_r=0.5)
         reg = uncertainty.identity_region(N, 4.0)
         prob = lmi.build_theorem2(s, reg)
-        assert prob.constraint("stability").expr.dim == 2 * N + 2 * m + N * m
+        assert constraint(prob, "stability").expr.dim == 2 * N + 2 * m + N * m
         assert prob.variable("Lw").shape == (m, N * m)
 
     def test_reduces_to_theorem1(self, stressed_pair):
@@ -167,7 +168,7 @@ class TestEvaluate:
         s, reg = stressed_pair
         prob = lmi.build_theorem1(s, reg)
         with pytest.raises(KeyError):
-            lmi.evaluate(prob.constraint("stability"), {"P": np.eye(3)},
+            lmi.evaluate(constraint(prob, "stability"), {"P": np.eye(3)},
                          prob.variables)
 
 
@@ -184,7 +185,7 @@ class TestProblemSurgery:
     def test_trace_cap(self, stressed_pair):
         s, reg = stressed_pair
         prob = lmi.add_trace_cap(lmi.build_theorem1(s, reg), "P", 30.0)
-        con = prob.constraint("trace_cap_P")
+        con = constraint(prob, "trace_cap_P")
         val, _ = lmi.evaluate(con, {**zero_assignment(prob), "P": 4.0 * np.eye(3)},
                               prob.variables)
         assert val[0, 0] == pytest.approx(30.0 - 12.0)

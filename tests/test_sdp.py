@@ -5,7 +5,7 @@ from koopsyn import lmi, sdp
 from koopsyn.lmi import AffineMatrixExpr, Constraint, SynthesisProblem, VariableSpec
 from koopsyn.matops import smat, svec
 
-from conftest import solve_design
+from conftest import constraint, solve_design
 
 def scalar_problem(*exprs_and_margins, objective=None):
     v = (VariableSpec("p", "scalar", ()),)
@@ -45,7 +45,7 @@ class TestLower:
             assignment = program.split(z)
             for (name, F0, Fi, margin), cname in zip(program.blocks, names):
                 direct = F0 + np.tensordot(z, Fi, axes=1) + margin * np.eye(F0.shape[0])
-                via_expr, _ = lmi.evaluate(prob.constraint(cname), assignment,
+                via_expr, _ = lmi.evaluate(constraint(prob, cname), assignment,
                                            prob.variables)
                 scale = max(1.0, np.max(np.abs(direct)))
                 assert np.max(np.abs(direct - via_expr)) <= 1e-12 * scale
@@ -102,8 +102,9 @@ class TestSolve:
     def test_feasible_reports_nonnegative_block_eigs(self, surrogate_fitted,
                                                      region_cooked):
         prob = lmi.build_theorem1(surrogate_fitted, region_cooked)
-        _, rep = sdp.solve_problem(prob)
-        assert all(v >= -1e-7 for v in rep.block_min_eigs.values())
+        assignment, _ = sdp.solve_problem(prob)
+        margins = sdp.verify(prob, assignment).margins
+        assert all(eig >= -1e-7 for eig, _ in margins.values())
 
 
 class TestVerify:

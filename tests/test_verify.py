@@ -9,7 +9,9 @@ from scipy.linalg import solve_continuous_are
 
 from koopsyn import cli, edmd, plants, verify
 from koopsyn.controller import ClosedLoop, DesignResult, FeedbackSingularError
-from koopsyn.lifting import custom, make_lifting
+from koopsyn.lifting import make_lifting
+
+from conftest import outside_catalog
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +122,8 @@ class TestSimulate:
     def test_non_finite_lift_is_numerical_failure(self, scalar_plant):
         # an observable that is NaN on (0, 0.5): x(t) = exp(-t) reaches it
         # at t = ln 2, where the run ends with a reason rather than an error
-        hole = custom(lambda x: np.nan if 0.0 < x[0] < 0.5 else 0.0)
+        hole = outside_catalog(
+            lambda X: np.where((0.0 < X[..., 0]) & (X[..., 0] < 0.5), np.nan, 0.0))
         L = make_lifting(1, [hole])
         traj = simulate_one(scalar_plant, zero_design(2), L, np.array([1.0]))
         assert traj.reason == "numerical_failure"
@@ -274,8 +277,10 @@ class TestSimulateMany:
         # u = K z = hole(x) is NaN on (3, 4), which the escaping start 1.5
         # crosses; W = 1 - plateau(x) is 0 on (-0.8, -0.7), which the
         # converging start -0.9 crosses
-        hole = custom(lambda x: np.nan if 3.0 < x[0] < 4.0 else 0.0)
-        plateau = custom(lambda x: 1.0 if -0.8 < x[0] < -0.7 else 0.0)
+        hole = outside_catalog(
+            lambda X: np.where((3.0 < X[..., 0]) & (X[..., 0] < 4.0), np.nan, 0.0))
+        plateau = outside_catalog(
+            lambda X: np.where((-0.8 < X[..., 0]) & (X[..., 0] < -0.7), 1.0, 0.0))
         lifting = make_lifting(1, [hole, plateau])
         design = DesignResult(theorem=2, P=np.eye(3),
                               L=np.array([[0.0, 1.0, 0.0]]), tau=1.0, nu=1.0,
