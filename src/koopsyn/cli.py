@@ -23,6 +23,7 @@ import numpy as np
 
 from . import bounds, controller, edmd, lmi, plants, sdp, uncertainty, verify
 from .lifting import make_lifting, observable
+from .matops import write_table
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -147,8 +148,23 @@ def validate_config(cfg):
         raise ValueError(f"unknown solver objective '{solver['objective']}' "
                          f"(choose from {', '.join(OBJECTIVES)})")
     bounds.QuadratureSpec(**cfg.get("d0", {}))    # refuses a bad d0 spec
-    _extras(cfg)                                  # refuses an unknown observable
+    n = _plant(cfg).n                             # refuses an unknown plant
+    for ob in _extras(cfg):                       # refuses an unknown observable
+        _check_dimension(ob, n)
     return cfg
+
+
+def _check_dimension(ob, n):
+    """Refuse an extra observable that reads a coordinate outside the n
+    plant states: an index outside 0..n-1 (numpy would wrap a negative one)
+    or a polynomial exponent list whose length is not n."""
+    if "index" in ob.params and not 0 <= ob.params["index"] < n:
+        raise ValueError(f"observable '{ob.kind}' index {ob.params['index']} "
+                         f"is outside 0..{n - 1} (the plant has {n} states)")
+    for _, exps in ob.params.get("terms", ()):
+        if len(exps) != n:
+            raise ValueError(f"observable '{ob.kind}' exponent list {exps} has "
+                             f"length {len(exps)}, but the plant has {n} states")
 
 
 def load_config(path=None, example=None, overrides=None):
@@ -376,15 +392,21 @@ def cmd_design(cfg):
 
 def _lqr_grid(plant, surrogate, starts, weights, horizon, rtol):
     """CARE/LQR baseline with R = w I for each weight, simulated from every
-    start (one batch per weight).  Returns the report entry of each weight
-    and its trajectories."""
+    start in one batch over all (weight, start) rows, each row under its
+    weight's gain.  Returns the report entry of each weight and its
+    trajectories."""
+    if not weights:
+        return [], []
+    X0 = np.reshape(starts, (-1, plant.n))
+    solved = [verify.lqr_baseline(surrogate, R=w * np.eye(surrogate.m))
+              for w in weights]
+    gains = np.repeat(np.array([K_lqr for K_lqr, _, _ in solved]), len(X0), axis=0)
+    runs_all = verify.simulate_many(
+        plant, verify.lqr_loop(surrogate.lifting, gains),
+        np.tile(X0, (len(weights), 1)), horizon=horizon, rtol=rtol, atol=rtol)
     entries, trajectories = [], []
-    for w in weights:
-        K_lqr, _, info = verify.lqr_baseline(surrogate, R=w * np.eye(surrogate.m))
-        trajs = verify.simulate_many(
-            plant, verify.lqr_loop(surrogate.lifting, K_lqr),
-            np.reshape(starts, (-1, plant.n)), horizon=horizon, rtol=rtol,
-            atol=rtol)
+    for j, (w, (K_lqr, _, info)) in enumerate(zip(weights, solved)):
+        trajs = runs_all[j * len(X0):(j + 1) * len(X0)]
         runs = [{"x0": np.asarray(x0).tolist(), "reason": traj.reason,
                  "final_norm": float(np.linalg.norm(traj.final_state))}
                 for x0, traj in zip(starts, trajs)]
@@ -474,7 +496,7 @@ def _fig1(outdir):
     for name, pts in (("parabola", parabola), ("circle", circle),
                       ("ellipse", ellipse)):
         path = outdir / f"fig1_{name}.dat"
-        np.savetxt(path, pts, fmt="%.17g")
+        write_table(path, pts)
         files.append(path)
     return files
 

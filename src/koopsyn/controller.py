@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lifting import evaluate
-from .matops import decode_matrix, encode_matrix, quadratic_rows, sym
+from .matops import decode_matrix, encode_matrix, quadratic_rows, sym, write_table
 
 COND_LIMIT = 1e12           # scheduling-matrix refusal limit, see _singular
 
@@ -110,6 +110,10 @@ class ClosedLoop:
     as ``matops.quadratic_rows`` does, so that a row's values do not depend
     on its batch; the single-state methods are one-row calls of them on the
     checked lift.
+
+    ``K`` is one gain (m, N) or a linear gain stack (d, m, N), one gain per
+    row of a batch of starts; the batch methods then take the stack index of
+    each lift, and each product of a row is the one its single gain makes.
     """
 
     def __init__(self, lifting, K, Kw=None, P_inv=None):
@@ -117,12 +121,16 @@ class ClosedLoop:
         self.K = np.atleast_2d(K)
         self.P_inv = P_inv
         self._observables = lifting.observables[1:]
-        m, N = self.K.shape
+        m, N = self.K.shape[-2:]
+        scheduled = Kw is not None and np.any(Kw)
+        if scheduled and self.K.ndim == 3:
+            raise ValueError("a gain stack takes no scheduling gain Kw")
         # (m, m, N): column k holds the coefficients of z_k in Kw (I_m kron z)
-        self._Kw = None if Kw is None or not np.any(Kw) else Kw.reshape(m, m, N)
+        self._Kw = Kw.reshape(m, m, N) if scheduled else None
         self._eye = np.eye(m)
-        # per-observable coefficients of the fixed-order sums over z
-        self._K_cols = [self.K[:, k].copy() for k in range(N)]
+        # per-observable coefficients of the fixed-order sums over z: (m,),
+        # or (d, m) for a gain stack
+        self._K_cols = [self.K[..., k].copy() for k in range(N)]
         if self._Kw is not None:
             self._Kw_cols = [self._Kw[:, :, k].copy() for k in range(N)]
 
@@ -149,13 +157,18 @@ class ClosedLoop:
         u or V, which the caller handles."""
         return evaluate(self._observables, X)
 
-    def feedback_of_lifts(self, Z):
+    def feedback_of_lifts(self, Z, rows=None):
         """u at every row of Z (d, N), and a flag per row that is set where
         the scheduling matrix is singular; such rows get u = NaN instead of
-        an exception."""
-        U = Z[:, :1] * self._K_cols[0]
+        an exception.  ``rows`` gives the gain-stack index of each row of Z
+        (default 0, 1, ...); a single gain ignores it."""
+        K_cols = self._K_cols
+        if self.K.ndim == 3:
+            rows = np.arange(len(Z)) if rows is None else rows
+            K_cols = [c[rows] for c in K_cols]
+        U = Z[:, :1] * K_cols[0]
         for k in range(1, Z.shape[1]):
-            U = U + Z[:, k, None] * self._K_cols[k]
+            U = U + Z[:, k, None] * K_cols[k]
         singular = np.zeros(len(Z), dtype=bool)
         if self._Kw is None:
             return U, singular
@@ -300,4 +313,4 @@ def polygon_area(points):
 
 def export_boundary_dat(boundary, path):
     """Two whitespace-separated columns (x1 x2), one row per vertex."""
-    np.savetxt(path, boundary.points, fmt="%.17g")
+    write_table(path, boundary.points)

@@ -62,6 +62,20 @@ def block(rows):
     return np.block([[np.asarray(b, dtype=float) for b in row] for row in rows])
 
 
+def write_table(path, M, fmt="%.17g", delimiter=" ", newline="\n", header=None):
+    """Write the rows of the 2-D array M as text, ``fmt`` per entry, in one
+    formatting pass over the whole table; ``header`` (column names) goes on
+    the first line.  The defaults give the bytes of
+    ``np.savetxt(path, M, fmt="%.17g")``."""
+    M = np.asarray(M, dtype=float)
+    row = delimiter.join([fmt] * M.shape[1]) + newline
+    text = (row * len(M)) % tuple(M.ravel().tolist())
+    if header is not None:
+        text = delimiter.join(header) + newline + text
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 def encode_matrix(M):
     """JSON form ``{"shape", "data"}`` of an array (``None`` stays ``None``);
     vectors and scalars are stored as 2-D rows."""

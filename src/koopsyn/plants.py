@@ -6,13 +6,14 @@ closed-loop simulation; the synthesis path itself only ever sees samples.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+from .matops import write_table
 
 
 @dataclass(frozen=True)
@@ -213,11 +214,10 @@ def save_samples(samples, outdir, plant=None):
     files = []
     for k, b in enumerate(samples.batches):
         path = outdir / f"samples_u{k}.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for x, xd in zip(b.states, b.derivs):
-                w.writerow([repr(float(v)) for v in x] + [repr(float(v)) for v in xd])
+        # the rows of a csv.writer over repr(float): a float's repr needs no
+        # quoting
+        write_table(path, np.hstack([b.states, b.derivs]), fmt="%r",
+                    delimiter=",", newline="\r\n", header=header)
         files.append(path.name)
     meta = {
         "seed": samples.seed,

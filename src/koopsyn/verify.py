@@ -8,7 +8,7 @@ import numpy as np
 from scipy.linalg import schur, solve_continuous_lyapunov
 
 from . import controller
-from .matops import sym
+from .matops import sym, write_table
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class _PointwiseLoop:
     def lift_many(self, X):
         return X
 
-    def feedback_of_lifts(self, X):
+    def feedback_of_lifts(self, X, rows=None):
         U = np.empty((len(X), self.m))
         singular = np.zeros(len(X), dtype=bool)
         for i, x in enumerate(X):
@@ -119,7 +119,9 @@ def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
     ``X0`` (d, n); returns one :class:`Trajectory` per row.
 
     ``loop`` is a ``controller.ClosedLoop`` (or offers its ``lift_many``,
-    ``feedback_of_lifts`` and ``value_of_lifts``).  All starts advance
+    ``feedback_of_lifts`` and ``value_of_lifts``); ``feedback_of_lifts``
+    receives the start index of each row, which selects the row's gain in a
+    gain stack.  All starts advance
     together as one (d, n) array with an explicit Dormand-Prince 4(5) pair,
     each row under the step control of scipy's ``RK45``: its initial-step
     rule, RMS error norm, safety factor 0.9, step factors in [0.2, 10] with
@@ -159,8 +161,8 @@ def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
     sqrt_n = n ** 0.5
     code = np.zeros(d, dtype=np.int8)      # index into _REASONS; 0 = running
 
-    def rhs(X):
-        U, singular = loop.feedback_of_lifts(loop.lift_many(X))
+    def rhs(X, rows):
+        U, singular = loop.feedback_of_lifts(loop.lift_many(X), rows)
         return plant.vector_field(X, U), singular
 
     def rms(X):
@@ -168,7 +170,7 @@ def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
 
     # accepted states as (row, t, x) blocks, in time order per row
     rec_rows, rec_t, rec_x = [np.arange(d)], [np.zeros(d)], [X0]
-    f, singular = rhs(X0)
+    f, singular = rhs(X0, np.arange(d))
     # from a non-finite start derivative the initial-step rule gives NaN
     at_start = ~singular & ~np.all(np.isfinite(f), axis=1)
     code[at_start] = _FAILURE
@@ -181,7 +183,7 @@ def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
         d0, d1 = rms(y / scale), rms(f / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, t_bound)
-        f1, singular = rhs(y + h0[:, None] * f)
+        f1, singular = rhs(y + h0[:, None] * f, live)
         d2 = rms((f1 - f) / scale) / h0
         # fmax skips a NaN d2 (non-finite f1), as Python's max does in RK45
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
@@ -209,11 +211,11 @@ def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
             K = [f]
             singular = np.zeros(live.size, dtype=bool)
             for a in _A[1:]:
-                k, flag = rhs(y + _combine(K, a) * h)
+                k, flag = rhs(y + _combine(K, a) * h, live)
                 K.append(k)
                 singular |= flag
             y_new = y + h * _combine(K, _B)
-            f_new, flag = rhs(y_new)
+            f_new, flag = rhs(y_new, live)
             K.append(f_new)
             singular |= flag
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -335,7 +337,7 @@ def _trajectories(loop, X0, reasons, stopped, rec_rows, rec_t, rec_x):
     rows = rows[order]
     T, S = np.concatenate(rec_t)[order], np.concatenate(rec_x)[order]
     Z = loop.lift_many(S)
-    U, _ = loop.feedback_of_lifts(Z)
+    U, _ = loop.feedback_of_lifts(Z, rows)
     V = loop.value_of_lifts(Z)
     bounds = np.searchsorted(rows, np.arange(len(X0) + 1))
     out = []
@@ -444,13 +446,14 @@ def lqr_baseline(surrogate, Q=None, R=None):
     return K, P, info
 
 
-def lqr_loop(lifting, K_lqr):
-    """Closed loop of u = -K_lqr * reduced lift, for simulate_many; it
-    carries no certificate."""
-    return controller.ClosedLoop(lifting, -np.atleast_2d(K_lqr))
+def lqr_loop(lifting, gains):
+    """Closed loop of u = -K_lqr * reduced lift, for simulate_many, with
+    one regulator gain K_lqr (m, N) or a stack of them (d, m, N), one per
+    start row; it carries no certificate."""
+    return controller.ClosedLoop(lifting, -np.atleast_2d(gains))
 
 
 def export_trajectory_dat(traj, path):
     """Whitespace-separated columns (t, x_1..x_n, u_1..u_m, V)."""
     cols = [traj.t[:, None], traj.states, traj.inputs, traj.V[:, None]]
-    np.savetxt(path, np.hstack(cols), fmt="%.17g")
+    write_table(path, np.hstack(cols))

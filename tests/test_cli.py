@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopsyn import cli, controller, edmd, sdp
+from koopsyn import cli, controller, edmd, sdp, verify
 
 
 def run_pipeline(tmp_path, example="cooked_up", d=400, extra=()):
@@ -141,6 +141,29 @@ class TestConfig:
             assert captured.out == ""
             assert captured.err.startswith("error: unknown observable kind 'tanh'")
             assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"kind": "sine", "params": {"index": 5}},
+         "observable 'sine' index 5 is outside 0..1 (the plant has 2 states)"),
+        ({"kind": "sine", "params": {"index": -1}},
+         "observable 'sine' index -1 is outside 0..1 (the plant has 2 states)"),
+        ({"kind": "poly", "params": {"terms": [[1.0, [1, 0, 2]]]}},
+         "observable 'poly' exponent list [1, 0, 2] has length 3, but the "
+         "plant has 2 states"),
+    ], ids=["index-5", "index-negative", "poly-3-exponents"])
+    def test_observable_outside_state_dimension_rejected(self, tmp_path, capsys,
+                                                         extra, message):
+        cfg = cli.example_config("pendulum")
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["lifting"]["extras"] = [extra]
+        path = tmp_path / "dimension.json"
+        path.write_text(json.dumps(cfg))
+        for cmd in ("collect", "fit"):
+            assert cli.main([cmd, "--config", str(path)]) == cli.EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_cosine_minus_one_extra(self, tmp_path):
@@ -419,6 +442,42 @@ class TestVerifyCommand:
         entry = rep["lqr_grid"][0]
         assert entry["care_relative_residual"] <= 1e-8
         assert len(entry["trajectories"]) == 3
+
+
+def test_lqr_grid_one_batch_equals_one_batch_per_weight(
+        monkeypatch, plant_pendulum, surrogate_pendulum):
+    # every (weight, start) row integrates in one batch under its own gain;
+    # each weight's rows must be the runs of that weight's gain alone
+    starts = list(np.random.default_rng(4).uniform(-1.5, 1.5, size=(4, 2)))
+    weights = [0.01, 0.1, 1.0, 10.0]
+    batches = []
+    simulate_many = verify.simulate_many
+
+    def counted(*args, **kwargs):
+        batches.append(len(args[2]))
+        return simulate_many(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "simulate_many", counted)
+    entries, grid = cli._lqr_grid(plant_pendulum, surrogate_pendulum, starts,
+                                  weights, horizon=50.0, rtol=1e-8)
+    assert batches == [len(weights) * len(starts)]
+    lifting = surrogate_pendulum.lifting
+    for w, entry, trajs in zip(weights, entries, grid):
+        K_w, _, _ = verify.lqr_baseline(surrogate_pendulum,
+                                        R=w * np.eye(surrogate_pendulum.m))
+        assert entry["K"] == K_w.ravel().tolist()
+        alone = simulate_many(plant_pendulum,
+                              controller.ClosedLoop(lifting, -K_w),
+                              np.array(starts), horizon=50.0, rtol=1e-8,
+                              atol=1e-8)
+        assert len(trajs) == len(alone) == len(starts)
+        for traj, ref in zip(trajs, alone):
+            assert traj.reason == ref.reason
+            for field in ("t", "states", "inputs"):
+                assert getattr(traj, field).tobytes() == \
+                    getattr(ref, field).tobytes(), (w, field)
+    # the weights steer differently, so a shared gain would show
+    assert grid[0][0].states.tobytes() != grid[-1][0].states.tobytes()
 
 
 class TestD0Command:

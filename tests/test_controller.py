@@ -185,6 +185,31 @@ class TestClosedLoop:
             assert np.array_equal(loop.feedback(x), u)
             assert np.linalg.norm(u + K @ z) <= bound * np.linalg.norm(z)
 
+    def test_gain_stack_rows_equal_single_gains(self, lifting_cooked):
+        rng = np.random.default_rng(8)
+        gains = rng.normal(size=(6, 2, 3))
+        Z = lifting_cooked.lift_reduced_many(rng.uniform(-2.0, 2.0, size=(10, 2)))
+        rows = rng.integers(0, 6, size=10)
+        stacked = ClosedLoop(lifting_cooked, gains)
+        U, singular = stacked.feedback_of_lifts(Z, rows)
+        assert U.shape == (10, 2) and not singular.any()
+        for i, row in enumerate(rows):
+            alone, _ = ClosedLoop(lifting_cooked, gains[row]).feedback_of_lifts(
+                Z[i:i + 1])
+            assert U[i].tobytes() == alone[0].tobytes()
+        # without rows, row i of Z takes gain i
+        U, _ = stacked.feedback_of_lifts(Z[:6])
+        for i in range(6):
+            alone, _ = ClosedLoop(lifting_cooked, gains[i]).feedback_of_lifts(
+                Z[i:i + 1])
+            assert U[i].tobytes() == alone[0].tobytes()
+
+    def test_gain_stack_refuses_scheduling(self, lifting_cooked):
+        gains = np.ones((4, 1, 3))
+        with pytest.raises(ValueError, match="gain stack"):
+            ClosedLoop(lifting_cooked, gains, Kw=np.ones((1, 3)))
+        ClosedLoop(lifting_cooked, gains, Kw=np.zeros((1, 3)))
+
 
 class TestDesignResult:
     def test_gain_identities(self, design_pendulum_shaped_thm2):

@@ -30,3 +30,34 @@ def test_tracer_targets_resolve():
     missing = [f"koopsyn.{mod}.{attr}" for mod, attr, *_ in targets
                if not _resolves(mod, attr)]
     assert missing == []
+
+
+def test_traced_collect_counts_saved_bytes(tmp_path):
+    # the traced run wraps save_samples and reads its outdir argument and
+    # the file list it returns
+    tracer_module = _load_tracer()
+    modules = {name: importlib.import_module(f"koopsyn.{name}")
+               for name in tracer_module.LAYERS}
+    originals = {}
+    for mod, attr, *_ in tracer_module.TARGETS:
+        owner = modules[mod]
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        originals[mod, attr] = (owner, leaf, owner.__dict__[leaf])
+    tracer = tracer_module.Tracer()
+    restore = tracer.install(modules)
+    try:
+        rc = modules["cli"].main(["collect", "--example", "cooked_up", "--out",
+                                  str(tmp_path), "--d", "50"])
+    finally:
+        restore()
+    assert rc == 0
+    on_disk = sum((tmp_path / name).stat().st_size for name in
+                  ("samples_u0.csv", "samples_u1.csv", "samples_meta.json"))
+    assert tracer.counts["plants.save_samples.bytes"] == on_disk
+    assert tracer.metrics()["plants.save_samples.bytes"] == on_disk
+    assert tracer.calls["plants.save_samples"] == 1
+    moved = [f"{mod}.{attr}" for (mod, attr), (owner, leaf, raw) in originals.items()
+             if owner.__dict__[leaf] is not raw]
+    assert moved == []

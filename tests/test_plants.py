@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,28 @@ class TestSerialization:
             np.testing.assert_array_equal(back.batch(k).states, ss.batch(k).states)
             np.testing.assert_array_equal(back.batch(k).derivs, ss.batch(k).derivs)
         assert back.noise_bound == 0.01
+
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        # signed zero, the repr switch points to exponent notation, the
+        # smallest subnormal, the largest float and integral floats
+        values = np.array([[-0.0, 1e-05, 1e+16, 5e-324],
+                           [1.7976931348623157e308, 2.0, -3.0, 0.0001],
+                           [1e16 + 2.0, -1.7976931348623157e308, 0.1, -5e-324],
+                           [123456789012345.0, 1e-300, -1e+22, 0.0]])
+        batch = plants.SampleBatch(u_bar=[0.0], states=values[:, :2],
+                                   derivs=values[:, 2:])
+        plants.save_samples(plants.SampleSet(batches=(batch,), seed=0), tmp_path)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["x_1", "x_2", "xdot_1", "xdot_2"])
+        for x, xd in zip(batch.states, batch.derivs):
+            writer.writerow([repr(float(v)) for v in x]
+                            + [repr(float(v)) for v in xd])
+        assert (tmp_path / "samples_u0.csv").read_bytes() == \
+            ref.getvalue().encode("ascii")
+        back = plants.load_samples(tmp_path).batch(0)
+        assert back.states.tobytes() == batch.states.tobytes()
+        assert back.derivs.tobytes() == batch.derivs.tobytes()
 
     def test_rewrite_byte_identical(self, plant_cooked, tmp_path):
         ss = plants.collect_samples(plant_cooked, 20, seed=11)

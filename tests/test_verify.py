@@ -303,6 +303,20 @@ class TestSimulateMany:
             np.testing.assert_array_equal(alone.states, traj.states)
 
 
+def test_export_trajectory_dat_equals_savetxt(tmp_path):
+    t = np.array([0.0, 5e-324, 0.1, 50.0])
+    states = np.array([[-0.0, 1e-05], [1.7976931348623157e308, 2.0],
+                       [np.inf, -np.inf], [1e+16, -3.0]])
+    inputs = np.array([[np.nan], [0.5], [-1e-300], [np.nan]])
+    traj = verify.Trajectory(t=t, states=states, inputs=inputs,
+                             V=np.full(4, np.nan), reason="horizon")
+    verify.export_trajectory_dat(traj, tmp_path / "traj.dat")
+    np.savetxt(tmp_path / "ref.dat", np.column_stack([t, states, inputs, traj.V]),
+               fmt="%.17g")
+    assert (tmp_path / "traj.dat").read_bytes() == \
+        (tmp_path / "ref.dat").read_bytes()
+
+
 class TestLyapunovAudit:
     def test_equilibrium_zero_increase(self, plant_cooked, design_cooked,
                                        lifting_cooked):
