@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -135,6 +136,7 @@ def validate_config(cfg):
         raise ValueError("delta must lie in (0, 1)")
     if cfg["sampling"]["d"] < 1:
         raise ValueError("need at least one sample per batch")
+    _check_settings(cfg)
     design_theorem, pilot_theorem = _theorems(cfg)
     if design_theorem not in (1, 2):
         raise ValueError("theorem must be 1 or 2")
@@ -152,6 +154,38 @@ def validate_config(cfg):
     for ob in _extras(cfg):                       # refuses an unknown observable
         _check_dimension(ob, n)
     return cfg
+
+
+def _check_count(name, value, least):
+    if not _is_number(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}")
+
+
+def _check_real(name, value, zero_ok=False):
+    if not (_is_number(value, numbers.Real) and math.isfinite(value)
+            and (value >= 0 if zero_ok else value > 0)):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be a {sign} finite number")
+
+
+def _check_settings(cfg):
+    """Refuse a sampling, solver or verify setting that a stage would
+    otherwise truncate, ignore, or fail on only after running (a zero rtol
+    integrates without end, a zero n_starts verifies nothing)."""
+    samp, solver, vcfg = cfg["sampling"], cfg.get("solver", {}), cfg.get("verify", {})
+    _check_count("sampling.seed", samp.get("seed", 0), 0)
+    _check_real("sampling.noise_bound", samp.get("noise_bound", 0.0), zero_ok=True)
+    _check_real("solver.tol", solver.get("tol", 1e-8))
+    _check_count("solver.max_iters", solver.get("max_iters", 200), 1)
+    _check_count("verify.n_starts", vcfg.get("n_starts", 20), 1)
+    _check_count("verify.seed", vcfg.get("seed", 123), 0)
+    _check_real("verify.horizon", vcfg.get("horizon", 50.0))
+    _check_real("verify.rtol", vcfg.get("rtol", 1e-8))
+    weights = vcfg.get("lqr_weights", [])
+    if not isinstance(weights, list):
+        raise ValueError("verify.lqr_weights must be a list")
+    for w in weights:
+        _check_real("verify.lqr_weights entry", w)
 
 
 def _check_dimension(ob, n):
@@ -445,11 +479,10 @@ def cmd_verify(cfg):
     lifting = surrogate.lifting
     plant = _plant(cfg)
     vcfg = cfg.get("verify", {})
-    n_starts = int(vcfg.get("n_starts", 20))
-    horizon = float(vcfg.get("horizon", 50.0))
-    rtol = float(vcfg.get("rtol", 1e-8))
-    starts = _certified_starts(design, lifting, n_starts,
-                               int(vcfg.get("seed", 123)))
+    horizon = vcfg.get("horizon", 50.0)
+    rtol = vcfg.get("rtol", 1e-8)
+    starts = _certified_starts(design, lifting, vcfg.get("n_starts", 20),
+                               vcfg.get("seed", 123))
     results = []
     outputs = []
     trajs = verify.simulate_many(plant, controller.ClosedLoop.of(design, lifting),

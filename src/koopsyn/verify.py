@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur, solve_continuous_lyapunov
 
 from . import controller
 from .matops import sym, write_table
@@ -401,6 +400,9 @@ def solve_care(A, B, Q, R):
     solves one Lyapunov equation) until the residual
     ||A'P + PA - PBinv(R)B'P + Q|| is at most ``CARE_RESIDUAL_TOL * ||Q||``.
     """
+    # imported here, so that only a stage that runs the LQR baseline loads it
+    from scipy.linalg import schur, solve_continuous_lyapunov
+
     A = np.asarray(A, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Q = np.asarray(Q, dtype=float)

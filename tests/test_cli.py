@@ -166,6 +166,51 @@ class TestConfig:
             assert captured.err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("verify", "n_starts", 0, "verify.n_starts must be an integer of at least 1"),
+        ("verify", "n_starts", -3, "verify.n_starts must be an integer of at least 1"),
+        ("verify", "n_starts", 2.5, "verify.n_starts must be an integer of at least 1"),
+        ("verify", "n_starts", True, "verify.n_starts must be an integer of at least 1"),
+        ("verify", "seed", 1.5, "verify.seed must be an integer of at least 0"),
+        ("verify", "lqr_weights", [-1.0],
+         "verify.lqr_weights entry must be a positive finite number"),
+        ("verify", "lqr_weights", [1.0, 0.0],
+         "verify.lqr_weights entry must be a positive finite number"),
+        ("verify", "lqr_weights", 1.0, "verify.lqr_weights must be a list"),
+        ("verify", "rtol", 0, "verify.rtol must be a positive finite number"),
+        ("verify", "rtol", float("nan"), "verify.rtol must be a positive finite number"),
+        ("verify", "horizon", 0.0, "verify.horizon must be a positive finite number"),
+        ("verify", "horizon", -5.0, "verify.horizon must be a positive finite number"),
+        ("sampling", "seed", 1.5, "sampling.seed must be an integer of at least 0"),
+        ("sampling", "noise_bound", -1.0,
+         "sampling.noise_bound must be a non-negative finite number"),
+        ("solver", "tol", 0.0, "solver.tol must be a positive finite number"),
+        ("solver", "tol", -1e-8, "solver.tol must be a positive finite number"),
+        ("solver", "max_iters", 0, "solver.max_iters must be an integer of at least 1"),
+    ], ids=["n_starts-0", "n_starts-negative", "n_starts-float", "n_starts-bool",
+            "verify-seed-float", "lqr-weight-negative", "lqr-weight-zero",
+            "lqr-weights-number", "rtol-0", "rtol-nan", "horizon-0", "horizon-negative",
+            "sampling-seed-float", "noise-bound-negative", "tol-0",
+            "tol-negative", "max-iters-0"])
+    def test_bad_setting_rejected(self, tmp_path, capsys, section, key, value,
+                                  message):
+        cfg = cli.example_config("pendulum")
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg[section][key] = value
+        path = tmp_path / "setting.json"
+        path.write_text(json.dumps(cfg))
+        for cmd in ("collect", "design", "verify"):
+            assert cli.main([cmd, "--config", str(path)]) == cli.EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_lqr_weights_accepted(self):
+        cfg = cli.example_config("pendulum")
+        cfg["verify"]["lqr_weights"] = []
+        assert cli.validate_config(cfg) is cfg
+
     def test_cosine_minus_one_extra(self, tmp_path):
         cfg = cli.example_config("pendulum")
         cfg["output_dir"] = str(tmp_path / "out")

@@ -165,9 +165,37 @@ def _subprocess_modules(code):
     return proc.stdout.strip()
 
 
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
 def test_cli_import_leaves_scipy_integrate_out():
-    code = "import sys, koopsyn.cli; print('scipy.integrate' in sys.modules)"
-    assert _subprocess_modules(code) == "False"
+    # no scipy module at all: only the LQR baseline and the Sobol d0 load one
+    code = f"import sys, koopsyn.cli; print({SCIPY_LOADED})"
+    assert _subprocess_modules(code) == "[]"
+
+
+@pytest.mark.parametrize("example", ["cooked_up", "pendulum"])
+def test_only_lqr_verify_loads_scipy(tmp_path, example):
+    """Each stage in one fresh interpreter: collect, fit, grid d0 and design
+    load no scipy module, and verify loads scipy.linalg only when it runs the
+    LQR baseline (pendulum), and then no integrate, optimize or stats."""
+    code = ("import sys\nfrom koopsyn import cli\n"
+            "for cmd in ('collect', 'fit', 'd0', 'design', 'verify'):\n"
+            f"    argv = [cmd, '--example', {example!r}, '--out', {str(tmp_path)!r},"
+            " '--d', '400']\n"
+            "    assert cli.main(argv) == 0, cmd\n"
+            f"    print('loaded', cmd, *{SCIPY_LOADED})\n")
+    loaded = {cmd: mods for _, cmd, *mods in
+              (line.split() for line in _subprocess_modules(code).splitlines()
+               if line.startswith("loaded "))}
+    assert loaded.keys() == {"collect", "fit", "d0", "design", "verify"}
+    assert not any(loaded[cmd] for cmd in ("collect", "fit", "d0", "design"))
+    if not cli.example_config(example)["verify"]["lqr"]:
+        assert loaded["verify"] == []
+    else:
+        assert "scipy.linalg" in loaded["verify"]
+        assert not [m for m in loaded["verify"]
+                    if m.split(".")[1:2] in (["integrate"], ["optimize"], ["stats"])]
 
 
 def test_simulate_leaves_scipy_integrate_out():
