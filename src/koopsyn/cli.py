@@ -341,6 +341,7 @@ def _resolve_region(cfg, surrogate, log_sink=None):
             epsilon=cfg.get("solver", {}).get("epsilon", 1e-6),
             solver_options=_solver_options(cfg))
         if log_sink is not None:
+            log_sink["solves"] = [_solve_entry("region", log.step1_report)]
             log_sink["heuristic"] = {
                 "P_hat": log.P_hat.tolist(),
                 "Qz": log.Qz.tolist(),
@@ -355,6 +356,19 @@ def _resolve_region(cfg, surrogate, log_sink=None):
                                          Rz=float(rcfg["Rz"]))
 
 
+def _solve_entry(stage, report):
+    """The design_log.json record of one ``sdp.solve``: status, iterations,
+    final residuals and, for a phase-I solve, t*.  It holds no wall time, so
+    the log stays byte-deterministic."""
+    info = report.diagnostics
+    entry = {"stage": stage, "status": report.status,
+             "iterations": report.iterations,
+             **{k: info[k] for k in ("primal_infeas", "dual_infeas", "rel_gap")}}
+    if "t_star" in info:
+        entry["t_star"] = info["t_star"]
+    return entry
+
+
 def _design(cfg, surrogate, region):
     """Pose, solve and independently verify the design SDP of ``cfg``.
 
@@ -363,7 +377,9 @@ def _design(cfg, surrogate, region):
     feasible, so it either rescues the design or names the most violated
     constraint.  Raises ``sdp.InfeasibleError`` when no solve is feasible and
     ``sdp.VerificationError`` when the verifier rejects the solution.
-    Returns (problem, report, check, design) for the problem that was kept.
+    Returns (problem, solves, check, design): ``solves`` lists the
+    ``_solve_entry`` of every solve in order, the last one that of the kept
+    ``problem``.
     """
     theorem = _theorems(cfg)[0]
     scfg = cfg.get("solver", {})
@@ -371,13 +387,16 @@ def _design(cfg, surrogate, region):
     build = lmi.build_theorem1 if theorem == 1 else lmi.build_theorem2
     problem = build(surrogate, region, epsilon=scfg.get("epsilon", 1e-6))
     report = None
+    solves = []
     if scfg.get("objective", "feasibility") == "maximize_roa":
         with_objective = lmi.add_roa_objective(problem)
         assignment, report = sdp.solve_problem(with_objective, options)
+        solves.append(_solve_entry("objective", report))
         if report.status == "feasible":
             problem = with_objective
     if report is None or report.status != "feasible":
         assignment, report = sdp.solve_problem(problem, options)
+        solves.append(_solve_entry("feasibility", report))
     check = sdp.verify(problem, assignment)
     if report.status != "feasible":
         name, (eig, req) = min(check.margins.items(),
@@ -391,7 +410,7 @@ def _design(cfg, surrogate, region):
             f"the solution (worst slack {check.worst():.3e})")
     design = controller.DesignResult.from_assignment(theorem, assignment,
                                                      margins=check.margins)
-    return problem, report, check, design
+    return problem, solves, check, design
 
 
 def cmd_design(cfg):
@@ -402,15 +421,17 @@ def cmd_design(cfg):
     surrogate = edmd.Surrogate.from_json(surrogate_path.read_text())
     log = {}
     region = _resolve_region(cfg, surrogate, log_sink=log)
-    problem, report, check, design = _design(cfg, surrogate, region)
+    problem, solves, check, design = _design(cfg, surrogate, region)
+    kept = solves[-1]
     (outdir / "design.json").write_text(design.to_json() + "\n")
     _write_json(outdir / "region.json", region.to_json_dict(), indent=None)
     boundary = controller.roa_boundary_2d(design, surrogate.lifting,
                                           resolution=cfg.get("resolution", 360))
     controller.export_boundary_dat(boundary, outdir / "roa.dat")
     log.update({
-        "status": report.status,
-        "iterations": report.iterations,
+        "status": kept["status"],
+        "iterations": kept["iterations"],
+        "solves": log.get("solves", []) + solves,
         "constraint_manifest": problem.manifest(),
         "verification": {k: list(v) for k, v in check.margins.items()},
         "roa_closed": boundary.closed,
@@ -419,7 +440,7 @@ def cmd_design(cfg):
     _write_manifest(outdir, "design", cfg, [surrogate_path],
                     [outdir / "design.json", outdir / "region.json",
                      outdir / "roa.dat", outdir / "design_log.json"])
-    print(f"design: feasible ({report.iterations} iterations); "
+    print(f"design: feasible ({kept['iterations']} iterations); "
           f"K = {np.array2string(design.K, precision=4)}")
     return EXIT_OK
 

@@ -1,12 +1,16 @@
 """Affine matrix-inequality assembly for the feedback-synthesis designs.
 
 Constraints are represented as symmetric matrix-valued affine functions of
-the decision variables, materialized by probing a block-formula callback on
-a component basis.  Two designs are provided, both from one stability
-formula: the gain-scheduled multi-input feedback (theorem 2) and, as its
-special case with m = 1 and no scheduling gain, the single-input linear lift
-feedback (theorem 1).  Each is paired with the sublevel-set invariance
-inequality that confines the certified region inside the uncertainty region.
+the decision variables, materialized by probing a block-formula callback:
+once at the zero assignment, then once per variable with that variable's
+whole component basis stacked along a leading axis.  Every block formula is
+therefore written for stacks of matrices (transposes swap the last two
+axes, blocks are assembled by the broadcasting ``matops.block``).  Two
+designs are provided, both from one stability formula: the gain-scheduled
+multi-input feedback (theorem 2) and, as its special case with m = 1 and no
+scheduling gain, the single-input linear lift feedback (theorem 1).  Each
+is paired with the sublevel-set invariance inequality that confines the
+certified region inside the uncertainty region.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matops import block, smat, svec, sym, sym_dim
+from .matops import block, kron, mT, smat, svec, sym, sym_dim
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,12 @@ class VariableSpec:
         return np.zeros(self.shape)
 
     def basis(self):
-        return [self.from_components(e) for e in np.eye(self.ncomp)]
+        """The value at every unit component vector, stacked along a leading
+        axis: (ncomp, *shape), a scalar as a (1, 1, 1) stack."""
+        E = np.eye(self.ncomp)
+        if self.kind == "sym":
+            return smat(E, self.shape[0])
+        return E.reshape((self.ncomp,) + (self.shape or (1, 1)))
 
     def components(self, value):
         if self.kind == "sym":
@@ -65,18 +74,22 @@ class AffineMatrixExpr:
 
     @staticmethod
     def from_function(fn, variables):
-        """Materialize an affine block formula by probing it at the zero
-        assignment and at every unit basis element of every variable."""
-        zero = {v.name: v.zero() for v in variables}
+        """Materialize an affine block formula from its value at the zero
+        assignment and at every unit basis element of every variable.
+
+        ``fn`` maps an assignment to a matrix.  Scalars are passed as 1x1
+        matrices.  It is called once at the zero assignment, then once per
+        variable with that variable's basis stacked along a leading axis
+        (``VariableSpec.basis``) and every other variable at zero, so it must
+        broadcast over a leading axis."""
+        zero = {v.name: np.atleast_2d(v.zero()) for v in variables}
         C0 = sym(np.asarray(fn(zero), dtype=float))
         dim = C0.shape[0]
         coeffs = {}
         for v in variables:
             mats = np.empty((v.ncomp, dim, dim))
-            for idx, B in enumerate(v.basis()):
-                a = dict(zero)
-                a[v.name] = B
-                mats[idx] = sym(np.asarray(fn(a), dtype=float)) - C0
+            mats[...] = sym(np.asarray(fn({**zero, v.name: v.basis()}),
+                                       dtype=float)) - C0
             coeffs[v.name] = mats
         return AffineMatrixExpr(dim=dim, constant=C0, coeffs=coeffs)
 
@@ -151,20 +164,12 @@ def evaluate(expr_or_constraint, assignment, variables):
     return value, lam_min
 
 
-def _scalar_expr(variables, fn):
-    return AffineMatrixExpr.from_function(lambda a: np.array([[fn(a)]]), variables)
-
-
 def _positivity_constraints(variables, names, epsilon):
-    out = []
-    for name in names:
-        v = next(v for v in variables if v.name == name)
-        if v.kind == "scalar":
-            expr = _scalar_expr(variables, lambda a, n=name: a[n])
-        else:
-            expr = AffineMatrixExpr.from_function(lambda a, n=name: a[n], variables)
-        out.append(Constraint(name=f"{name}_pos", expr=expr, margin=epsilon))
-    return out
+    return [Constraint(name=f"{name}_pos",
+                       expr=AffineMatrixExpr.from_function(lambda a, n=name: a[n],
+                                                           variables),
+                       margin=epsilon)
+            for name in names]
 
 
 def _invariance_expr(variables, region, N):
@@ -175,10 +180,10 @@ def _invariance_expr(variables, region, N):
         P, nu = a["P"], a["nu"]
         b21 = Sz_row @ P
         return block([
-            [P,            b21.T,               P,             np.zeros((N, 1))],
-            [b21,          [[nu * region.Rz]],  np.zeros((1, N)), [[nu]]],
+            [P,            mT(b21),             P,             np.zeros((N, 1))],
+            [b21,          nu * region.Rz,      np.zeros((1, N)), nu],
             [P,            np.zeros((N, 1)),    -nu * inv_Qz,  np.zeros((N, 1))],
-            [np.zeros((1, N)), [[nu]],          np.zeros((1, N)), [[1.0]]],
+            [np.zeros((1, N)), nu,              np.zeros((1, N)), [[1.0]]],
         ])
 
     return AffineMatrixExpr.from_function(fn, variables)
@@ -211,7 +216,8 @@ def build_theorem2(surrogate, region, epsilon=1e-6):
 def _build(surrogate, region, epsilon, scheduled):
     """Both designs from one stability block formula: the scheduled one
     solves for ``Lw`` and a symmetric ``Lam``, the unscheduled one (m = 1)
-    holds ``Lw`` at zero and reads its scalar ``lam`` as a 1x1 ``Lam``."""
+    holds ``Lw`` at zero and reads its scalar ``lam`` (a 1x1 matrix) as
+    ``Lam``."""
     if surrogate.c_r is None:
         raise ValueError("surrogate needs a remainder bound c_r")
     N, m = surrogate.N, surrogate.m
@@ -221,6 +227,8 @@ def _build(surrogate, region, epsilon, scheduled):
     tR = region.tR
     inv_tQ = region.inv_tQ
     Im = np.eye(m)
+    Im_tS_col = kron(Im, tS_col)
+    Im_tS_row = kron(Im, tS_col.T)
     Lw_zero = np.zeros((m, N * m))
     if scheduled:
         multipliers = (VariableSpec("Lw", "full", (m, N * m)),
@@ -234,27 +242,27 @@ def _build(surrogate, region, epsilon, scheduled):
     def stability(a):
         P, L, tau = a["P"], a["L"], a["tau"]
         Lw = a["Lw"] if scheduled else Lw_zero
-        Lam = np.atleast_2d(a["Lam"] if scheduled else a["lam"])
+        Lam = a["Lam"] if scheduled else a["lam"]
         X = A @ P + B0 @ L
-        b11 = -X - X.T - tau * np.eye(N)
-        b21 = -L - np.kron(Lam, tS_col.T) @ Bt.T - np.kron(Im, tS_col.T) @ Lw.T @ B0.T
-        W = Lw @ np.kron(Im, tS_col)
-        b22 = np.kron(Lam, np.array([[tR]])) - W - W.T
-        b31 = -np.vstack([P, L])
-        b32 = -np.vstack([np.zeros((N, N * m)), Lw]) @ np.kron(Im, tS_col)
+        b11 = -X - mT(X) - tau * np.eye(N)
+        b21 = -L - kron(Lam, tS_col.T) @ Bt.T - Im_tS_row @ mT(Lw) @ B0.T
+        W = Lw @ Im_tS_col
+        b22 = kron(Lam, np.array([[tR]])) - W - mT(W)
+        b31 = -block([[P], [L]])
+        b32 = -block([[np.zeros((N, N * m))], [Lw]]) @ Im_tS_col
         b33 = 0.5 * tau * crinv2 * np.eye(N + m)
-        b41 = np.kron(Lam, np.eye(N)) @ Bt.T + Lw.T @ B0.T
-        b42 = Lw.T
+        b41 = kron(Lam, np.eye(N)) @ Bt.T + mT(Lw) @ B0.T
+        b42 = mT(Lw)
         # sign chosen so the Schur reduction factors through the closed-loop
         # channel basis (the scheduling gain feeds the remainder input v2
         # with +Kw); the opposite sign breaks that factorization
-        b43 = np.hstack([np.zeros((N * m, N)), Lw.T])
-        b44 = -np.kron(Lam, inv_tQ)
+        b43 = block([[np.zeros((N * m, N)), mT(Lw)]])
+        b44 = -kron(Lam, inv_tQ)
         return block([
-            [b11,   b21.T, b31.T, b41.T],
-            [b21,   b22,   b32.T, b42.T],
-            [b31,   b32,   b33,   b43.T],
-            [b41,   b42,   b43,   b44],
+            [b11,   mT(b21), mT(b31), mT(b41)],
+            [b21,   b22,     mT(b32), mT(b42)],
+            [b31,   b32,     b33,     mT(b43)],
+            [b41,   b42,     b43,     b44],
         ])
 
     stability_expr = AffineMatrixExpr.from_function(stability, variables)
@@ -283,7 +291,7 @@ def add_trace_cap(problem, var_name, cap):
     v = problem.variable(var_name)
 
     def fn(a):
-        return np.array([[cap - np.trace(np.atleast_2d(a[var_name]))]])
+        return cap - np.trace(a[var_name], axis1=-2, axis2=-1)[..., None, None]
 
     expr = AffineMatrixExpr.from_function(fn, problem.variables)
     extra = Constraint(f"trace_cap_{var_name}", expr, 0.0)
@@ -299,7 +307,7 @@ def add_roa_objective(problem):
 
     def fn(a):
         P = a["P"]
-        return P - a["t_roa"] * np.eye(P.shape[0])
+        return P - a["t_roa"] * np.eye(P.shape[-1])
 
     expr = AffineMatrixExpr.from_function(fn, variables)
     extra = Constraint("roa_radius", expr, 0.0)

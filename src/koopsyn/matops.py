@@ -7,9 +7,14 @@ import numpy as np
 _SQRT2 = np.sqrt(2.0)
 
 
+def mT(M):
+    """Transpose of a matrix or of each matrix of a stack (last two axes)."""
+    return np.swapaxes(M, -1, -2)
+
+
 def sym(M):
-    """Symmetrize a square matrix."""
-    return 0.5 * (M + M.T)
+    """Symmetrize a square matrix, or each matrix of a stack."""
+    return 0.5 * (M + mT(M))
 
 
 def quadratic_rows(Z, M):
@@ -22,33 +27,28 @@ def quadratic_rows(Z, M):
     return sum(ZM[:, k] * Z[:, k] for k in range(N))
 
 
+def _triu_scale(n):
+    """Upper-triangle indices of an n x n matrix, row-major, and the scale of
+    each entry in :func:`svec`: 1 on the diagonal, sqrt(2) off it."""
+    rows, cols = np.triu_indices(n)
+    return rows, cols, np.where(rows == cols, 1.0, _SQRT2)
+
+
 def svec(S):
     """Vectorize a symmetric matrix: upper triangle, row-major, off-diagonal
     entries scaled by sqrt(2) so that <svec a, svec b> = <a, b>_F."""
     S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    out = np.empty(n * (n + 1) // 2)
-    k = 0
-    for i in range(n):
-        out[k] = S[i, i]
-        k += 1
-        for j in range(i + 1, n):
-            out[k] = _SQRT2 * S[i, j]
-            k += 1
-    return out
+    rows, cols, scale = _triu_scale(S.shape[0])
+    return S[rows, cols] * scale
 
 
 def smat(v, n):
-    """Inverse of :func:`svec`."""
+    """Inverse of :func:`svec`; a stack of vectors (..., n(n+1)/2) gives a
+    stack of matrices (..., n, n)."""
     v = np.asarray(v, dtype=float)
-    S = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        S[i, i] = v[k]
-        k += 1
-        for j in range(i + 1, n):
-            S[i, j] = S[j, i] = v[k] / _SQRT2
-            k += 1
+    rows, cols, scale = _triu_scale(n)
+    S = np.zeros(v.shape[:-1] + (n, n))
+    S[..., rows, cols] = S[..., cols, rows] = v / scale
     return S
 
 
@@ -57,9 +57,34 @@ def sym_dim(n):
 
 
 def block(rows):
-    """Assemble a dense matrix from a nested list of blocks (np.block with
-    float conversion)."""
-    return np.block([[np.asarray(b, dtype=float) for b in row] for row in rows])
+    """Assemble a dense matrix from a nested list of blocks, as np.block
+    does for 2-D blocks.  Blocks may be stacks of matrices: their leading
+    axes broadcast, so a 2-D block is repeated along a stack."""
+    rows = [[np.asarray(b, dtype=float) for b in row] for row in rows]
+    lead = np.broadcast_shapes(*(b.shape[:-2] for row in rows for b in row))
+    width = sum(b.shape[-1] for b in rows[0])
+    out = np.empty(lead + (sum(row[0].shape[-2] for row in rows), width))
+    r = 0
+    for row in rows:
+        h, c = row[0].shape[-2], 0
+        for b in row:
+            if b.shape[-2] != h or c + b.shape[-1] > width:
+                raise ValueError("blocks do not tile a matrix")
+            out[..., r:r + h, c:c + b.shape[-1]] = b
+            c += b.shape[-1]
+        if c != width:
+            raise ValueError("blocks do not tile a matrix")
+        r += h
+    return out
+
+
+def kron(a, b):
+    """np.kron(a, b) of a matrix b with a matrix a or with each matrix of a
+    stack a."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    (p, q), (r, s) = a.shape[-2:], b.shape
+    return (a[..., :, None, :, None] * b[:, None, :]).reshape(
+        a.shape[:-2] + (p * r, q * s))
 
 
 def write_table(path, M, fmt="%.17g", delimiter=" ", newline="\n", header=None):

@@ -5,6 +5,7 @@ import pytest
 
 from koopsyn import bounds, cli, controller, edmd, lmi, plants, sdp, uncertainty
 from koopsyn.lifting import Observable, make_lifting, poly, sine
+from koopsyn.matops import block, mT
 
 EXACT_A = np.array([[-2.0, 0.0, 0.0], [0.0, -4.0, 5.0], [0.0, 0.0, 1.0]])
 EXACT_B0 = np.array([[0.0], [1.0], [1.0]])
@@ -81,7 +82,9 @@ def theorem1_stability_reference(surrogate, region):
     """The single-input stability block as the paper states theorem 1
     (scalar multiplier lam, no scheduling gain), probed on theorem 1's
     variables.  Kept apart from ``lmi`` so that both builders, which share
-    one block formula, are checked against a formula they do not run."""
+    one block formula, are checked against a formula they do not run.  Like
+    every block formula it broadcasts over a leading axis of stacked
+    assignments."""
     N = surrogate.N
     A, B0, Bt = surrogate.A, surrogate.B0, surrogate.B_tilde
     crinv2 = surrogate.c_r ** -2.0
@@ -95,21 +98,21 @@ def theorem1_stability_reference(surrogate, region):
     def stability(a):
         P, L, lam, tau = a["P"], a["L"], a["lam"], a["tau"]
         X = A @ P + B0 @ L
-        b11 = -X - X.T - tau * np.eye(N)
+        b11 = -X - mT(X) - tau * np.eye(N)
         b21 = -L - lam * (tS_col.T @ Bt.T)
         b22 = lam * np.array([[region.tR]])
-        b31 = -np.vstack([P, L])
+        b31 = -block([[P], [L]])
         b32 = np.zeros((N + 1, 1))
         b33 = 0.5 * tau * crinv2 * np.eye(N + 1)
         b41 = lam * Bt.T
         b42 = np.zeros((N, 1))
         b43 = np.zeros((N, N + 1))
         b44 = -lam * region.inv_tQ
-        return np.block([
-            [b11,   b21.T, b31.T, b41.T],
-            [b21,   b22,   b32.T, b42.T],
-            [b31,   b32,   b33,   b43.T],
-            [b41,   b42,   b43,   b44],
+        return block([
+            [b11,   mT(b21), mT(b31), mT(b41)],
+            [b21,   b22,     mT(b32), mT(b42)],
+            [b31,   b32,     b33,     mT(b43)],
+            [b41,   b42,     b43,     b44],
         ])
 
     return lmi.AffineMatrixExpr.from_function(stability, variables)

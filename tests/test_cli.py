@@ -381,6 +381,39 @@ class TestFitAndDesign:
         design = json.loads((tmp_path / "design.json").read_text())
         assert "roa_radius" not in design["margins"]
 
+    @pytest.mark.parametrize("objective_stalls", [False, True],
+                             ids=["objective", "fallback"])
+    def test_design_log_records_every_solve(self, tmp_path, monkeypatch,
+                                            objective_stalls):
+        out = str(tmp_path)
+        for cmd in ("collect", "fit"):
+            assert cli.main([cmd, "--example", "cooked_up", "--out", out,
+                             "--d", "400"]) == 0
+        solve, reports = sdp.solve, []
+
+        def recording(program, options=None):
+            report = solve(program, options)
+            if objective_stalls and np.any(program.c):
+                report.status = "iteration_limit"
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr(sdp, "solve", recording)
+        assert cli.main(["design", "--example", "cooked_up", "--out", out,
+                         "--d", "400"]) == 0
+        solves = json.loads((tmp_path / "design_log.json").read_text())["solves"]
+        stages = ["objective", "feasibility"] if objective_stalls else ["objective"]
+        assert [e["stage"] for e in solves] == stages
+        assert sum(e["iterations"] for e in solves) == sum(r.iterations for r in reports)
+        for entry, report in zip(solves, reports):
+            assert entry["status"] == report.status
+            for key in ("primal_infeas", "dual_infeas", "rel_gap"):
+                assert entry[key] == report.diagnostics[key]
+            # t* belongs to the phase-I (feasibility) solve only; no wall time
+            assert ("t_star" in entry) == (entry["stage"] == "feasibility")
+            assert set(entry) <= {"stage", "status", "iterations", "primal_infeas",
+                                  "dual_infeas", "rel_gap", "t_star"}
+
     def test_design_deterministic(self, tmp_path):
         a = run_pipeline(tmp_path / "a")
         b = run_pipeline(tmp_path / "b")

@@ -82,3 +82,37 @@ def test_theorem2_scaling_n15():
     assert report.status == "feasible"
     assert report.iterations <= 13
     assert sdp.verify(problem, assignment).ok
+
+
+def scalar_block(f0, *fi):
+    """A 1x1 block f0 + sum_i z_i fi >= 0."""
+    return np.array([[f0]]), np.array(fi, dtype=float).reshape(-1, 1, 1)
+
+
+def test_linear_program_known_optimum():
+    # every block is 1x1, so the whole problem is one linear cone:
+    # min -z1 - 2 z2  s.t.  z1, z2 >= 0,  z1 + z2 <= 4,  z1 + 3 z2 <= 6
+    # optimum at the vertex (3, 1), value -5
+    blocks = [scalar_block(0.0, 1.0, 0.0), scalar_block(0.0, 0.0, 1.0),
+              scalar_block(4.0, -1.0, -1.0), scalar_block(6.0, -1.0, -3.0)]
+    res = ipm.solve_sdp(np.array([-1.0, -2.0]), blocks)
+    assert res.status == "optimal"
+    assert np.allclose(res.z, [3.0, 1.0], rtol=0.0, atol=1e-7)
+    assert abs(res.dual_obj - 5.0) <= 1e-7
+
+
+def test_active_scalar_block_pins_mixed_optimum():
+    # max z1 + z2  s.t.  [[1, z1], [z1, 1]] >= 0 (active: z1 <= 1),
+    #                    0.5 - z2 >= 0 (1x1, active: it pins z2),
+    #                    [[4, z1 + z2], [z1 + z2, 4]] >= 0 (inactive)
+    # optimum (1, 0.5), value 1.5
+    off = np.array([[0.0, 1.0], [1.0, 0.0]])
+    blocks = [
+        (np.eye(2), np.stack([off, np.zeros((2, 2))])),
+        scalar_block(0.5, 0.0, -1.0),
+        (4.0 * np.eye(2), np.stack([off, off])),
+    ]
+    res = ipm.solve_sdp(np.array([-1.0, -1.0]), blocks)
+    assert res.status == "optimal"
+    assert np.allclose(res.z, [1.0, 0.5], rtol=0.0, atol=1e-7)
+    assert abs(res.dual_obj - 1.5) <= 1e-7

@@ -6,6 +6,7 @@ import pytest
 from koopsyn import controller, lmi, uncertainty
 from koopsyn.edmd import Surrogate
 from koopsyn.lifting import make_lifting, poly
+from koopsyn.matops import sym
 
 from conftest import (EXACT_A, EXACT_B0, constraint, matches_theorem1_reference,
                       solve_design)
@@ -280,3 +281,71 @@ class TestSolvedCertificates:
             q = dissipation_form(surrogate_fitted, design_cooked, z, dphi, eps)
             assert q < 0.0
             checked += 1
+
+
+def ladder_surrogate(seed, N, m):
+    """Seeded stable synthetic surrogate with bilinear channels, as in the
+    design-ladder benchmark."""
+    rng = np.random.default_rng([seed, N, m])
+    A = rng.standard_normal((N, N)) / np.sqrt(N)
+    A -= (np.max(np.linalg.eigvals(A).real) + 1.0) * np.eye(N)
+    B0 = rng.standard_normal((N, m))
+    B = tuple(0.1 * rng.standard_normal((N, N)) / np.sqrt(N) for _ in range(m))
+    return Surrogate(A=A, B0=B0, B=B, c_r=0.05, delta=0.05)
+
+
+def probe_one_at_a_time(fn, variables):
+    """(constant, coeffs) of a block formula probed at one assignment per
+    call, every value an unstacked matrix (a scalar as 1x1): the zero
+    assignment, then each unit component vector of each variable."""
+    zero = {v.name: np.atleast_2d(v.zero()) for v in variables}
+    C0 = sym(np.asarray(fn(zero), dtype=float))
+    coeffs = {}
+    for v in variables:
+        mats = []
+        for e in np.eye(v.ncomp):
+            a = {**zero, v.name: np.atleast_2d(v.from_components(e))}
+            mats.append(sym(np.asarray(fn(a), dtype=float)) - C0)
+        coeffs[v.name] = np.array(mats)
+    return C0, coeffs
+
+
+class TestStackedProbes:
+    """One stacked call per variable gives the bits of one call per probe."""
+
+    @pytest.mark.parametrize("case", ["fitted_thm1", "fitted_thm2", "ladder4",
+                                      "ladder10"])
+    def test_stacking_does_not_change_bits(self, case, surrogate_fitted,
+                                           region_cooked, monkeypatch):
+        if case.startswith("fitted"):
+            surrogate, region = surrogate_fitted, region_cooked
+        else:
+            N = int(case[len("ladder"):])
+            surrogate = ladder_surrogate(0, N, 2)
+            region = uncertainty.identity_region(N, 10.0)
+        build = lmi.build_theorem1 if case == "fitted_thm1" else lmi.build_theorem2
+        calls = []
+        from_function = lmi.AffineMatrixExpr.from_function
+
+        def recording(fn, variables):
+            expr = from_function(fn, variables)
+            calls.append((fn, variables, expr))
+            return expr
+
+        monkeypatch.setattr(lmi.AffineMatrixExpr, "from_function",
+                            staticmethod(recording))
+        problem = lmi.add_trace_cap(
+            lmi.add_roa_objective(build(surrogate, region)), "P", 50.0)
+        positive = (("P", "tau", "lam", "nu") if case == "fitted_thm1"
+                    else ("P", "Lam", "tau", "nu"))
+        assert [c.name for c in problem.constraints] == [
+            "stability", "invariance", *(f"{n}_pos" for n in positive),
+            "roa_radius", "trace_cap_P"]
+        assert len(calls) == len(problem.constraints)
+        for (fn, variables, expr), con in zip(calls, problem.constraints):
+            assert expr is con.expr
+            C0, coeffs = probe_one_at_a_time(fn, variables)
+            assert np.array_equal(expr.constant, C0), con.name
+            assert expr.coeffs.keys() == coeffs.keys()
+            for name, M in coeffs.items():
+                assert np.array_equal(expr.coeffs[name], M), (con.name, name)

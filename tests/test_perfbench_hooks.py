@@ -3,7 +3,10 @@ lists must still exist, or ``perfbench/run.py --trace 1`` crashes."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
+
+from koopsyn import lmi
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -61,3 +64,39 @@ def test_traced_collect_counts_saved_bytes(tmp_path):
     moved = [f"{mod}.{attr}" for (mod, attr), (owner, leaf, raw) in originals.items()
              if owner.__dict__[leaf] is not raw]
     assert moved == []
+
+
+def test_traced_design_counts_probes_and_iterations(tmp_path, monkeypatch):
+    # lmi.probes counts 1 + sum(ncomp) per built expression, whatever the
+    # number of calls of the block formula; ipm.iterations adds up every
+    # solve of the stage
+    tracer_module = _load_tracer()
+    modules = {name: importlib.import_module(f"koopsyn.{name}")
+               for name in tracer_module.LAYERS}
+    out = str(tmp_path)
+    for cmd in ("collect", "fit"):
+        assert modules["cli"].main([cmd, "--example", "cooked_up", "--out", out,
+                                    "--d", "400"]) == 0
+    built = []
+    from_function = lmi.AffineMatrixExpr.from_function
+
+    def recording(fn, variables):
+        expr = from_function(fn, variables)
+        built.append(expr)
+        return expr
+
+    monkeypatch.setattr(lmi.AffineMatrixExpr, "from_function",
+                        staticmethod(recording))
+    tracer = tracer_module.Tracer()
+    restore = tracer.install(modules)
+    try:
+        rc = modules["cli"].main(["design", "--example", "cooked_up", "--out", out,
+                                  "--d", "400"])
+    finally:
+        restore()
+    assert rc == 0
+    probes = sum(1 + sum(M.shape[0] for M in expr.coeffs.values())
+                 for expr in built)
+    assert built and tracer.metrics()["lmi.probes"] == probes
+    solves = json.loads((tmp_path / "design_log.json").read_text())["solves"]
+    assert tracer.metrics()["ipm.iterations"] == sum(e["iterations"] for e in solves)

@@ -17,7 +17,7 @@ def scalar_problem(*exprs_and_margins, objective=None):
 
 class TestLower:
     def test_scalar_block(self):
-        prob = scalar_problem((lambda a: np.array([[a["p"] - 1e-6]]), 0.0))
+        prob = scalar_problem((lambda a: a["p"] - 1e-6, 0.0))
         program = sdp.lower(prob)
         assert program.nvars == 1
         assert len(program.blocks) == 1
@@ -63,21 +63,21 @@ class TestLower:
 
 class TestSolve:
     def test_trivially_feasible(self):
-        prob = scalar_problem((lambda a: np.array([[a["p"] - 1.0]]), 0.0))
+        prob = scalar_problem((lambda a: a["p"] - 1.0, 0.0))
         asg, rep = sdp.solve_problem(prob)
         assert rep.status == "feasible"
         assert asg["p"] >= 1.0
 
     def test_trivially_infeasible(self):
-        prob = scalar_problem((lambda a: np.array([[a["p"] - 1.0]]), 0.0),
-                              (lambda a: np.array([[-a["p"] - 1.0]]), 0.0))
+        prob = scalar_problem((lambda a: a["p"] - 1.0, 0.0),
+                              (lambda a: -a["p"] - 1.0, 0.0))
         asg, rep = sdp.solve_problem(prob)
         assert rep.status == "infeasible_certificate"
         assert rep.diagnostics["t_star"] == pytest.approx(-1.0, abs=1e-6)
 
     def test_objective_solve(self):
-        prob = scalar_problem((lambda a: np.array([[a["p"] - 1.0]]), 0.0),
-                              (lambda a: np.array([[4.0 - a["p"]]]), 0.0),
+        prob = scalar_problem((lambda a: a["p"] - 1.0, 0.0),
+                              (lambda a: 4.0 - a["p"], 0.0),
                               objective=("maximize", "p"))
         asg, rep = sdp.solve_problem(prob)
         assert rep.status == "feasible"
