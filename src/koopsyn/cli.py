@@ -3,7 +3,8 @@ data reproduction.
 
 A single JSON config drives every stage; each stage reads the previous
 stage's artifacts from the output directory and writes a manifest with the
-input hashes and the effective config.  Exit codes: 0 success, 2 infeasible
+input hashes and the config as loaded: command-line overrides applied,
+defaults not filled in.  Exit codes: 0 success, 2 infeasible
 design, 3 verification failure, 4 bad input (including a bad command line,
 an unknown config key and a solver backend other than the bundled ``ipm``).
 """
@@ -137,6 +138,11 @@ def validate_config(cfg):
     if cfg["sampling"]["d"] < 1:
         raise ValueError("need at least one sample per batch")
     _check_settings(cfg)
+    region = cfg.get("region", {})
+    for key in ("Qz", "Sz", "Rz"):
+        if region.get("heuristic") and key in region:
+            raise ValueError(f"a heuristic region builds its own Qz, Sz and Rz; "
+                             f"drop region.{key} (its radius is region.rz)")
     design_theorem, pilot_theorem = _theorems(cfg)
     if design_theorem not in (1, 2):
         raise ValueError("theorem must be 1 or 2")
@@ -169,14 +175,18 @@ def _check_real(name, value, zero_ok=False):
 
 
 def _check_settings(cfg):
-    """Refuse a sampling, solver or verify setting that a stage would
-    otherwise truncate, ignore, or fail on only after running (a zero rtol
-    integrates without end, a zero n_starts verifies nothing)."""
+    """Refuse a sampling, solver, verify or resolution setting that a stage
+    would otherwise truncate, ignore, misread or fail on only after running
+    (a zero rtol integrates without end, a zero n_starts verifies nothing, a
+    non-positive epsilon certifies a violated strict LMI)."""
     samp, solver, vcfg = cfg["sampling"], cfg.get("solver", {}), cfg.get("verify", {})
     _check_count("sampling.seed", samp.get("seed", 0), 0)
     _check_real("sampling.noise_bound", samp.get("noise_bound", 0.0), zero_ok=True)
     _check_real("solver.tol", solver.get("tol", 1e-8))
     _check_count("solver.max_iters", solver.get("max_iters", 200), 1)
+    _check_real("solver.epsilon", solver.get("epsilon", 1e-6))
+    _check_real("solver.t_cap", solver.get("t_cap", 1.0))
+    _check_count("resolution", cfg.get("resolution", 360), 1)
     _check_count("verify.n_starts", vcfg.get("n_starts", 20), 1)
     _check_count("verify.seed", vcfg.get("seed", 123), 0)
     _check_real("verify.horizon", vcfg.get("horizon", 50.0))
@@ -210,6 +220,8 @@ def load_config(path=None, example=None, overrides=None):
     else:
         cfg = example_config(example)
     for key, value in (overrides or {}).items():
+        if key == "region.Rz" and cfg.get("region", {}).get("heuristic"):
+            key = "region.rz"     # the radius parameter of a heuristic region
         section = cfg
         *parents, leaf = key.split(".")
         for p in parents:
@@ -279,7 +291,7 @@ def _solver_options(cfg):
 
 def _collect(cfg, plant):
     samp = cfg["sampling"]
-    return plants.collect_samples(plant, samp["d"], samp["seed"],
+    return plants.collect_samples(plant, samp["d"], samp.get("seed", 0),
                                   noise_bound=samp.get("noise_bound", 0.0))
 
 
@@ -455,9 +467,10 @@ def _lqr_grid(plant, surrogate, starts, weights, horizon, rtol):
     X0 = np.reshape(starts, (-1, plant.n))
     solved = [verify.lqr_baseline(surrogate, R=w * np.eye(surrogate.m))
               for w in weights]
-    gains = np.repeat(np.array([K_lqr for K_lqr, _, _ in solved]), len(X0), axis=0)
+    # u = -K_lqr z, one gain per (weight, start) row
+    gains = np.repeat(np.array([-K_lqr for K_lqr, _, _ in solved]), len(X0), axis=0)
     runs_all = verify.simulate_many(
-        plant, verify.lqr_loop(surrogate.lifting, gains),
+        plant, controller.ClosedLoop(surrogate.lifting, gains),
         np.tile(X0, (len(weights), 1)), horizon=horizon, rtol=rtol, atol=rtol)
     entries, trajectories = [], []
     for j, (w, (K_lqr, _, info)) in enumerate(zip(weights, solved)):

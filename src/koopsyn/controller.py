@@ -277,7 +277,8 @@ def _polar_sweep(value_many, r_max, resolution, tol):
 def roa_boundary_2d(design, lifting, resolution=360, r_max=None, tol=1e-8):
     """Polar sweep of the region-of-attraction boundary for planar states.
 
-    For each angle the unique crossing V = 1 is bracketed and bisected.
+    For each angle the first crossing V = 1 found along the ray is bracketed
+    and bisected; the certified set need not be star-shaped.
     """
     if lifting.n != 2:
         raise ValueError("boundary sweep requires a planar state space")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import controller
-from .matops import sym, write_table
+from .matops import write_table
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,6 @@ _REASONS = np.array(["", "converged", "left_domain", "horizon",
 _CONVERGED, _LEFT, _HORIZON, _FAILURE, _SINGULAR = range(1, 6)
 _ERROR_EXPONENT = -1.0 / 5.0        # the error estimate is of order 4
 _EPS = np.finfo(float).eps
-CARE_REFINE_STEPS, CARE_RESIDUAL_TOL = 3, 1e-8    # Newton-Kleinman polish
 
 
 def _combine(K, coeffs):
@@ -376,83 +375,29 @@ def lyapunov_audit(traj, tol=1e-6):
                        worst_step=worst, V_start=float(V[0]), V_end=float(V[-1]))
 
 
-def hautus_stabilizable(A, B, tol=1e-9):
-    """PBH test: every eigenvalue with nonnegative real part must be
-    controllable."""
-    A = np.asarray(A, dtype=float)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    n = A.shape[0]
-    for lam in np.linalg.eigvals(A):
-        if lam.real >= -tol:
-            M = np.hstack([A - lam * np.eye(n), B])
-            if np.linalg.matrix_rank(M, tol=1e-9 * max(1.0, np.abs(lam))) < n:
-                return False
-    return True
-
-
-def solve_care(A, B, Q, R):
-    """Continuous algebraic Riccati equation via the Hamiltonian Schur method
-    with Newton-Kleinman refinement.
-
-    Builds the Hamiltonian, extracts its stable invariant subspace through a
-    real ordered Schur decomposition, forms P from the subspace basis, and
-    polishes with at most ``CARE_REFINE_STEPS`` Kleinman iterations (each
-    solves one Lyapunov equation) until the residual
-    ||A'P + PA - PBinv(R)B'P + Q|| is at most ``CARE_RESIDUAL_TOL * ||Q||``.
-    """
-    # imported here, so that only a stage that runs the LQR baseline loads it
-    from scipy.linalg import schur, solve_continuous_lyapunov
-
-    A = np.asarray(A, dtype=float)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Q = np.asarray(Q, dtype=float)
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    n = A.shape[0]
-    if not hautus_stabilizable(A, B):
-        raise ValueError("(A, B) is not stabilizable")
-    Rinv = np.linalg.inv(R)
-    H = np.block([[A, -B @ Rinv @ B.T], [-Q, -A.T]])
-    _, U, k = schur(H, output="real", sort="lhp")
-    if k != n:
-        raise ValueError("Hamiltonian has eigenvalues on the imaginary axis")
-    U11 = U[:n, :n]
-    U21 = U[n:, :n]
-    P = sym(U21 @ np.linalg.inv(U11))
-
-    def residual(Pm):
-        return A.T @ Pm + Pm @ A - Pm @ B @ Rinv @ B.T @ Pm + Q
-
-    qnorm = max(np.linalg.norm(Q, "fro"), 1e-30)
-    for _ in range(CARE_REFINE_STEPS):
-        if np.linalg.norm(residual(P), "fro") <= CARE_RESIDUAL_TOL * qnorm:
-            break
-        K = Rinv @ B.T @ P
-        Acl = A - B @ K
-        P = sym(solve_continuous_lyapunov(Acl.T, -(Q + K.T @ R @ K)))
-    res = float(np.linalg.norm(residual(P), "fro"))
-    return P, {"residual": res, "relative_residual": res / qnorm}
-
-
-def lqr_baseline(surrogate, Q=None, R=None):
-    """Regulator gain for the linear part (A, B0) of the surrogate.
+def lqr_baseline(surrogate, R):
+    """Regulator gain for the linear part (A, B0) of the surrogate with
+    state weight I and input weight ``R``, from the generalized-eigenvalue
+    CARE solver of Arnold & Laub (Proc. IEEE 72, 1984).
 
     Returns (K_lqr, P, info); the feedback convention is u = -K_lqr z with z
-    the reduced lift.
+    the reduced lift, and ``info["relative_residual"]`` is the Frobenius norm
+    of A'P + PA - PB0 inv(R) B0'P + I over that of I.  Raises ``ValueError``
+    when (A, B0) is not stabilizable.
     """
+    # imported here, so that only a stage that runs the LQR baseline loads it
+    from scipy.linalg import LinAlgError, solve_continuous_are
+
     A, B0 = surrogate.A, surrogate.B0
-    N, m = surrogate.N, surrogate.m
-    Q = np.eye(N) if Q is None else np.asarray(Q, dtype=float)
-    R = np.eye(m) if R is None else np.atleast_2d(np.asarray(R, dtype=float))
-    P, info = solve_care(A, B0, Q, R)
-    K = np.linalg.inv(R) @ B0.T @ P
-    return K, P, info
-
-
-def lqr_loop(lifting, gains):
-    """Closed loop of u = -K_lqr * reduced lift, for simulate_many, with
-    one regulator gain K_lqr (m, N) or a stack of them (d, m, N), one per
-    start row; it carries no certificate."""
-    return controller.ClosedLoop(lifting, -np.atleast_2d(gains))
+    Q, R = np.eye(surrogate.N), np.atleast_2d(np.asarray(R, dtype=float))
+    try:
+        # scipy's default balancing can leave a residual of 1e-6 relative
+        P = solve_continuous_are(A, B0, Q, R, balanced=False)
+    except LinAlgError as exc:
+        raise ValueError(f"no stabilizing CARE solution for (A, B0): {exc}") from exc
+    K = np.linalg.solve(R, B0.T @ P)
+    res = np.linalg.norm(A.T @ P + P @ A - P @ B0 @ K + Q, "fro")
+    return K, P, {"relative_residual": float(res / np.linalg.norm(Q, "fro"))}
 
 
 def export_trajectory_dat(traj, path):

@@ -187,11 +187,16 @@ class TestConfig:
         ("solver", "tol", 0.0, "solver.tol must be a positive finite number"),
         ("solver", "tol", -1e-8, "solver.tol must be a positive finite number"),
         ("solver", "max_iters", 0, "solver.max_iters must be an integer of at least 1"),
+        ("solver", "epsilon", 0.0, "solver.epsilon must be a positive finite number"),
+        ("solver", "epsilon", -1.0, "solver.epsilon must be a positive finite number"),
+        ("solver", "t_cap", 0.0, "solver.t_cap must be a positive finite number"),
+        ("solver", "t_cap", -1.0, "solver.t_cap must be a positive finite number"),
     ], ids=["n_starts-0", "n_starts-negative", "n_starts-float", "n_starts-bool",
             "verify-seed-float", "lqr-weight-negative", "lqr-weight-zero",
             "lqr-weights-number", "rtol-0", "rtol-nan", "horizon-0", "horizon-negative",
             "sampling-seed-float", "noise-bound-negative", "tol-0",
-            "tol-negative", "max-iters-0"])
+            "tol-negative", "max-iters-0", "epsilon-0", "epsilon-negative",
+            "t_cap-0", "t_cap-negative"])
     def test_bad_setting_rejected(self, tmp_path, capsys, section, key, value,
                                   message):
         cfg = cli.example_config("pendulum")
@@ -204,6 +209,37 @@ class TestConfig:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [0, -5, 2.5, True],
+                             ids=["0", "negative", "float", "bool"])
+    def test_bad_resolution_rejected(self, tmp_path, capsys, value):
+        cfg = cli.example_config("cooked_up")
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["resolution"] = value
+        path = tmp_path / "resolution.json"
+        path.write_text(json.dumps(cfg))
+        for cmd in ("collect", "design"):
+            assert cli.main([cmd, "--config", str(path)]) == cli.EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == \
+                "error: resolution must be an integer of at least 1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["Qz", "Sz", "Rz"])
+    def test_fixed_region_keys_in_heuristic_region_rejected(self, tmp_path,
+                                                            capsys, key):
+        cfg = cli.example_config("pendulum_shaped")
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["region"][key] = cli.example_config("pendulum")["region"][key]
+        path = tmp_path / "heuristic.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["design", "--config", str(path)]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: a heuristic region builds its own Qz, Sz and Rz; "
+            f"drop region.{key} (its radius is region.rz)\n")
         assert not (tmp_path / "out").exists()
 
     def test_empty_lqr_weights_accepted(self):
@@ -256,6 +292,22 @@ class TestCollect:
         for k in (0, 1):
             assert (a / f"samples_u{k}.csv").read_bytes() == \
                 (b / f"samples_u{k}.csv").read_bytes()
+
+    def test_missing_seed_collects_as_seed_0(self, tmp_path):
+        for name, seed in (("zero", 0), ("unset", None)):
+            cfg = cli.example_config("cooked_up")
+            cfg["output_dir"] = str(tmp_path / name)
+            cfg["sampling"]["d"] = 20
+            if seed is None:
+                del cfg["sampling"]["seed"]
+            else:
+                cfg["sampling"]["seed"] = seed
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            assert cli.main(["collect", "--config", str(path)]) == 0
+        for k in (0, 1):
+            assert (tmp_path / "unset" / f"samples_u{k}.csv").read_bytes() == \
+                (tmp_path / "zero" / f"samples_u{k}.csv").read_bytes()
 
     def test_manifest_written(self, tmp_path):
         cli.main(["collect", "--example", "cooked_up", "--out", str(tmp_path),
@@ -445,6 +497,14 @@ class TestFitAndDesign:
         final_names = [c["name"]
                        for c in log["constraint_manifest"]["constraints"]]
         assert "invariance" in final_names
+
+    def test_rz_flag_sets_heuristic_radius(self, tmp_path):
+        run_pipeline(tmp_path, example="pendulum_shaped", d=3000,
+                     extra=("--rz", "2.0"))
+        assert json.loads((tmp_path / "region.json").read_text())["Rz"] == 2.0
+        manifest = json.loads((tmp_path / "manifest_design.json").read_text())
+        assert manifest["config"]["region"]["rz"] == 2.0
+        assert "Rz" not in manifest["config"]["region"]
 
 
     @pytest.mark.parametrize("theorem", [None, 1, 2])

@@ -173,10 +173,8 @@ class TestClosedLoop:
             assert abs(v - float(z @ design.P_inv @ z)) <= bound
 
     def test_lqr_gain(self, lifting_cooked):
-        from koopsyn import verify
-
         K = np.array([[0.5, -1.25, 3.0]])
-        loop = verify.lqr_loop(lifting_cooked, K)
+        loop = ClosedLoop(lifting_cooked, -K)
         X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 2))
         U, _ = loop.feedback_of_lifts(lifting_cooked.lift_reduced_many(X))
         bound = 16 * np.finfo(float).eps * np.linalg.norm(K, 2)

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_are
 
 from koopsyn import cli, edmd, plants, verify
 from koopsyn.controller import ClosedLoop, DesignResult, FeedbackSingularError
@@ -378,38 +377,39 @@ class TestLyapunovAudit:
             verify.lyapunov_audit(traj)
 
 
+def linear_surrogate(A, B0):
+    """A one-input surrogate with linear part (A, B0) and a zero bilinear
+    channel."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    return edmd.Surrogate(A=A, B0=B0, B=(np.zeros_like(A),))
+
+
 class TestCARE:
     def test_scalar_closed_form(self):
-        P, info = verify.solve_care(np.array([[-1.0]]), np.array([[1.0]]),
-                                    np.eye(1), np.eye(1))
+        # A = -1, B = Q = R = 1: P^2 + 2P - 1 = 0, P = sqrt(2) - 1
+        K, P, info = verify.lqr_baseline(linear_surrogate(-1.0, 1.0), np.eye(1))
         assert P[0, 0] == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-12)
+        assert K[0, 0] == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-12)
 
     def test_scalar_integrator(self):
-        P, _ = verify.solve_care(np.array([[0.0]]), np.array([[1.0]]),
-                                 np.eye(1), np.eye(1))
+        K, P, _ = verify.lqr_baseline(linear_surrogate(0.0, 1.0), np.eye(1))
         assert P[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert K[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_residual_bound(self, surrogate_pendulum):
-        K, P, info = verify.lqr_baseline(surrogate_pendulum)
-        assert info["relative_residual"] <= 1e-8
-
-    def test_matches_scipy(self, surrogate_pendulum):
-        A, B = surrogate_pendulum.A, surrogate_pendulum.B0
-        Q = np.eye(3)
-        R = np.eye(1)
-        P, _ = verify.solve_care(A, B, Q, R)
-        P_ref = solve_continuous_are(A, B, Q, R)
-        assert np.max(np.abs(P - P_ref)) <= 1e-8 * max(1.0, np.max(np.abs(P_ref)))
+        m = surrogate_pendulum.m
+        for w in cli.example_config("pendulum")["verify"]["lqr_weights"]:
+            _, _, info = verify.lqr_baseline(surrogate_pendulum, w * np.eye(m))
+            assert info["relative_residual"] <= 1e-13, w
 
     def test_unstabilizable_rejected(self):
-        A = np.diag([1.0, -1.0])
-        B = np.array([[0.0], [1.0]])
-        assert not verify.hautus_stabilizable(A, B)
-        with pytest.raises(ValueError):
-            verify.solve_care(A, B, np.eye(2), np.eye(1))
+        # the unstable mode x_1 is not reached by the input
+        surrogate = linear_surrogate(np.diag([1.0, -1.0]), [0.0, 1.0])
+        with pytest.raises(ValueError, match="no stabilizing CARE solution"):
+            verify.lqr_baseline(surrogate, np.eye(1))
 
     def test_closed_loop_stable(self, surrogate_pendulum):
-        K, _, _ = verify.lqr_baseline(surrogate_pendulum)
+        K, _, _ = verify.lqr_baseline(surrogate_pendulum, np.eye(1))
         Acl = surrogate_pendulum.A - surrogate_pendulum.B0 @ K
         assert np.max(np.linalg.eigvals(Acl).real) < 0.0
 
