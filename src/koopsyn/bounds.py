@@ -35,10 +35,14 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.method not in ("grid", "mc"):
             raise ValueError(f"unknown quadrature method '{self.method}'")
-        for name in ("points_per_axis", "samples", "replicates"):
+        for name, least in (("points_per_axis", 1), ("samples", 1),
+                            ("replicates", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"d0 quadrature: {name} must be an integer >= 1")
+            if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+                    or value < least):
+                raise ValueError(f"d0 quadrature: {name} must be an integer >= {least}")
+        if not isinstance(self.sobol, bool):
+            raise ValueError("d0 quadrature: sobol must be true or false")
 
     def describe(self):
         if self.method == "grid":
@@ -57,17 +61,80 @@ def _grid_points(box, points_per_axis):
     return [np.column_stack([m.ravel() for m in mesh])]
 
 
+# Joe & Kuo's direction numbers ("Constructing Sobol sequences with better
+# two-dimensional projections", SIAM J. Sci. Comput. 30, 2008) for Sobol
+# dimensions 2 to 16: the primitive polynomial as the bits of its
+# coefficients (x^s down to 1) and the initial integers m_1..m_s.  Dimension
+# 1 is van der Corput's, every m_i = 1.
+_JOE_KUO = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+)
+_SOBOL_DIMS = len(_JOE_KUO) + 1
+_SOBOL_BITS = 30
+
+
+def _sobol_directions(d):
+    """(d, 30) integers m_j of each dimension, extended past the initial
+    ones by the recurrence of Bratley & Fox (ACM TOMS 14, 1988)."""
+    rows = [[1] * _SOBOL_BITS]
+    for poly, init in _JOE_KUO[:d - 1]:
+        s = len(init)
+        m = list(init)
+        for j in range(s, _SOBOL_BITS):
+            v = m[j - s]
+            for k in range(1, s + 1):
+                if poly >> (s - k) & 1:
+                    v ^= m[j - k] << k
+            m.append(v)
+        rows.append(m)
+    return np.array(rows, dtype=np.uint32)
+
+
+def _sobol_points(d, mexp, seed):
+    """The first 2**mexp points of the d-dimensional Sobol sequence under
+    Matousek's linear matrix scrambling plus a digital shift ("On the
+    L2-discrepancy for anchored boxes", J. Complexity 14, 1998), bitwise
+    equal to scipy's ``qmc.Sobol(d, scramble=True, seed=seed)
+    .random(2**mexp)``: the random bits come from
+    ``np.random.default_rng(seed)`` in scipy's order, shift first."""
+    if d > _SOBOL_DIMS:
+        raise ValueError(f"the bundled Sobol generator has {_SOBOL_DIMS} "
+                         f"dimensions, not {d}")
+    if mexp > _SOBOL_BITS:
+        raise ValueError(f"at most 2**{_SOBOL_BITS} Sobol points per replicate")
+    msb = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)   # 29, ..., 0
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 2, (d, _SOBOL_BITS), dtype=np.uint32) @ (1 << msb[::-1])
+    ltm = np.tril(rng.integers(0, 2, (d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, range(_SOBOL_BITS), range(_SOBOL_BITS)] = 1
+    # direction number j is m_j * 2**(29 - j); bit 29 - p of its scrambled
+    # form is the GF(2) product of row p of ltm with its bits, most
+    # significant first
+    v = (_sobol_directions(d)[:, :, None] << msb[:, None] >> msb) & 1   # (d, j, i)
+    sv = ((v @ ltm.transpose(0, 2, 1)) & 1) @ (1 << msb)                 # (d, j)
+    # Gray-code order: point h + i is point h - 1 - i with bit b flipped;
+    # filled a column at a time, returned row-major
+    q = np.empty((1 << mexp, d), dtype=np.uint32, order="F")
+    q[0] = shift
+    for b in range(mexp):
+        h = 1 << b
+        np.bitwise_xor(q[h - 1::-1], sv[:, b], out=q[h:2 * h])
+    return np.multiply(q, 2.0 ** -_SOBOL_BITS, out=np.empty(q.shape))
+
+
 def _mc_points(box, spec, n):
     """One point array per replicate, drawn when the caller asks for it."""
     box = np.asarray(box, dtype=float)
     per = max(2, spec.samples // spec.replicates)
     if spec.sobol:
-        from scipy.stats import qmc
-
         mexp = max(1, int(math.ceil(math.log2(per))))
         for r in range(spec.replicates):
-            eng = qmc.Sobol(d=n, scramble=True, seed=spec.seed + r)
-            yield box[:, 0] + eng.random(1 << mexp) * (box[:, 1] - box[:, 0])
+            pts = _sobol_points(n, mexp, spec.seed + r)
+            yield box[:, 0] + pts * (box[:, 1] - box[:, 0])
     else:
         rng = np.random.default_rng(spec.seed)
         for _ in range(spec.replicates):

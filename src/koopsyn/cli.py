@@ -125,6 +125,7 @@ def validate_config(cfg):
         for sub in value if key in CONFIG_SECTIONS else ():
             if sub not in CONFIG_SECTIONS[key]:
                 raise ValueError(f"unknown config key '{key}.{sub}'")
+    _check_required(cfg)
     eb = cfg["error_bound"]
     for key in ("c_r", "delta"):
         if not _is_number(eb[key], numbers.Real):
@@ -155,11 +156,31 @@ def validate_config(cfg):
     if solver.get("objective", "feasibility") not in OBJECTIVES:
         raise ValueError(f"unknown solver objective '{solver['objective']}' "
                          f"(choose from {', '.join(OBJECTIVES)})")
-    bounds.QuadratureSpec(**cfg.get("d0", {}))    # refuses a bad d0 spec
+    quad = bounds.QuadratureSpec(**cfg.get("d0", {}))    # refuses a bad d0 spec
     n = _plant(cfg).n                             # refuses an unknown plant
+    if quad.method == "mc" and quad.sobol and n > bounds._SOBOL_DIMS:
+        raise ValueError(f"the bundled Sobol generator draws at most "
+                         f"{bounds._SOBOL_DIMS} dimensions, but the plant has "
+                         f"{n} states; set d0 \"sobol\": false for plain "
+                         "Monte Carlo")
     for ob in _extras(cfg):                       # refuses an unknown observable
         _check_dimension(ob, n)
     return cfg
+
+
+def _check_required(cfg):
+    """Refuse a config without a key that a stage reads without a default,
+    before any stage writes a file."""
+    keys = ("output_dir", "plant.id", "lifting.extras", "sampling.d",
+            "error_bound.c_r", "error_bound.delta", "region")
+    if not cfg.get("region", {}).get("heuristic"):
+        keys += ("region.Qz", "region.Sz", "region.Rz")
+    for key in keys:
+        section = cfg
+        for part in key.split("."):
+            if part not in section:
+                raise ValueError(f"missing config key '{key}'")
+            section = section[part]
 
 
 def _check_count(name, value, least):
@@ -247,7 +268,11 @@ def _plant(cfg):
 def _extras(cfg):
     """The extra observables of ``lifting.extras``, decoded by the catalog."""
     extras = []
-    for item in cfg["lifting"]["extras"]:
+    for i, item in enumerate(cfg["lifting"]["extras"]):
+        if not isinstance(item, dict):
+            raise ValueError(f"lifting.extras[{i}] must be an object")
+        if "kind" not in item:
+            raise ValueError(f"missing config key 'lifting.extras[{i}].kind'")
         if item["kind"] in ("coordinate", "constant"):
             raise ValueError("constant and coordinates are implied, not extras")
         extras.append(observable(item["kind"], item.get("params", {})))

@@ -168,6 +168,55 @@ class TestStreamedQuadrature:
         with pytest.raises(ValueError, match="unknown quadrature method 'sobol'"):
             bounds.QuadratureSpec(method="sobol")
 
+    @pytest.mark.parametrize("field", ["points_per_axis", "samples", "replicates"])
+    def test_bool_count_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            bounds.QuadratureSpec(**{field: True})
+
+    @pytest.mark.parametrize("value", ["a", 1.5, -1, True, None])
+    def test_bad_seed_rejected(self, value):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            bounds.QuadratureSpec(method="mc", seed=value)
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_non_bool_sobol_rejected(self, value):
+        with pytest.raises(ValueError, match="sobol must be true or false"):
+            bounds.QuadratureSpec(method="mc", sobol=value)
+
+
+class TestSobol:
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_bitwise_equal_to_scipy(self, d):
+        from scipy.stats import qmc
+
+        for mexp in (1, 7, 12, 18):
+            for seed in (0, 7, 2 ** 40 + 3):
+                want = qmc.Sobol(d, scramble=True, seed=seed).random(2 ** mexp)
+                got = bounds._sobol_points(d, mexp, seed)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, want), (mexp, seed)
+
+    def test_replicates_equal_scipy_engines(self):
+        # replicate r: a fresh engine seeded seed + r, rounded up to 2**10 points
+        from scipy.stats import qmc
+
+        spec = bounds.QuadratureSpec(method="mc", samples=3000, replicates=3, seed=4)
+        box = np.array([[-1.0, 3.0], [0.5, 2.0]])
+        chunks = list(bounds._mc_points(box, spec, 2))
+        assert [len(c) for c in chunks] == [1024] * 3
+        for r, pts in enumerate(chunks):
+            unit = qmc.Sobol(2, scramble=True, seed=4 + r).random(1024)
+            assert np.array_equal(pts, box[:, 0] + unit * (box[:, 1] - box[:, 0]))
+
+    def test_more_than_16_dimensions_refused(self):
+        bounds._sobol_points(16, 1, 0)
+        with pytest.raises(ValueError, match="has 16 dimensions, not 17"):
+            bounds._sobol_points(17, 1, 0)
+
+    def test_more_than_2_30_points_refused(self):
+        with pytest.raises(ValueError, match=r"at most 2\*\*30 Sobol points"):
+            bounds._sobol_points(1, 31, 0)
+
 
 class TestRemainderBound:
     """The proportional remainder bound ||eps|| <= c_r (||z|| + ||u||) as the

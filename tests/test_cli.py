@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,6 +241,39 @@ class TestConfig:
         assert captured.err == (
             "error: a heuristic region builds its own Qz, Sz and Rz; "
             f"drop region.{key} (its radius is region.rz)\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", [
+        "output_dir", "plant.id", "lifting.extras", "lifting.extras[0].kind",
+        "sampling.d", "error_bound.c_r", "error_bound.delta", "region",
+        "region.Qz", "region.Sz", "region.Rz"])
+    def test_missing_key_rejected(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = cli.example_config("cooked_up")
+        cfg["output_dir"] = "out"
+        if key == "lifting.extras[0].kind":
+            del cfg["lifting"]["extras"][0]["kind"]
+        else:
+            section, _, leaf = key.rpartition(".")
+            del (cfg[section] if section else cfg)[leaf]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(cfg))
+        for cmd in ("collect", "fit", "d0", "design", "verify"):
+            assert cli.main([cmd, "--config", str(path)]) == cli.EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: missing config key '{key}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["missing.json"]
+
+    def test_extra_not_an_object_rejected(self, tmp_path, capsys):
+        cfg = cli.example_config("cooked_up")
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["lifting"]["extras"].append(5)
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["collect", "--config", str(path)]) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == \
+            "error: lifting.extras[1] must be an object\n"
         assert not (tmp_path / "out").exists()
 
     def test_empty_lqr_weights_accepted(self):
@@ -640,6 +674,48 @@ class TestD0Command:
         for cmd in ("collect", "d0"):
             assert cli.main([cmd, "--config", str(path)]) == cli.EXIT_BAD_INPUT
             assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"seed": "a"}, "d0 quadrature: seed must be an integer >= 0"),
+        ({"seed": 1.5}, "d0 quadrature: seed must be an integer >= 0"),
+        ({"seed": -1}, "d0 quadrature: seed must be an integer >= 0"),
+        ({"seed": True}, "d0 quadrature: seed must be an integer >= 0"),
+        ({"sobol": "no"}, "d0 quadrature: sobol must be true or false")],
+        ids=["seed-string", "seed-float", "seed-negative", "seed-bool",
+             "sobol-string"])
+    def test_bad_seed_or_sobol_rejected(self, tmp_path, capsys, spec, message):
+        cfg = cli.example_config("cooked_up")
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["d0"] = {"method": "mc", **spec}
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(cfg))
+        for cmd in ("collect", "fit", "d0"):
+            assert cli.main([cmd, "--config", str(path)]) == cli.EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_sobol_refused_past_16_states(self, tmp_path, monkeypatch, capsys):
+        # validate_config reads only the plant's state dimension
+        monkeypatch.setattr(cli, "_plant", lambda cfg: SimpleNamespace(n=17))
+        cfg = cli.example_config("cooked_up")
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["lifting"]["extras"] = []
+        for spec in ({"method": "grid"}, {"method": "mc", "sobol": False}):
+            assert cli.validate_config({**cfg, "d0": spec})
+        cfg["d0"] = {"method": "mc", "sobol": True}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(cfg))
+        for cmd in ("collect", "d0"):
+            assert cli.main([cmd, "--config", str(path)]) == cli.EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: the bundled Sobol generator draws at most 16 dimensions, "
+                "but the plant has 17 states; set d0 \"sobol\": false for plain "
+                "Monte Carlo\n")
         assert not (tmp_path / "out").exists()
 
     def test_report_independent_of_blas_threads_and_run(self, tmp_path):

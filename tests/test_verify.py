@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -168,7 +169,8 @@ SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_cli_import_leaves_scipy_integrate_out():
-    # no scipy module at all: only the LQR baseline and the Sobol d0 load one
+    # no scipy module at all: only verify's LQR baseline loads one (the Sobol
+    # d0 draws its points with the bundled generator)
     code = f"import sys, koopsyn.cli; print({SCIPY_LOADED})"
     assert _subprocess_modules(code) == "[]"
 
@@ -195,6 +197,22 @@ def test_only_lqr_verify_loads_scipy(tmp_path, example):
         assert "scipy.linalg" in loaded["verify"]
         assert not [m for m in loaded["verify"]
                     if m.split(".")[1:2] in (["integrate"], ["optimize"], ["stats"])]
+
+
+def test_sobol_d0_loads_no_scipy(tmp_path):
+    """d0 with the Monte-Carlo Sobol spec, in a fresh interpreter, draws its
+    points with the bundled generator and loads no scipy module."""
+    cfg = cli.example_config("cooked_up")
+    cfg["output_dir"] = str(tmp_path)
+    cfg["d0"] = {"method": "mc", "samples": 1 << 12, "replicates": 2,
+                 "sobol": True}
+    path = tmp_path / "sobol.json"
+    path.write_text(json.dumps(cfg))
+    code = ("import sys\nfrom koopsyn import cli\n"
+            f"assert cli.main(['d0', '--config', {str(path)!r}]) == 0\n"
+            f"print('loaded', *{SCIPY_LOADED})\n")
+    assert _subprocess_modules(code).splitlines()[-1] == "loaded"
+    assert (tmp_path / "d0_report.json").exists()
 
 
 def test_simulate_leaves_scipy_integrate_out():
