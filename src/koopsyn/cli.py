@@ -38,17 +38,86 @@ OBJECTIVES = ("feasibility", "maximize_roa")
 # -- configuration ----------------------------------------------------------
 
 
-# the config keys the stages read: plain values, then sections with their
-# keys (plant.params is free-form; plants.make_example checks it)
-CONFIG_VALUES = ("theorem", "resolution", "output_dir")
-CONFIG_SECTIONS = {
-    "plant": ("id", "params"), "lifting": ("extras",),
-    "sampling": ("d", "seed", "noise_bound"), "error_bound": ("c_r", "delta"),
-    "region": ("Qz", "Sz", "Rz", "heuristic", "rz", "rz_step1", "theorem"),
-    "solver": ("tol", "max_iters", "t_cap", "epsilon", "objective", "backend"),
-    "verify": ("n_starts", "seed", "horizon", "rtol", "lqr", "lqr_weights"),
-    "d0": tuple(f.name for f in dataclasses.fields(bounds.QuadratureSpec)),
+def _integer(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _finite(v):
+    return _integer(v) or (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                           and math.isfinite(v))
+
+
+# a check: a test of a config value, and what a value must be to pass it
+_AT_LEAST_0 = (lambda v: _integer(v) and v >= 0, "an integer of at least 0")
+_AT_LEAST_1 = (lambda v: _integer(v) and v >= 1, "an integer of at least 1")
+_POSITIVE = (lambda v: _finite(v) and v > 0, "a positive finite number")
+_BOOLEAN = (lambda v: isinstance(v, bool), "true or false")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_THEOREM = (lambda v: _integer(v) and v in (1, 2), "1 or 2")
+REQUIRED = "required"      # the default of a key that a config must set
+
+# Every key a config may hold, with its default and its check.  region.Qz,
+# Sz and Rz are required unless the region is heuristic; None defaults fall
+# back to region.rz (rz_step1) and the design's theorem (region.theorem).
+# The plant checks plant.params, and bounds.QuadratureSpec the d0 keys.
+CONFIG = {
+    "output_dir": (REQUIRED, _STRING),
+    "plant.id": (REQUIRED, _STRING),
+    "plant.params": ({}, _OBJECT),
+    "lifting.extras": (REQUIRED, (lambda v: isinstance(v, list), "a list")),
+    "sampling.d": (REQUIRED, _AT_LEAST_1),
+    "sampling.seed": (0, _AT_LEAST_0),
+    "sampling.noise_bound": (0.0, (lambda v: _finite(v) and v >= 0,
+                                   "a non-negative finite number")),
+    "error_bound.c_r": (REQUIRED, _POSITIVE),
+    "error_bound.delta": (REQUIRED, (lambda v: _finite(v) and 0 < v < 1,
+                                     "a number in (0, 1)")),
+    "region.heuristic": (False, _BOOLEAN),    # checked before Qz, Sz and Rz
+    "region.Qz": (REQUIRED, (lambda v: isinstance(v, list) and all(
+        isinstance(row, list) and all(map(_finite, row)) for row in v),
+        "a list of rows of finite numbers")),
+    "region.Sz": (REQUIRED, (lambda v: isinstance(v, list) and all(map(_finite, v)),
+                             "a list of finite numbers")),
+    "region.Rz": (REQUIRED, _POSITIVE),
+    "region.rz": (1.0, _POSITIVE),
+    "region.rz_step1": (None, _POSITIVE),
+    "region.theorem": (None, _THEOREM),
+    "theorem": (1, _THEOREM),
+    "solver.tol": (1e-8, _POSITIVE),
+    "solver.max_iters": (200, _AT_LEAST_1),
+    "solver.epsilon": (1e-6, _POSITIVE),
+    "solver.t_cap": (1.0, _POSITIVE),
+    "solver.objective": ("feasibility", (lambda v: v in OBJECTIVES,
+                                         " or ".join(map(json.dumps, OBJECTIVES)))),
+    "solver.backend": ("ipm", (lambda v: v == "ipm", '"ipm"')),   # the only solver
+    "verify.n_starts": (20, _AT_LEAST_1),
+    "verify.seed": (123, _AT_LEAST_0),
+    "verify.horizon": (50.0, _POSITIVE),
+    "verify.rtol": (1e-8, _POSITIVE),
+    "verify.lqr": (False, _BOOLEAN),
+    "verify.lqr_weights": ((0.01, 0.1, 1.0, 10.0), (
+        lambda v: isinstance(v, list) and all(_finite(w) and w > 0 for w in v),
+        "a list of positive finite numbers")),
+    "resolution": (360, _AT_LEAST_1),
+    **{f"d0.{f.name}": (f.default, None)
+       for f in dataclasses.fields(bounds.QuadratureSpec)},
 }
+_SECTIONS = {key.partition(".")[0] for key in CONFIG if "." in key}
+
+
+def _check(key, value, check):
+    test, what = check
+    if not test(value):
+        raise ValueError(f"{key} must be {what}")
+
+
+def _setting(cfg, key):
+    """The config's value of ``key``, else the table's default; writes nothing."""
+    head, _, leaf = key.rpartition(".")
+    section = cfg.get(head, {}) if head else cfg
+    default = CONFIG[key][0]
+    return section[leaf] if default is REQUIRED else section.get(leaf, default)
 
 
 def example_config(name):
@@ -105,57 +174,40 @@ def example_config(name):
 
 
 def _theorems(cfg):
-    """The design's theorem (1 unless set) and the theorem of the region
-    heuristic's pilot synthesis (the design's unless ``region.theorem`` is
-    set)."""
-    design = cfg.get("theorem", 1)
-    return design, cfg.get("region", {}).get("theorem", design)
+    """The design's theorem and that of the region heuristic's pilot."""
+    design, pilot = _setting(cfg, "theorem"), _setting(cfg, "region.theorem")
+    return design, design if pilot is None else pilot
 
 
-def _is_number(value, kind):
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _check_keys(cfg):
+    """Refuse a config or section that is not an object, or a key not in CONFIG."""
+    if not isinstance(cfg, dict):
+        raise ValueError("a config must be a JSON object")
+    for name, value in cfg.items():
+        if name in _SECTIONS:
+            _check(f"config section '{name}'", value, _OBJECT)
+        for key in [f"{name}.{sub}" for sub in value] if name in _SECTIONS else [name]:
+            if key not in CONFIG:
+                raise ValueError(f"unknown config key '{key}'")
 
 
 def validate_config(cfg):
-    for key, value in cfg.items():
-        if key not in CONFIG_VALUES and key not in CONFIG_SECTIONS:
-            raise ValueError(f"unknown config key '{key}'")
-        if key in CONFIG_SECTIONS and not isinstance(value, dict):
-            raise ValueError(f"config section '{key}' must be an object")
-        for sub in value if key in CONFIG_SECTIONS else ():
-            if sub not in CONFIG_SECTIONS[key]:
-                raise ValueError(f"unknown config key '{key}.{sub}'")
-    _check_required(cfg)
-    eb = cfg["error_bound"]
-    for key in ("c_r", "delta"):
-        if not _is_number(eb[key], numbers.Real):
-            raise ValueError(f"error_bound.{key} must be a number")
-    if not _is_number(cfg["sampling"]["d"], numbers.Integral):
-        raise ValueError("sampling.d must be an integer")
-    if eb["c_r"] <= 0:
-        raise ValueError("c_r must be positive")
-    if not (0.0 < eb["delta"] < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    if cfg["sampling"]["d"] < 1:
-        raise ValueError("need at least one sample per batch")
-    _check_settings(cfg)
-    region = cfg.get("region", {})
-    for key in ("Qz", "Sz", "Rz"):
-        if region.get("heuristic") and key in region:
+    """Refuse, before any stage writes, a key outside ``CONFIG``, a missing
+    required key, a value its check refuses, or a broken cross-key rule."""
+    _check_keys(cfg)
+    heuristic = _setting(cfg, "region.heuristic") is True
+    for key, (default, check) in CONFIG.items():
+        head, _, leaf = key.rpartition(".")
+        section = cfg.get(head, {}) if head else cfg
+        fixed_only = heuristic and key in ("region.Qz", "region.Sz", "region.Rz")
+        if leaf in section and fixed_only:
             raise ValueError(f"a heuristic region builds its own Qz, Sz and Rz; "
-                             f"drop region.{key} (its radius is region.rz)")
-    design_theorem, pilot_theorem = _theorems(cfg)
-    if design_theorem not in (1, 2):
-        raise ValueError("theorem must be 1 or 2")
-    if pilot_theorem not in (1, 2):
-        raise ValueError("region.theorem must be 1 or 2")
-    solver = cfg.get("solver", {})
-    if solver.get("backend", "ipm") != "ipm":
-        raise ValueError(f"unknown solver backend '{solver['backend']}' "
-                         "(the bundled 'ipm' is the only one)")
-    if solver.get("objective", "feasibility") not in OBJECTIVES:
-        raise ValueError(f"unknown solver objective '{solver['objective']}' "
-                         f"(choose from {', '.join(OBJECTIVES)})")
+                             f"drop {key} (its radius is region.rz)")
+        if leaf in section and check is not None:
+            _check(key, section[leaf], check)
+        elif leaf not in section and default is REQUIRED and not fixed_only:
+            missing = head if head and head not in cfg else key
+            raise ValueError(f"missing config key '{missing}'")
     quad = bounds.QuadratureSpec(**cfg.get("d0", {}))    # refuses a bad d0 spec
     n = _plant(cfg).n                             # refuses an unknown plant
     if quad.method == "mc" and quad.sobol and n > bounds._SOBOL_DIMS:
@@ -163,60 +215,16 @@ def validate_config(cfg):
                          f"{bounds._SOBOL_DIMS} dimensions, but the plant has "
                          f"{n} states; set d0 \"sobol\": false for plain "
                          "Monte Carlo")
-    for ob in _extras(cfg):                       # refuses an unknown observable
+    extras = _extras(cfg)                         # refuses an unknown observable
+    for ob in extras:
         _check_dimension(ob, n)
+    if not heuristic:                             # a fixed region of the lift's size
+        N, region = n + len(extras), cfg["region"]
+        if {len(region["Sz"]), len(region["Qz"]), *map(len, region["Qz"])} != {N}:
+            raise ValueError(f"region.Qz must be {N}x{N} and region.Sz of length {N}, "
+                             f"N = n + len(lifting.extras) = {n} + {len(extras)}")
+        _resolve_region(cfg, None)                # refuses Qz not negative definite
     return cfg
-
-
-def _check_required(cfg):
-    """Refuse a config without a key that a stage reads without a default,
-    before any stage writes a file."""
-    keys = ("output_dir", "plant.id", "lifting.extras", "sampling.d",
-            "error_bound.c_r", "error_bound.delta", "region")
-    if not cfg.get("region", {}).get("heuristic"):
-        keys += ("region.Qz", "region.Sz", "region.Rz")
-    for key in keys:
-        section = cfg
-        for part in key.split("."):
-            if part not in section:
-                raise ValueError(f"missing config key '{key}'")
-            section = section[part]
-
-
-def _check_count(name, value, least):
-    if not _is_number(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}")
-
-
-def _check_real(name, value, zero_ok=False):
-    if not (_is_number(value, numbers.Real) and math.isfinite(value)
-            and (value >= 0 if zero_ok else value > 0)):
-        sign = "non-negative" if zero_ok else "positive"
-        raise ValueError(f"{name} must be a {sign} finite number")
-
-
-def _check_settings(cfg):
-    """Refuse a sampling, solver, verify or resolution setting that a stage
-    would otherwise truncate, ignore, misread or fail on only after running
-    (a zero rtol integrates without end, a zero n_starts verifies nothing, a
-    non-positive epsilon certifies a violated strict LMI)."""
-    samp, solver, vcfg = cfg["sampling"], cfg.get("solver", {}), cfg.get("verify", {})
-    _check_count("sampling.seed", samp.get("seed", 0), 0)
-    _check_real("sampling.noise_bound", samp.get("noise_bound", 0.0), zero_ok=True)
-    _check_real("solver.tol", solver.get("tol", 1e-8))
-    _check_count("solver.max_iters", solver.get("max_iters", 200), 1)
-    _check_real("solver.epsilon", solver.get("epsilon", 1e-6))
-    _check_real("solver.t_cap", solver.get("t_cap", 1.0))
-    _check_count("resolution", cfg.get("resolution", 360), 1)
-    _check_count("verify.n_starts", vcfg.get("n_starts", 20), 1)
-    _check_count("verify.seed", vcfg.get("seed", 123), 0)
-    _check_real("verify.horizon", vcfg.get("horizon", 50.0))
-    _check_real("verify.rtol", vcfg.get("rtol", 1e-8))
-    weights = vcfg.get("lqr_weights", [])
-    if not isinstance(weights, list):
-        raise ValueError("verify.lqr_weights must be a list")
-    for w in weights:
-        _check_real("verify.lqr_weights entry", w)
 
 
 def _check_dimension(ob, n):
@@ -240,14 +248,12 @@ def load_config(path=None, example=None, overrides=None):
             cfg = json.load(fh)
     else:
         cfg = example_config(example)
+    _check_keys(cfg)
     for key, value in (overrides or {}).items():
-        if key == "region.Rz" and cfg.get("region", {}).get("heuristic"):
+        if key == "region.Rz" and _setting(cfg, "region.heuristic") is True:
             key = "region.rz"     # the radius parameter of a heuristic region
-        section = cfg
-        *parents, leaf = key.split(".")
-        for p in parents:
-            section = section.setdefault(p, {})
-        section[leaf] = value
+        head, _, leaf = key.rpartition(".")
+        (cfg.setdefault(head, {}) if head else cfg)[leaf] = value
     return validate_config(cfg)
 
 
@@ -261,21 +267,23 @@ def _outdir(cfg):
 
 
 def _plant(cfg):
-    spec = cfg["plant"]
-    return plants.make_example(spec["id"], **spec.get("params", {}))
+    return plants.make_example(_setting(cfg, "plant.id"),
+                               **_setting(cfg, "plant.params"))
 
 
 def _extras(cfg):
     """The extra observables of ``lifting.extras``, decoded by the catalog."""
     extras = []
-    for i, item in enumerate(cfg["lifting"]["extras"]):
-        if not isinstance(item, dict):
-            raise ValueError(f"lifting.extras[{i}] must be an object")
+    for i, item in enumerate(_setting(cfg, "lifting.extras")):
+        key = f"lifting.extras[{i}]"
+        _check(key, item, _OBJECT)
         if "kind" not in item:
-            raise ValueError(f"missing config key 'lifting.extras[{i}].kind'")
+            raise ValueError(f"missing config key '{key}.kind'")
+        params = item.get("params", {})
+        _check(f"{key}.params", params, _OBJECT)
         if item["kind"] in ("coordinate", "constant"):
             raise ValueError("constant and coordinates are implied, not extras")
-        extras.append(observable(item["kind"], item.get("params", {})))
+        extras.append(observable(item["kind"], params))
     return extras
 
 
@@ -305,19 +313,18 @@ def _write_manifest(outdir, command, cfg, inputs, outputs):
 
 
 def _solver_options(cfg):
-    s = cfg.get("solver", {})
-    return sdp.SolverOptions(tol=s.get("tol", 1e-8),
-                             max_iters=s.get("max_iters", 200),
-                             t_cap=s.get("t_cap", 1.0))
+    return sdp.SolverOptions(tol=_setting(cfg, "solver.tol"),
+                             max_iters=_setting(cfg, "solver.max_iters"),
+                             t_cap=_setting(cfg, "solver.t_cap"))
 
 
 # -- subcommands ------------------------------------------------------------
 
 
 def _collect(cfg, plant):
-    samp = cfg["sampling"]
-    return plants.collect_samples(plant, samp["d"], samp.get("seed", 0),
-                                  noise_bound=samp.get("noise_bound", 0.0))
+    return plants.collect_samples(
+        plant, _setting(cfg, "sampling.d"), _setting(cfg, "sampling.seed"),
+        noise_bound=_setting(cfg, "sampling.noise_bound"))
 
 
 def _fit(cfg, lifting, samples):
@@ -371,11 +378,11 @@ def cmd_d0(cfg):
 
 def _resolve_region(cfg, surrogate, log_sink=None):
     rcfg = cfg["region"]
-    if rcfg.get("heuristic"):
+    if _setting(cfg, "region.heuristic"):
         region, log = uncertainty.procedure1_qz(
             surrogate, theorem=_theorems(cfg)[1],
-            rz=rcfg.get("rz", 1.0), rz_step1=rcfg.get("rz_step1"),
-            epsilon=cfg.get("solver", {}).get("epsilon", 1e-6),
+            rz=_setting(cfg, "region.rz"), rz_step1=_setting(cfg, "region.rz_step1"),
+            epsilon=_setting(cfg, "solver.epsilon"),
             solver_options=_solver_options(cfg))
         if log_sink is not None:
             log_sink["solves"] = [_solve_entry("region", log.step1_report)]
@@ -419,13 +426,12 @@ def _design(cfg, surrogate, region):
     ``problem``.
     """
     theorem = _theorems(cfg)[0]
-    scfg = cfg.get("solver", {})
     options = _solver_options(cfg)
     build = lmi.build_theorem1 if theorem == 1 else lmi.build_theorem2
-    problem = build(surrogate, region, epsilon=scfg.get("epsilon", 1e-6))
+    problem = build(surrogate, region, epsilon=_setting(cfg, "solver.epsilon"))
     report = None
     solves = []
-    if scfg.get("objective", "feasibility") == "maximize_roa":
+    if _setting(cfg, "solver.objective") == "maximize_roa":
         with_objective = lmi.add_roa_objective(problem)
         assignment, report = sdp.solve_problem(with_objective, options)
         solves.append(_solve_entry("objective", report))
@@ -463,7 +469,7 @@ def cmd_design(cfg):
     (outdir / "design.json").write_text(design.to_json() + "\n")
     _write_json(outdir / "region.json", region.to_json_dict(), indent=None)
     boundary = controller.roa_boundary_2d(design, surrogate.lifting,
-                                          resolution=cfg.get("resolution", 360))
+                                          resolution=_setting(cfg, "resolution"))
     controller.export_boundary_dat(boundary, outdir / "roa.dat")
     log.update({
         "status": kept["status"],
@@ -537,11 +543,9 @@ def cmd_verify(cfg):
     design = controller.DesignResult.from_json((outdir / "design.json").read_text())
     lifting = surrogate.lifting
     plant = _plant(cfg)
-    vcfg = cfg.get("verify", {})
-    horizon = vcfg.get("horizon", 50.0)
-    rtol = vcfg.get("rtol", 1e-8)
-    starts = _certified_starts(design, lifting, vcfg.get("n_starts", 20),
-                               vcfg.get("seed", 123))
+    horizon, rtol = _setting(cfg, "verify.horizon"), _setting(cfg, "verify.rtol")
+    starts = _certified_starts(design, lifting, _setting(cfg, "verify.n_starts"),
+                               _setting(cfg, "verify.seed"))
     results = []
     outputs = []
     trajs = verify.simulate_many(plant, controller.ClosedLoop.of(design, lifting),
@@ -562,10 +566,10 @@ def cmd_verify(cfg):
         })
     report = {"trajectories": results,
               "n_converged": sum(r["reason"] == "converged" for r in results)}
-    if vcfg.get("lqr"):
+    if _setting(cfg, "verify.lqr"):
         report["lqr_grid"], _ = _lqr_grid(
-            plant, surrogate, starts[:8],
-            vcfg.get("lqr_weights", [0.01, 0.1, 1.0, 10.0]), horizon, rtol)
+            plant, surrogate, starts[:8], _setting(cfg, "verify.lqr_weights"),
+            horizon, rtol)
     _write_json(outdir / "verify_report.json", report)
     outputs.append(outdir / "verify_report.json")
     _write_manifest(outdir, "verify", cfg,
@@ -691,9 +695,7 @@ def fig5_start_set(boundaries, fraction=0.95,
 def _fig5_trajectories(outdir, plant, surrogate, designs, boundaries, cfg):
     files = []
     starts = fig5_start_set(boundaries)
-    vcfg = cfg.get("verify", {})
-    rtol = float(vcfg.get("rtol", 1e-8))
-    horizon = float(vcfg.get("horizon", 50.0))
+    horizon, rtol = _setting(cfg, "verify.horizon"), _setting(cfg, "verify.rtol")
     for thm, design in designs.items():
         trajs = verify.simulate_many(
             plant, controller.ClosedLoop.of(design, surrogate.lifting),
@@ -703,8 +705,7 @@ def _fig5_trajectories(outdir, plant, surrogate, designs, boundaries, cfg):
             verify.export_trajectory_dat(traj, path)
             files.append(path)
     grid, trajectories = _lqr_grid(
-        plant, surrogate, starts,
-        vcfg.get("lqr_weights", [0.01, 0.1, 1.0, 10.0]), horizon, rtol)
+        plant, surrogate, starts, _setting(cfg, "verify.lqr_weights"), horizon, rtol)
     failing = [(e["R"], trajs) for e, trajs in zip(grid, trajectories)
                if e["n_failed"]]
     plotted_weight, plotted = failing[0] if failing else (None, [])
@@ -738,19 +739,17 @@ def _add_common(sub):
     sub.add_argument("--objective", choices=OBJECTIVES)
 
 
+# the config key each flag of _add_common sets (load_config sends --rz to
+# region.rz when the region is heuristic)
+FLAG_KEYS = {"out": "output_dir", "d": "sampling.d", "seed": "sampling.seed",
+             "noise_bound": "sampling.noise_bound", "c_r": "error_bound.c_r",
+             "delta": "error_bound.delta", "rz": "region.Rz", "theorem": "theorem",
+             "objective": "solver.objective"}
+
+
 def _overrides(args):
-    pairs = {
-        "out": "output_dir", "d": "sampling.d", "seed": "sampling.seed",
-        "noise_bound": "sampling.noise_bound", "c_r": "error_bound.c_r",
-        "delta": "error_bound.delta", "rz": "region.Rz", "theorem": "theorem",
-        "objective": "solver.objective",
-    }
-    out = {}
-    for attr, key in pairs.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            out[key] = val
-    return out
+    return {key: getattr(args, attr) for attr, key in FLAG_KEYS.items()
+            if getattr(args, attr, None) is not None}
 
 
 class _Parser(argparse.ArgumentParser):

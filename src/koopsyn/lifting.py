@@ -10,6 +10,7 @@ the reduced lift drops the leading constant entry and therefore vanishes at
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -135,17 +136,56 @@ def evaluate(observables, X, grad=False):
     return out
 
 
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _param(kind, params, name):
+    if name not in params:
+        raise ValueError(f"observable '{kind}' needs the parameter '{name}'")
+    return params[name]
+
+
+def _index(kind, params):
+    """The coordinate index of ``params``: an integer (a float or a boolean
+    would be truncated or read as 0 or 1)."""
+    k = _param(kind, params, "index")
+    if not _is_integer(k):
+        raise ValueError(f"observable '{kind}' index must be an integer, not {k!r}")
+    return k
+
+
+def _terms(params):
+    """The ``[coefficient, [exponents]]`` pairs of ``params``, each exponent
+    an integer >= 0 (a fractional one would be truncated)."""
+    terms = _param("poly", params, "terms")
+    if not (isinstance(terms, (list, tuple)) and all(
+            isinstance(t, (list, tuple)) and len(t) == 2
+            and isinstance(t[0], numbers.Real) and not isinstance(t[0], bool)
+            and isinstance(t[1], (list, tuple)) for t in terms)):
+        raise ValueError("observable 'poly' terms must be a list of "
+                         f"[coefficient, [exponents]] pairs, not {terms!r}")
+    for _, exps in terms:
+        for e in exps:
+            if not (_is_integer(e) and e >= 0):
+                raise ValueError(f"observable 'poly' exponent {e!r} must be an "
+                                 "integer of at least 0")
+    return terms
+
+
 _CATALOG = {
     "constant": lambda params: constant(),
-    "coordinate": lambda params: coordinate(params["index"]),
-    "poly": lambda params: poly(params["terms"]),
-    "sine": lambda params: sine(params["index"]),
-    "cosine_minus_one": lambda params: cosine_minus_one(params["index"]),
+    "coordinate": lambda params: coordinate(_index("coordinate", params)),
+    "poly": lambda params: poly(_terms(params)),
+    "sine": lambda params: sine(_index("sine", params)),
+    "cosine_minus_one": lambda params: cosine_minus_one(
+        _index("cosine_minus_one", params)),
 }
 
 
 def observable(kind, params):
-    """The catalog observable ``kind`` with ``params``."""
+    """The catalog observable ``kind`` with ``params``; bad parameters raise
+    ``ValueError``."""
     if kind not in _CATALOG:
         raise ValueError(f"unknown observable kind '{kind}' "
                          f"(choose from {', '.join(_CATALOG)})")

@@ -7,6 +7,7 @@ closed-loop simulation; the synthesis path itself only ever sees samples.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -63,6 +64,19 @@ class Plant:
         return out
 
 
+def _number(params, default, name, *aliases):
+    """Pop the parameter ``name`` and its ``aliases`` from ``params``; the
+    first one given, as a float, else ``default``.  A value that is not a
+    number, or is a boolean, raises ValueError naming it."""
+    given = [(key, params.pop(key)) for key in (name, *aliases) if key in params]
+    if not given:
+        return default
+    key, value = given[0]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"plant parameter '{key}' must be a number, not {value!r}")
+    return float(value)
+
+
 def make_example(example_id, **params):
     """Construct one of the built-in benchmark plants.
 
@@ -72,8 +86,8 @@ def make_example(example_id, **params):
     with parameters ``mass``, ``length``, ``friction``, ``gravity``.
     """
     if example_id in ("cooked_up", "cooked_up_xy"):
-        rho = float(params.pop("rho", -2.0))
-        lam = float(params.pop("lam", params.pop("lambda", 1.0)))
+        rho = _number(params, -2.0, "rho")
+        lam = _number(params, 1.0, "lam", "lambda")
         if params:
             raise ValueError(f"unknown parameters {sorted(params)}")
 
@@ -95,10 +109,10 @@ def make_example(example_id, **params):
                      input_box=[[-1.0, 1.0]])
 
     if example_id == "pendulum":
-        mass = float(params.pop("mass", params.pop("m", 1.0)))
-        length = float(params.pop("length", params.pop("l", 1.0)))
-        fric = float(params.pop("friction", params.pop("b", 0.01)))
-        grav = float(params.pop("gravity", params.pop("g", 9.81)))
+        mass = _number(params, 1.0, "mass", "m")
+        length = _number(params, 1.0, "length", "l")
+        fric = _number(params, 0.01, "friction", "b")
+        grav = _number(params, 9.81, "gravity", "g")
         if params:
             raise ValueError(f"unknown parameters {sorted(params)}")
         ml2 = mass * length ** 2

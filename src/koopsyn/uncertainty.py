@@ -39,9 +39,9 @@ class UncertaintyRegion:
         object.__setattr__(self, "Sz", Sz)
         object.__setattr__(self, "Rz", Rz)
         if np.linalg.eigvalsh(Qz)[-1] >= 0.0:
-            raise ValueError("Qz must be negative definite")
+            raise ValueError("region.Qz must be negative definite")
         if Rz <= 0.0:
-            raise ValueError("Rz must be positive")
+            raise ValueError("region.Rz must be positive")
         M = self.block_matrix()
         Minv = sym(np.linalg.inv(M))
         if np.max(np.abs(M @ Minv - np.eye(N + 1))) > 1e-10:

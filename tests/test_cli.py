@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -31,6 +32,18 @@ def run_cli_subprocess(threads, *argv):
     proc = subprocess.run([sys.executable, "-m", "koopsyn.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# the heuristic region of pendulum_shaped
+SHAPED_REGION = cli.example_config("pendulum_shaped")["region"]
+
+
+def _place(cfg, section, key, value):
+    """Set ``key`` in the dotted ``section`` of ``cfg`` ("" for the top
+    level; a number indexes a list)."""
+    for part in filter(None, section.split(".")):
+        cfg = cfg[int(part)] if part.isdigit() else cfg[part]
+    cfg[key] = value
 
 
 class TestConfig:
@@ -87,6 +100,19 @@ class TestConfig:
         assert err == "error: config section 'verify' must be an object\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"region": 5}', "config section 'region' must be an object"),
+        ("[1]", "a config must be a JSON object"),
+    ], ids=["section", "list"])
+    def test_flag_on_config_that_is_not_an_object(self, tmp_path, capsys, text,
+                                                   message):
+        # --rz looks into the region before the config is validated
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        assert cli.main(["collect", "--config", str(path), "--rz", "2"]) == \
+            cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_region_theorem_rejected(self, tmp_path, capsys):
         cfg = cli.example_config("pendulum_shaped")
         cfg["output_dir"] = str(tmp_path / "out")
@@ -111,17 +137,34 @@ class TestConfig:
         assert cli.validate_config(cfg) is cfg
 
     @pytest.mark.parametrize("section, key, value, message", [
-        ("error_bound", "c_r", "0.1", "error_bound.c_r must be a number"),
-        ("error_bound", "delta", True, "error_bound.delta must be a number"),
-        ("sampling", "d", "500", "sampling.d must be an integer"),
-        ("sampling", "d", 500.0, "sampling.d must be an integer"),
-        ("sampling", "d", True, "sampling.d must be an integer"),
-    ], ids=["c_r-string", "delta-bool", "d-string", "d-float", "d-bool"])
+        ("error_bound", "c_r", "0.1",
+         "error_bound.c_r must be a positive finite number"),
+        ("error_bound", "delta", True, "error_bound.delta must be a number in (0, 1)"),
+        ("sampling", "d", "500", "sampling.d must be an integer of at least 1"),
+        ("sampling", "d", 500.0, "sampling.d must be an integer of at least 1"),
+        ("sampling", "d", True, "sampling.d must be an integer of at least 1"),
+        ("lifting", "extras", 5, "lifting.extras must be a list"),
+        ("plant", "params", [1], "plant.params must be an object"),
+        ("", "output_dir", 5, "output_dir must be a string"),
+        ("lifting.extras.0", "params", [1],
+         "lifting.extras[0].params must be an object"),
+        ("plant.params", "rho", [1], "plant parameter 'rho' must be a number, not [1]"),
+        ("region", "Qz", "x", "region.Qz must be a list of rows of finite numbers"),
+        ("region", "heuristic", "false", "region.heuristic must be true or false"),
+        ("verify", "lqr", "no", "verify.lqr must be true or false"),
+        ("error_bound", "c_r", float("nan"),
+         "error_bound.c_r must be a positive finite number"),
+        ("error_bound", "c_r", float("inf"),
+         "error_bound.c_r must be a positive finite number"),
+    ], ids=["c_r-string", "delta-bool", "d-string", "d-float", "d-bool",
+            "extras-number", "params-list", "output-dir-number",
+            "extra-params-list", "plant-param-list", "Qz-string",
+            "heuristic-string", "lqr-string", "c_r-nan", "c_r-infinity"])
     def test_non_numeric_value_rejected(self, tmp_path, capsys, section, key,
                                         value, message):
         cfg = cli.example_config("cooked_up")
         cfg["output_dir"] = str(tmp_path / "out")
-        cfg[section][key] = value
+        _place(cfg, section, key, value)
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["collect", "--config", str(path)]) == cli.EXIT_BAD_INPUT
@@ -174,10 +217,11 @@ class TestConfig:
         ("verify", "n_starts", True, "verify.n_starts must be an integer of at least 1"),
         ("verify", "seed", 1.5, "verify.seed must be an integer of at least 0"),
         ("verify", "lqr_weights", [-1.0],
-         "verify.lqr_weights entry must be a positive finite number"),
+         "verify.lqr_weights must be a list of positive finite numbers"),
         ("verify", "lqr_weights", [1.0, 0.0],
-         "verify.lqr_weights entry must be a positive finite number"),
-        ("verify", "lqr_weights", 1.0, "verify.lqr_weights must be a list"),
+         "verify.lqr_weights must be a list of positive finite numbers"),
+        ("verify", "lqr_weights", 1.0,
+         "verify.lqr_weights must be a list of positive finite numbers"),
         ("verify", "rtol", 0, "verify.rtol must be a positive finite number"),
         ("verify", "rtol", float("nan"), "verify.rtol must be a positive finite number"),
         ("verify", "horizon", 0.0, "verify.horizon must be a positive finite number"),
@@ -192,17 +236,32 @@ class TestConfig:
         ("solver", "epsilon", -1.0, "solver.epsilon must be a positive finite number"),
         ("solver", "t_cap", 0.0, "solver.t_cap must be a positive finite number"),
         ("solver", "t_cap", -1.0, "solver.t_cap must be a positive finite number"),
+        ("region", "Qz", [[-1.0]], "region.Qz must be 3x3 and region.Sz of length "
+         "3, N = n + len(lifting.extras) = 2 + 1"),
+        ("region", "Qz", np.eye(3).tolist(), "region.Qz must be negative definite"),
+        ("region", "Sz", [0.0, 0.0], "region.Qz must be 3x3 and region.Sz of "
+         "length 3, N = n + len(lifting.extras) = 2 + 1"),
+        ("region", "Rz", -5.0, "region.Rz must be a positive finite number"),
+        ("", "region", {**SHAPED_REGION, "rz": -5.0},
+         "region.rz must be a positive finite number"),
+        ("", "region", {**SHAPED_REGION, "rz_step1": "a"},
+         "region.rz_step1 must be a positive finite number"),
+        ("error_bound", "c_r", float("inf"),
+         "error_bound.c_r must be a positive finite number"),
+        ("error_bound", "delta", 1.0, "error_bound.delta must be a number in (0, 1)"),
     ], ids=["n_starts-0", "n_starts-negative", "n_starts-float", "n_starts-bool",
             "verify-seed-float", "lqr-weight-negative", "lqr-weight-zero",
             "lqr-weights-number", "rtol-0", "rtol-nan", "horizon-0", "horizon-negative",
             "sampling-seed-float", "noise-bound-negative", "tol-0",
             "tol-negative", "max-iters-0", "epsilon-0", "epsilon-negative",
-            "t_cap-0", "t_cap-negative"])
+            "t_cap-0", "t_cap-negative", "Qz-1x1", "Qz-positive", "Sz-short",
+            "Rz-negative", "heuristic-rz-negative", "heuristic-rz-step1-string",
+            "c_r-infinity", "delta-1"])
     def test_bad_setting_rejected(self, tmp_path, capsys, section, key, value,
                                   message):
         cfg = cli.example_config("pendulum")
         cfg["output_dir"] = str(tmp_path / "out")
-        cfg[section][key] = value
+        _place(cfg, section, key, value)
         path = tmp_path / "setting.json"
         path.write_text(json.dumps(cfg))
         for cmd in ("collect", "design", "verify"):
@@ -286,6 +345,7 @@ class TestConfig:
         cfg["output_dir"] = str(tmp_path / "out")
         cfg["lifting"]["extras"].append(
             {"kind": "cosine_minus_one", "params": {"index": 0}})
+        cfg["region"] = {"Qz": (-np.eye(4)).tolist(), "Sz": [0.0] * 4, "Rz": 12.0}
         cfg["d0"] = {"points_per_axis": 21}
         path = tmp_path / "cos.json"
         path.write_text(json.dumps(cfg))
@@ -301,6 +361,56 @@ class TestConfig:
                        "--d", "5"])
         assert rc == 0
         assert (tmp_path / "sub" / "samples_u0.csv").exists()
+
+
+def _schema_sections():
+    """The README's "Config schema" block as the lines of each top-level key."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config schema\n\n```jsonc\n", 1)[1].split("\n```", 1)[0]
+    sections, name = {}, None
+    for line in block.splitlines():
+        found = re.match(r'  "(\w+)":', line)
+        name = found[1] if found else name
+        sections.setdefault(name, []).append(line)
+    return sections
+
+
+def test_readme_schema_gives_every_key_and_its_default():
+    # one comment line "// <leaf>: <range>; ..." per key of the table, under
+    # the key's section, saying "required" or "default <the table's default>"
+    sections = _schema_sections()
+    for key, (default, _) in cli.CONFIG.items():
+        head, _, leaf = key.rpartition(".")
+        lines = [found[1] for line in sections.get(head or key, [])
+                 if (found := re.search(rf"// {leaf}: (.*)", line))]
+        assert len(lines) == 1, key
+        if default is cli.REQUIRED:
+            expected = "; required"
+        elif default is None:       # a fallback to another key's value
+            expected = r"; default \w"
+        else:
+            shown = json.dumps(default).replace("e-0", "e-")
+            expected = rf"; default {re.escape(shown)}(?![\w.])"
+        assert re.search(expected, lines[0]), (key, lines[0])
+
+
+def test_every_flag_sets_a_config_key():
+    parser = argparse.ArgumentParser()
+    cli._add_common(parser)
+    flags = {action.dest for action in parser._actions} - {"help", "config", "example"}
+    assert flags == set(cli.FLAG_KEYS)
+    assert set(cli.FLAG_KEYS.values()) <= set(cli.CONFIG)
+
+
+def test_setting_leaves_the_config_as_loaded():
+    cfg = cli.example_config("pendulum_shaped")
+    loaded = json.loads(json.dumps(cfg))
+    cli.validate_config(cfg)
+    assert cli._setting(cfg, "region.rz") == 5.0
+    assert cli._setting(cfg, "solver.t_cap") == cli.CONFIG["solver.t_cap"][0]
+    assert cli._setting(cfg, "d0.method") == "grid"
+    assert cli._theorems(cfg) == (1, 2)
+    assert cfg == loaded
 
 
 class TestCollect:
@@ -411,8 +521,11 @@ class TestFitAndDesign:
         assert not (tmp_path / "design.json").exists()
 
     def test_unknown_backend_in_config(self, tmp_path, capsys):
-        for key, value in (("backend", "foo"), ("backend", "cvxopt"),
-                           ("objective", "maximise_roa")):
+        for key, value, message in (
+                ("backend", "foo", 'solver.backend must be "ipm"'),
+                ("backend", "cvxopt", 'solver.backend must be "ipm"'),
+                ("objective", "maximise_roa",
+                 'solver.objective must be "feasibility" or "maximize_roa"')):
             cfg = cli.example_config("cooked_up")
             cfg["output_dir"] = str(tmp_path / value)
             cfg["solver"][key] = value
@@ -421,9 +534,7 @@ class TestFitAndDesign:
             for cmd in ("collect", "design"):
                 rc = cli.main([cmd, "--config", str(path)])
                 assert rc == cli.EXIT_BAD_INPUT, (value, cmd)
-                err = capsys.readouterr().err
-                assert err.count("\n") == 1 and err.startswith("error: ")
-                assert f"unknown solver {key} '{value}'" in err
+                assert capsys.readouterr().err == f"error: {message}\n"
             assert not (tmp_path / value).exists()
         cfg = cli.example_config("cooked_up")
         cfg["solver"]["backend"] = "ipm"
@@ -703,6 +814,7 @@ class TestD0Command:
         cfg = cli.example_config("cooked_up")
         cfg["output_dir"] = str(tmp_path / "out")
         cfg["lifting"]["extras"] = []
+        cfg["region"] = {"Qz": (-np.eye(17)).tolist(), "Sz": [0.0] * 17, "Rz": 1.0}
         for spec in ({"method": "grid"}, {"method": "mc", "sobol": False}):
             assert cli.validate_config({**cfg, "d0": spec})
         cfg["d0"] = {"method": "mc", "sobol": True}

@@ -130,6 +130,34 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unknown observable kind 'tanh'"):
             observable("tanh", {"index": 0})
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("sine", {"index": 0.9}, "observable 'sine' index must be an integer, not 0.9"),
+        ("sine", {"index": True}, "observable 'sine' index must be an integer, not True"),
+        ("coordinate", {"index": "0"},
+         "observable 'coordinate' index must be an integer, not '0'"),
+        ("cosine_minus_one", {}, "observable 'cosine_minus_one' needs the parameter 'index'"),
+        ("poly", {"terms": [[1.0, [0.5, 1]]]},
+         "observable 'poly' exponent 0.5 must be an integer of at least 0"),
+        ("poly", {"terms": [[1.0, [-1, 2]]]},
+         "observable 'poly' exponent -1 must be an integer of at least 0"),
+        ("poly", {"terms": [[1.0, [True, 1]]]},
+         "observable 'poly' exponent True must be an integer of at least 0"),
+        ("poly", {"terms": 3}, "observable 'poly' terms must be a list of "
+         "[coefficient, [exponents]] pairs, not 3"),
+        ("poly", {"terms": [[1.0]]}, "observable 'poly' terms must be a list of "
+         "[coefficient, [exponents]] pairs, not [[1.0]]"),
+        ("poly", {"terms": [["a", [1, 0]]]}, "observable 'poly' terms must be a "
+         "list of [coefficient, [exponents]] pairs, not [['a', [1, 0]]]"),
+        ("poly", {}, "observable 'poly' needs the parameter 'terms'"),
+    ], ids=["index-float", "index-bool", "index-string", "index-missing",
+            "exponent-fraction", "exponent-negative", "exponent-bool",
+            "terms-number", "term-without-exponents", "coefficient-string",
+            "terms-missing"])
+    def test_observable_refuses_bad_params(self, kind, params, message):
+        with pytest.raises(ValueError) as info:
+            observable(kind, params)
+        assert str(info.value) == message
+
     def test_custom_not_serializable(self):
         L = make_lifting(1, [outside_catalog(lambda X: X[..., 0] ** 3)])
         with pytest.raises(ValueError):

@@ -30,6 +30,22 @@ class TestMakeExample:
         p = plants.make_example("cooked_up", rho=-1.0, lam=2.0)
         np.testing.assert_allclose(p.f(np.array([1.0, 0.0])), [-1.0, -2.0])
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("cooked_up", {"rho": [1]}, "plant parameter 'rho' must be a number, not [1]"),
+        ("cooked_up", {"lambda": True},
+         "plant parameter 'lambda' must be a number, not True"),
+        ("pendulum", {"mass": "1.0"},
+         "plant parameter 'mass' must be a number, not '1.0'"),
+    ], ids=["list", "bool", "string"])
+    def test_non_numeric_parameter_rejected(self, name, params, message):
+        with pytest.raises(ValueError) as info:
+            plants.make_example(name, **params)
+        assert str(info.value) == message
+
+    def test_parameter_alias(self):
+        p = plants.make_example("cooked_up", **{"lambda": 2.0})
+        np.testing.assert_allclose(p.f(np.array([1.0, 0.0])), [-2.0, -2.0])
+
 
 class TestVectorField:
     def test_zero(self, plant_cooked):
