@@ -18,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# rows per streamed block of the d0 quadrature: a block's lift, gradient and
-# moment operands stay in cache (4096 to 16384 rows time the same)
+# points per streamed block of the d0 quadrature: a block's lift, Lie
+# derivatives and moment operands stay in cache (4096 to 16384 points time
+# the same).  A power of two, so that Sobol blocks start at multiples of
+# their own size (see _sobol_blocks)
 BLOCK_ROWS = 8192
 
 
@@ -52,13 +54,34 @@ class QuadratureSpec:
                 "sobol": self.sobol}
 
 
-def _grid_points(box, points_per_axis):
+def _scaled(U, box):
+    """Unit points U (n, b) mapped row by row onto the box: lo_k + u * w_k,
+    in a new C-ordered block."""
+    X = np.multiply(U, (box[:, 1] - box[:, 0])[:, None], out=np.empty(U.shape))
+    X += box[:, :1]
+    return X
+
+
+def _grid_replicates(box, points_per_axis):
+    """The midpoint grid as one replicate: its point count and its (n, b)
+    blocks, in the row order of ``np.meshgrid(*axes, indexing="ij")``
+    raveled (the last coordinate runs fastest)."""
     axes = []
     for lo, hi in box:
         h = (hi - lo) / points_per_axis
         axes.append(lo + h * (np.arange(points_per_axis) + 0.5))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return [np.column_stack([m.ravel() for m in mesh])]
+    total = points_per_axis ** len(axes)
+
+    def blocks():
+        for lo in range(0, total, BLOCK_ROWS):
+            index = np.arange(lo, min(lo + BLOCK_ROWS, total))
+            X = np.empty((len(axes), len(index)))
+            for k in reversed(range(len(axes))):
+                index, digit = np.divmod(index, points_per_axis)
+                X[k] = axes[k][digit]
+            yield X
+
+    yield total, blocks()
 
 
 # Joe & Kuo's direction numbers ("Constructing Sobol sequences with better
@@ -94,13 +117,15 @@ def _sobol_directions(d):
     return np.array(rows, dtype=np.uint32)
 
 
-def _sobol_points(d, mexp, seed):
+def _sobol_blocks(d, mexp, seed):
     """The first 2**mexp points of the d-dimensional Sobol sequence under
     Matousek's linear matrix scrambling plus a digital shift ("On the
-    L2-discrepancy for anchored boxes", J. Complexity 14, 1998), bitwise
-    equal to scipy's ``qmc.Sobol(d, scramble=True, seed=seed)
-    .random(2**mexp)``: the random bits come from
-    ``np.random.default_rng(seed)`` in scipy's order, shift first."""
+    L2-discrepancy for anchored boxes", J. Complexity 14, 1998), in order,
+    as coordinate-major (d, b) blocks of b = min(2**mexp, BLOCK_ROWS)
+    points.  Concatenated and transposed they equal scipy's
+    ``qmc.Sobol(d, scramble=True, seed=seed).random(2**mexp)`` bit for bit:
+    the random bits come from ``np.random.default_rng(seed)`` in scipy's
+    order, shift first."""
     if d > _SOBOL_DIMS:
         raise ValueError(f"the bundled Sobol generator has {_SOBOL_DIMS} "
                          f"dimensions, not {d}")
@@ -116,29 +141,45 @@ def _sobol_points(d, mexp, seed):
     # significant first
     v = (_sobol_directions(d)[:, :, None] << msb[:, None] >> msb) & 1   # (d, j, i)
     sv = ((v @ ltm.transpose(0, 2, 1)) & 1) @ (1 << msb)                 # (d, j)
-    # Gray-code order: point h + i is point h - 1 - i with bit b flipped;
-    # filled a column at a time, returned row-major
-    q = np.empty((1 << mexp, d), dtype=np.uint32, order="F")
-    q[0] = shift
-    for b in range(mexp):
+    # Gray-code order: point i is the shift XOR sv[:, j] over the set bits j
+    # of gray(i) = i ^ (i >> 1).  The base block is filled by reflection
+    # (point h + i is point h - 1 - i with bit b flipped); as gray(lo + i) =
+    # gray(lo) ^ gray(i) for lo a multiple of the block size, the block at lo
+    # is the base block XOR one constant per dimension
+    size = min(1 << mexp, BLOCK_ROWS)
+    base = np.empty((d, size), dtype=np.uint32)
+    base[:, 0] = shift
+    for b in range(size.bit_length() - 1):
         h = 1 << b
-        np.bitwise_xor(q[h - 1::-1], sv[:, b], out=q[h:2 * h])
-    return np.multiply(q, 2.0 ** -_SOBOL_BITS, out=np.empty(q.shape))
+        np.bitwise_xor(base[:, h - 1::-1], sv[:, b, None], out=base[:, h:2 * h])
+    for lo in range(0, 1 << mexp, size):
+        gray = lo ^ (lo >> 1)
+        const = np.zeros((d, 1), dtype=np.uint32)
+        for b in range(gray.bit_length()):
+            if gray >> b & 1:
+                const ^= sv[:, b, None]
+        yield np.multiply(base ^ const, 2.0 ** -_SOBOL_BITS, out=np.empty(base.shape))
 
 
-def _mc_points(box, spec, n):
-    """One point array per replicate, drawn when the caller asks for it."""
+def _mc_replicates(box, spec, n):
+    """Per replicate its point count and its (n, b) blocks, drawn as they
+    are consumed: Sobol replicate r from a fresh generator seeded seed + r,
+    rounded up to a power of two; plain Monte Carlo from one
+    ``default_rng(seed)`` stream, ``random((b, n))`` per block, so the
+    replicates equal one ``random((per, n))`` each, drawn in sequence when
+    every replicate's blocks are consumed before the next replicate's."""
     box = np.asarray(box, dtype=float)
     per = max(2, spec.samples // spec.replicates)
     if spec.sobol:
         mexp = max(1, int(math.ceil(math.log2(per))))
         for r in range(spec.replicates):
-            pts = _sobol_points(n, mexp, spec.seed + r)
-            yield box[:, 0] + pts * (box[:, 1] - box[:, 0])
+            yield 1 << mexp, (_scaled(U, box)
+                              for U in _sobol_blocks(n, mexp, spec.seed + r))
     else:
         rng = np.random.default_rng(spec.seed)
         for _ in range(spec.replicates):
-            yield box[:, 0] + rng.random((per, n)) * (box[:, 1] - box[:, 0])
+            yield per, (_scaled(rng.random((min(BLOCK_ROWS, per - lo), n)).T, box)
+                        for lo in range(0, per, BLOCK_ROWS))
 
 
 @dataclass(frozen=True)
@@ -186,47 +227,42 @@ class DataRequirement:
         return json.dumps(doc, sort_keys=True)
 
 
-def _moment_tables(plant, lifting, chunks):
-    """Accumulated expectations per quadrature chunk.
+def _moment_tables(plant, lifting, replicates):
+    """Accumulated expectations per quadrature replicate.
 
-    Returns per-chunk tuples (C, EW[k], C2, EW2[k]) where C = E[phi phi'],
+    Returns per-replicate tuples (C, EW[k], C2, EW2[k]) where C = E[phi phi'],
     EW[k][i,j] = E[phi_i * <grad phi_j, f + g_k>], C2 and EW2 the matching
     second moments (elementwise squares inside the expectation), and the
     number of points integrated.
 
-    Each chunk streams through in blocks of BLOCK_ROWS points, weighted
-    uniformly by 1/len(chunk).  A block writes the lift V and the Lie
-    derivatives W_k = G (f + g_k) into one array S' = [V, W_0, ..., W_m]'
-    with a column per point, so every elementwise step runs along the whole
-    block; its first moments are then the one product V' S and, once S is
-    squared in place, its second moments the one product (V^2)' S^2.
+    ``replicates`` yields (count, blocks): a replicate's point count and
+    its coordinate-major (n, b) blocks of at most BLOCK_ROWS points, each
+    weighted uniformly by 1/count.  A block writes the lift V and the Lie
+    derivatives W_k = grad(phi) (f + g_k) into one array S' = [V, W_0, ...,
+    W_m]', one contiguous row per observable and a column per point; its
+    first moments are then the one product V' S and, once S is squared in
+    place, its second moments the one product (V^2)' S^2.
     """
     K = lifting.N + 1
     St = np.empty(((plant.m + 2) * K, BLOCK_ROWS))
-    term = np.empty((K, BLOCK_ROWS))
     out = []
     points = 0
-    for pts in chunks:
-        points += len(pts)
+    for count, blocks in replicates:
+        points += count
         first = np.zeros((K, len(St)))
         second = np.zeros((K, len(St)))
-        for lo in range(0, len(pts), BLOCK_ROWS):
-            X = pts[lo:lo + BLOCK_ROWS]
-            s, t = St[:, :len(X)], term[:, :len(X)]
-            s[:K] = lifting.lift_many(X).T
-            G = lifting.gradient_many(X).transpose(1, 2, 0)    # (K, n, b)
+        for block in blocks:
+            s, X = St[:, :block.shape[1]], block.T      # X: the (b, n) rows, a view
+            lifting.lift_many(X, out=s[:K])
             f = np.asarray(plant.f(X), dtype=float)
             for k in range(plant.m + 1):
                 F = f if k == 0 else f + np.asarray(plant.g[k - 1](X), dtype=float)
-                W = s[(k + 1) * K:(k + 2) * K]
-                np.multiply(G[:, 0], F[:, 0], out=W)
-                for j in range(1, plant.n):
-                    W += np.multiply(G[:, j], F[:, j], out=t)
+                lifting.lie_many(X, F, out=s[(k + 1) * K:(k + 2) * K])
             first += s[:K] @ s.T
             np.square(s, out=s)
             second += s[:K] @ s.T
-        first /= len(pts)
-        second /= len(pts)
+        first /= count
+        second /= count
         out.append((first[:, :K], np.hsplit(first[:, K:], plant.m + 1),
                     second[:, :K], np.hsplit(second[:, K:], plant.m + 1)))
     return out, points
@@ -254,10 +290,10 @@ def compute_d0(plant, lifting, c_r, delta, quad=None):
     m = plant.m
     box = plant.state_box
     if quad.method == "grid":
-        chunks = _grid_points(box, quad.points_per_axis)
+        replicates = _grid_replicates(box, quad.points_per_axis)
     else:
-        chunks = _mc_points(box, quad, n)
-    tables, points = _moment_tables(plant, lifting, chunks)
+        replicates = _mc_replicates(box, quad, n)
+    tables, points = _moment_tables(plant, lifting, replicates)
     R = len(tables)
     volume = float(np.prod(box[:, 1] - box[:, 0]))
     EC = sum(t[0] for t in tables) / R

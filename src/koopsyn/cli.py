@@ -277,6 +277,9 @@ def _extras(cfg):
     for i, item in enumerate(_setting(cfg, "lifting.extras")):
         key = f"lifting.extras[{i}]"
         _check(key, item, _OBJECT)
+        unknown = sorted(set(item) - {"kind", "params"})
+        if unknown:
+            raise ValueError(f"unknown config key '{key}.{unknown[0]}'")
         if "kind" not in item:
             raise ValueError(f"missing config key '{key}.kind'")
         params = item.get("params", {})

@@ -154,8 +154,9 @@ class ClosedLoop:
     def lift_many(self, X):
         """Reduced lift of every row of X (d, n), without the finiteness
         check of ``Lifting.lift_many``: a non-finite lift gives a non-finite
-        u or V, which the caller handles."""
-        return evaluate(self._observables, X)
+        u or V, which the caller handles.  Observable-major like
+        ``Lifting.lift_many``: each column is contiguous."""
+        return evaluate(self._observables, X).T
 
     def feedback_of_lifts(self, Z, rows=None):
         """u at every row of Z (d, N), and a flag per row that is set where

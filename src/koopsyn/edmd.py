@@ -66,9 +66,10 @@ def build_data_matrices(lifting, samples):
             raise FitError("lifting/plant state dimension mismatch")
         if not (np.all(np.isfinite(b.states)) and np.all(np.isfinite(b.derivs))):
             raise FitError(f"non-finite data in batch {k}")
-        full = lifting.lift_many(b.states)              # (d, N+1)
-        grads = lifting.gradient_many(b.states)         # (d, N+1, n)
-        ydir = np.einsum("dkn,dn->dk", grads, b.derivs)  # (d, N+1)
+        # row-major (d, N+1) copies: the least-squares products round
+        # according to memory layout, and the fit keeps this one
+        full = np.ascontiguousarray(lifting.lift_many(b.states))
+        ydir = np.ascontiguousarray(lifting.lie_many(b.states, b.derivs))
         if k == 0:
             if np.any(b.u_bar != 0.0):
                 raise FitError("batch 0 must use the zero input")

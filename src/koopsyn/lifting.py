@@ -23,15 +23,17 @@ class DictionaryError(ValueError):
 
 @dataclass(frozen=True)
 class Observable:
-    """Scalar observable with value and gradient evaluators.
+    """Scalar observable with value and Lie-derivative evaluators.
 
-    ``fn`` maps ``(..., n) -> (...)`` and ``grad`` maps ``(..., n) -> (..., n)``.
+    ``fn`` maps states ``(..., n) -> (...)``; ``lie(X, V)`` maps states and
+    directions, both ``(..., n)``, to the directional derivatives
+    ``grad(fn)(x) . v`` of shape ``(...)``.
     """
 
     kind: str
     params: dict
     fn: Callable
-    grad: Callable
+    lie: Callable
 
 
 def constant():
@@ -39,21 +41,16 @@ def constant():
         kind="constant",
         params={},
         fn=lambda X: np.ones(np.shape(X)[:-1]),
-        grad=lambda X: np.zeros(np.shape(X)),
+        lie=lambda X, V: np.zeros(np.shape(V)[:-1]),
     )
 
 
 def coordinate(index):
     """The coordinate map x -> x_k (0-based index)."""
     k = int(index)
-
-    def grad(X):
-        G = np.zeros(np.shape(X))
-        G[..., k] = 1.0
-        return G
-
     return Observable(kind="coordinate", params={"index": k},
-                      fn=lambda X: np.asarray(X, dtype=float)[..., k], grad=grad)
+                      fn=lambda X: np.asarray(X, dtype=float)[..., k],
+                      lie=lambda X, V: np.asarray(V, dtype=float)[..., k])
 
 
 def poly(terms):
@@ -78,61 +75,57 @@ def poly(terms):
             out = out + t
         return out
 
-    def grad(X):
+    def lie(X, V):
+        # the partials, each summed over the terms from zero, times V, summed
+        # in coordinate order
         X = np.asarray(X, dtype=float)
-        G = np.zeros(X.shape)
-        for c, exps in terms:
-            for k, e in enumerate(exps):
-                if e == 0:
+        V = np.asarray(V, dtype=float)
+        out = np.zeros(X.shape[:-1])
+        for k in range(X.shape[-1]):
+            partial = np.zeros(X.shape[:-1])
+            for c, exps in terms:
+                if not exps[k]:
                     continue
-                t = np.full(X.shape[:-1], c * e)
+                t = np.full(X.shape[:-1], c * exps[k])
                 for kk, ee in enumerate(exps):
                     p = ee - 1 if kk == k else ee
                     if p:
                         t = t * X[..., kk] ** p
-                G[..., k] += t
-        return G
+                partial += t
+            out += partial * V[..., k]
+        return out
 
     return Observable(kind="poly", params={"terms": [[c, list(e)] for c, e in terms]},
-                      fn=fn, grad=grad)
+                      fn=fn, lie=lie)
 
 
 def sine(index):
     """sin(x_k); vanishes at the origin."""
     k = int(index)
-
-    def grad(X):
-        X = np.asarray(X, dtype=float)
-        G = np.zeros(X.shape)
-        G[..., k] = np.cos(X[..., k])
-        return G
-
     return Observable(kind="sine", params={"index": k},
-                      fn=lambda X: np.sin(np.asarray(X, dtype=float)[..., k]), grad=grad)
+                      fn=lambda X: np.sin(np.asarray(X, dtype=float)[..., k]),
+                      lie=lambda X, V: (np.cos(np.asarray(X, dtype=float)[..., k])
+                                        * np.asarray(V, dtype=float)[..., k]))
 
 
 def cosine_minus_one(index):
     """cos(x_k) - 1; the shift makes it admissible (zero at the origin)."""
     k = int(index)
-
-    def grad(X):
-        X = np.asarray(X, dtype=float)
-        G = np.zeros(X.shape)
-        G[..., k] = -np.sin(X[..., k])
-        return G
-
     return Observable(kind="cosine_minus_one", params={"index": k},
                       fn=lambda X: np.cos(np.asarray(X, dtype=float)[..., k]) - 1.0,
-                      grad=grad)
+                      lie=lambda X, V: (-np.sin(np.asarray(X, dtype=float)[..., k])
+                                        * np.asarray(V, dtype=float)[..., k]))
 
 
-def evaluate(observables, X, grad=False):
-    """Observable k (its gradient when ``grad``) at every row of X (d, n) in
-    column k of a new (d, len(observables)) array (d, len(observables), n
-    for gradients)."""
-    out = np.empty((len(X), len(observables)) + (X.shape[1:] if grad else ()))
+def evaluate(observables, X, V=None, out=None):
+    """Observable k at every row of X (d, n), or its Lie derivative along
+    the matching row of V (d, n) when V is given, in row k of ``out``
+    (len(observables), d), a new array unless given.  Each observable writes
+    one contiguous row."""
+    if out is None:
+        out = np.empty((len(observables), len(X)))
     for k, ob in enumerate(observables):
-        out[:, k] = (ob.grad if grad else ob.fn)(X)
+        out[k] = ob.fn(X) if V is None else ob.lie(X, V)
     return out
 
 
@@ -173,23 +166,29 @@ def _terms(params):
     return terms
 
 
+# each catalog kind: its parameter names and its builder
 _CATALOG = {
-    "constant": lambda params: constant(),
-    "coordinate": lambda params: coordinate(_index("coordinate", params)),
-    "poly": lambda params: poly(_terms(params)),
-    "sine": lambda params: sine(_index("sine", params)),
-    "cosine_minus_one": lambda params: cosine_minus_one(
-        _index("cosine_minus_one", params)),
+    "constant": ((), lambda params: constant()),
+    "coordinate": (("index",), lambda params: coordinate(_index("coordinate", params))),
+    "poly": (("terms",), lambda params: poly(_terms(params))),
+    "sine": (("index",), lambda params: sine(_index("sine", params))),
+    "cosine_minus_one": (("index",), lambda params: cosine_minus_one(
+        _index("cosine_minus_one", params))),
 }
 
 
 def observable(kind, params):
-    """The catalog observable ``kind`` with ``params``; bad parameters raise
-    ``ValueError``."""
+    """The catalog observable ``kind`` with ``params``; bad or unknown
+    parameters raise ``ValueError``."""
     if kind not in _CATALOG:
         raise ValueError(f"unknown observable kind '{kind}' "
                          f"(choose from {', '.join(_CATALOG)})")
-    return _CATALOG[kind](params)
+    names, build = _CATALOG[kind]
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise ValueError(f"observable '{kind}' has no parameter '{unknown[0]}' "
+                         f"(it takes {', '.join(names) or 'none'})")
+    return build(params)
 
 
 @dataclass(frozen=True)
@@ -222,22 +221,36 @@ class Lifting:
         """Reduced lifted vector (drops the constant entry); zero at x=0."""
         return self.lift(x)[1:]
 
-    def lift_many(self, X):
-        """Vectorized full lift; X has shape (d, n), result (d, N+1)."""
+    def lift_many(self, X, out=None):
+        """Vectorized full lift of X (d, n): the (d, N+1) transpose of the
+        observable-major array ``out`` (N+1, d), a new one unless given, so
+        each observable's column is contiguous.  A non-finite value raises
+        ``ValueError`` naming its state."""
         X = np.asarray(X, dtype=float)
-        out = evaluate(self.observables, X)
-        if not np.all(np.isfinite(out)):
-            bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))[0]
+        out = evaluate(self.observables, X, out=out)
+        finite = np.isfinite(out)
+        if not np.all(finite):
+            bad = np.flatnonzero(~np.all(finite, axis=0))[0]
             raise ValueError("non-finite observable value at x=%r" % (X[bad],))
-        return out
+        return out.T
 
     def lift_reduced_many(self, X):
         return self.lift_many(X)[:, 1:]
 
+    def lie_many(self, X, V, out=None):
+        """Lie derivatives grad(phi_k)(x) . v of every observable at the rows
+        of X and V (d, n): the (d, N+1) transpose of ``out`` (N+1, d), a new
+        array unless given."""
+        return evaluate(self.observables, np.asarray(X, dtype=float), V, out).T
+
     def gradient_many(self, X):
-        """Vectorized gradients; result has shape (d, N+1, n)."""
+        """Vectorized gradients; result has shape (d, N+1, n), column j the
+        Lie derivatives along the unit vector e_j."""
         X = np.asarray(X, dtype=float)
-        return evaluate(self.observables, X, grad=True)
+        G = np.empty((len(X), self.N + 1, self.n))
+        for j, e in enumerate(np.eye(self.n)):
+            G[:, :, j] = self.lie_many(X, np.broadcast_to(e, X.shape))
+        return G
 
     # -- serialization --------------------------------------------------
 
@@ -278,9 +291,9 @@ def _validate(L):
     rng = np.random.default_rng(0)
     # the origin, then three random states
     probes = np.vstack([np.zeros(n), rng.uniform(-1.0, 1.0, size=(3, n))])
-    values = evaluate(L.observables, probes)
+    values = evaluate(L.observables, probes).T
     if (np.any(np.abs(values[:, 0] - 1.0) > 1e-12)
-            or np.any(np.abs(L.observables[0].grad(probes)) > 1e-12)):
+            or np.any(np.abs(L.gradient_many(probes)[:, 0]) > 1e-12)):
         raise DictionaryError("observable 0 must be identically 1")
     for k in range(1, n + 1):
         if np.any(np.abs(values[:, k] - probes[:, k - 1]) > 1e-12):

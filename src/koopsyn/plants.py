@@ -7,6 +7,7 @@ closed-loop simulation; the synthesis path itself only ever sees samples.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,13 +68,15 @@ class Plant:
 def _number(params, default, name, *aliases):
     """Pop the parameter ``name`` and its ``aliases`` from ``params``; the
     first one given, as a float, else ``default``.  A value that is not a
-    number, or is a boolean, raises ValueError naming it."""
+    finite number, or is a boolean, raises ValueError naming it."""
     given = [(key, params.pop(key)) for key in (name, *aliases) if key in params]
     if not given:
         return default
     key, value = given[0]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"plant parameter '{key}' must be a number, not {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"plant parameter '{key}' must be finite, not {value!r}")
     return float(value)
 
 

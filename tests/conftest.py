@@ -118,12 +118,12 @@ def theorem1_stability_reference(surrogate, region):
     return lmi.AffineMatrixExpr.from_function(stability, variables)
 
 
-def outside_catalog(fn, grad=None):
-    """An observable the catalog does not hold: ``fn`` and ``grad`` map
-    states (..., n) to values (...) and gradients (..., n); the gradient is
-    zero unless given."""
+def outside_catalog(fn, lie=None):
+    """An observable the catalog does not hold: ``fn`` maps states (..., n)
+    to values (...) and ``lie`` states and directions (..., n) to Lie
+    derivatives (...); the derivative is zero unless given."""
     return Observable(kind="outside_catalog", params={}, fn=fn,
-                      grad=grad or (lambda X: np.zeros(np.shape(X))))
+                      lie=lie or (lambda X, V: np.zeros(np.shape(X)[:-1])))
 
 
 def constraint(problem, name):

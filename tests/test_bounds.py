@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,15 @@ from koopsyn.lifting import Observable, make_lifting
 @pytest.fixture(scope="module")
 def req_grid(d0_cooked):
     return d0_cooked[0]
+
+
+def replicate_points(replicates):
+    """Each replicate's blocks, consumed in order, as one (count, n) array."""
+    chunks = []
+    for count, blocks in replicates:
+        chunks.append(np.concatenate(list(blocks), axis=1).T)
+        assert len(chunks[-1]) == count
+    return chunks
 
 
 def one_shot_moments(plant, lifting, chunks):
@@ -103,8 +113,7 @@ class TestComputeD0:
         spiky = make_lifting(2, [Observable(
             kind="pole", params={},
             fn=lambda X: X[..., 0] / (X[..., 0] - 0.125),
-            grad=lambda X: np.stack([-0.125 / (X[..., 0] - 0.125) ** 2,
-                                     np.zeros(X.shape[:-1])], axis=-1))])
+            lie=lambda X, V: -0.125 / (X[..., 0] - 0.125) ** 2 * V[..., 0])])
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ValueError):
                 bounds.compute_d0(plant_cooked, spiky, 0.1, 0.05,
@@ -120,8 +129,9 @@ class TestStreamedQuadrature:
             spec = bounds.QuadratureSpec(method="mc", samples=40000,
                                          replicates=2, seed=5)
         box = plant_cooked.state_box
-        chunks = (bounds._grid_points(box, spec.points_per_axis)
-                  if spec.method == "grid" else list(bounds._mc_points(box, spec, 2)))
+        chunks = replicate_points(
+            bounds._grid_replicates(box, spec.points_per_axis)
+            if spec.method == "grid" else bounds._mc_replicates(box, spec, 2))
         assert max(len(c) for c in chunks) > bounds.BLOCK_ROWS
         C, A_k, sigma_C, sigma_A = one_shot_moments(plant_cooked, lifting_cooked, chunks)
         req = bounds.compute_d0(plant_cooked, lifting_cooked, 0.1, 0.05, spec)
@@ -136,13 +146,13 @@ class TestStreamedQuadrature:
         assert rel(req.sigma_A_fro, sigma_A) <= 1e-12
 
     def test_nonfinite_lift_in_second_block(self, plant_cooked):
-        pts = bounds._grid_points(plant_cooked.state_box, 101)[0]
+        pts, = replicate_points(bounds._grid_replicates(plant_cooked.state_box, 101))
         cut = pts[(bounds.BLOCK_ROWS // 101 + 1) * 101, 0]
         assert np.flatnonzero(pts[:, 0] >= cut)[0] >= bounds.BLOCK_ROWS
         spike = Observable(
             kind="spike", params={},
             fn=lambda X: np.where(X[..., 0] >= cut, np.nan, X[..., 0] * X[..., 1]),
-            grad=lambda X: np.zeros(np.shape(X)))
+            lie=lambda X, V: np.zeros(np.shape(X)[:-1]))
         with pytest.raises(ValueError, match="non-finite observable value"):
             bounds.compute_d0(plant_cooked, make_lifting(2, [spike]), 0.1, 0.05,
                               bounds.QuadratureSpec(points_per_axis=101))
@@ -184,38 +194,108 @@ class TestStreamedQuadrature:
             bounds.QuadratureSpec(method="mc", sobol=value)
 
 
+def sobol_points(d, mexp, seed):
+    """The concatenated Sobol blocks as one (2**mexp, d) array; checks the
+    block sizes on the way."""
+    blocks = list(bounds._sobol_blocks(d, mexp, seed))
+    size = min(2 ** mexp, bounds.BLOCK_ROWS)
+    assert [U.shape for U in blocks] == [(d, size)] * (2 ** mexp // size)
+    assert all(U.flags.c_contiguous for U in blocks)
+    return np.concatenate(blocks, axis=1).T
+
+
 class TestSobol:
     @pytest.mark.parametrize("d", range(1, 17))
     def test_bitwise_equal_to_scipy(self, d):
+        # 2**mexp below BLOCK_ROWS for mexp 1, 7 and 12 (one block), 32
+        # blocks for mexp 18
         from scipy.stats import qmc
 
         for mexp in (1, 7, 12, 18):
             for seed in (0, 7, 2 ** 40 + 3):
                 want = qmc.Sobol(d, scramble=True, seed=seed).random(2 ** mexp)
-                got = bounds._sobol_points(d, mexp, seed)
-                assert got.flags.c_contiguous
+                got = sobol_points(d, mexp, seed)
                 assert np.array_equal(got, want), (mexp, seed)
 
     def test_replicates_equal_scipy_engines(self):
-        # replicate r: a fresh engine seeded seed + r, rounded up to 2**10 points
+        # replicate r: a fresh engine seeded seed + r, rounded up to 2**10
+        # points; 3 x 20000 samples round up to 2**15, four blocks each
         from scipy.stats import qmc
 
-        spec = bounds.QuadratureSpec(method="mc", samples=3000, replicates=3, seed=4)
         box = np.array([[-1.0, 3.0], [0.5, 2.0]])
-        chunks = list(bounds._mc_points(box, spec, 2))
-        assert [len(c) for c in chunks] == [1024] * 3
-        for r, pts in enumerate(chunks):
-            unit = qmc.Sobol(2, scramble=True, seed=4 + r).random(1024)
-            assert np.array_equal(pts, box[:, 0] + unit * (box[:, 1] - box[:, 0]))
+        for samples, per in ((3000, 1024), (60000, 2 ** 15)):
+            spec = bounds.QuadratureSpec(method="mc", samples=samples,
+                                         replicates=3, seed=4)
+            chunks = replicate_points(bounds._mc_replicates(box, spec, 2))
+            assert [len(c) for c in chunks] == [per] * 3
+            for r, pts in enumerate(chunks):
+                unit = qmc.Sobol(2, scramble=True, seed=4 + r).random(per)
+                assert np.array_equal(pts, box[:, 0] + unit * (box[:, 1] - box[:, 0]))
 
     def test_more_than_16_dimensions_refused(self):
-        bounds._sobol_points(16, 1, 0)
+        next(bounds._sobol_blocks(16, 1, 0))
         with pytest.raises(ValueError, match="has 16 dimensions, not 17"):
-            bounds._sobol_points(17, 1, 0)
+            next(bounds._sobol_blocks(17, 1, 0))
 
     def test_more_than_2_30_points_refused(self):
         with pytest.raises(ValueError, match=r"at most 2\*\*30 Sobol points"):
-            bounds._sobol_points(1, 31, 0)
+            next(bounds._sobol_blocks(1, 31, 0))
+
+
+class TestBlockStream:
+    """Every quadrature arrives as coordinate-major blocks of at most
+    BLOCK_ROWS points, equal point for point to its one-shot form."""
+
+    @pytest.mark.parametrize("n, per", [(2, 20000), (3, 8192), (1, 5)])
+    def test_plain_mc_equals_one_draw_per_replicate(self, n, per):
+        # 20000 = 2 full blocks and a partial one of 3616 points
+        box = np.array([[-1.0, 3.0], [0.5, 2.0], [-2.0, -1.0]])[:n]
+        spec = bounds.QuadratureSpec(method="mc", samples=3 * per, replicates=3,
+                                     seed=9, sobol=False)
+        rng = np.random.default_rng(9)
+        for count, blocks in bounds._mc_replicates(box, spec, n):
+            blocks = list(blocks)
+            assert count == per
+            assert [U.shape[1] for U in blocks] == [
+                min(bounds.BLOCK_ROWS, per - lo)
+                for lo in range(0, per, bounds.BLOCK_ROWS)]
+            assert all(U.flags.c_contiguous for U in blocks)
+            want = box[:, 0] + rng.random((per, n)) * (box[:, 1] - box[:, 0])
+            assert np.array_equal(np.concatenate(blocks, axis=1).T, want)
+
+    @pytest.mark.parametrize("n, points_per_axis", [(2, 101), (3, 21), (1, 7)])
+    def test_grid_equals_meshgrid(self, n, points_per_axis):
+        # 101**2 = 10201: one full block and a partial one of 2009 points
+        box = np.array([[-1.0, 3.0], [0.5, 2.0], [-2.0, -1.0]])[:n]
+        axes = [lo + (hi - lo) / points_per_axis * (np.arange(points_per_axis) + 0.5)
+                for lo, hi in box]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        want = np.column_stack([m.ravel() for m in mesh])
+        (count, blocks), = bounds._grid_replicates(box, points_per_axis)
+        blocks = list(blocks)
+        assert count == len(want)
+        assert [U.shape[1] for U in blocks] == [
+            min(bounds.BLOCK_ROWS, count - lo)
+            for lo in range(0, count, bounds.BLOCK_ROWS)]
+        assert np.array_equal(np.concatenate(blocks, axis=1).T, want)
+
+    @pytest.mark.parametrize("sobol", [True, False])
+    def test_memory_does_not_grow_with_samples(self, plant_cooked, lifting_cooked,
+                                               sobol):
+        # the README's Monte-Carlo spec: 2**21 samples over 8 replicates
+        def peak(samples):
+            spec = bounds.QuadratureSpec(method="mc", samples=samples,
+                                         replicates=8, sobol=sobol)
+            tracemalloc.start()
+            try:
+                bounds.compute_d0(plant_cooked, lifting_cooked, 0.1, 0.05, spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        large, small = peak(2 ** 21), peak(2 ** 16)
+        assert large < 4e6
+        assert large <= 1.5 * small
 
 
 class TestRemainderBound:

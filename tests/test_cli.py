@@ -156,10 +156,19 @@ class TestConfig:
          "error_bound.c_r must be a positive finite number"),
         ("error_bound", "c_r", float("inf"),
          "error_bound.c_r must be a positive finite number"),
+        ("plant.params", "rho", float("nan"), "plant parameter 'rho' must be finite, not nan"),
+        ("plant.params", "lam", -float("inf"),
+         "plant parameter 'lam' must be finite, not -inf"),
+        ("lifting.extras.0", "parms", {"terms": [[1.0, [0, 1]]]},
+         "unknown config key 'lifting.extras[0].parms'"),
+        ("lifting.extras.0.params", "scale", 2,
+         "observable 'poly' has no parameter 'scale' (it takes terms)"),
     ], ids=["c_r-string", "delta-bool", "d-string", "d-float", "d-bool",
             "extras-number", "params-list", "output-dir-number",
             "extra-params-list", "plant-param-list", "Qz-string",
-            "heuristic-string", "lqr-string", "c_r-nan", "c_r-infinity"])
+            "heuristic-string", "lqr-string", "c_r-nan", "c_r-infinity",
+            "plant-param-nan", "plant-param-infinity", "extra-unknown-key",
+            "extra-unknown-param"])
     def test_non_numeric_value_rejected(self, tmp_path, capsys, section, key,
                                         value, message):
         cfg = cli.example_config("cooked_up")
@@ -171,6 +180,29 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("lifting.extras.0", "params", {"index": 0, "scale": 2},
+         "observable 'sine' has no parameter 'scale' (it takes index)"),
+        ("lifting.extras.0", "parms", {"index": 0},
+         "unknown config key 'lifting.extras[0].parms'"),
+        ("plant.params", "rho", float("nan"), "plant parameter 'rho' must be finite, not nan"),
+    ], ids=["observable-param", "extra-key", "plant-param-nan"])
+    def test_ignored_or_non_finite_value_rejected_by_every_stage(
+            self, tmp_path, capsys, section, key, value, message):
+        cfg = cli.example_config("cooked_up")
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["lifting"]["extras"] = [{"kind": "sine", "params": {"index": 0}}]
+        cfg["region"] = {"heuristic": True}
+        _place(cfg, section, key, value)
+        path = tmp_path / "ignored.json"
+        path.write_text(json.dumps(cfg))
+        for cmd in ("collect", "fit", "d0", "design", "verify"):
+            assert cli.main([cmd, "--config", str(path)]) == cli.EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_observable_kind_rejected(self, tmp_path, capsys):

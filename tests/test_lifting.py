@@ -90,6 +90,31 @@ class TestGradient:
                 assert np.linalg.norm(G[k] - fd) <= 1e-6 * scale
 
 
+class TestLie:
+    @pytest.mark.parametrize("factory", [
+        lambda: make_lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))]),
+                                 poly([(1.0, (1, 1))])]),
+        lambda: make_lifting(2, [sine(0), cosine_minus_one(1)]),
+    ])
+    def test_equals_gradient_contraction(self, factory):
+        # the fit's former einsum over the gradient tensor, bit for bit
+        L = factory()
+        rng = np.random.default_rng(5)
+        X, V = rng.uniform(-2.0, 2.0, size=(2, 300, 2))
+        want = np.einsum("dkn,dn->dk", L.gradient_many(X), V)
+        assert np.array_equal(L.lie_many(X, V), want)
+
+    def test_writes_observable_major_rows(self, lifting_cooked_xy):
+        # each observable fills one contiguous row of the (N+1, d) buffer
+        X = np.random.default_rng(6).normal(size=(50, 2))
+        out = np.full((5, 64), np.nan)
+        Z = lifting_cooked_xy.lift_many(X, out=out[:, :50])
+        assert np.shares_memory(Z, out) and np.isnan(out[:, 50:]).all()
+        np.testing.assert_array_equal(out[:, :50].T, lifting_cooked_xy.lift_many(X))
+        assert lifting_cooked_xy.lift_many(X).T.flags.c_contiguous
+        assert lifting_cooked_xy.lie_many(X, X).T.flags.c_contiguous
+
+
 class TestValidation:
     def test_rejects_nonvanishing_extra(self):
         with pytest.raises(DictionaryError):
@@ -126,7 +151,8 @@ class TestSerialization:
         X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(7, 2))
         ob = observable("cosine_minus_one", {"index": 1})
         np.testing.assert_array_equal(ob.fn(X), cosine_minus_one(1).fn(X))
-        np.testing.assert_array_equal(ob.grad(X), cosine_minus_one(1).grad(X))
+        V = np.random.default_rng(4).normal(size=(7, 2))
+        np.testing.assert_array_equal(ob.lie(X, V), cosine_minus_one(1).lie(X, V))
         with pytest.raises(ValueError, match="unknown observable kind 'tanh'"):
             observable("tanh", {"index": 0})
 
@@ -149,10 +175,16 @@ class TestSerialization:
         ("poly", {"terms": [["a", [1, 0]]]}, "observable 'poly' terms must be a "
          "list of [coefficient, [exponents]] pairs, not [['a', [1, 0]]]"),
         ("poly", {}, "observable 'poly' needs the parameter 'terms'"),
+        ("sine", {"index": 0, "scale": 2},
+         "observable 'sine' has no parameter 'scale' (it takes index)"),
+        ("poly", {"terms": [[1.0, [1, 0]]], "index": 0},
+         "observable 'poly' has no parameter 'index' (it takes terms)"),
+        ("constant", {"value": 1.0},
+         "observable 'constant' has no parameter 'value' (it takes none)"),
     ], ids=["index-float", "index-bool", "index-string", "index-missing",
             "exponent-fraction", "exponent-negative", "exponent-bool",
             "terms-number", "term-without-exponents", "coefficient-string",
-            "terms-missing"])
+            "terms-missing", "sine-unknown", "poly-unknown", "constant-unknown"])
     def test_observable_refuses_bad_params(self, kind, params, message):
         with pytest.raises(ValueError) as info:
             observable(kind, params)

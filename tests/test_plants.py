@@ -36,7 +36,10 @@ class TestMakeExample:
          "plant parameter 'lambda' must be a number, not True"),
         ("pendulum", {"mass": "1.0"},
          "plant parameter 'mass' must be a number, not '1.0'"),
-    ], ids=["list", "bool", "string"])
+        ("cooked_up", {"rho": float("nan")}, "plant parameter 'rho' must be finite, not nan"),
+        ("cooked_up", {"lam": float("inf")}, "plant parameter 'lam' must be finite, not inf"),
+        ("pendulum", {"g": -float("inf")}, "plant parameter 'g' must be finite, not -inf"),
+    ], ids=["list", "bool", "string", "nan", "infinity", "minus-infinity"])
     def test_non_numeric_parameter_rejected(self, name, params, message):
         with pytest.raises(ValueError) as info:
             plants.make_example(name, **params)
