@@ -405,12 +405,14 @@ def _resolve_region(cfg, surrogate, log_sink=None):
 
 def _solve_entry(stage, report):
     """The design_log.json record of one ``sdp.solve``: status, iterations,
-    final residuals and, for a phase-I solve, t*.  It holds no wall time, so
-    the log stays byte-deterministic."""
+    final residuals, the size of the program (``vars``, ``largest_block``)
+    and, for a phase-I solve, t*.  It holds no wall time, so the log stays
+    byte-deterministic."""
     info = report.diagnostics
     entry = {"stage": stage, "status": report.status,
              "iterations": report.iterations,
-             **{k: info[k] for k in ("primal_infeas", "dual_infeas", "rel_gap")}}
+             **{k: info[k] for k in ("primal_infeas", "dual_infeas", "rel_gap",
+                                     "vars", "largest_block")}}
     if "t_star" in info:
         entry["t_star"] = info["t_star"]
     return entry
@@ -481,6 +483,7 @@ def cmd_design(cfg):
         "constraint_manifest": problem.manifest(),
         "verification": {k: list(v) for k, v in check.margins.items()},
         "roa_closed": boundary.closed,
+        "state_box": controller.certified_box(design, surrogate.lifting).tolist(),
     })
     _write_json(outdir / "design_log.json", log)
     _write_manifest(outdir, "design", cfg, [surrogate_path],

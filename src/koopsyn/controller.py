@@ -217,6 +217,14 @@ def roa_membership(design, lifting, x):
     return V <= 1.0, V
 
 
+def certified_box(design, lifting):
+    """The box |x_i| <= sqrt(P_ii), i < n, as rows [-r_i, r_i], that holds
+    the whole certified set V(x) <= 1 in any n.  The reduced lift z starts
+    with x_1..x_n, so by Cauchy-Schwarz x_i^2 = (e_i' z)^2 <= P_ii V(x)."""
+    r = np.sqrt(np.diag(design.P)[:lifting.n])
+    return np.column_stack([-r, r])
+
+
 @dataclass(frozen=True)
 class Boundary:
     angles: np.ndarray

@@ -24,6 +24,15 @@ standard primal/dual pair
 
 with C_k = F0_k, A_ik = -Fi_k, b = -c, so the dual slack S_k equals the
 constraint value F_k(z) and y is the decision vector z.
+
+Memory: a solve consumes its coefficient stacks.  Each PSD block's A_k is
+the caller's Fi_k scaled in place (Fi_k / -scale_k) and then left
+read-only, so a stack cannot be solved twice and never holds a rescaled
+problem that looks fresh.  Beyond those stacks a solve holds one product
+buffer of p*n_max^2 floats (n_max the largest PSD block), which receives
+X_k A_ik inv(S_k) for every i, and one chunk buffer of at most
+SCHUR_CHUNK_BYTES for the intermediate X_k A_ik; everything else is of
+size n_k^2, p^2 or p.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ import numpy as np
 from .matops import sym
 
 STEP_FRAC = 0.98    # fraction of the step to the cone boundary taken
+SCHUR_CHUNK_BYTES = 1 << 18     # byte budget of one chunk of coefficient rows
 
 
 @dataclass
@@ -93,19 +103,51 @@ def _regularize(M):
     return None
 
 
-def _schur(Aflat, As, X, Sinv):
+def _chunk_rows(width):
+    """Rows of ``width`` floats that fit in SCHUR_CHUNK_BYTES (at least 1)."""
+    return max(1, SCHUR_CHUNK_BYTES // (8 * max(1, width)))
+
+
+def _schur(Aflat, As, X, Sinv, H, T):
     """Schur complement M_ij = sum_k <A_ik, X_k A_jk Sinv_k>, not symmetrized.
 
     ``As`` holds each block's (symmetric) coefficients stacked as (p, n, n)
-    and ``Aflat`` the same data reshaped to (p, n*n)."""
-    return sum(Af_k @ (X_k @ A_k @ Si_k).reshape(Af_k.shape).T
-               for Af_k, A_k, X_k, Si_k in zip(Aflat, As, X, Sinv))
+    and ``Aflat`` the same data reshaped to (p, n*n).  ``H`` and ``T`` are
+    flat float buffers: H receives the products X_k A_jk Sinv_k of a block
+    (at least p*n*n floats), formed a chunk of variables at a time with the
+    chunk's X_k A_jk in T (at least n*n floats).  Each product is the same
+    pair of matrix products, in the same association, as X_k @ A_k @ Sinv_k
+    of the whole stack, so M does not depend on the chunk length."""
+    def block(Af_k, A_k, X_k, Si_k):
+        p, nk = A_k.shape[:2]
+        Hk = H[:p * nk * nk].reshape(p, nk, nk)
+        step = T.size // (nk * nk)
+        for lo in range(0, p, step):
+            Tk = T[:(min(p, lo + step) - lo) * nk * nk].reshape(-1, nk, nk)
+            np.matmul(X_k, A_k[lo:lo + step], out=Tk)
+            np.matmul(Tk, Si_k, out=Hk[lo:lo + step])
+        return Af_k @ Hk.reshape(Af_k.shape).T
+
+    return sum(block(*k) for k in zip(Aflat, As, X, Sinv))
+
+
+def _max_row_norm(Af_k):
+    """np.max(np.linalg.norm(Af_k, axis=1), initial=0.0), taken a chunk of
+    rows at a time so that no full-size square of Af_k is made."""
+    step = _chunk_rows(Af_k.shape[1])
+    return np.max([np.max(np.linalg.norm(Af_k[lo:lo + step], axis=1))
+                   for lo in range(0, len(Af_k), step)], initial=0.0)
 
 
 def solve_sdp(c, blocks, tol=1e-8, max_iters=200):
     """Run the interior-point iteration; ``blocks`` is a list of (F0, Fi)
     with Fi stacked as (p, nk, nk).  The 1x1 blocks are solved together as
-    one linear cone."""
+    one linear cone.
+
+    The solve consumes every float Fi array it is given: a PSD block's stack
+    is scaled in place, and every stack is left read-only.  A read-only
+    stack raises ValueError, so solving the same blocks again fails instead
+    of solving the rescaled problem."""
     if not blocks:
         raise ValueError("solve_sdp needs at least one constraint block "
                          "(got an empty blocks list)")
@@ -117,14 +159,21 @@ def solve_sdp(c, blocks, tol=1e-8, max_iters=200):
     for F0, Fi in blocks:
         F0 = np.asarray(F0, dtype=float)
         nk = F0.shape[0]
-        Fi = np.asarray(Fi, dtype=float).reshape(p, nk, nk)
-        scale = max(1.0, np.max(np.abs(F0)), np.max(np.abs(Fi)) if Fi.size else 0.0)
+        stack = np.asarray(Fi, dtype=float)
+        if not stack.flags.writeable:
+            raise ValueError("a coefficient stack is read-only: an earlier "
+                             "solve consumed it (solve_sdp scales each stack "
+                             "in place); lower the problem again")
+        Fi = stack.reshape(p, nk, nk)
+        scale = max(1.0, np.max(np.abs(F0)),
+                    max(Fi.max(), -Fi.min()) if Fi.size else 0.0)
         if nk == 1:
             cl.append(F0[0, 0] / scale)
             Al.append(-Fi[:, 0, 0] / scale)
         else:
             Cs.append(F0 / scale)
-            As.append(-Fi / scale)
+            As.append(np.divide(Fi, -scale, out=Fi))
+        stack.flags.writeable = False
     cl = np.array(cl)
     Al = np.column_stack(Al) if Al else np.zeros((p, 0))
     dims = [C_k.shape[0] for C_k in Cs]
@@ -136,7 +185,7 @@ def solve_sdp(c, blocks, tol=1e-8, max_iters=200):
     X, S = [], []
     bmag = 1.0 + np.linalg.norm(b, np.inf)
     for C_k, Af_k, nk in zip(Cs, Af, dims):
-        anorm = np.max(np.linalg.norm(Af_k, axis=1), initial=0.0)
+        anorm = _max_row_norm(Af_k)
         xi = max(10.0, np.sqrt(nk), nk * bmag / (1.0 + anorm))
         eta = max(10.0, np.sqrt(nk), np.linalg.norm(C_k, "fro"), anorm)
         X.append(xi * np.eye(nk))
@@ -145,6 +194,10 @@ def solve_sdp(c, blocks, tol=1e-8, max_iters=200):
     x = np.maximum(10.0, bmag / (1.0 + anorm))
     s = np.maximum(10.0, np.maximum(np.abs(cl), anorm))
     y = np.zeros(p)
+    # the Schur buffers, allocated once per solve
+    nsq = max((nk * nk for nk in dims), default=0)
+    H = np.empty(p * nsq)
+    T = np.empty(max(1, min(p, _chunk_rows(nsq))) * nsq)
 
     def residuals():
         rp = b - sum((Af_k @ X_k.ravel() for Af_k, X_k in zip(Af, X)), Al @ x)
@@ -188,7 +241,7 @@ def solve_sdp(c, blocks, tol=1e-8, max_iters=200):
         GX = [G_k for _, G_k in factors[len(S):]]
         sinv = 1.0 / s
 
-        M = _schur(Af, As, X, Sinv) + (Al * (x * sinv)) @ Al.T
+        M = _schur(Af, As, X, Sinv, H, T) + (Al * (x * sinv)) @ Al.T
         M = _regularize(0.5 * (M + M.T))
         if M is None:
             status = "numerical_failure"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
+TABLE_BLOCK_ROWS = 4096     # rows formatted per write in write_table
 
 
 def mT(M):
@@ -88,17 +89,19 @@ def kron(a, b):
 
 
 def write_table(path, M, fmt="%.17g", delimiter=" ", newline="\n", header=None):
-    """Write the rows of the 2-D array M as text, ``fmt`` per entry, in one
-    formatting pass over the whole table; ``header`` (column names) goes on
-    the first line.  The defaults give the bytes of
-    ``np.savetxt(path, M, fmt="%.17g")``."""
+    """Write the rows of the 2-D array M as text, ``fmt`` per entry;
+    ``header`` (column names) goes on the first line.  The rows are
+    formatted and written TABLE_BLOCK_ROWS at a time, so the memory a write
+    needs does not grow with the table; the bytes are those of one pass.
+    The defaults give the bytes of ``np.savetxt(path, M, fmt="%.17g")``."""
     M = np.asarray(M, dtype=float)
     row = delimiter.join([fmt] * M.shape[1]) + newline
-    text = (row * len(M)) % tuple(M.ravel().tolist())
-    if header is not None:
-        text = delimiter.join(header) + newline + text
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        if header is not None:
+            fh.write(delimiter.join(header) + newline)
+        for lo in range(0, len(M), TABLE_BLOCK_ROWS):
+            rows = M[lo:lo + TABLE_BLOCK_ROWS]
+            fh.write((row * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def encode_matrix(M):

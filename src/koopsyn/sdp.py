@@ -121,7 +121,17 @@ def solve(program, options=None):
 
     A zero objective is treated as a feasibility question and answered via
     the capped max-margin phase-I wrap; never raises on solver divergence.
+    The solve consumes ``program``: the interior-point method scales its
+    coefficient stacks in place, and they are left read-only, so solving
+    the same program again raises ValueError (lower the problem again).
+    ``diagnostics`` records the size of the solve: ``vars``, the number of
+    decision variables (without the phase-I margin), and ``largest_block``.
     """
+    stacks = [Fi for _, _, Fi, _ in program.blocks]
+    if not all(Fi.flags.writeable for Fi in stacks):
+        raise ValueError("this program was consumed by an earlier solve, "
+                         "which scales its coefficients in place; lower the "
+                         "problem again")
     options = options or SolverOptions()
     t0 = time.monotonic()
     feasibility = not np.any(program.c)
@@ -129,12 +139,16 @@ def solve(program, options=None):
     res = ipm.solve_sdp(solved.c, [(F0, Fi) for (_, F0, Fi, _) in solved.blocks],
                         tol=options.tol, max_iters=options.max_iters)
     wall = time.monotonic() - t0
+    for Fi in stacks:
+        Fi.flags.writeable = False
     info = {
         "solver_status": res.status,
         "primal_infeas": res.primal_infeas,
         "dual_infeas": res.dual_infeas,
         "rel_gap": res.rel_gap,
         "objective": res.dual_obj,
+        "vars": program.nvars,
+        "largest_block": max(F0.shape[0] for _, F0, _, _ in solved.blocks),
     }
     z, status = res.z, res.status
     if feasibility:

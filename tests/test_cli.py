@@ -618,9 +618,11 @@ class TestFitAndDesign:
         for cmd in ("collect", "fit"):
             assert cli.main([cmd, "--example", "cooked_up", "--out", out,
                              "--d", "400"]) == 0
-        solve, reports = sdp.solve, []
+        solve, reports, sizes = sdp.solve, [], []
 
         def recording(program, options=None):
+            sizes.append((program.nvars,
+                          max(F0.shape[0] for _, F0, _, _ in program.blocks)))
             report = solve(program, options)
             if objective_stalls and np.any(program.c):
                 report.status = "iteration_limit"
@@ -634,14 +636,39 @@ class TestFitAndDesign:
         stages = ["objective", "feasibility"] if objective_stalls else ["objective"]
         assert [e["stage"] for e in solves] == stages
         assert sum(e["iterations"] for e in solves) == sum(r.iterations for r in reports)
-        for entry, report in zip(solves, reports):
+        for entry, report, size in zip(solves, reports, sizes):
             assert entry["status"] == report.status
-            for key in ("primal_infeas", "dual_infeas", "rel_gap"):
+            for key in ("primal_infeas", "dual_infeas", "rel_gap", "vars",
+                        "largest_block"):
                 assert entry[key] == report.diagnostics[key]
+            # the size of the program as lowered, without the phase-I margin
+            assert (entry["vars"], entry["largest_block"]) == size
             # t* belongs to the phase-I (feasibility) solve only; no wall time
             assert ("t_star" in entry) == (entry["stage"] == "feasibility")
             assert set(entry) <= {"stage", "status", "iterations", "primal_infeas",
-                                  "dual_infeas", "rel_gap", "t_star"}
+                                  "dual_infeas", "rel_gap", "vars",
+                                  "largest_block", "t_star"}
+
+    @pytest.mark.parametrize("example", ["cooked_up", "cooked_up_xy",
+                                         "pendulum", "pendulum_shaped"])
+    def test_state_box_holds_the_certified_set(self, tmp_path, example):
+        # V <= 1 gives |x_i| <= sqrt(P_ii): the reduced lift starts with x
+        out = str(tmp_path)
+        for cmd in ("collect", "fit", "design"):
+            assert cli.main([cmd, "--example", example, "--out", out]) == 0, cmd
+        box = np.array(json.loads((tmp_path / "design_log.json").read_text())
+                       ["state_box"])
+        design = controller.DesignResult.from_json(
+            (tmp_path / "design.json").read_text())
+        lifting = edmd.Surrogate.from_json(
+            (tmp_path / "surrogate.json").read_text()).lifting
+        assert np.array_equal(box, controller.certified_box(design, lifting))
+        assert np.array_equal(box[:, 1], np.sqrt(np.diag(design.P)[:2]))
+        rng = np.random.default_rng(7)
+        X = rng.uniform(2.0 * box[:, 0], 2.0 * box[:, 1], size=(100_000, 2))
+        inside = X[controller.ClosedLoop.of(design, lifting).value_many(X) <= 1.0]
+        assert len(inside) > 0
+        assert np.all(np.abs(inside) <= box[:, 1] * (1.0 + 1e-12))
 
     def test_design_deterministic(self, tmp_path):
         a = run_pipeline(tmp_path / "a")
@@ -670,6 +697,9 @@ class TestFitAndDesign:
             assert rc == 0, cmd
         log = json.loads((tmp_path / "design_log.json").read_text())
         assert "heuristic" in log
+        region = log["solves"][0]
+        assert region["stage"] == "region"
+        assert region["vars"] > 0 and region["largest_block"] > 1
         assert "invariance" not in log["heuristic"]["step1_constraints"]
         final_names = [c["name"]
                        for c in log["constraint_manifest"]["constraints"]]

@@ -1,5 +1,7 @@
 """Direct tests of the bundled interior-point method (``koopsyn.ipm``)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,39 +51,116 @@ def test_empty_blocks_rejected():
         ipm.solve_sdp(np.array([1.0]), [])
 
 
-def test_schur_matches_einsum_reference():
-    rng = np.random.default_rng(11)
-    p = 7
+def schur_operands(rng, p, sizes):
     As, X, Sinv = [], [], []
-    for n in (1, 3, 8):
+    for n in sizes:
         As.append(random_sym(rng, p, n, n))
         X.append(random_spd(rng, n))
         Sinv.append(random_spd(rng, n))
     Aflat = [A_k.reshape(p, A_k.shape[1] ** 2) for A_k in As]
-    M = ipm._schur(Aflat, As, X, Sinv)
+    return Aflat, As, X, Sinv
+
+
+def schur_buffers(p, sizes, rows):
+    """The flat product buffer for p variables and a chunk buffer of
+    ``rows`` matrices of the largest block."""
+    nsq = max(sizes) ** 2
+    return np.empty(p * nsq), np.empty(rows * nsq)
+
+
+def test_schur_matches_einsum_reference():
+    rng = np.random.default_rng(11)
+    p = 7
+    Aflat, As, X, Sinv = schur_operands(rng, p, (1, 3, 8))
+    M = ipm._schur(Aflat, As, X, Sinv, *schur_buffers(p, (1, 3, 8), p))
     ref = sum(np.einsum("imn,jnm->ij", A_k, np.einsum("mn,jnl,lo->jmo", X_k, A_k, Si_k))
               for A_k, X_k, Si_k in zip(As, X, Sinv))
     assert M.shape == (p, p)
     assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_theorem2_scaling_n15():
-    """Theorem-2 ROA design at (N, m) = (15, 3): 309 variables, largest block
-    81.  A dense Schur step that costs O(p n^4) per block takes minutes here;
-    the batched one takes seconds."""
-    N, m = 15, 3
+@pytest.mark.parametrize("rows", [1, 3, 7, 10],
+                         ids=["one", "not_a_divisor", "p", "more_than_p"])
+def test_buffered_schur_equals_whole_stack_products(rows):
+    # chunks of 1 and 3 rows of the largest block (8x8): p = 7 is not a
+    # multiple of 3; the smaller blocks fit more rows per chunk
+    rng = np.random.default_rng(5)
+    p, sizes = 7, (1, 3, 8, 5)
+    Aflat, As, X, Sinv = schur_operands(rng, p, sizes)
+    whole = sum(Af_k @ (X_k @ A_k @ Si_k).reshape(Af_k.shape).T
+                for Af_k, A_k, X_k, Si_k in zip(Aflat, As, X, Sinv))
+    M = ipm._schur(Aflat, As, X, Sinv, *schur_buffers(p, sizes, rows))
+    assert np.array_equal(M, whole)
+
+
+def ladder_problem(N, m, objective=True):
+    """Theorem-2 design (with the ROA objective unless ``objective`` is
+    false) on a seeded synthetic stable surrogate with a radius-10 ball
+    region, as in the benchmark's design ladder."""
     rng = np.random.default_rng([0, N, m])
     A = rng.standard_normal((N, N)) / np.sqrt(N)
     A -= (np.max(np.linalg.eigvals(A).real) + 1.0) * np.eye(N)
     B0 = rng.standard_normal((N, m))
     B = tuple(0.1 * rng.standard_normal((N, N)) / np.sqrt(N) for _ in range(m))
     surrogate = edmd.Surrogate(A=A, B0=B0, B=B, c_r=0.05, delta=0.05)
-    problem = lmi.add_roa_objective(
-        lmi.build_theorem2(surrogate, uncertainty.identity_region(N, 10.0)))
-    assignment, report = sdp.solve_problem(problem, sdp.SolverOptions())
+    problem = lmi.build_theorem2(surrogate, uncertainty.identity_region(N, 10.0))
+    return lmi.add_roa_objective(problem) if objective else problem
+
+
+def traced_solve(program):
+    """(report, tracemalloc peak of sdp.solve, largest coefficient stack)."""
+    largest = max(Fi.nbytes for _, _, Fi, _ in program.blocks)
+    tracemalloc.start()
+    try:
+        report = sdp.solve(program, sdp.SolverOptions())
+        return report, tracemalloc.get_traced_memory()[1], largest
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_holds_two_stacks_at_most():
+    # the lowering scaled in place plus one product buffer; a scaled copy
+    # and two fresh product temporaries made it 3.6 stacks
+    problem = ladder_problem(10, 2)
+    report, peak, largest = traced_solve(sdp.lower(problem))
+    assert report.status == "feasible"
+    assert peak <= 2 * largest
+    assert sdp.verify(problem, report.assignment).ok
+
+
+@pytest.mark.parametrize("objective", [True, False],
+                         ids=["objective", "feasibility"])
+def test_program_solved_once(objective):
+    problem = ladder_problem(4, 2, objective)
+    program = sdp.lower(problem)
+    assert sdp.solve(program).status == "feasible"
+    assert all(not Fi.flags.writeable for _, _, Fi, _ in program.blocks)
+    with pytest.raises(ValueError, match="lower the problem again"):
+        sdp.solve(program)
+    # a fresh lowering solves the same problem again
+    assert sdp.solve(sdp.lower(problem)).status == "feasible"
+
+
+def test_solve_sdp_consumes_its_stacks():
+    blocks = [(np.eye(2), np.stack([np.eye(2), np.zeros((2, 2))])),
+              scalar_block(1.0, 0.0, -1.0)]
+    res = ipm.solve_sdp(np.array([1.0, -1.0]), blocks)
+    assert res.status == "optimal"
+    with pytest.raises(ValueError, match="lower the problem again"):
+        ipm.solve_sdp(np.array([1.0, -1.0]), blocks)
+
+
+def test_theorem2_scaling_n15():
+    """Theorem-2 ROA design at (N, m) = (15, 3): 309 variables, largest block
+    81.  A dense Schur step that costs O(p n^4) per block takes minutes here;
+    the batched one takes seconds.  The solve holds the scaled lowering and
+    one product buffer, not a scaled copy and fresh products."""
+    problem = ladder_problem(15, 3)
+    report, peak, largest = traced_solve(sdp.lower(problem))
     assert report.status == "feasible"
     assert report.iterations <= 13
-    assert sdp.verify(problem, assignment).ok
+    assert peak <= 2 * largest
+    assert sdp.verify(problem, report.assignment).ok
 
 
 def scalar_block(f0, *fi):

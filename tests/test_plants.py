@@ -1,10 +1,11 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from koopsyn import plants
+from koopsyn import matops, plants
 
 
 class TestMakeExample:
@@ -119,6 +120,16 @@ class TestSampling:
         assert ss.batch(1).u_bar[0] == 0.5
 
 
+def csv_reference(batch):
+    """The bytes csv.writer gives for a batch's sample file."""
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(["x_1", "x_2", "xdot_1", "xdot_2"])
+    for x, xd in zip(batch.states, batch.derivs):
+        writer.writerow([repr(float(v)) for v in x] + [repr(float(v)) for v in xd])
+    return ref.getvalue().encode("ascii")
+
+
 class TestSerialization:
     def test_round_trip(self, plant_cooked, tmp_path):
         ss = plants.collect_samples(plant_cooked, 20, seed=11, noise_bound=0.01)
@@ -139,17 +150,38 @@ class TestSerialization:
         batch = plants.SampleBatch(u_bar=[0.0], states=values[:, :2],
                                    derivs=values[:, 2:])
         plants.save_samples(plants.SampleSet(batches=(batch,), seed=0), tmp_path)
-        ref = io.StringIO(newline="")
-        writer = csv.writer(ref)
-        writer.writerow(["x_1", "x_2", "xdot_1", "xdot_2"])
-        for x, xd in zip(batch.states, batch.derivs):
-            writer.writerow([repr(float(v)) for v in x]
-                            + [repr(float(v)) for v in xd])
-        assert (tmp_path / "samples_u0.csv").read_bytes() == \
-            ref.getvalue().encode("ascii")
+        assert (tmp_path / "samples_u0.csv").read_bytes() == csv_reference(batch)
         back = plants.load_samples(tmp_path).batch(0)
         assert back.states.tobytes() == batch.states.tobytes()
         assert back.derivs.tobytes() == batch.derivs.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, matops.TABLE_BLOCK_ROWS,
+                                      2 * matops.TABLE_BLOCK_ROWS + 37])
+    def test_blocks_of_rows_keep_the_bytes(self, tmp_path, rows):
+        # a table of more rows than one block, and not a multiple of it, in
+        # the sample format and in the default (np.savetxt) format
+        values = np.random.default_rng(rows).standard_normal((rows, 4))
+        values *= 10.0 ** np.arange(-6, 6, 3)
+        batch = plants.SampleBatch(u_bar=[0.0], states=values[:, :2],
+                                   derivs=values[:, 2:])
+        plants.save_samples(plants.SampleSet(batches=(batch,), seed=0), tmp_path)
+        assert (tmp_path / "samples_u0.csv").read_bytes() == csv_reference(batch)
+        matops.write_table(tmp_path / "table.txt", values)
+        np.savetxt(tmp_path / "savetxt.txt", values, fmt="%.17g")
+        assert ((tmp_path / "table.txt").read_bytes()
+                == (tmp_path / "savetxt.txt").read_bytes())
+
+    def test_write_memory_does_not_grow_with_rows(self, tmp_path):
+        # one pass over the table made about 14 MB of Python floats and text
+        # for these 1.9 MB of data
+        values = np.random.default_rng(0).standard_normal((60_000, 4))
+        tracemalloc.start()
+        try:
+            matops.write_table(tmp_path / "table.txt", values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes
 
     def test_rewrite_byte_identical(self, plant_cooked, tmp_path):
         ss = plants.collect_samples(plant_cooked, 20, seed=11)
