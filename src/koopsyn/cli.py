@@ -380,7 +380,6 @@ def cmd_d0(cfg):
 
 
 def _resolve_region(cfg, surrogate, log_sink=None):
-    rcfg = cfg["region"]
     if _setting(cfg, "region.heuristic"):
         region, log = uncertainty.procedure1_qz(
             surrogate, theorem=_theorems(cfg)[1],
@@ -398,9 +397,7 @@ def _resolve_region(cfg, surrogate, log_sink=None):
                 "step1_constraints": list(log.step1_constraints),
             }
         return region
-    return uncertainty.UncertaintyRegion(Qz=np.asarray(rcfg["Qz"], dtype=float),
-                                         Sz=np.asarray(rcfg["Sz"], dtype=float),
-                                         Rz=float(rcfg["Rz"]))
+    return uncertainty.UncertaintyRegion.from_json_dict(cfg["region"])
 
 
 def _solve_entry(stage, report):
@@ -461,6 +458,26 @@ def _design(cfg, surrogate, region):
     return problem, solves, check, design
 
 
+def _save_design(outdir, stem, cfg, region, design, lifting, region_boundary=False):
+    """The one writer of ``roa.dat`` (swept at the config's ``resolution``),
+    ``design.json`` and ``region.json``, plus, with ``region_boundary``, the
+    region's own boundary ``region.dat``; each name is prefixed ``<stem>_``
+    unless ``stem`` is empty.  Returns (files, boundary)."""
+    resolution = _setting(cfg, "resolution")
+    boundary = controller.roa_boundary_2d(design, lifting, resolution)
+    prefix = f"{stem}_" if stem else ""
+    files = [outdir / f"{prefix}{name}"
+             for name in ("roa.dat", "design.json", "region.json")]
+    controller.export_boundary_dat(boundary, files[0])
+    files[1].write_text(design.to_json() + "\n")
+    _write_json(files[2], region.to_json_dict(), indent=None)
+    if region_boundary:
+        files.append(outdir / f"{prefix}region.dat")
+        controller.export_boundary_dat(
+            controller.region_boundary_2d(region, lifting, resolution), files[3])
+    return files, boundary
+
+
 def cmd_design(cfg):
     outdir = _outdir(cfg)
     surrogate_path = outdir / "surrogate.json"
@@ -471,11 +488,7 @@ def cmd_design(cfg):
     region = _resolve_region(cfg, surrogate, log_sink=log)
     problem, solves, check, design = _design(cfg, surrogate, region)
     kept = solves[-1]
-    (outdir / "design.json").write_text(design.to_json() + "\n")
-    _write_json(outdir / "region.json", region.to_json_dict(), indent=None)
-    boundary = controller.roa_boundary_2d(design, surrogate.lifting,
-                                          resolution=_setting(cfg, "resolution"))
-    controller.export_boundary_dat(boundary, outdir / "roa.dat")
+    files, boundary = _save_design(outdir, "", cfg, region, design, surrogate.lifting)
     log.update({
         "status": kept["status"],
         "iterations": kept["iterations"],
@@ -487,8 +500,7 @@ def cmd_design(cfg):
     })
     _write_json(outdir / "design_log.json", log)
     _write_manifest(outdir, "design", cfg, [surrogate_path],
-                    [outdir / "design.json", outdir / "region.json",
-                     outdir / "roa.dat", outdir / "design_log.json"])
+                    files + [outdir / "design_log.json"])
     print(f"design: feasible ({kept['iterations']} iterations); "
           f"K = {np.array2string(design.K, precision=4)}")
     return EXIT_OK
@@ -525,19 +537,21 @@ def _lqr_grid(plant, surrogate, starts, weights, horizon, rtol):
 
 def _certified_starts(design, lifting, n_starts, seed):
     """Up to ``n_starts`` states with V <= 0.99, rejection-sampled (at most
-    100000 tries) from the square that holds the certified boundary."""
+    100000 tries) from ``controller.certified_box``, which holds the whole
+    certified set in any n.  Returns the starts and the ``start_sampling``
+    record of ``verify_report.json``: the box, the tries and ``n_starts``."""
     rng = np.random.default_rng(seed)
-    boundary = controller.roa_boundary_2d(design, lifting, resolution=180)
-    rmax = float(np.max(boundary.radii))
+    box = controller.certified_box(design, lifting)
     value_many = controller.ClosedLoop.of(design, lifting).value_many
     # rejection sampling in blocks of tries; a block of k draws is the same
     # stream as k single draws, so the starts do not depend on the block size
     starts, tries = [], 0
     while len(starts) < n_starts and tries < 100000:
-        X = rng.uniform(-rmax, rmax, size=(min(1000, 100000 - tries), lifting.n))
+        X = rng.uniform(box[:, 0], box[:, 1],
+                        size=(min(1000, 100000 - tries), lifting.n))
         tries += len(X)
         starts.extend(X[value_many(X) <= 0.99][:n_starts - len(starts)])
-    return starts
+    return starts, {"box": box.tolist(), "tries": tries, "requested": n_starts}
 
 
 def cmd_verify(cfg):
@@ -550,8 +564,11 @@ def cmd_verify(cfg):
     lifting = surrogate.lifting
     plant = _plant(cfg)
     horizon, rtol = _setting(cfg, "verify.horizon"), _setting(cfg, "verify.rtol")
-    starts = _certified_starts(design, lifting, _setting(cfg, "verify.n_starts"),
-                               _setting(cfg, "verify.seed"))
+    starts, sampling = _certified_starts(design, lifting, _setting(cfg, "verify.n_starts"),
+                                         _setting(cfg, "verify.seed"))
+    if len(starts) < sampling["requested"]:
+        print(f"warning: found {len(starts)} of {sampling['requested']} starts "
+              f"with V <= 0.99 in {sampling['tries']} draws", file=sys.stderr)
     results = []
     outputs = []
     trajs = verify.simulate_many(plant, controller.ClosedLoop.of(design, lifting),
@@ -571,7 +588,8 @@ def cmd_verify(cfg):
             "max_V_increase": audit.max_increase,
         })
     report = {"trajectories": results,
-              "n_converged": sum(r["reason"] == "converged" for r in results)}
+              "n_converged": sum(r["reason"] == "converged" for r in results),
+              "start_sampling": sampling}
     if _setting(cfg, "verify.lqr"):
         report["lqr_grid"], _ = _lqr_grid(
             plant, surrogate, starts[:8], _setting(cfg, "verify.lqr_weights"),
@@ -600,24 +618,6 @@ def _fig1(outdir):
         path = outdir / f"fig1_{name}.dat"
         write_table(path, pts)
         files.append(path)
-    return files
-
-
-def _save_design(outdir, stem, region, design, boundary, region_boundary=None):
-    files = []
-    p = outdir / f"{stem}_roa.dat"
-    controller.export_boundary_dat(boundary, p)
-    files.append(p)
-    p = outdir / f"{stem}_design.json"
-    p.write_text(design.to_json() + "\n")
-    files.append(p)
-    p = outdir / f"{stem}_region.json"
-    _write_json(p, region.to_json_dict(), indent=None)
-    files.append(p)
-    if region_boundary is not None:
-        p = outdir / f"{stem}_region.dat"
-        controller.export_boundary_dat(region_boundary, p)
-        files.append(p)
     return files
 
 
@@ -655,27 +655,23 @@ def _reproduce_designs(figure, outdir, cfg, plant, surrogate):
     region = _resolve_region(cfg, surrogate)
     if figure == "fig2":
         design = _design(cfg, surrogate, region)[3]
-        boundary = controller.roa_boundary_2d(design, lifting, resolution=360)
-        return _save_design(outdir, "fig2", region, design, boundary)
+        return _save_design(outdir, "fig2", cfg, region, design, lifting)[0]
     if figure == "fig3":
         tuned = uncertainty.UncertaintyRegion(
             Qz=-np.diag([2.5, 2.5, 1.25, 0.005]), Sz=np.zeros(4), Rz=1000.0)
         files = []
         for stem, reg in (("fig3_ball", region), ("fig3_tuned", tuned)):
             design = _design(cfg, surrogate, reg)[3]
-            boundary = controller.roa_boundary_2d(design, lifting, resolution=360)
-            rb = controller.region_boundary_2d(reg, lifting, resolution=360)
-            files += _save_design(outdir, stem, reg, design, boundary,
-                                  region_boundary=rb)
+            files += _save_design(outdir, stem, cfg, reg, design, lifting,
+                                  region_boundary=True)[0]
         return files
     files, designs, boundaries = [], {}, {}
     for thm in (1, 2):
         designs[thm] = _design({**cfg, "theorem": thm}, surrogate, region)[3]
-        boundaries[thm] = controller.roa_boundary_2d(designs[thm], lifting,
-                                                     resolution=360)
-        files += _save_design(outdir, f"{figure}_thm{thm}", region,
-                              designs[thm], boundaries[thm])
-    rb = controller.region_boundary_2d(region, lifting, resolution=360)
+        saved, boundaries[thm] = _save_design(outdir, f"{figure}_thm{thm}", cfg,
+                                              region, designs[thm], lifting)
+        files += saved
+    rb = controller.region_boundary_2d(region, lifting, _setting(cfg, "resolution"))
     controller.export_boundary_dat(rb, outdir / f"{figure}_region.dat")
     files.append(outdir / f"{figure}_region.dat")
     if figure == "fig5":
@@ -684,17 +680,16 @@ def _reproduce_designs(figure, outdir, cfg, plant, surrogate):
     return files
 
 
-def fig5_start_set(boundaries, fraction=0.95,
-                   degrees=(45.0, 135.0, 225.0, 315.0)):
+def fig5_start_set(boundaries):
     """Documented start set for the closed-loop comparison: four polar
     directions at 95 percent of the smallest certified radius among the
     given boundaries."""
     starts = []
-    for deg in degrees:
+    for deg in (45.0, 135.0, 225.0, 315.0):
         th = np.deg2rad(deg)
         r = min(b.radii[np.argmin(np.abs(b.angles - th))]
                 for b in boundaries.values())
-        starts.append(fraction * r * np.array([np.cos(th), np.sin(th)]))
+        starts.append(0.95 * r * np.array([np.cos(th), np.sin(th)]))
     return starts
 
 

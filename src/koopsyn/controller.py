@@ -11,6 +11,7 @@ from .lifting import evaluate
 from .matops import decode_matrix, encode_matrix, quadratic_rows, sym, write_table
 
 COND_LIMIT = 1e12           # scheduling-matrix refusal limit, see _singular
+SWEEP_TOL = 1e-8            # relative bracket width that ends a ray's bisection
 
 
 class FeedbackSingularError(RuntimeError):
@@ -237,14 +238,14 @@ class Boundary:
         return not bool(np.any(self.open_rays))
 
 
-def _polar_sweep(value_many, r_max, resolution, tol):
+def _polar_sweep(value_many, r_max, resolution):
     """Boundary value = 1 on ``resolution`` equally spaced rays from the
     origin, all rays advanced in lockstep on batched values.
 
     ``value_many`` maps states (d, 2) to values (d,) and must be < 1 at the
     origin.  Each ray brackets its first crossing by growing its radius from
     1e-6 by a factor 1.6, then bisects it to |value - 1| <= 1e-9 or a bracket
-    of ``tol * max(1, r)``, at most 200 times.  Rays that never cross within
+    of ``SWEEP_TOL * max(1, r)``, at most 200 times.  Rays that never cross within
     ``r_max`` are flagged open and clipped at the cap rather than silently
     dropped.
     """
@@ -275,7 +276,7 @@ def _polar_sweep(value_many, r_max, resolution, tol):
         rays, r_mid, below = rays[~hit], r_mid[~hit], v[~hit] < 1.0
         r_lo[rays[below]] = r_mid[below]
         r_hi[rays[~below]] = r_mid[~below]
-        rays = rays[r_hi[rays] - r_lo[rays] > tol * np.maximum(1.0, r_mid)]
+        rays = rays[r_hi[rays] - r_lo[rays] > SWEEP_TOL * np.maximum(1.0, r_mid)]
     rest = ~open_rays & ~on_value
     radii[rest] = 0.5 * (r_lo[rest] + r_hi[rest])
     pts = radii[:, None] * dirs
@@ -283,21 +284,24 @@ def _polar_sweep(value_many, r_max, resolution, tol):
     return Boundary(angles=angles, radii=radii, points=pts, open_rays=open_rays)
 
 
-def roa_boundary_2d(design, lifting, resolution=360, r_max=None, tol=1e-8):
+def roa_boundary_2d(design, lifting, resolution=360, r_max=None):
     """Polar sweep of the region-of-attraction boundary for planar states.
 
     For each angle the first crossing V = 1 found along the ray is bracketed
-    and bisected; the certified set need not be star-shaped.
+    and bisected; the certified set need not be star-shaped.  The default
+    cap is twice the corner radius R of ``certified_box``: V > 1 beyond R and
+    a bracket passes R by at most the growth factor 1.6, so any larger cap
+    gives the same radii bit for bit, and an open ray means V is not finite.
     """
     if lifting.n != 2:
         raise ValueError("boundary sweep requires a planar state space")
     if r_max is None:
-        r_max = 1e3 * max(1.0, float(np.sqrt(np.linalg.eigvalsh(design.P)[-1])))
+        r_max = 2.0 * float(np.linalg.norm(certified_box(design, lifting)[:, 1]))
     return _polar_sweep(ClosedLoop.of(design, lifting).value_many, r_max,
-                        resolution, tol)
+                        resolution)
 
 
-def region_boundary_2d(region, lifting, resolution=360, r_max=None, tol=1e-8):
+def region_boundary_2d(region, lifting, resolution=360, r_max=None):
     """Boundary of {x : lift of x lies in the uncertainty region} for planar
     states, by the same polar sweep used for the certified set."""
     from .uncertainty import margins
@@ -311,7 +315,7 @@ def region_boundary_2d(region, lifting, resolution=360, r_max=None, tol=1e-8):
         # the origin's margin is Rz, which the region forces positive
         return 1.0 - margins(region, lifting.lift_reduced_many(X)) / region.Rz
 
-    return _polar_sweep(value_many, r_max, resolution, tol)
+    return _polar_sweep(value_many, r_max, resolution)
 
 
 def polygon_area(points):

@@ -15,7 +15,7 @@ certified region inside the uncertainty region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,7 +129,6 @@ class SynthesisProblem:
     theorem: int
     epsilon: float
     objective: tuple | None = None   # ("maximize", var name) or None
-    meta: dict = field(default_factory=dict)
 
     def variable(self, name):
         for v in self.variables:
@@ -275,7 +274,7 @@ def _build(surrogate, region, epsilon, scheduled):
     )
     return SynthesisProblem(variables=variables, constraints=constraints,
                             N=N, m=m, theorem=2 if scheduled else 1,
-                            epsilon=epsilon, meta={"c_r": surrogate.c_r})
+                            epsilon=epsilon)
 
 
 def drop_constraint(problem, name):
@@ -295,8 +294,7 @@ def add_trace_cap(problem, var_name, cap):
 
     expr = AffineMatrixExpr.from_function(fn, problem.variables)
     extra = Constraint(f"trace_cap_{var_name}", expr, 0.0)
-    return replace(problem, constraints=problem.constraints + (extra,),
-                   meta={**problem.meta, "trace_cap": float(cap)})
+    return replace(problem, constraints=problem.constraints + (extra,))
 
 
 def add_roa_objective(problem):

@@ -358,16 +358,16 @@ class AuditReport:
     V_end: float
 
 
-def lyapunov_audit(traj, tol=1e-6):
+def lyapunov_audit(traj):
     """Check that the recorded certificate values never increase beyond
-    ``tol * (1 + V)`` between integrator steps."""
+    ``1e-6 * (1 + V)`` between integrator steps."""
     V = traj.V
     if np.any(np.isnan(V)):
         raise ValueError("trajectory carries no certificate samples")
     if V[0] > 1.0:
         raise ValueError("trajectory must start inside the certified region")
     dV = np.diff(V)
-    allowed = tol * (1.0 + V[:-1])
+    allowed = 1e-6 * (1.0 + V[:-1])
     excess = dV - allowed
     worst = int(np.argmax(excess)) if excess.size else 0
     max_inc = float(np.max(dV)) if dV.size else 0.0

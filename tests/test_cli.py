@@ -756,21 +756,47 @@ class TestVerifyCommand:
         assert (tmp_path / "traj_000.dat").exists()
         cols = np.loadtxt(tmp_path / "traj_000.dat", ndmin=2)
         assert cols.shape[1] == 1 + 2 + 1 + 1  # t, states, input, V
-        # the batched start sampler keeps the one-draw-per-try stream
+        # the batched start sampler keeps the one-draw-per-try stream from
+        # the certified box
         design = controller.DesignResult.from_json(
             (tmp_path / "design.json").read_text())
         lifting = edmd.Surrogate.from_json(
             (tmp_path / "surrogate.json").read_text()).lifting
         vcfg = cli.example_config("cooked_up")["verify"]
         rng = np.random.default_rng(vcfg["seed"])
-        rmax = float(np.max(controller.roa_boundary_2d(
-            design, lifting, resolution=180).radii))
-        expected = []
+        box = controller.certified_box(design, lifting)
+        expected, tries = [], 0
         while len(expected) < vcfg["n_starts"]:
-            x = rng.uniform(-rmax, rmax, size=2)
+            x = rng.uniform(box[:, 0], box[:, 1], size=2)
+            tries += 1
             if controller.roa_membership(design, lifting, x)[1] <= 0.99:
                 expected.append(x.tolist())
         assert [r["x0"] for r in rep["trajectories"]] == expected
+        # tries counts whole blocks of 1000 draws
+        assert rep["start_sampling"] == {"box": box.tolist(),
+                                         "tries": 1000 * -(-tries // 1000),
+                                         "requested": vcfg["n_starts"]}
+
+    def test_verify_warns_when_starts_run_short(self, tmp_path, monkeypatch,
+                                                capsys):
+        run_pipeline(tmp_path)
+        certified_starts = cli._certified_starts
+
+        def short(*args):
+            starts, sampling = certified_starts(*args)
+            return starts[:3], {**sampling, "tries": 100000}
+
+        monkeypatch.setattr(cli, "_certified_starts", short)
+        capsys.readouterr()
+        rc = cli.main(["verify", "--example", "cooked_up",
+                       "--out", str(tmp_path), "--d", "400"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err == "warning: found 3 of 20 starts with V <= 0.99 in 100000 draws\n"
+        rep = json.loads((tmp_path / "verify_report.json").read_text())
+        assert len(rep["trajectories"]) == 3
+        assert rep["start_sampling"]["tries"] == 100000
+        assert rep["start_sampling"]["requested"] == 20
 
     def test_verify_lqr_grid(self, tmp_path):
         cfg = cli.example_config("cooked_up")
@@ -787,6 +813,41 @@ class TestVerifyCommand:
         entry = rep["lqr_grid"][0]
         assert entry["care_relative_residual"] <= 1e-8
         assert len(entry["trajectories"]) == 3
+
+
+class TestCertifiedStarts:
+    """The verify sampler on the cooked_up_xy design of ``reproduce fig3``,
+    whose certified set reaches past the polar sweep's outermost crossing."""
+
+    @staticmethod
+    def design_xy(figures_dir):
+        design = controller.DesignResult.from_json(
+            (figures_dir / "fig3_ball_design.json").read_text())
+        lifting = edmd.Surrogate.from_json(
+            (figures_dir / "fig3_surrogate.json").read_text()).lifting
+        return design, lifting
+
+    def test_starts_cover_the_whole_certified_set(self, figures_dir):
+        design, lifting = self.design_xy(figures_dir)
+        starts, _ = cli._certified_starts(design, lifting, 300, 123)
+        X = np.array(starts)
+        assert X.shape == (300, 2)
+        box = controller.certified_box(design, lifting)
+        assert np.all((box[:, 0] <= X) & (X <= box[:, 1]))
+        assert np.all(controller.ClosedLoop.of(design, lifting).value_many(X)
+                      <= 0.99)
+        # a square sized by the sweep's first crossings could not hold these
+        swept = np.max(controller.roa_boundary_2d(design, lifting, 180).radii)
+        assert np.any(np.abs(X[:, 0]) > swept)
+
+    def test_try_cap(self, figures_dir):
+        # about 1 draw in 69 lands in the set, so 100000 tries yield fewer
+        # than 2000 starts
+        design, lifting = self.design_xy(figures_dir)
+        starts, sampling = cli._certified_starts(design, lifting, 2000, 123)
+        assert 0 < len(starts) < 2000
+        assert sampling == {"box": controller.certified_box(design, lifting).tolist(),
+                            "tries": 100000, "requested": 2000}
 
 
 def test_lqr_grid_one_batch_equals_one_batch_per_weight(

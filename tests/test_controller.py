@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from koopsyn import uncertainty
+from koopsyn import edmd, uncertainty
 from koopsyn.controller import (ClosedLoop, DesignResult, FeedbackSingularError,
                                 feedback, polygon_area, region_boundary_2d,
                                 roa_boundary_2d, roa_membership)
@@ -357,6 +357,24 @@ class TestPolarSweep:
         b = roa_boundary_2d(d, L, resolution=64)
         stops = self.check(b, ClosedLoop.of(d, L).value_many, 1e5, 64)
         assert "value" in stops and "bracket" in stops
+
+    @pytest.mark.parametrize("stem, fig", [("fig2", "fig2"),
+                                           ("fig3_ball", "fig3"),
+                                           ("fig4_thm1", "fig4"),
+                                           ("fig5_thm1", "fig5")])
+    def test_default_cap_keeps_the_old_cap_sweep(self, figures_dir, stem, fig):
+        # the four example designs: the cap from certified_box sweeps
+        # exactly as the earlier eigenvalue cap did
+        design = DesignResult.from_json(
+            (figures_dir / f"{stem}_design.json").read_text())
+        lifting = edmd.Surrogate.from_json(
+            (figures_dir / f"{fig}_surrogate.json").read_text()).lifting
+        old_cap = 1e3 * max(1.0, float(np.sqrt(np.linalg.eigvalsh(design.P)[-1])))
+        b = roa_boundary_2d(design, lifting)
+        ref = roa_boundary_2d(design, lifting, r_max=old_cap)
+        assert np.array_equal(b.radii, ref.radii)
+        assert np.array_equal(b.open_rays, ref.open_rays)
+        assert b.closed
 
     def test_region_boundary(self, lifting_cooked, region_cooked):
         from koopsyn.uncertainty import margins

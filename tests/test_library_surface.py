@@ -20,8 +20,6 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "lmi.primal_certificate":
         "criterion 06's solver-independent reference, for the artifact re-check",
-    "uncertainty.UncertaintyRegion.from_json_dict":
-        "the region.json reader, for the artifact re-check",
 }
 
 

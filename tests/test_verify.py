@@ -242,9 +242,9 @@ def example_case(figures_dir, example):
     design = DesignResult.from_json(
         (figures_dir / f"{stem}_design.json").read_text())
     cfg = cli.example_config(example)
-    starts = cli._certified_starts(design, surrogate.lifting,
-                                   cfg["verify"]["n_starts"],
-                                   cfg["verify"]["seed"])
+    starts, _ = cli._certified_starts(design, surrogate.lifting,
+                                      cfg["verify"]["n_starts"],
+                                      cfg["verify"]["seed"])
     return (plants.make_example(cfg["plant"]["id"]),
             ClosedLoop.of(design, surrogate.lifting), np.array(starts))
 
