@@ -566,6 +566,13 @@ def cmd_verify(cfg):
     horizon, rtol = _setting(cfg, "verify.horizon"), _setting(cfg, "verify.rtol")
     starts, sampling = _certified_starts(design, lifting, _setting(cfg, "verify.n_starts"),
                                          _setting(cfg, "verify.seed"))
+    if not starts:
+        # nothing to verify; the report keeps the draw that found no start
+        _write_json(outdir / "verify_report.json",
+                    {"trajectories": [], "n_converged": 0, "start_sampling": sampling})
+        print(f"error: no start with V <= 0.99 in {sampling['tries']} draws from "
+              "the certified box; nothing was verified", file=sys.stderr)
+        return EXIT_VERIFICATION
     if len(starts) < sampling["requested"]:
         print(f"warning: found {len(starts)} of {sampling['requested']} starts "
               f"with V <= 0.99 in {sampling['tries']} draws", file=sys.stderr)

@@ -62,14 +62,6 @@ class DesignResult:
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "Kw", Kw)
 
-    @property
-    def N(self):
-        return self.P.shape[0]
-
-    @property
-    def m(self):
-        return self.K.shape[0]
-
     @staticmethod
     def from_assignment(theorem, assignment, margins=None):
         if theorem == 1:
@@ -106,11 +98,10 @@ class ClosedLoop:
 
     ``u = K z`` for a linear design; a scheduled design (nonzero ``Kw``)
     solves ``(I - Kw (I_m kron z)) u = K z`` and refuses states where that
-    matrix is singular (see ``_singular``).  ``V = z' P_inv z``.  The batch
-    methods (``*_many``, ``*_of_lifts``) sum over the lift in a fixed order,
-    as ``matops.quadratic_rows`` does, so that a row's values do not depend
-    on its batch; the single-state methods are one-row calls of them on the
-    checked lift.
+    matrix is singular (see ``_singular``).  ``V = z' P_inv z``.  Every
+    method takes a batch of rows and sums over the lift in a fixed order, as
+    ``matops.quadratic_rows`` does, so that a row's values do not depend on
+    its batch.
 
     ``K`` is one gain (m, N) or a linear gain stack (d, m, N), one gain per
     row of a batch of starts; the batch methods then take the stack index of
@@ -138,19 +129,6 @@ class ClosedLoop:
     @classmethod
     def of(cls, design, lifting):
         return cls(lifting, design.K, design.Kw, design.P_inv)
-
-    def feedback(self, x):
-        """u at one state; raises ``FeedbackSingularError`` where the
-        scheduling matrix is singular."""
-        U, singular = self.feedback_of_lifts(self.lifting.lift_reduced(x)[None])
-        if singular[0]:
-            raise FeedbackSingularError(
-                f"scheduling matrix singular beyond condition {COND_LIMIT:.1e}")
-        return U[0]
-
-    def value(self, x):
-        """V at one state; NaN when no certificate is attached."""
-        return float(self.value_of_lifts(self.lifting.lift_reduced(x)[None])[0])
 
     def lift_many(self, X):
         """Reduced lift of every row of X (d, n), without the finiteness
@@ -208,22 +186,36 @@ class ClosedLoop:
 
 
 def feedback(design, lifting, x):
-    """The design's feedback at one state (see ``ClosedLoop.feedback``)."""
-    return ClosedLoop.of(design, lifting).feedback(x)
+    """The design's feedback at one state, a one-row call of ``feedback_of_lifts``;
+    raises ``FeedbackSingularError`` where the scheduling matrix is singular."""
+    U, singular = ClosedLoop.of(design, lifting).feedback_of_lifts(
+        lifting.lift(x)[None, 1:])
+    if singular[0]:
+        raise FeedbackSingularError(
+            f"scheduling matrix singular beyond condition {COND_LIMIT:.1e}")
+    return U[0]
 
 
 def roa_membership(design, lifting, x):
-    """(inside?, V(x)) for the certified sublevel set V(x) <= 1."""
-    V = ClosedLoop.of(design, lifting).value(x)
+    """(inside?, V(x)) for the certified sublevel set V(x) <= 1: a one-row
+    call of ``ClosedLoop.value_of_lifts``."""
+    V = float(ClosedLoop.of(design, lifting).value_of_lifts(
+        lifting.lift(x)[None, 1:])[0])
     return V <= 1.0, V
+
+
+def _ellipsoid_box(M_inv, c, r, n):
+    """Rows [c_i - w_i, c_i + w_i], w_i = sqrt(r (M_inv)_ii), i < n: by
+    Cauchy-Schwarz the box of the ellipsoid (z - c)' M (z - c) <= r in z_1..z_n."""
+    c, w = c[:n], np.sqrt(r * np.diag(M_inv)[:n])
+    return np.column_stack([c - w, c + w])
 
 
 def certified_box(design, lifting):
     """The box |x_i| <= sqrt(P_ii), i < n, as rows [-r_i, r_i], that holds
-    the whole certified set V(x) <= 1 in any n.  The reduced lift z starts
-    with x_1..x_n, so by Cauchy-Schwarz x_i^2 = (e_i' z)^2 <= P_ii V(x)."""
-    r = np.sqrt(np.diag(design.P)[:lifting.n])
-    return np.column_stack([-r, r])
+    the whole certified set V(x) <= 1 in any n: the reduced lift z starts
+    with x_1..x_n and V = z' inv(P) z."""
+    return _ellipsoid_box(design.P, np.zeros(lifting.n), 1.0, lifting.n)
 
 
 @dataclass(frozen=True)
@@ -284,38 +276,42 @@ def _polar_sweep(value_many, r_max, resolution):
     return Boundary(angles=angles, radii=radii, points=pts, open_rays=open_rays)
 
 
-def roa_boundary_2d(design, lifting, resolution=360, r_max=None):
+def _sweep_cap(box):
+    """Twice the corner radius R of ``box``.  Beyond R a set inside the box
+    has sweep value > 1 and a ray's bracket passes R by at most x1.6, so any
+    larger cap gives the same radii: an open ray means a non-finite value."""
+    return 2.0 * float(np.linalg.norm(np.abs(box).max(axis=1)))
+
+
+def roa_boundary_2d(design, lifting, resolution=360):
     """Polar sweep of the region-of-attraction boundary for planar states.
 
     For each angle the first crossing V = 1 found along the ray is bracketed
-    and bisected; the certified set need not be star-shaped.  The default
-    cap is twice the corner radius R of ``certified_box``: V > 1 beyond R and
-    a bracket passes R by at most the growth factor 1.6, so any larger cap
-    gives the same radii bit for bit, and an open ray means V is not finite.
+    and bisected; the certified set need not be star-shaped.  The cap comes
+    from ``certified_box`` (see ``_sweep_cap``).
     """
     if lifting.n != 2:
         raise ValueError("boundary sweep requires a planar state space")
-    if r_max is None:
-        r_max = 2.0 * float(np.linalg.norm(certified_box(design, lifting)[:, 1]))
-    return _polar_sweep(ClosedLoop.of(design, lifting).value_many, r_max,
-                        resolution)
+    return _polar_sweep(ClosedLoop.of(design, lifting).value_many,
+                        _sweep_cap(certified_box(design, lifting)), resolution)
 
 
-def region_boundary_2d(region, lifting, resolution=360, r_max=None):
+def region_boundary_2d(region, lifting, resolution=360):
     """Boundary of {x : lift of x lies in the uncertainty region} for planar
-    states, by the same polar sweep used for the certified set."""
+    states, by the same polar sweep used for the certified set.  The region
+    is (z - c)' M (z - c) <= Rz + Sz' c with M = -Qz and c = inv(M) Sz."""
     from .uncertainty import margins
 
     if lifting.n != 2:
         raise ValueError("boundary sweep requires a planar state space")
-    if r_max is None:
-        r_max = 1e3 * max(1.0, float(np.sqrt(region.Rz)))
+    c = -region.inv_Qz @ region.Sz
+    box = _ellipsoid_box(-region.inv_Qz, c, region.Rz + region.Sz @ c, lifting.n)
 
     def value_many(X):
         # the origin's margin is Rz, which the region forces positive
         return 1.0 - margins(region, lifting.lift_reduced_many(X)) / region.Rz
 
-    return _polar_sweep(value_many, r_max, resolution)
+    return _polar_sweep(value_many, _sweep_cap(box), resolution)
 
 
 def polygon_area(points):

@@ -9,7 +9,6 @@ the reduced lift drops the leading constant entry and therefore vanishes at
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -211,15 +210,11 @@ class Lifting:
         return len(self.observables) - 1
 
     # -- evaluation -----------------------------------------------------
-    # the single-state methods are one-row calls of the batch methods
+    # the single-state lift is a one-row call of the batch lift
 
     def lift(self, x):
         """Full lifted vector Phi(x) of length N+1."""
         return self.lift_many(self._check_state(x)[None])[0]
-
-    def lift_reduced(self, x):
-        """Reduced lifted vector (drops the constant entry); zero at x=0."""
-        return self.lift(x)[1:]
 
     def lift_many(self, X, out=None):
         """Vectorized full lift of X (d, n): the (d, N+1) transpose of the
@@ -263,17 +258,10 @@ class Lifting:
             obs.append({"kind": ob.kind, "params": ob.params})
         return {"n": self.n, "N": self.N, "observables": obs}
 
-    def to_json(self):
-        return json.dumps(self.descriptor(), sort_keys=True)
-
     @staticmethod
     def from_descriptor(desc):
         obs = tuple(observable(o["kind"], o.get("params", {})) for o in desc["observables"])
         return Lifting(n=int(desc["n"]), observables=obs)
-
-    @staticmethod
-    def from_json(text):
-        return Lifting.from_descriptor(json.loads(text))
 
     # -- internals ------------------------------------------------------
 
@@ -292,8 +280,9 @@ def _validate(L):
     # the origin, then three random states
     probes = np.vstack([np.zeros(n), rng.uniform(-1.0, 1.0, size=(3, n))])
     values = evaluate(L.observables, probes).T
+    X, E = np.repeat(probes, n, axis=0), np.tile(np.eye(n), (len(probes), 1))
     if (np.any(np.abs(values[:, 0] - 1.0) > 1e-12)
-            or np.any(np.abs(L.gradient_many(probes)[:, 0]) > 1e-12)):
+            or np.any(np.abs(L.lie_many(X, E)[:, 0]) > 1e-12)):
         raise DictionaryError("observable 0 must be identically 1")
     for k in range(1, n + 1):
         if np.any(np.abs(values[:, k] - probes[:, k - 1]) > 1e-12):

@@ -11,7 +11,6 @@ the solver.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +89,6 @@ class SolveReport:
     assignment: dict
     z: np.ndarray
     iterations: int
-    wall_time: float
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -133,12 +131,10 @@ def solve(program, options=None):
                          "which scales its coefficients in place; lower the "
                          "problem again")
     options = options or SolverOptions()
-    t0 = time.monotonic()
     feasibility = not np.any(program.c)
     solved = _wrap_feasibility(program, options.t_cap) if feasibility else program
     res = ipm.solve_sdp(solved.c, [(F0, Fi) for (_, F0, Fi, _) in solved.blocks],
                         tol=options.tol, max_iters=options.max_iters)
-    wall = time.monotonic() - t0
     for Fi in stacks:
         Fi.flags.writeable = False
     info = {
@@ -158,8 +154,7 @@ def solve(program, options=None):
         status = ("feasible" if not feasibility or t_star > 0.0
                   else "infeasible_certificate")
     return SolveReport(status=status, assignment=program.split(z), z=z,
-                       iterations=res.iterations, wall_time=wall,
-                       diagnostics=info)
+                       iterations=res.iterations, diagnostics=info)
 
 
 def solve_problem(problem, options=None):

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import controller
 from .matops import write_table
 
 
@@ -24,44 +23,10 @@ class Trajectory:
         return self.states[-1]
 
 
-class _PointwiseLoop:
-    """The batch interface of ``controller.ClosedLoop`` over functions of a
-    single state: u_fn(x), which may raise ``FeedbackSingularError``, and
-    V_fn(x) or None."""
-
-    def __init__(self, u_fn, V_fn, m):
-        self.u_fn, self.V_fn, self.m = u_fn, V_fn, m
-
-    def lift_many(self, X):
-        return X
-
-    def feedback_of_lifts(self, X, rows=None):
-        U = np.empty((len(X), self.m))
-        singular = np.zeros(len(X), dtype=bool)
-        for i, x in enumerate(X):
-            try:
-                U[i] = self.u_fn(x)
-            except controller.FeedbackSingularError:
-                U[i] = np.nan
-                singular[i] = True
-        return U, singular
-
-    def value_of_lifts(self, X):
-        if self.V_fn is None:
-            return np.full(len(X), np.nan)
-        return np.array([self.V_fn(x) for x in X], dtype=float)
-
-
-def simulate_feedback(plant, u_fn, x0, horizon=50.0, rtol=1e-9, atol=1e-9,
-                      converged_tol=1e-8, escape_radius=1e6, V_fn=None,
-                      max_step=np.inf):
-    """Integrate ``plant`` under the single-state feedback ``u_fn`` from
-    ``x0``, recording ``V_fn`` when given; see :func:`simulate_many`."""
-    loop = _PointwiseLoop(u_fn, V_fn, plant.m)
-    return simulate_many(plant, loop, np.asarray(x0, dtype=float)[None, :],
-                         horizon=horizon, rtol=rtol, atol=atol,
-                         converged_tol=converged_tol,
-                         escape_radius=escape_radius, max_step=max_step)[0]
+def simulate_feedback(plant, loop, x0, **options):
+    """The run from the one state ``x0``: :func:`simulate_many` on one row."""
+    return simulate_many(plant, loop, np.asarray(x0, dtype=float)[None],
+                         **options)[0]
 
 
 # Dormand-Prince 4(5): stage nodes are not needed for an autonomous system;
@@ -116,23 +81,21 @@ def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
     """Integrate ``plant`` under the feedback of ``loop`` from every row of
     ``X0`` (d, n); returns one :class:`Trajectory` per row.
 
-    ``loop`` is a ``controller.ClosedLoop`` (or offers its ``lift_many``,
-    ``feedback_of_lifts`` and ``value_of_lifts``); ``feedback_of_lifts``
+    ``loop`` is a ``controller.ClosedLoop``; its ``feedback_of_lifts``
     receives the start index of each row, which selects the row's gain in a
-    gain stack.  All starts advance
-    together as one (d, n) array with an explicit Dormand-Prince 4(5) pair,
-    each row under the step control of scipy's ``RK45``: its initial-step
-    rule, RMS error norm, safety factor 0.9, step factors in [0.2, 10] with
-    no growth right after a rejection, ``max_step``, and a minimum step of
-    10 ulp of t.  A run ends with reason ``converged`` when the state norm
-    falls to ``converged_tol`` and ``left_domain`` when it rises to
-    ``escape_radius`` (both located by Brent's method on the step's quartic
-    dense output), ``horizon`` at t = ``horizon``, ``numerical_failure``
-    when the step falls below the minimum (a non-finite right-hand side
-    shrinks it until it does) and ``singular_feedback`` when the feedback
-    flags a state.  A run that ends ``singular_feedback``, or
-    ``numerical_failure`` at its start, keeps only its start state, with
-    u = NaN.
+    gain stack.  All starts advance together as one (d, n) array with an
+    explicit Dormand-Prince 4(5) pair, each row under the step control of
+    scipy's ``RK45``: its initial-step rule, RMS error norm, safety factor
+    0.9, step factors in [0.2, 10] with no growth right after a rejection,
+    ``max_step``, and a minimum step of 10 ulp of t.  A run ends with reason
+    ``converged`` when the state norm falls to ``converged_tol`` and
+    ``left_domain`` when it rises to ``escape_radius`` (both located by
+    Brent's method on the step's quartic dense output), ``horizon`` at
+    t = ``horizon``, ``numerical_failure`` when the step falls below the
+    minimum (a non-finite right-hand side shrinks it until it does) and
+    ``singular_feedback`` when the feedback flags a state.  A run that ends
+    ``singular_feedback``, or ``numerical_failure`` at its start, keeps only
+    its start state, with u = NaN.
 
     Every operation is row-wise and every sum runs in a fixed order (the
     loop's batch methods keep the same rule), so a row's trajectory does not

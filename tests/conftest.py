@@ -228,15 +228,3 @@ def design_pendulum_shaped_thm2(surrogate_pendulum, region_pendulum_shaped):
     design, _, _ = solve_design(surrogate_pendulum, region, theorem=2)
     return design
 
-
-def sample_roa_starts(design, lifting, n, seed, v_cap=0.99):
-    """Rejection-sample states with certificate value below v_cap."""
-    rng = np.random.default_rng(seed)
-    boundary = controller.roa_boundary_2d(design, lifting, resolution=90)
-    rmax = float(np.max(boundary.radii))
-    starts = []
-    while len(starts) < n:
-        x = rng.uniform(-rmax, rmax, size=lifting.n)
-        if controller.roa_membership(design, lifting, x)[1] <= v_cap:
-            starts.append(x)
-    return starts

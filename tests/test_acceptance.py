@@ -13,8 +13,7 @@ from koopsyn import cli, controller, edmd, lmi, plants, sdp, uncertainty, verify
 from koopsyn.lifting import make_lifting, poly
 
 from conftest import (EXACT_A, EXACT_B0, containment_margins,
-                      matches_theorem1_reference, multiplier_inverse_reference,
-                      sample_roa_starts)
+                      matches_theorem1_reference, multiplier_inverse_reference)
 
 
 def report(num, ok, details):
@@ -142,7 +141,9 @@ def test_criterion_07_closed_loop_suite(plant_cooked, lifting_cooked,
              (plant_pendulum, lifting_pendulum, design_pendulum_shaped, 100, 43))
     worst_inc, worst_final, total = -np.inf, 0.0, 0
     for plant, lifting, design, n, seed in cases:
-        starts = np.array(sample_roa_starts(design, lifting, n, seed))
+        starts, _ = cli._certified_starts(design, lifting, n, seed)
+        assert len(starts) == n
+        starts = np.array(starts)
         loop = controller.ClosedLoop.of(design, lifting)
         for traj in verify.simulate_many(plant, loop, starts, horizon=50.0,
                                          rtol=1e-8, atol=1e-8):

@@ -798,6 +798,32 @@ class TestVerifyCommand:
         assert rep["start_sampling"]["tries"] == 100000
         assert rep["start_sampling"]["requested"] == 20
 
+    def test_verify_without_starts_fails(self, tmp_path, monkeypatch, capsys):
+        # no start passes: nothing was verified, so verify exits 3, and its
+        # report keeps the draw that found none
+        run_pipeline(tmp_path)
+        certified_starts = cli._certified_starts
+        drawn = {}
+
+        def none(*args):
+            _, sampling = certified_starts(*args)
+            drawn.update(sampling, tries=100000)
+            return [], dict(drawn)
+
+        monkeypatch.setattr(cli, "_certified_starts", none)
+        capsys.readouterr()
+        rc = cli.main(["verify", "--example", "cooked_up",
+                       "--out", str(tmp_path), "--d", "400"])
+        assert rc == cli.EXIT_VERIFICATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: no start with V <= 0.99 in 100000 draws")
+        rep = json.loads((tmp_path / "verify_report.json").read_text())
+        assert rep == {"trajectories": [], "n_converged": 0,
+                       "start_sampling": drawn}
+        assert not (tmp_path / "traj_000.dat").exists()
+        assert not (tmp_path / "manifest_verify.json").exists()
+
     def test_verify_lqr_grid(self, tmp_path):
         cfg = cli.example_config("cooked_up")
         cfg["sampling"]["d"] = 400

@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from koopsyn import edmd, uncertainty
 from koopsyn.controller import (ClosedLoop, DesignResult, FeedbackSingularError,
-                                feedback, polygon_area, region_boundary_2d,
-                                roa_boundary_2d, roa_membership)
+                                _polar_sweep, feedback, polygon_area,
+                                region_boundary_2d, roa_boundary_2d,
+                                roa_membership)
 from koopsyn.lifting import make_lifting
 
 from conftest import containment_margins
@@ -47,7 +50,7 @@ class TestFeedback:
                                 lifting_pendulum):
         d = design_pendulum_shaped_thm2
         x = np.array([1.0, -2.0])
-        z = lifting_pendulum.lift_reduced(x)
+        z = lifting_pendulum.lift_reduced_many(x[None])[0]
         W = np.eye(1) - d.Kw @ np.kron(np.eye(1), z.reshape(-1, 1))
         expected = np.linalg.solve(W, d.K @ z)
         np.testing.assert_allclose(feedback(d, lifting_pendulum, x), expected,
@@ -58,7 +61,7 @@ class TestFeedback:
             feedback(_scheduled_m1(), lifting_cooked, np.array([1.0, 0.0]))
 
     def test_linear_in_lift(self, design_cooked, lifting_cooked):
-        z = lifting_cooked.lift_reduced(np.array([0.4, 1.1]))
+        z = lifting_cooked.lift_reduced_many(np.array([[0.4, 1.1]]))[0]
         for alpha in (0.25, 2.0, -3.0):
             np.testing.assert_allclose(design_cooked.K @ (alpha * z),
                                        alpha * (design_cooked.K @ z), atol=1e-12)
@@ -75,14 +78,8 @@ def _feedback_rows(design, lifting, X):
 ONE_ROW = {
     "Lifting.lift": (lambda d, L, r, x: L.lift(x),
                      lambda d, L, r, X: L.lift_many(X)),
-    "Lifting.lift_reduced": (lambda d, L, r, x: L.lift_reduced(x),
-                             lambda d, L, r, X: L.lift_reduced_many(X)),
     "Lifting.gradient_many": (lambda d, L, r, x: L.gradient_many(x[None])[0],
                               lambda d, L, r, X: L.gradient_many(X)),
-    "ClosedLoop.feedback": (lambda d, L, r, x: ClosedLoop.of(d, L).feedback(x),
-                            lambda d, L, r, X: _feedback_rows(d, L, X)[0]),
-    "ClosedLoop.value": (lambda d, L, r, x: ClosedLoop.of(d, L).value(x),
-                         lambda d, L, r, X: ClosedLoop.of(d, L).value_many(X)),
     "controller.feedback": (lambda d, L, r, x: feedback(d, L, x),
                             lambda d, L, r, X: _feedback_rows(d, L, X)[0]),
     "roa_membership": (
@@ -90,7 +87,7 @@ ONE_ROW = {
         lambda d, L, r, X: [(V <= 1.0, V)
                             for V in ClosedLoop.of(d, L).value_many(X)]),
     "uncertainty.margins": (
-        lambda d, L, r, x: uncertainty.margins(r, L.lift_reduced(x)[None])[0],
+        lambda d, L, r, x: uncertainty.margins(r, L.lift_reduced_many(x[None]))[0],
         lambda d, L, r, X: uncertainty.margins(r, L.lift_reduced_many(X))),
 }
 
@@ -126,19 +123,17 @@ class TestOneRow:
         U, singular = _feedback_rows(design, lifting_cooked, X)
         assert singular.tolist() == [False, True, False]
         assert np.isnan(U[1, 0]) and np.all(np.isfinite(U[[0, 2]]))
-        loop = ClosedLoop.of(design, lifting_cooked)
         for i in (0, 2):
-            assert np.array_equal(loop.feedback(X[i]), U[i])
-        with pytest.raises(FeedbackSingularError):
-            loop.feedback(X[1])
+            assert np.array_equal(feedback(design, lifting_cooked, X[i]), U[i])
         with pytest.raises(FeedbackSingularError):
             feedback(design, lifting_cooked, X[1])
 
 
 class TestClosedLoop:
-    """The single-state methods against their batch rows, bit for bit, and
-    against the matrix-product formulas of the feedback and the certificate,
-    which sum in another order, up to a few units of roundoff."""
+    """The batch methods: each row against its one-row batch, bit for bit,
+    and against the matrix-product formulas of the feedback and the
+    certificate, which sum in another order, up to a few units of
+    roundoff."""
 
     @pytest.mark.parametrize("which", [("design_cooked", "lifting_cooked"),
                                        ("design_pendulum_shaped_thm2",
@@ -146,7 +141,7 @@ class TestClosedLoop:
     def test_bitwise_equal_to_wrappers(self, request, which):
         design, lifting = (request.getfixturevalue(name) for name in which)
         loop = ClosedLoop.of(design, lifting)
-        m = design.m
+        m = design.K.shape[0]
         X = np.random.default_rng(41).uniform(-4.0, 4.0, size=(1000, 2))
         U, singular = loop.feedback_of_lifts(lifting.lift_reduced_many(X))
         assert not singular.any()
@@ -155,11 +150,11 @@ class TestClosedLoop:
         nK = np.linalg.norm(design.K, 2)
         nKw = 0.0 if design.Kw is None else np.linalg.norm(design.Kw, 2)
         for x, u, v in zip(X, U, V):
-            z = lifting.lift_reduced(x)
+            z = lifting.lift_reduced_many(x[None])[0]
             nz = np.linalg.norm(z)
-            # the bitwise reference: the single state is its batch row
-            assert np.array_equal(loop.feedback(x), u)
-            assert loop.value(x) == v
+            # the bitwise reference: the one-row batch is its batch row
+            assert np.array_equal(loop.feedback_of_lifts(z[None])[0][0], u)
+            assert loop.value_many(x[None])[0] == v
             u_ref = design.K @ z
             W = np.eye(m)
             if design.theorem == 2:
@@ -179,8 +174,8 @@ class TestClosedLoop:
         U, _ = loop.feedback_of_lifts(lifting_cooked.lift_reduced_many(X))
         bound = 16 * np.finfo(float).eps * np.linalg.norm(K, 2)
         for x, u in zip(X, U):
-            z = lifting_cooked.lift_reduced(x)
-            assert np.array_equal(loop.feedback(x), u)
+            z = lifting_cooked.lift_reduced_many(x[None])[0]
+            assert np.array_equal(loop.feedback_of_lifts(z[None])[0][0], u)
             assert np.linalg.norm(u + K @ z) <= bound * np.linalg.norm(z)
 
     def test_gain_stack_rows_equal_single_gains(self, lifting_cooked):
@@ -213,7 +208,7 @@ class TestDesignResult:
     def test_gain_identities(self, design_pendulum_shaped_thm2):
         d = design_pendulum_shaped_thm2
         assert np.max(np.abs(d.K @ d.P - d.L)) <= 1e-8
-        assert np.max(np.abs(d.Kw @ np.kron(d.Lam, np.eye(d.N)) - d.Lw)) <= 1e-8
+        assert np.max(np.abs(d.Kw @ np.kron(d.Lam, np.eye(d.P.shape[0])) - d.Lw)) <= 1e-8
 
     def test_requires_pd(self):
         with pytest.raises(ValueError):
@@ -273,7 +268,7 @@ class TestBoundary:
     def test_open_rays_flagged_at_cap(self):
         L = make_lifting(2)
         d = linear_design(np.zeros((1, 2)), P=np.diag([1.0e6, 1.0]))
-        b = roa_boundary_2d(d, L, resolution=8, r_max=10.0)
+        b = _polar_sweep(ClosedLoop.of(d, L).value_many, 10.0, 8)
         assert np.any(b.open_rays) and not b.closed
         assert np.all(b.radii[b.open_rays] == 10.0)
 
@@ -344,7 +339,7 @@ class TestPolarSweep:
     def test_open_rays(self):
         L = make_lifting(2)
         d = linear_design(np.zeros((1, 2)), P=np.diag([1.0e6, 1.0]))
-        b = roa_boundary_2d(d, L, resolution=16, r_max=10.0)
+        b = _polar_sweep(ClosedLoop.of(d, L).value_many, 10.0, 16)
         stops = self.check(b, ClosedLoop.of(d, L).value_many, 10.0, 16)
         assert "open" in stops and set(stops) != {"open"}
 
@@ -371,7 +366,29 @@ class TestPolarSweep:
             (figures_dir / f"{fig}_surrogate.json").read_text()).lifting
         old_cap = 1e3 * max(1.0, float(np.sqrt(np.linalg.eigvalsh(design.P)[-1])))
         b = roa_boundary_2d(design, lifting)
-        ref = roa_boundary_2d(design, lifting, r_max=old_cap)
+        ref = _polar_sweep(ClosedLoop.of(design, lifting).value_many, old_cap, 360)
+        assert np.array_equal(b.radii, ref.radii)
+        assert np.array_equal(b.open_rays, ref.open_rays)
+        assert b.closed
+
+    @pytest.mark.parametrize("stem, fig", [("fig2", "fig2"),
+                                           ("fig3_ball", "fig3"),
+                                           ("fig3_tuned", "fig3"),
+                                           ("fig4_thm1", "fig4"),
+                                           ("fig5_thm1", "fig5")])
+    def test_region_cap_keeps_the_old_cap_sweep(self, figures_dir, stem, fig):
+        # the regions of the figures: the cap from the region's own box
+        # sweeps exactly as the earlier 1e3 max(1, sqrt(Rz)) cap did
+        from koopsyn.uncertainty import margins
+
+        region = uncertainty.UncertaintyRegion.from_json_dict(json.loads(
+            (figures_dir / f"{stem}_region.json").read_text()))
+        lifting = edmd.Surrogate.from_json(
+            (figures_dir / f"{fig}_surrogate.json").read_text()).lifting
+        b = region_boundary_2d(region, lifting)
+        ref = _polar_sweep(lambda X: 1.0 - margins(
+            region, lifting.lift_reduced_many(X)) / region.Rz,
+            1e3 * max(1.0, float(np.sqrt(region.Rz))), 360)
         assert np.array_equal(b.radii, ref.radii)
         assert np.array_equal(b.open_rays, ref.open_rays)
         assert b.closed

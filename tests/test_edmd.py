@@ -132,7 +132,7 @@ class TestPredict:
             lifted = lifting.gradient_many(x[None])[0, 1:] \
                 @ plant_cooked.vector_field(x, u)
             np.testing.assert_allclose(
-                surrogate_field(surrogate_fitted, lifting.lift_reduced(x), u),
+                surrogate_field(surrogate_fitted, lifting.lift_reduced_many(x[None])[0], u),
                 lifted, atol=1e-8)
 
     def test_kronecker_consistency(self, lifting_cooked):

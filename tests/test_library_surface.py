@@ -2,19 +2,21 @@
 
 Every public module-level function or class of ``src/koopsyn``, and every
 public method of such a class, must be named somewhere in ``src/koopsyn``
-outside its own definition, or in ``perfbench/*.py``.  A name that only the
-tests use belongs in the tests.  Names are identifiers: names, attributes
-and imported names, plus, in ``perfbench/*.py``, the words of string
-literals, because the benchmark's tracer lists its targets as strings.
-Docstrings and comments name nothing.
+outside its own definition or in ``perfbench/*.py``, or be a target of the
+benchmark's tracer.  A name that only the tests use belongs in the tests.
+Names are identifiers: names, attributes and imported names.  Docstrings,
+comments and other strings name nothing.  The tracer's targets are read as
+the qualified names ``module.attribute`` of its ``TARGETS``, so a target
+shields only the definition it patches, not others with its leaf name.
 """
 
 import ast
-import re
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # definition -> why it stays without a caller in the program
 ALLOWED = {
@@ -37,11 +39,8 @@ def _public_definitions(tree):
                     yield f"{node.name}.{sub.name}", sub
 
 
-def _identifiers(node, strings=False):
-    """Count of every identifier under ``node``; with ``strings``, also of
-    every word of its string literals other than docstrings."""
-    docstrings = {id(sub.value) for sub in ast.walk(node)
-                  if isinstance(sub, ast.Expr) and isinstance(sub.value, ast.Constant)}
+def _identifiers(node):
+    """Count of every identifier under ``node``."""
     names = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -50,10 +49,15 @@ def _identifiers(node, strings=False):
             names[sub.attr] += 1
         elif isinstance(sub, ast.alias):
             names.update(sub.name.split("."))
-        elif (strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-              and id(sub) not in docstrings):
-            names.update(re.findall(r"\w+", sub.value))
     return names
+
+
+def tracer_targets():
+    """The qualified names ``module.attribute`` the tracer patches."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {f"{mod}.{attr}" for mod, attr, *_ in module.TARGETS}
 
 
 def unnamed_definitions():
@@ -63,12 +67,14 @@ def unnamed_definitions():
     for tree in trees.values():
         names += _identifiers(tree)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
-        names += _identifiers(ast.parse(path.read_text()), strings=True)
+        names += _identifiers(ast.parse(path.read_text()))
+    targets = tracer_targets()
     unnamed = []
     for path, tree in trees.items():
         for qualname, node in _public_definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
-            if names[name] == _identifiers(node)[name]:
+            if (names[name] == _identifiers(node)[name]
+                    and f"{path.stem}.{qualname}" not in targets):
                 unnamed.append(f"{path.stem}.{qualname}")
     return unnamed
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -41,10 +42,11 @@ class TestLift:
 
 class TestLiftReduced:
     def test_zero(self, lifting_cooked):
-        assert np.array_equal(lifting_cooked.lift_reduced(np.zeros(2)), np.zeros(3))
+        assert np.array_equal(lifting_cooked.lift_reduced_many(np.zeros((1, 2)))[0],
+                              np.zeros(3))
 
     def test_cooked(self, lifting_cooked):
-        np.testing.assert_allclose(lifting_cooked.lift_reduced([1.0, 2.0]),
+        np.testing.assert_allclose(lifting_cooked.lift_reduced_many([[1.0, 2.0]])[0],
                                    [1.0, 2.0, 1.8], atol=1e-15)
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=2))
@@ -52,7 +54,8 @@ class TestLiftReduced:
     def test_norm_lower_bound(self, xs):
         L = make_lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))])])
         x = np.array(xs)
-        assert np.linalg.norm(L.lift_reduced(x)) ** 2 >= np.linalg.norm(x) ** 2
+        assert np.linalg.norm(L.lift_reduced_many(x[None])[0]) ** 2 \
+            >= np.linalg.norm(x) ** 2
 
 
 class TestGradient:
@@ -143,7 +146,7 @@ class TestSerialization:
         desc = lifting_cooked_xy.descriptor()
         assert desc["n"] == 2 and desc["N"] == 4
         assert desc["observables"][0]["kind"] == "constant"
-        L2 = Lifting.from_json(lifting_cooked_xy.to_json())
+        L2 = Lifting.from_descriptor(json.loads(json.dumps(desc)))
         x = np.array([0.7, -1.3])
         np.testing.assert_array_equal(L2.lift(x), lifting_cooked_xy.lift(x))
 

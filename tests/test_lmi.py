@@ -246,7 +246,7 @@ class TestSolvedCertificates:
             _, V = controller.roa_membership(design, lifting_pendulum, x)
             if V > 1.0 or V < 1e-8:
                 continue
-            z = lifting_pendulum.lift_reduced(x)
+            z = lifting_pendulum.lift_reduced_many(x[None])[0]
             # scale a random direction onto the region boundary
             v = rng.normal(size=3)
             a = float(v @ region.Qz @ v)
@@ -271,7 +271,7 @@ class TestSolvedCertificates:
             _, V = controller.roa_membership(design_cooked, lifting_cooked, x)
             if V > 1.0 or V < 1e-8:
                 continue
-            z = lifting_cooked.lift_reduced(x)
+            z = lifting_cooked.lift_reduced_many(x[None])[0]
             d = rng.normal(size=3)
             dphi = boundary_radius * d / np.linalg.norm(d)
             mu = design_cooked.K @ z

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from koopsyn import cli, edmd, plants, verify
-from koopsyn.controller import ClosedLoop, DesignResult, FeedbackSingularError
+from koopsyn.controller import (ClosedLoop, DesignResult, FeedbackSingularError,
+                                feedback)
 from koopsyn.lifting import make_lifting
 
 from conftest import outside_catalog
@@ -80,13 +81,12 @@ class TestSimulate:
 
     def test_integrator_order(self, scalar_plant):
         # fixed-step reading: halving the step cuts the error by >= 4x
+        L = make_lifting(1)
         errs = []
         for h in (0.5, 0.25):
-            traj = verify.simulate_feedback(scalar_plant,
-                                            lambda x: np.zeros(1),
-                                            np.array([1.0]), horizon=4.0,
-                                            rtol=10.0, atol=10.0, max_step=h,
-                                            converged_tol=0.0)
+            traj = simulate_one(scalar_plant, zero_design(1), L,
+                                np.array([1.0]), horizon=4.0, rtol=10.0,
+                                atol=10.0, max_step=h, converged_tol=0.0)
             errs.append(abs(traj.states[-1, 0] - np.exp(-traj.t[-1])))
         assert errs[1] > 0.0
         assert errs[1] <= errs[0] / 4.0
@@ -148,10 +148,9 @@ class TestSimulate:
         ok = simulate_one(scalar_plant, design, lifting,
                           np.array([-1.0 + 1e-11]))
         assert ok.reason == "converged"
-        loop = ClosedLoop.of(design, lifting)
-        loop.feedback(np.array([-1.0 + 1e-11]))
+        feedback(design, lifting, np.array([-1.0 + 1e-11]))
         with pytest.raises(FeedbackSingularError):
-            loop.feedback(np.array([-1.0 + 1e-13]))
+            feedback(design, lifting, np.array([-1.0 + 1e-13]))
 
 
 def _subprocess_modules(code):
@@ -261,7 +260,10 @@ def scipy_reference(plant, loop, x0, horizon, tol):
 
     converged.terminal, converged.direction = True, -1.0
     escaped.terminal, escaped.direction = True, 1.0
-    sol = solve_ivp(lambda _, x: plant.vector_field(x, loop.feedback(x)),
+    def u(x):
+        return loop.feedback_of_lifts(loop.lift_many(x[None]))[0][0]
+
+    sol = solve_ivp(lambda _, x: plant.vector_field(x, u(x)),
                     (0.0, horizon), x0, method="RK45", rtol=tol, atol=tol,
                     events=(converged, escaped))
     if sol.status == 1:
@@ -435,9 +437,9 @@ class TestCARE:
 class TestRoAInvariance:
     def test_monte_carlo_stays_inside(self, plant_cooked, design_cooked,
                                       lifting_cooked):
-        from conftest import sample_roa_starts
-
-        starts = sample_roa_starts(design_cooked, lifting_cooked, 25, seed=31)
+        starts, _ = cli._certified_starts(design_cooked, lifting_cooked, 25,
+                                          seed=31)
+        assert len(starts) == 25
         loop = ClosedLoop.of(design_cooked, lifting_cooked)
         for traj in verify.simulate_many(plant_cooked, loop, np.array(starts),
                                          rtol=1e-8, atol=1e-8):
