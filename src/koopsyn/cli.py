@@ -566,8 +566,13 @@ def cmd_verify(cfg):
     horizon, rtol = _setting(cfg, "verify.horizon"), _setting(cfg, "verify.rtol")
     starts, sampling = _certified_starts(design, lifting, _setting(cfg, "verify.n_starts"),
                                          _setting(cfg, "verify.seed"))
+    # no trajectory (nor, without starts, manifest) of an earlier run stays
+    # beside this run's report
+    for path in outdir.glob("traj_*.dat"):
+        path.unlink()
     if not starts:
         # nothing to verify; the report keeps the draw that found no start
+        (outdir / "manifest_verify.json").unlink(missing_ok=True)
         _write_json(outdir / "verify_report.json",
                     {"trajectories": [], "n_converged": 0, "start_sampling": sampling})
         print(f"error: no start with V <= 0.99 in {sampling['tries']} draws from "

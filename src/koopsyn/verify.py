@@ -338,29 +338,60 @@ def lyapunov_audit(traj):
                        worst_step=worst, V_start=float(V[0]), V_end=float(V[-1]))
 
 
+# stopping rule and iteration cap of the CARE sign-function iteration
+SIGN_TOL = 1e-13
+SIGN_MAX_ITERS = 100
+
+
 def lqr_baseline(surrogate, R):
     """Regulator gain for the linear part (A, B0) of the surrogate with
-    state weight I and input weight ``R``, from the generalized-eigenvalue
-    CARE solver of Arnold & Laub (Proc. IEEE 72, 1984).
+    state weight I and input weight ``R``, from the stabilizing solution of
+    the continuous algebraic Riccati equation (CARE).
+
+    The matrix sign function of the Hamiltonian
+    H = [[A, -B0 inv(R) B0'], [-I, -A']], iterated with determinant scaling
+    (Byers, Linear Algebra Appl. 85, 1987), gives P from its stable
+    invariant subspace; one Newton-Kleinman step (Kleinman, IEEE TAC 13,
+    1968) then refines P.  That step solves its Lyapunov equation as one
+    dense N^2 x N^2 system, so it holds O(N^4) floats (6.5 MB at N = 30).
 
     Returns (K_lqr, P, info); the feedback convention is u = -K_lqr z with z
     the reduced lift, and ``info["relative_residual"]`` is the Frobenius norm
     of A'P + PA - PB0 inv(R) B0'P + I over that of I.  Raises ``ValueError``
-    when (A, B0) is not stabilizable.
+    when (A, B0) is not stabilizable or H has eigenvalues on the imaginary
+    axis.
     """
-    # imported here, so that only a stage that runs the LQR baseline loads it
-    from scipy.linalg import LinAlgError, solve_continuous_are
-
-    A, B0 = surrogate.A, surrogate.B0
-    Q, R = np.eye(surrogate.N), np.atleast_2d(np.asarray(R, dtype=float))
-    try:
-        # scipy's default balancing can leave a residual of 1e-6 relative
-        P = solve_continuous_are(A, B0, Q, R, balanced=False)
-    except LinAlgError as exc:
-        raise ValueError(f"no stabilizing CARE solution for (A, B0): {exc}") from exc
-    K = np.linalg.solve(R, B0.T @ P)
-    res = np.linalg.norm(A.T @ P + P @ A - P @ B0 @ K + Q, "fro")
-    return K, P, {"relative_residual": float(res / np.linalg.norm(Q, "fro"))}
+    A, B0, N = surrogate.A, surrogate.B0, surrogate.N
+    I, R = np.eye(N), np.atleast_2d(np.asarray(R, dtype=float))
+    Z = np.block([[A, -B0 @ np.linalg.solve(R, B0.T)], [-I, -A.T]])
+    for _ in range(SIGN_MAX_ITERS):
+        sign, logdet = np.linalg.slogdet(Z)
+        if sign == 0 or not np.isfinite(logdet):
+            raise ValueError("no stabilizing CARE solution for (A, B0): "
+                             "singular sign-function iterate")
+        c = np.exp(-logdet / (2 * N))
+        Z, Z_old = 0.5 * (c * Z + np.linalg.inv(Z) / c), Z
+        if np.linalg.norm(Z - Z_old, 1) <= SIGN_TOL * np.linalg.norm(Z, 1):
+            break
+    else:
+        raise ValueError("no stabilizing CARE solution for (A, B0): sign "
+                         f"iteration did not converge in {SIGN_MAX_ITERS} steps")
+    # the stable invariant subspace is the null space of sign(H) + I
+    W = Z + np.eye(2 * N)
+    P = np.linalg.lstsq(W[:, N:], -W[:, :N], rcond=None)[0]
+    for newton_step in (True, False):
+        P = 0.5 * (P + P.T)
+        K = np.linalg.solve(R, B0.T @ P)
+        Acl = A - B0 @ K
+        if not (np.all(np.isfinite(P)) and np.max(np.linalg.eigvals(Acl).real) < 0):
+            raise ValueError("no stabilizing CARE solution for (A, B0): "
+                             "A - B0 K is not Hurwitz")
+        if newton_step:
+            # Acl' P + P Acl = -(I + K' R K), row-major vec
+            P = np.linalg.solve(np.kron(I, Acl.T) + np.kron(Acl.T, I),
+                                -(I + K.T @ R @ K).ravel()).reshape(N, N)
+    res = np.linalg.norm(A.T @ P + P @ A - P @ B0 @ K + I, "fro")
+    return K, P, {"relative_residual": float(res / np.linalg.norm(I, "fro"))}
 
 
 def export_trajectory_dat(traj, path):

@@ -824,6 +824,29 @@ class TestVerifyCommand:
         assert not (tmp_path / "traj_000.dat").exists()
         assert not (tmp_path / "manifest_verify.json").exists()
 
+    def test_verify_replaces_earlier_run(self, tmp_path, monkeypatch):
+        # a smaller run, then a run without starts, in the directory of a
+        # 20-start run leaves only its own files
+        run_pipeline(tmp_path)
+        argv = ["--example", "cooked_up", "--out", str(tmp_path), "--d", "400"]
+        assert cli.main(["verify", *argv]) == 0
+        assert len(list(tmp_path.glob("traj_*.dat"))) == 20
+        cfg = cli.example_config("cooked_up")
+        cfg["sampling"]["d"] = 400
+        cfg["output_dir"] = str(tmp_path)
+        cfg["verify"]["n_starts"] = 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["verify", "--config", str(path)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("traj_*.dat")) == [
+            "traj_000.dat", "traj_001.dat", "traj_002.dat"]
+        assert (tmp_path / "manifest_verify.json").exists()
+        monkeypatch.setattr(cli, "_certified_starts",
+                            lambda *args: ([], {"tries": 100000}))
+        assert cli.main(["verify", *argv]) == cli.EXIT_VERIFICATION
+        assert not list(tmp_path.glob("traj_*.dat"))
+        assert not (tmp_path / "manifest_verify.json").exists()
+
     def test_verify_lqr_grid(self, tmp_path):
         cfg = cli.example_config("cooked_up")
         cfg["sampling"]["d"] = 400
