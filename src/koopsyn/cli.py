@@ -427,10 +427,9 @@ def _design(cfg, surrogate, region):
     ``_solve_entry`` of every solve in order, the last one that of the kept
     ``problem``.
     """
-    theorem = _theorems(cfg)[0]
     options = _solver_options(cfg)
-    build = lmi.build_theorem1 if theorem == 1 else lmi.build_theorem2
-    problem = build(surrogate, region, epsilon=_setting(cfg, "solver.epsilon"))
+    problem = lmi.build_problem(_theorems(cfg)[0], surrogate, region,
+                                _setting(cfg, "solver.epsilon"))
     report = None
     solves = []
     if _setting(cfg, "solver.objective") == "maximize_roa":
@@ -453,8 +452,7 @@ def _design(cfg, surrogate, region):
         raise sdp.VerificationError(
             "solver reported feasible but the independent verifier rejected "
             f"the solution (worst slack {check.worst():.3e})")
-    design = controller.DesignResult.from_assignment(theorem, assignment,
-                                                     margins=check.margins)
+    design = controller.DesignResult.from_assignment(assignment, margins=check.margins)
     return problem, solves, check, design
 
 
@@ -506,6 +504,13 @@ def cmd_design(cfg):
     return EXIT_OK
 
 
+def _run_record(x0, traj):
+    """The report entry of one closed-loop run from ``x0``: its start, why it
+    stopped and the norm of its final state."""
+    return {"x0": np.asarray(x0).tolist(), "reason": traj.reason,
+            "final_norm": float(np.linalg.norm(traj.final_state))}
+
+
 def _lqr_grid(plant, surrogate, starts, weights, horizon, rtol):
     """CARE/LQR baseline with R = w I for each weight, simulated from every
     start in one batch over all (weight, start) rows, each row under its
@@ -524,9 +529,7 @@ def _lqr_grid(plant, surrogate, starts, weights, horizon, rtol):
     entries, trajectories = [], []
     for j, (w, (K_lqr, _, info)) in enumerate(zip(weights, solved)):
         trajs = runs_all[j * len(X0):(j + 1) * len(X0)]
-        runs = [{"x0": np.asarray(x0).tolist(), "reason": traj.reason,
-                 "final_norm": float(np.linalg.norm(traj.final_state))}
-                for x0, traj in zip(starts, trajs)]
+        runs = [_run_record(x0, traj) for x0, traj in zip(starts, trajs)]
         entries.append({"R": w, "K": K_lqr.ravel().tolist(),
                         "care_relative_residual": info["relative_residual"],
                         "trajectories": runs,
@@ -592,9 +595,7 @@ def cmd_verify(cfg):
         verify.export_trajectory_dat(traj, path)
         outputs.append(path)
         results.append({
-            "x0": np.asarray(x0).tolist(),
-            "reason": traj.reason,
-            "final_norm": float(np.linalg.norm(traj.final_state)),
+            **_run_record(x0, traj),
             "V_max": float(np.nanmax(traj.V)),
             "audit_ok": audit.ok,
             "max_V_increase": audit.max_increase,

@@ -23,60 +23,58 @@ class FeedbackSingularError(RuntimeError):
 class DesignResult:
     """Solved decision variables plus the derived gains.
 
-    ``K = L inv(P)``; for gain-scheduled designs additionally
-    ``Kw = Lw (inv(Lambda) kron I_N)`` and the feedback is
-    ``u = inv(I - Kw (I_m kron z)) K z`` with z the reduced lift.
+    ``K = L inv(P)``; a gain-scheduled design (theorem 2) also has ``Lw``,
+    ``Kw = Lw (inv(Lambda) kron I_N)`` and the feedback
+    ``u = inv(I - Kw (I_m kron z)) K z`` with z the reduced lift.  A
+    theorem-1 design is the one without ``Lw``: m = 1 and ``Lam`` is 1x1.
     """
 
-    theorem: int
     P: np.ndarray
     L: np.ndarray
     tau: float
     nu: float
-    lam: float | None = None          # scalar multiplier (theorem 1)
-    Lam: np.ndarray | None = None     # matrix multiplier (theorem 2)
+    Lam: np.ndarray
     Lw: np.ndarray | None = None
     margins: dict = field(default_factory=dict)
     K: np.ndarray = field(init=False, repr=False, compare=False)
     Kw: np.ndarray | None = field(init=False, repr=False, compare=False)
     P_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
+    @property
+    def theorem(self):
+        return 1 if self.Lw is None else 2
+
     def __post_init__(self):
         P = sym(np.asarray(self.P, dtype=float))
         L = np.atleast_2d(np.asarray(self.L, dtype=float))
+        Lam = sym(np.atleast_2d(np.asarray(self.Lam, dtype=float)))
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "L", L)
+        object.__setattr__(self, "Lam", Lam)
         if np.linalg.eigvalsh(P)[0] <= 0.0:
             raise ValueError("P must be positive definite")
         P_inv = sym(np.linalg.inv(P))
-        K = L @ P_inv
         Kw = None
-        if self.theorem == 2:
-            Lam = sym(np.atleast_2d(np.asarray(self.Lam, dtype=float)))
+        if self.Lw is not None:
             Lw = np.atleast_2d(np.asarray(self.Lw, dtype=float))
-            object.__setattr__(self, "Lam", Lam)
             object.__setattr__(self, "Lw", Lw)
-            N = P.shape[0]
-            Kw = Lw @ np.kron(np.linalg.inv(Lam), np.eye(N))
+            Kw = Lw @ np.kron(np.linalg.inv(Lam), np.eye(P.shape[0]))
         object.__setattr__(self, "P_inv", P_inv)
-        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "K", L @ P_inv)
         object.__setattr__(self, "Kw", Kw)
 
     @staticmethod
-    def from_assignment(theorem, assignment, margins=None):
-        if theorem == 1:
-            multipliers = {"lam": float(assignment["lam"])}
-        else:
-            multipliers = {"Lam": assignment["Lam"], "Lw": assignment["Lw"]}
-        return DesignResult(theorem=theorem, P=assignment["P"], L=assignment["L"],
+    def from_assignment(assignment, margins=None):
+        return DesignResult(P=assignment["P"], L=assignment["L"],
                             tau=float(assignment["tau"]), nu=float(assignment["nu"]),
-                            margins=margins or {}, **multipliers)
+                            Lam=assignment["Lam"], Lw=assignment.get("Lw"),
+                            margins=margins or {})
 
     def to_json(self):
         enc = encode_matrix
         doc = {"theorem": self.theorem, "P": enc(self.P), "L": enc(self.L),
                "Lw": enc(self.Lw), "Lambda": enc(self.Lam),
-               "lam": self.lam, "tau": self.tau, "nu": self.nu,
+               "tau": self.tau, "nu": self.nu,
                "K": enc(self.K), "Kw": enc(self.Kw),
                "margins": {k: list(v) if isinstance(v, tuple) else v
                            for k, v in self.margins.items()}}
@@ -84,11 +82,17 @@ class DesignResult:
 
     @staticmethod
     def from_json(text):
+        """Inverse of ``to_json``; refuses a document whose ``Lambda`` is
+        missing or not finite or whose ``theorem`` disagrees with ``Lw``."""
         doc = json.loads(text)
         dec = decode_matrix
-        return DesignResult(theorem=int(doc["theorem"]), P=dec(doc["P"]),
-                            L=dec(doc["L"]), Lw=dec(doc["Lw"]), Lam=dec(doc["Lambda"]),
-                            lam=doc.get("lam"), tau=float(doc["tau"]), nu=float(doc["nu"]),
+        Lam, Lw = dec(doc.get("Lambda")), dec(doc.get("Lw"))
+        if (Lam is None or not np.all(np.isfinite(Lam))
+                or doc.get("theorem") != (1 if Lw is None else 2)):
+            raise ValueError("the design needs a finite 'Lambda' and 'theorem' 2 with "
+                             "'Lw' or 1 without; re-run design")
+        return DesignResult(P=dec(doc["P"]), L=dec(doc["L"]), tau=float(doc["tau"]),
+                            nu=float(doc["nu"]), Lam=Lam, Lw=Lw,
                             margins=doc.get("margins", {}))
 
 

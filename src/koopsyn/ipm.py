@@ -70,11 +70,11 @@ def _inverse_factor(M):
         return None
 
 
-def _boundary_step(lam):
+def _boundary_step(lam_min):
     """Largest alpha <= 1 along a direction whose smallest eigenvalue relative
-    to the current point is ``lam`` (the step to the cone boundary is
-    -1/lam)."""
-    return 1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam)
+    to the current point is ``lam_min`` (the step to the cone boundary is
+    -1/lam_min)."""
+    return 1.0 if lam_min >= -1e-14 else min(1.0, -1.0 / lam_min)
 
 
 def _step_length(G, dM, v, dv):

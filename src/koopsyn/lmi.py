@@ -191,11 +191,11 @@ def _invariance_expr(variables, region, N):
 def build_theorem1(surrogate, region, epsilon=1e-6):
     """Single-input design: linear feedback on the reduced lift.
 
-    The gain-scheduled LMI of :func:`build_theorem2` with m = 1, the
-    scheduling gain ``Lw`` fixed at zero and the scalar multiplier ``lam``
-    in place of ``Lam``: constraint ``stability`` is the strict 4x4 block
-    inequality with block rows (N, 1, N+1, N); ``invariance`` keeps the
-    certified sublevel set inside the uncertainty region.
+    The gain-scheduled LMI of :func:`build_theorem2` with m = 1 and the
+    scheduling gain ``Lw`` fixed at zero, so that ``Lam`` is 1x1: constraint
+    ``stability`` is the strict 4x4 block inequality with block rows
+    (N, 1, N+1, N); ``invariance`` keeps the certified sublevel set inside
+    the uncertainty region.
     """
     if surrogate.m != 1:
         raise ValueError("this design handles single-input surrogates only")
@@ -212,11 +212,18 @@ def build_theorem2(surrogate, region, epsilon=1e-6):
     return _build(surrogate, region, epsilon, scheduled=True)
 
 
+def build_problem(theorem, surrogate, region, epsilon=1e-6):
+    """The design problem of ``theorem``, 1 or 2."""
+    if theorem not in (1, 2):
+        raise ValueError("theorem must be 1 or 2")
+    build = build_theorem1 if theorem == 1 else build_theorem2
+    return build(surrogate, region, epsilon)
+
+
 def _build(surrogate, region, epsilon, scheduled):
-    """Both designs from one stability block formula: the scheduled one
-    solves for ``Lw`` and a symmetric ``Lam``, the unscheduled one (m = 1)
-    holds ``Lw`` at zero and reads its scalar ``lam`` (a 1x1 matrix) as
-    ``Lam``."""
+    """Both designs from one stability block formula, each with a symmetric
+    multiplier ``Lam``: the scheduled one solves for ``Lw``, the unscheduled
+    one holds it at zero."""
     if surrogate.c_r is None:
         raise ValueError("surrogate needs a remainder bound c_r")
     N, m = surrogate.N, surrogate.m
@@ -229,19 +236,14 @@ def _build(surrogate, region, epsilon, scheduled):
     Im_tS_col = kron(Im, tS_col)
     Im_tS_row = kron(Im, tS_col.T)
     Lw_zero = np.zeros((m, N * m))
-    if scheduled:
-        multipliers = (VariableSpec("Lw", "full", (m, N * m)),
-                       VariableSpec("Lam", "sym", (m, m)))
-    else:
-        multipliers = (VariableSpec("lam", "scalar", ()),)
+    scheduling = (VariableSpec("Lw", "full", (m, N * m)),) if scheduled else ()
     variables = (VariableSpec("P", "sym", (N, N)), VariableSpec("L", "full", (m, N)),
-                 *multipliers,
+                 *scheduling, VariableSpec("Lam", "sym", (m, m)),
                  VariableSpec("tau", "scalar", ()), VariableSpec("nu", "scalar", ()))
 
     def stability(a):
-        P, L, tau = a["P"], a["L"], a["tau"]
-        Lw = a["Lw"] if scheduled else Lw_zero
-        Lam = a["Lam"] if scheduled else a["lam"]
+        P, L, Lam, tau = a["P"], a["L"], a["Lam"], a["tau"]
+        Lw = a.get("Lw", Lw_zero)
         X = A @ P + B0 @ L
         b11 = -X - mT(X) - tau * np.eye(N)
         b21 = -L - kron(Lam, tS_col.T) @ Bt.T - Im_tS_row @ mT(Lw) @ B0.T
@@ -266,7 +268,8 @@ def _build(surrogate, region, epsilon, scheduled):
 
     stability_expr = AffineMatrixExpr.from_function(stability, variables)
     eps_stab = epsilon * max(1.0, stability_expr.data_magnitude())
-    positive = ("P", "Lam", "tau", "nu") if scheduled else ("P", "tau", "lam", "nu")
+    # each theorem keeps its order: the IPM's cone follows it, and so does the design
+    positive = ("P", "Lam", "tau", "nu") if scheduled else ("P", "tau", "Lam", "nu")
     constraints = (
         Constraint("stability", stability_expr, eps_stab),
         Constraint("invariance", _invariance_expr(variables, region, N), 0.0),
@@ -331,10 +334,9 @@ def primal_certificate(surrogate, region, design):
     N, m = surrogate.N, surrogate.m
     P_inv = design.P_inv
     A, B0, Bt = surrogate.A, surrogate.B0, surrogate.B_tilde
-    K = np.atleast_2d(design.K)
-    # a theorem-1 design is the m = 1 case with Lam = [[lam]] and Kw = 0
-    Lam = np.atleast_2d(design.Lam if design.theorem == 2 else design.lam)
-    Kw = np.zeros((m, N * m)) if design.Kw is None else np.atleast_2d(design.Kw)
+    K, Lam = design.K, design.Lam
+    # a theorem-1 design is the m = 1 case with Kw = 0
+    Kw = np.zeros((m, N * m)) if design.Kw is None else design.Kw
     A_K = A + B0 @ K
     B_Kw = Bt + B0 @ Kw
     Pi_D = multiplier(region, np.linalg.inv(Lam))

@@ -138,11 +138,9 @@ def solve(program, options=None):
     for Fi in stacks:
         Fi.flags.writeable = False
     info = {
-        "solver_status": res.status,
         "primal_infeas": res.primal_infeas,
         "dual_infeas": res.dual_infeas,
         "rel_gap": res.rel_gap,
-        "objective": res.dual_obj,
         "vars": program.nvars,
         "largest_block": max(F0.shape[0] for _, F0, _, _ in solved.blocks),
     }

@@ -134,13 +134,8 @@ def procedure1_qz(surrogate, theorem, rz=1.0, rz_step1=None, epsilon=1e-6,
     if rz_step1 is None:
         rz_step1 = rz
     pilot_region = identity_region(N, rz_step1)
-    if theorem == 1:
-        problem = lmi.build_theorem1(surrogate, pilot_region, epsilon=epsilon)
-    elif theorem == 2:
-        problem = lmi.build_theorem2(surrogate, pilot_region, epsilon=epsilon)
-    else:
-        raise ValueError("theorem must be 1 or 2")
-    problem = lmi.drop_constraint(problem, "invariance")
+    problem = lmi.drop_constraint(
+        lmi.build_problem(theorem, surrogate, pilot_region, epsilon), "invariance")
     cap = TRACE_CAP_SCALE * N
     problem = lmi.add_trace_cap(problem, "P", cap)
     assignment, report = sdp.solve_problem(problem, solver_options)

@@ -81,7 +81,7 @@ def region_cooked():
 def theorem1_stability_reference(surrogate, region):
     """The single-input stability block as the paper states theorem 1
     (scalar multiplier lam, no scheduling gain), probed on theorem 1's
-    variables.  Kept apart from ``lmi`` so that both builders, which share
+    variables, where lam is the 1x1 ``Lam``.  Kept apart from ``lmi`` so that both builders, which share
     one block formula, are checked against a formula they do not run.  Like
     every block formula it broadcasts over a leading axis of stacked
     assignments."""
@@ -91,12 +91,12 @@ def theorem1_stability_reference(surrogate, region):
     tS_col = region.tS.reshape(N, 1)
     variables = (lmi.VariableSpec("P", "sym", (N, N)),
                  lmi.VariableSpec("L", "full", (1, N)),
-                 lmi.VariableSpec("lam", "scalar", ()),
+                 lmi.VariableSpec("Lam", "scalar", ()),
                  lmi.VariableSpec("tau", "scalar", ()),
                  lmi.VariableSpec("nu", "scalar", ()))
 
     def stability(a):
-        P, L, lam, tau = a["P"], a["L"], a["lam"], a["tau"]
+        P, L, lam, tau = a["P"], a["L"], a["Lam"], a["tau"]
         X = A @ P + B0 @ L
         b11 = -X - mT(X) - tau * np.eye(N)
         b21 = -L - lam * (tS_col.T @ Bt.T)
@@ -133,17 +133,16 @@ def constraint(problem, name):
 
 def matches_theorem1_reference(surrogate, region):
     """True when the stability expressions of both builders equal the
-    reference entry for entry (theorem 2's ``Lam`` standing for ``lam``;
-    its ``Lw`` coefficients have no counterpart)."""
+    reference entry for entry (theorem 2's ``Lw`` coefficients have no
+    counterpart)."""
     ref = theorem1_stability_reference(surrogate, region)
     e1 = constraint(lmi.build_theorem1(surrogate, region), "stability").expr
     e2 = constraint(lmi.build_theorem2(surrogate, region), "stability").expr
-    rename = {"lam": "Lam"}
     return (np.array_equal(ref.constant, e1.constant)
             and np.array_equal(ref.constant, e2.constant)
             and e1.coeffs.keys() == ref.coeffs.keys()
             and all(np.array_equal(M, e1.coeffs[name])
-                    and np.array_equal(M, e2.coeffs[rename.get(name, name)])
+                    and np.array_equal(M, e2.coeffs[name])
                     for name, M in ref.coeffs.items()))
 
 
@@ -179,8 +178,7 @@ def containment_margins(design, region, lifting, resolution=180, radial=8):
 
 
 def solve_design(surrogate, region, theorem, maximize_roa=True, options=None):
-    build = lmi.build_theorem1 if theorem == 1 else lmi.build_theorem2
-    problem = build(surrogate, region)
+    problem = lmi.build_problem(theorem, surrogate, region)
     if maximize_roa:
         problem = lmi.add_roa_objective(problem)
     assignment, report = sdp.solve_problem(problem, options)
@@ -189,8 +187,7 @@ def solve_design(surrogate, region, theorem, maximize_roa=True, options=None):
     check = sdp.verify(problem, assignment)
     if not check.ok:
         raise RuntimeError("fixture design failed verification")
-    design = controller.DesignResult.from_assignment(theorem, assignment,
-                                                     margins=check.margins)
+    design = controller.DesignResult.from_assignment(assignment, margins=check.margins)
     return design, problem, assignment
 
 

@@ -80,8 +80,7 @@ def test_criterion_03_design_feasibility(surrogate_fitted, region_cooked):
     elapsed = time.monotonic() - t0
     feasible = rep.status == "feasible"
     check = sdp.verify(problem, assignment) if feasible else None
-    design = controller.DesignResult.from_assignment(1, assignment) \
-        if feasible else None
+    design = controller.DesignResult.from_assignment(assignment) if feasible else None
     k1 = abs(design.K[0, 0]) if feasible else np.inf
     ok = feasible and check.ok and k1 < 0.05 and elapsed < 10.0
     report(3, ok, f"status {rep.status}, verified margins ok={bool(check and check.ok)}, "

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from koopsyn import cli, controller, edmd, sdp, verify
+from koopsyn import cli, controller, edmd, lmi, sdp, verify
 
 
 def run_pipeline(tmp_path, example="cooked_up", d=400, extra=()):
@@ -716,17 +716,22 @@ class TestFitAndDesign:
 
     @pytest.mark.parametrize("theorem", [None, 1, 2])
     def test_heuristic_pilot_follows_design_theorem(self, surrogate_pendulum,
-                                                    theorem):
+                                                    theorem, monkeypatch):
         # without region.theorem the pilot runs the design's theorem, which
         # is 1 when the config names none
         cfg = cli.example_config("pendulum_shaped")
         del cfg["region"]["theorem"], cfg["theorem"]
         if theorem is not None:
             cfg["theorem"] = theorem
-        log = {}
-        cli._resolve_region(cli.validate_config(cfg), surrogate_pendulum, log)
-        multiplier = "Lam_pos" if theorem == 2 else "lam_pos"
-        assert multiplier in log["heuristic"]["step1_constraints"]
+        built = []
+        for thm in (1, 2):
+            def recording(*args, thm=thm, build=getattr(lmi, f"build_theorem{thm}")):
+                built.append(thm)
+                return build(*args)
+
+            monkeypatch.setattr(lmi, f"build_theorem{thm}", recording)
+        cli._resolve_region(cli.validate_config(cfg), surrogate_pendulum, {})
+        assert built == [theorem or 1]
 
 
 class TestReproduceCommand:
@@ -846,6 +851,28 @@ class TestVerifyCommand:
         assert cli.main(["verify", *argv]) == cli.EXIT_VERIFICATION
         assert not list(tmp_path.glob("traj_*.dat"))
         assert not (tmp_path / "manifest_verify.json").exists()
+
+    def test_verify_refuses_stale_design(self, tmp_path, capsys):
+        # a design.json of the format with a scalar "lam" and no "Lambda", one
+        # with a NaN multiplier and one whose theorem disagrees with its Lw
+        # are each refused before anything is written: the earlier run stays
+        run_pipeline(tmp_path)
+        argv = ["verify", "--example", "cooked_up", "--out", str(tmp_path), "--d", "400"]
+        assert cli.main(argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("traj_*.dat")}
+        assert len(before) == 20
+        path = tmp_path / "design.json"
+        good = json.loads(path.read_text())
+        for edit in ({"lam": good["Lambda"]["data"][0], "Lambda": None},
+                     {"Lambda": {**good["Lambda"], "data": [float("nan")]}},
+                     {"theorem": 2}):
+            path.write_text(json.dumps({**good, **edit}))
+            capsys.readouterr()
+            assert cli.main(argv) == cli.EXIT_BAD_INPUT, edit
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: ")
+            assert err.rstrip().endswith("re-run design")
+            assert {p.name: p.read_bytes() for p in tmp_path.glob("traj_*.dat")} == before
 
     def test_verify_lqr_grid(self, tmp_path):
         cfg = cli.example_config("cooked_up")

@@ -13,17 +13,16 @@ from koopsyn.lifting import make_lifting
 from conftest import containment_margins
 
 
-def linear_design(K, P=None, theorem=1, **kw):
+def linear_design(K, P=None, **kw):
     K = np.atleast_2d(np.asarray(K, dtype=float))
     P = np.eye(K.shape[1]) if P is None else P
-    return DesignResult(theorem=theorem, P=P, L=K @ P, tau=1.0, nu=1.0,
-                        lam=1.0, **kw)
+    return DesignResult(P=P, L=K @ P, tau=1.0, nu=1.0, Lam=[[1.0]], **kw)
 
 
 def _scheduled_m1():
     """m = 1 scheduled design whose scheduling matrix 1 - z_1 vanishes at
     x_1 = 1."""
-    return DesignResult(theorem=2, P=np.eye(3), L=np.ones((1, 3)), tau=1.0,
+    return DesignResult(P=np.eye(3), L=np.ones((1, 3)), tau=1.0,
                         nu=1.0, Lam=np.array([[1.0]]), Lw=np.array([[1.0, 0, 0]]))
 
 
@@ -39,7 +38,7 @@ class TestFeedback:
 
     def test_scheduled_with_zero_lw_is_linear(self, lifting_cooked):
         K = np.array([[0.5, -1.0, 2.0]])
-        d2 = DesignResult(theorem=2, P=np.eye(3), L=K, tau=1.0, nu=1.0,
+        d2 = DesignResult(P=np.eye(3), L=K, tau=1.0, nu=1.0,
                           Lam=np.array([[2.0]]), Lw=np.zeros((1, 3)))
         d1 = linear_design(K)
         x = np.array([0.3, -0.8])
@@ -212,8 +211,14 @@ class TestDesignResult:
 
     def test_requires_pd(self):
         with pytest.raises(ValueError):
-            DesignResult(theorem=1, P=-np.eye(2), L=np.ones((1, 2)), tau=1.0,
-                         nu=1.0, lam=1.0)
+            DesignResult(P=-np.eye(2), L=np.ones((1, 2)), tau=1.0, nu=1.0,
+                         Lam=[[1.0]])
+
+    def test_theorem1_json_round_trip(self, design_cooked):
+        back = DesignResult.from_json(design_cooked.to_json())
+        assert back.Lam.shape == (1, 1) and back.Kw is None and back.theorem == 1
+        assert back.K.tobytes() == design_cooked.K.tobytes()
+        assert back.Lam.tobytes() == design_cooked.Lam.tobytes()
 
     def test_json_round_trip(self, design_pendulum_shaped_thm2):
         d = design_pendulum_shaped_thm2

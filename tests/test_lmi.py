@@ -70,7 +70,7 @@ def theorem1_certificate_reference(surrogate, region, design):
     mid = np.block([
         [z((N, N)), design.P_inv, z((N, N + 1)), z((N, 2 * N + 1))],
         [design.P_inv, z((N, N)), z((N, N + 1)), z((N, 2 * N + 1))],
-        [z((N + 1, 2 * N)), region.block_matrix() / design.lam, z((N + 1, 2 * N + 1))],
+        [z((N + 1, 2 * N)), region.block_matrix() / design.Lam[0, 0], z((N + 1, 2 * N + 1))],
         [z((2 * N + 1, 2 * N)), z((2 * N + 1, N + 1)), pi_r / design.tau],
     ])
     psi_t = np.block([
@@ -138,6 +138,20 @@ class TestTheorem2:
 
     def test_reduces_to_theorem1(self, stressed_pair):
         assert matches_theorem1_reference(*stressed_pair)
+
+
+class TestBuildProblem:
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_dispatches_to_builder(self, stressed_pair, theorem):
+        prob = lmi.build_problem(theorem, *stressed_pair)
+        assert prob.theorem == theorem
+        assert ("Lw" in [v.name for v in prob.variables]) == (theorem == 2)
+        assert prob.variable("Lam").shape == (1, 1)
+
+    @pytest.mark.parametrize("theorem", [0, 3, None])
+    def test_rejects_other_theorems(self, stressed_pair, theorem):
+        with pytest.raises(ValueError, match="theorem must be 1 or 2"):
+            lmi.build_problem(theorem, *stressed_pair)
 
 
 class TestEvaluate:
@@ -336,7 +350,7 @@ class TestStackedProbes:
                             staticmethod(recording))
         problem = lmi.add_trace_cap(
             lmi.add_roa_objective(build(surrogate, region)), "P", 50.0)
-        positive = (("P", "tau", "lam", "nu") if case == "fitted_thm1"
+        positive = (("P", "tau", "Lam", "nu") if case == "fitted_thm1"
                     else ("P", "Lam", "tau", "nu"))
         assert [c.name for c in problem.constraints] == [
             "stability", "invariance", *(f"{n}_pos" for n in positive),

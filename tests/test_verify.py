@@ -28,8 +28,8 @@ def scalar_plant():
 
 
 def zero_design(n):
-    return DesignResult(theorem=1, P=np.eye(n), L=np.zeros((1, n)), tau=1.0,
-                        nu=1.0, lam=1.0)
+    return DesignResult(P=np.eye(n), L=np.zeros((1, n)), tau=1.0, nu=1.0,
+                        Lam=[[1.0]])
 
 
 def simulate_one(plant, design, lifting, x0, **options):
@@ -113,7 +113,7 @@ class TestSimulate:
             input_box=[[-1.0, 1.0]] * 2)
         Lw = np.zeros((2, 4))
         Lw[0, 2] = 1.0e4
-        design = DesignResult(theorem=2, P=np.eye(2), L=np.zeros((2, 2)),
+        design = DesignResult(P=np.eye(2), L=np.zeros((2, 2)),
                               tau=1.0, nu=1.0, Lam=np.eye(2), Lw=Lw)
         traj = simulate_one(plant, design, make_lifting(2),
                             np.array([0.5, 0.5]), horizon=50.0)
@@ -137,7 +137,7 @@ class TestSimulate:
         # the 1 x 1 scheduling matrix W = 1 + x has condition 1 wherever it
         # is nonzero, so its size is what must refuse it: 1e-13 at the
         # start -1 + 1e-13, from where the plant decays to the origin
-        design = DesignResult(theorem=2, P=np.eye(1), L=np.zeros((1, 1)),
+        design = DesignResult(P=np.eye(1), L=np.zeros((1, 1)),
                               tau=1.0, nu=1.0, Lam=np.eye(1),
                               Lw=np.array([[-1.0]]))
         lifting = make_lifting(1)
@@ -232,8 +232,8 @@ def test_simulate_leaves_scipy_integrate_out():
     code = ("import sys, numpy as np\n"
             "from koopsyn import controller, plants, verify\n"
             "from koopsyn.lifting import make_lifting, sine\n"
-            "design = controller.DesignResult(theorem=1, P=np.eye(3),\n"
-            "    L=np.array([[-20.0, -5.0, 0.0]]), tau=1.0, nu=1.0, lam=1.0)\n"
+            "design = controller.DesignResult(P=np.eye(3),\n"
+            "    L=np.array([[-20.0, -5.0, 0.0]]), tau=1.0, nu=1.0, Lam=[[1.0]])\n"
             "loop = controller.ClosedLoop.of(design, make_lifting(2, [sine(0)]))\n"
             "traj = verify.simulate_many(plants.make_example('pendulum'), loop,\n"
             "    np.array([[0.3, -0.2]]))[0]\n"
@@ -343,7 +343,7 @@ class TestSimulateMany:
         plateau = outside_catalog(
             lambda X: np.where((-0.8 < X[..., 0]) & (X[..., 0] < -0.7), 1.0, 0.0))
         lifting = make_lifting(1, [hole, plateau])
-        design = DesignResult(theorem=2, P=np.eye(3),
+        design = DesignResult(P=np.eye(3),
                               L=np.array([[0.0, 1.0, 0.0]]), tau=1.0, nu=1.0,
                               Lam=np.eye(1), Lw=np.array([[0.0, 0.0, 1.0]]))
         loop = ClosedLoop.of(design, lifting)
