@@ -216,8 +216,7 @@ def validate_config(cfg):
                          f"{n} states; set d0 \"sobol\": false for plain "
                          "Monte Carlo")
     extras = _extras(cfg)                         # refuses an unknown observable
-    for ob in extras:
-        _check_dimension(ob, n)
+    make_lifting(n, extras)                       # and one outside the n states
     if not heuristic:                             # a fixed region of the lift's size
         N, region = n + len(extras), cfg["region"]
         if {len(region["Sz"]), len(region["Qz"]), *map(len, region["Qz"])} != {N}:
@@ -225,19 +224,6 @@ def validate_config(cfg):
                              f"N = n + len(lifting.extras) = {n} + {len(extras)}")
         _resolve_region(cfg, None)                # refuses Qz not negative definite
     return cfg
-
-
-def _check_dimension(ob, n):
-    """Refuse an extra observable that reads a coordinate outside the n
-    plant states: an index outside 0..n-1 (numpy would wrap a negative one)
-    or a polynomial exponent list whose length is not n."""
-    if "index" in ob.params and not 0 <= ob.params["index"] < n:
-        raise ValueError(f"observable '{ob.kind}' index {ob.params['index']} "
-                         f"is outside 0..{n - 1} (the plant has {n} states)")
-    for _, exps in ob.params.get("terms", ()):
-        if len(exps) != n:
-            raise ValueError(f"observable '{ob.kind}' exponent list {exps} has "
-                             f"length {len(exps)}, but the plant has {n} states")
 
 
 def load_config(path=None, example=None, overrides=None):
@@ -379,40 +365,27 @@ def cmd_d0(cfg):
     return EXIT_OK
 
 
-def _resolve_region(cfg, surrogate, log_sink=None):
+def _resolve_region(cfg, surrogate):
+    """(region, log entries): a heuristic region's entries are the pilot's
+    ``solves`` record and the ``heuristic`` record of ``design_log.json``."""
     if _setting(cfg, "region.heuristic"):
-        region, log = uncertainty.procedure1_qz(
+        region, record, report = uncertainty.procedure1_qz(
             surrogate, theorem=_theorems(cfg)[1],
             rz=_setting(cfg, "region.rz"), rz_step1=_setting(cfg, "region.rz_step1"),
             epsilon=_setting(cfg, "solver.epsilon"),
             solver_options=_solver_options(cfg))
-        if log_sink is not None:
-            log_sink["solves"] = [_solve_entry("region", log.step1_report)]
-            log_sink["heuristic"] = {
-                "P_hat": log.P_hat.tolist(),
-                "Qz": log.Qz.tolist(),
-                "rz_step1": log.rz_step1,
-                "rz": log.rz,
-                "trace_cap": log.trace_cap,
-                "step1_constraints": list(log.step1_constraints),
-            }
-        return region
-    return uncertainty.UncertaintyRegion.from_json_dict(cfg["region"])
+        return region, {"solves": [_solve_entry("region", report)],
+                        "heuristic": record}
+    return uncertainty.UncertaintyRegion.from_json_dict(cfg["region"]), {}
 
 
 def _solve_entry(stage, report):
-    """The design_log.json record of one ``sdp.solve``: status, iterations,
-    final residuals, the size of the program (``vars``, ``largest_block``)
-    and, for a phase-I solve, t*.  It holds no wall time, so the log stays
+    """The design_log.json record of one ``sdp.solve``: status, iterations
+    and the report's diagnostics (final residuals, program size and, for a
+    phase-I solve, t*).  It holds no wall time, so the log stays
     byte-deterministic."""
-    info = report.diagnostics
-    entry = {"stage": stage, "status": report.status,
-             "iterations": report.iterations,
-             **{k: info[k] for k in ("primal_infeas", "dual_infeas", "rel_gap",
-                                     "vars", "largest_block")}}
-    if "t_star" in info:
-        entry["t_star"] = info["t_star"]
-    return entry
+    return {"stage": stage, "status": report.status,
+            "iterations": report.iterations, **report.diagnostics}
 
 
 def _design(cfg, surrogate, region):
@@ -482,8 +455,7 @@ def cmd_design(cfg):
     if not surrogate_path.exists():
         raise FileNotFoundError(f"no surrogate in {outdir}; run fit first")
     surrogate = edmd.Surrogate.from_json(surrogate_path.read_text())
-    log = {}
-    region = _resolve_region(cfg, surrogate, log_sink=log)
+    region, log = _resolve_region(cfg, surrogate)
     problem, solves, check, design = _design(cfg, surrogate, region)
     kept = solves[-1]
     files, boundary = _save_design(outdir, "", cfg, region, design, surrogate.lifting)
@@ -665,7 +637,7 @@ def cmd_reproduce(figure, outdir):
 def _reproduce_designs(figure, outdir, cfg, plant, surrogate):
     """Design and boundary files of fig2..fig5 from one fitted surrogate."""
     lifting = surrogate.lifting
-    region = _resolve_region(cfg, surrogate)
+    region = _resolve_region(cfg, surrogate)[0]
     if figure == "fig2":
         design = _design(cfg, surrogate, region)[3]
         return _save_design(outdir, "fig2", cfg, region, design, lifting)[0]
@@ -803,7 +775,7 @@ def main(argv=None):
     except sdp.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

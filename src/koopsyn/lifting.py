@@ -274,6 +274,14 @@ class Lifting:
 
 def _validate(L):
     n = L.n
+    for ob in L.observables:    # before any is evaluated (numpy wraps index -1)
+        if "index" in ob.params and not 0 <= ob.params["index"] < n:
+            raise ValueError(f"observable '{ob.kind}' index {ob.params['index']} "
+                             f"is outside 0..{n - 1} (the plant has {n} states)")
+        for _, exps in ob.params.get("terms", ()):
+            if len(exps) != n:
+                raise ValueError(f"observable '{ob.kind}' exponent list {exps} has "
+                                 f"length {len(exps)}, but the plant has {n} states")
     if len(L.observables) < n + 1:
         raise DictionaryError("dictionary must contain the constant and all coordinates")
     rng = np.random.default_rng(0)

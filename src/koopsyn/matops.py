@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
@@ -114,7 +116,17 @@ def encode_matrix(M):
 
 
 def decode_matrix(obj):
-    """Inverse of :func:`encode_matrix`."""
+    """Inverse of :func:`encode_matrix`; anything but ``None`` or an object
+    whose ``shape`` is a list of non-negative integers and whose ``data`` is
+    a list of that many numbers raises ``ValueError``."""
     if obj is None:
         return None
-    return np.asarray(obj["data"], dtype=float).reshape(obj["shape"])
+    doc = obj if isinstance(obj, dict) else {}
+    shape, data = doc.get("shape"), doc.get("data")
+    if not (isinstance(shape, list) and all(type(k) is int and k >= 0 for k in shape)
+            and isinstance(data, list) and len(data) == math.prod(shape)
+            and all(type(v) in (int, float) for v in data)):
+        raise ValueError("a stored matrix must be an object whose 'shape' is a "
+                         "list of non-negative integers and whose 'data' is a "
+                         "list of that many numbers")
+    return np.asarray(data, dtype=float).reshape(shape)

@@ -2,7 +2,8 @@
 
 The lowering scalarizes all decision variables (symmetric matrices via the
 upper-triangle/sqrt(2) convention) and emits one PSD block per constraint
-with the required margin folded into the constant term.  Programs are
+with the required margin folded into the constant term; a feasibility
+problem is lowered as its phase-I program.  Programs are
 solved by the bundled dense interior-point method (no external
 dependency).  Every feasible answer is re-checked against the original
 affine expressions by an eigenvalue verifier that does not share code with
@@ -28,58 +29,70 @@ class VerificationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ConicProgram:
-    """min c^T z subject to per-block F0 + sum_i z_i Fi >= 0."""
-
-    c: np.ndarray
-    blocks: tuple            # (name, F0, Fi, margin); F0 already margin-shifted
-    varmap: tuple            # (name, kind, shape, offset, ncomp)
-    nvars: int
-
-    def split(self, z):
-        """Devectorize a solution vector into an assignment dict."""
-        out = {}
-        for name, kind, shape, off, ncomp in self.varmap:
-            v = lmi.VariableSpec(name, kind, shape)
-            out[name] = v.from_components(np.asarray(z[off:off + ncomp]))
-        return out
-
-
-def lower(problem):
-    """Scalarize a SynthesisProblem into a ConicProgram.
-
-    The variable mapping is bijective; constraint count and order are
-    preserved.
-    """
-    varmap = []
-    off = 0
-    for v in problem.variables:
-        varmap.append((v.name, v.kind, v.shape, off, v.ncomp))
-        off += v.ncomp
-    nvars = off
-    blocks = []
-    for con in problem.constraints:
-        dim = con.expr.dim
-        F0 = con.expr.constant - con.margin * np.eye(dim)
-        Fi = np.zeros((nvars, dim, dim))
-        for name, kind, shape, o, ncomp in varmap:
-            if name in con.expr.coeffs:
-                Fi[o:o + ncomp] = con.expr.coeffs[name]
-        blocks.append((con.name, F0, Fi, con.margin))
-    c = np.zeros(nvars)
-    if problem.objective is not None:
-        sense, vname = problem.objective
-        o = next(o for (name, _, _, o, _) in varmap if name == vname)
-        c[o] = -1.0 if sense == "maximize" else 1.0
-    return ConicProgram(c=c, blocks=tuple(blocks), varmap=tuple(varmap),
-                        nvars=nvars)
-
-
-@dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-8
     max_iters: int = 200
     t_cap: float = 1.0
+
+
+@dataclass(frozen=True)
+class ConicProgram:
+    """min c^T z subject to per-block F0 + sum_i z_i Fi >= 0.
+
+    A phase-I program (``phase_one``) has one more variable than its
+    ``nvars`` decision variables: the margin t, last in z."""
+
+    c: np.ndarray
+    blocks: tuple            # (name, F0, Fi, margin); F0 already margin-shifted
+    varmap: tuple            # (VariableSpec, offset)
+    nvars: int               # decision variables, without the phase-I margin
+    phase_one: bool = False
+
+    def split(self, z):
+        """Devectorize a solution vector into an assignment dict."""
+        return {v.name: v.from_components(np.asarray(z[off:off + v.ncomp]))
+                for v, off in self.varmap}
+
+
+def lower(problem, t_cap=SolverOptions.t_cap):
+    """Scalarize a SynthesisProblem into a ConicProgram.
+
+    The variable mapping is bijective; constraint count and order are
+    preserved.  A problem without an objective is lowered as its phase-I
+    program: maximize a margin t (the last variable) s.t. F(z) - t I >= 0 in
+    every block and t <= ``t_cap`` (the last block, ``_t_cap``).  It is
+    strictly feasible for t small enough, so it always has a solution;
+    t* > 0 certifies feasibility and a converged t* < 0 infeasibility.
+    """
+    varmap, nvars = [], 0
+    for v in problem.variables:
+        varmap.append((v, nvars))
+        nvars += v.ncomp
+    phase_one = problem.objective is None
+    p = nvars + phase_one
+    blocks = []
+    for con in problem.constraints:
+        dim = con.expr.dim
+        F0 = con.expr.constant - con.margin * np.eye(dim)
+        Fi = np.zeros((p, dim, dim))
+        for v, o in varmap:
+            if v.name in con.expr.coeffs:
+                Fi[o:o + v.ncomp] = con.expr.coeffs[v.name]
+        if phase_one:
+            Fi[nvars] = -np.eye(dim)
+        blocks.append((con.name, F0, Fi, con.margin))
+    c = np.zeros(p)
+    if phase_one:
+        cap = np.zeros((p, 1, 1))
+        cap[nvars] = -1.0
+        blocks.append(("_t_cap", np.array([[float(t_cap)]]), cap, 0.0))
+        c[nvars] = -1.0
+    else:
+        sense, vname = problem.objective
+        o = next(o for v, o in varmap if v.name == vname)
+        c[o] = -1.0 if sense == "maximize" else 1.0
+    return ConicProgram(c=c, blocks=tuple(blocks), varmap=tuple(varmap),
+                        nvars=nvars, phase_one=phase_one)
 
 
 @dataclass
@@ -92,64 +105,37 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _wrap_feasibility(program, t_cap):
-    """Augment with a margin variable t: maximize t s.t. F(z) - t I >= 0 and
-    t <= t_cap.  Strictly feasible for any z with t small enough, so the
-    phase-I problem is always solvable; t* > 0 certifies feasibility and a
-    converged t* < 0 certifies infeasibility."""
-    p = program.nvars
-    blocks = []
-    for name, F0, Fi, margin in program.blocks:
-        dim = F0.shape[0]
-        Fi2 = np.concatenate([Fi, -np.eye(dim)[None]], axis=0)
-        blocks.append((name, F0, Fi2, margin))
-    cap = (
-        "_t_cap",
-        np.array([[float(t_cap)]]),
-        np.concatenate([np.zeros((p, 1, 1)), -np.ones((1, 1, 1))], axis=0),
-        0.0,
-    )
-    c = np.concatenate([np.zeros(p), [-1.0]])
-    return ConicProgram(c=c, blocks=tuple(blocks) + (cap,),
-                        varmap=program.varmap, nvars=p + 1)
-
-
 def solve(program, options=None):
-    """Solve a ConicProgram with the bundled interior-point method.
+    """Solve a ConicProgram with the bundled interior-point method; never
+    raises on solver divergence.
 
-    A zero objective is treated as a feasibility question and answered via
-    the capped max-margin phase-I wrap; never raises on solver divergence.
-    The solve consumes ``program``: the interior-point method scales its
-    coefficient stacks in place, and they are left read-only, so solving
-    the same program again raises ValueError (lower the problem again).
-    ``diagnostics`` records the size of the solve: ``vars``, the number of
-    decision variables (without the phase-I margin), and ``largest_block``.
+    A phase-I program's margin is stripped from ``z`` and reported as
+    ``t_star``; it is ``feasible`` when t* > 0 and ``infeasible_certificate``
+    otherwise (``options.t_cap`` acts when the problem is lowered).  The
+    solve consumes ``program``: the interior-point method scales its
+    coefficient stacks in place and leaves them read-only, so solving the
+    same program again raises ValueError (lower the problem again).
+    ``diagnostics`` holds what ``design_log.json`` records of the solve: the
+    final residuals, its size (``vars``, the number of decision variables
+    without the phase-I margin, and ``largest_block``) and, for phase I,
+    ``t_star``.
     """
-    stacks = [Fi for _, _, Fi, _ in program.blocks]
-    if not all(Fi.flags.writeable for Fi in stacks):
-        raise ValueError("this program was consumed by an earlier solve, "
-                         "which scales its coefficients in place; lower the "
-                         "problem again")
     options = options or SolverOptions()
-    feasibility = not np.any(program.c)
-    solved = _wrap_feasibility(program, options.t_cap) if feasibility else program
-    res = ipm.solve_sdp(solved.c, [(F0, Fi) for (_, F0, Fi, _) in solved.blocks],
+    res = ipm.solve_sdp(program.c, [(F0, Fi) for _, F0, Fi, _ in program.blocks],
                         tol=options.tol, max_iters=options.max_iters)
-    for Fi in stacks:
-        Fi.flags.writeable = False
     info = {
         "primal_infeas": res.primal_infeas,
         "dual_infeas": res.dual_infeas,
         "rel_gap": res.rel_gap,
         "vars": program.nvars,
-        "largest_block": max(F0.shape[0] for _, F0, _, _ in solved.blocks),
+        "largest_block": max(F0.shape[0] for _, F0, _, _ in program.blocks),
     }
     z, status = res.z, res.status
-    if feasibility:
+    if program.phase_one:
         z, t_star = z[:-1], float(z[-1])
         info["t_star"] = t_star
     if status == "optimal":
-        status = ("feasible" if not feasibility or t_star > 0.0
+        status = ("feasible" if not program.phase_one or t_star > 0.0
                   else "infeasible_certificate")
     return SolveReport(status=status, assignment=program.split(z), z=z,
                        iterations=res.iterations, diagnostics=info)
@@ -157,7 +143,8 @@ def solve(program, options=None):
 
 def solve_problem(problem, options=None):
     """Convenience wrapper: lower, solve, return (assignment, report)."""
-    report = solve(lower(problem), options)
+    options = options or SolverOptions()
+    report = solve(lower(problem, options.t_cap), options)
     return report.assignment, report
 
 

@@ -102,19 +102,6 @@ def multiplier(region, Lambda_tilde):
     return np.vstack([top, bot])
 
 
-@dataclass(frozen=True)
-class HeuristicLog:
-    """Record of the two-stage region-shaping run."""
-
-    P_hat: np.ndarray
-    Qz: np.ndarray
-    rz_step1: float
-    rz: float
-    trace_cap: float
-    step1_constraints: tuple
-    step1_report: object
-
-
 def procedure1_qz(surrogate, theorem, rz=1.0, rz_step1=None, epsilon=1e-6,
                   solver_options=None):
     """Shape the region from an unconstrained pilot synthesis.
@@ -126,7 +113,9 @@ def procedure1_qz(surrogate, theorem, rz=1.0, rz_step1=None, epsilon=1e-6,
     trace(P) <= N * ``TRACE_CAP_SCALE`` keeps that problem bounded (artifact
     decision, recorded in the log).
     Step 2 normalizes the resulting shape into Qz = -inv(P) / ||inv(P)||_2
-    and returns the region with the user radius parameter ``rz``.
+    and builds the region with the user radius parameter ``rz``.
+    Returns (region, record, report): ``record`` is the ``heuristic`` entry
+    of ``design_log.json`` and ``report`` the pilot's ``SolveReport``.
     """
     from . import lmi, sdp
 
@@ -147,8 +136,7 @@ def procedure1_qz(surrogate, theorem, rz=1.0, rz_step1=None, epsilon=1e-6,
     P_hat_inv = sym(np.linalg.inv(P_hat))
     Qz = -P_hat_inv / np.linalg.norm(P_hat_inv, 2)
     region = UncertaintyRegion(Qz=Qz, Sz=np.zeros(N), Rz=float(rz))
-    log = HeuristicLog(P_hat=P_hat, Qz=Qz, rz_step1=float(rz_step1),
-                       rz=float(rz), trace_cap=cap,
-                       step1_constraints=tuple(c.name for c in problem.constraints),
-                       step1_report=report)
-    return region, log
+    record = {"P_hat": P_hat.tolist(), "Qz": Qz.tolist(),
+              "rz_step1": float(rz_step1), "rz": float(rz), "trace_cap": cap,
+              "step1_constraints": [c.name for c in problem.constraints]}
+    return region, record, report

@@ -207,21 +207,18 @@ def surrogate_pendulum(plant_pendulum, lifting_pendulum):
 
 @pytest.fixture(scope="session")
 def region_pendulum_shaped(surrogate_pendulum):
-    region, log = uncertainty.procedure1_qz(surrogate_pendulum, theorem=2,
-                                            rz=5.0, rz_step1=12.0)
-    return region, log
+    return uncertainty.procedure1_qz(surrogate_pendulum, theorem=2,
+                                     rz=5.0, rz_step1=12.0)[0]
 
 
 @pytest.fixture(scope="session")
 def design_pendulum_shaped(surrogate_pendulum, region_pendulum_shaped):
-    region, _ = region_pendulum_shaped
-    design, _, _ = solve_design(surrogate_pendulum, region, theorem=1)
+    design, _, _ = solve_design(surrogate_pendulum, region_pendulum_shaped, theorem=1)
     return design
 
 
 @pytest.fixture(scope="session")
 def design_pendulum_shaped_thm2(surrogate_pendulum, region_pendulum_shaped):
-    region, _ = region_pendulum_shaped
-    design, _, _ = solve_design(surrogate_pendulum, region, theorem=2)
+    design, _, _ = solve_design(surrogate_pendulum, region_pendulum_shaped, theorem=2)
     return design
 

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,17 @@ def run_pipeline(tmp_path, example="cooked_up", d=400, extra=()):
                        "--d", str(d), *extra])
         assert rc == 0, cmd
     return tmp_path
+
+
+@pytest.fixture(scope="module")
+def pendulum_run(tmp_path_factory):
+    """An output directory after collect, fit, design and verify of the
+    pendulum example (one sine observable) with d = 4000."""
+    out = tmp_path_factory.mktemp("pendulum_run")
+    run_pipeline(out, example="pendulum", d=4000)
+    assert cli.main(["verify", "--example", "pendulum", "--out", str(out),
+                     "--d", "4000"]) == 0
+    return out
 
 
 def run_cli_subprocess(threads, *argv):
@@ -592,7 +604,7 @@ class TestFitAndDesign:
 
         def objective_stalls(program, options=None):
             report = solve(program, options)
-            if np.any(program.c):
+            if not program.phase_one:
                 report.status = "iteration_limit"
             reports.append(report)
             return report
@@ -624,7 +636,7 @@ class TestFitAndDesign:
             sizes.append((program.nvars,
                           max(F0.shape[0] for _, F0, _, _ in program.blocks)))
             report = solve(program, options)
-            if objective_stalls and np.any(program.c):
+            if objective_stalls and not program.phase_one:
                 report.status = "iteration_limit"
             reports.append(report)
             return report
@@ -730,7 +742,7 @@ class TestFitAndDesign:
                 return build(*args)
 
             monkeypatch.setattr(lmi, f"build_theorem{thm}", recording)
-        cli._resolve_region(cli.validate_config(cfg), surrogate_pendulum, {})
+        cli._resolve_region(cli.validate_config(cfg), surrogate_pendulum)
         assert built == [theorem or 1]
 
 
@@ -873,6 +885,39 @@ class TestVerifyCommand:
             assert err.count("\n") == 1 and err.startswith("error: ")
             assert err.rstrip().endswith("re-run design")
             assert {p.name: p.read_bytes() for p in tmp_path.glob("traj_*.dat")} == before
+
+    @pytest.mark.parametrize("artifact, edit, commands, message", [
+        ("design.json", lambda doc: doc.update(Lambda=5), ("verify",),
+         "a stored matrix must be an object"),
+        ("surrogate.json", lambda doc: doc.update(A=[1, 2]), ("design", "verify"),
+         "a stored matrix must be an object"),
+        ("surrogate.json",
+         lambda doc: doc["lifting"]["observables"][-1]["params"].update(index=5),
+         ("design", "verify"),
+         "observable 'sine' index 5 is outside 0..1 (the plant has 2 states)"),
+        ("surrogate.json",
+         lambda doc: doc["lifting"]["observables"][-1]["params"].update(index=-1),
+         ("design", "verify"),
+         "observable 'sine' index -1 is outside 0..1 (the plant has 2 states)"),
+    ], ids=["design-Lambda-int", "surrogate-A-list", "sine-index-5",
+            "sine-index-negative"])
+    def test_malformed_artifact_is_bad_input(self, pendulum_run, tmp_path, capsys,
+                                             artifact, edit, commands, message):
+        # a malformed matrix or an observable reading past the n states in an
+        # artifact is refused in one error line, before anything is written
+        shutil.copytree(pendulum_run, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / artifact
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for cmd in commands:
+            capsys.readouterr()
+            assert cli.main([cmd, "--example", "pendulum", "--out", str(tmp_path),
+                             "--d", "4000"]) == cli.EXIT_BAD_INPUT, cmd
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_verify_lqr_grid(self, tmp_path):
         cfg = cli.example_config("cooked_up")

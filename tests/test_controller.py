@@ -104,8 +104,6 @@ class TestOneRow:
     def test_equals_batch_row(self, request, entry, design_name):
         design, lifting, region = (request.getfixturevalue(name)
                                    for name in DESIGNS[design_name])
-        if isinstance(region, tuple):           # (region, heuristic log)
-            region = region[0]
         single, batch = ONE_ROW[entry]
         X = np.random.default_rng(41).uniform(-4.0, 4.0, size=(1000, 2))
         rows = batch(design, lifting, region, X)

@@ -118,10 +118,13 @@ def traced_solve(program):
         tracemalloc.stop()
 
 
-def test_solve_holds_two_stacks_at_most():
+@pytest.mark.parametrize("objective", [True, False],
+                         ids=["objective", "feasibility"])
+def test_solve_holds_two_stacks_at_most(objective):
     # the lowering scaled in place plus one product buffer; a scaled copy
-    # and two fresh product temporaries made it 3.6 stacks
-    problem = ladder_problem(10, 2)
+    # and two fresh product temporaries made it 3.6 stacks, and a phase-I
+    # margin appended to a copy of every stack made a feasibility solve 2.9
+    problem = ladder_problem(10, 2, objective)
     report, peak, largest = traced_solve(sdp.lower(problem))
     assert report.status == "feasible"
     assert peak <= 2 * largest

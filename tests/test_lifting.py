@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,22 @@ class TestValidation:
     def test_rejects_degree_zero_poly_term(self):
         with pytest.raises(DictionaryError):
             poly([(1.0, (0, 0))])
+
+
+    @pytest.mark.parametrize("extra, message", [
+        (sine(2), "observable 'sine' index 2 is outside 0..1"),
+        (sine(-1), "observable 'sine' index -1 is outside 0..1"),
+        (poly([(1.0, (1, 0, 0))]), "exponent list"),
+    ], ids=["index-2", "index-negative", "poly-3-exponents"])
+    def test_rejects_observable_outside_the_states(self, extra, message):
+        # before any observable is evaluated: numpy would raise IndexError on
+        # index 2 and wrap index -1 to x_2; a descriptor is refused the same way
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_lifting(2, [extra])
+        desc = pendulum_lifting().descriptor()
+        desc["observables"][-1] = {"kind": extra.kind, "params": extra.params}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Lifting.from_descriptor(desc)
 
 
 class TestSerialization:

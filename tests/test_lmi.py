@@ -242,7 +242,7 @@ class TestSolvedCertificates:
     def test_dualization_theorem2(self, surrogate_pendulum,
                                   region_pendulum_shaped,
                                   design_pendulum_shaped_thm2):
-        region, _ = region_pendulum_shaped
+        region = region_pendulum_shaped
         _, mineig = lmi.primal_certificate(surrogate_pendulum, region,
                                            design_pendulum_shaped_thm2)
         assert mineig > 0.0
@@ -251,7 +251,7 @@ class TestSolvedCertificates:
                                                  region_pendulum_shaped,
                                                  design_pendulum_shaped_thm2,
                                                  lifting_pendulum):
-        region, _ = region_pendulum_shaped
+        region = region_pendulum_shaped
         design = design_pendulum_shaped_thm2
         rng = np.random.default_rng(14)
         checked = 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,44 @@ class TestLower:
     def test_scalar_block(self):
         prob = scalar_problem((lambda a: a["p"] - 1e-6, 0.0))
         program = sdp.lower(prob)
-        assert program.nvars == 1
-        assert len(program.blocks) == 1
+        # a feasibility problem: p, then the phase-I margin and its cap
+        assert program.phase_one and program.nvars == 1
+        assert program.c.tolist() == [0.0, -1.0]
+        assert [name for name, *_ in program.blocks] == ["c0", "_t_cap"]
         assert program.blocks[0][1].shape == (1, 1)
+
+    def test_objective_program_has_no_margin(self):
+        prob = scalar_problem((lambda a: a["p"] - 1e-6, 0.0),
+                              objective=("maximize", "p"))
+        program = sdp.lower(prob)
+        assert not program.phase_one and program.nvars == 1
+        assert program.c.tolist() == [-1.0]
+        assert [name for name, *_ in program.blocks] == ["c0"]
 
     def test_variable_count_theorem1(self, surrogate_fitted, region_cooked):
         prob = lmi.build_theorem1(surrogate_fitted, region_cooked)
         assert sdp.lower(prob).nvars == 6 + 3 + 3
+
+    def test_feasibility_lowers_to_phase_one(self, surrogate_fitted, region_cooked):
+        # the phase-I program built by hand from the plain lowering (the same
+        # problem with an objective on a variable): the margin is the last
+        # variable, -I in every block, and the cap is the last block
+        prob = lmi.build_theorem1(surrogate_fitted, region_cooked)
+        plain = sdp.lower(dataclasses.replace(prob, objective=("minimize", "tau")))
+        p = plain.nvars
+        expected = [(name, F0, np.concatenate([Fi, -np.eye(F0.shape[0])[None]]), m)
+                    for name, F0, Fi, m in plain.blocks]
+        cap = np.zeros((p + 1, 1, 1))
+        cap[p] = -1.0
+        expected.append(("_t_cap", np.array([[0.5]]), cap, 0.0))
+        program = sdp.lower(prob, t_cap=0.5)
+        assert program.phase_one and program.nvars == p
+        assert np.array_equal(program.c, -np.eye(p + 1)[p])
+        assert len(program.blocks) == len(expected)
+        for got, want in zip(program.blocks, expected):
+            assert got[0] == want[0] and got[3] == want[3]
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2], want[2])
 
     def test_svec_round_trip(self):
         rng = np.random.default_rng(0)
@@ -36,15 +69,17 @@ class TestLower:
             assert np.max(np.abs(back - M)) <= 1e-14 * max(1.0, np.max(np.abs(M)))
 
     def test_lowering_linearity(self, surrogate_fitted, region_cooked):
+        # each block is F(z) - t I with t the phase-I margin, last in z
         prob = lmi.build_theorem1(surrogate_fitted, region_cooked)
         program = sdp.lower(prob)
         rng = np.random.default_rng(1)
         names = [c.name for c in prob.constraints]
         for _ in range(20):
-            z = rng.normal(size=program.nvars)
+            z = rng.normal(size=program.nvars + 1)
             assignment = program.split(z)
             for (name, F0, Fi, margin), cname in zip(program.blocks, names):
-                direct = F0 + np.tensordot(z, Fi, axes=1) + margin * np.eye(F0.shape[0])
+                direct = (F0 + np.tensordot(z, Fi, axes=1)
+                          + (margin + z[-1]) * np.eye(F0.shape[0]))
                 via_expr, _ = lmi.evaluate(constraint(prob, cname), assignment,
                                            prob.variables)
                 scale = max(1.0, np.max(np.abs(direct)))
@@ -56,8 +91,8 @@ class TestLower:
         rng = np.random.default_rng(2)
         z = rng.normal(size=program.nvars)
         assignment = program.split(z)
-        z2 = np.concatenate([prob.variable(name).components(assignment[name])
-                             for (name, *_rest) in program.varmap])
+        z2 = np.concatenate([v.components(assignment[v.name])
+                             for v, _ in program.varmap])
         assert np.max(np.abs(z - z2)) <= 1e-14
 
 
@@ -126,4 +161,5 @@ class TestVerify:
         for opts in (sdp.SolverOptions(t_cap=1.0), sdp.SolverOptions(t_cap=0.1)):
             asg, rep = sdp.solve_problem(prob, opts)
             assert rep.status == "feasible"
+            assert rep.diagnostics["t_star"] <= opts.t_cap * (1.0 + 1e-9)
             assert sdp.verify(prob, asg).ok

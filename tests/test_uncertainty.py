@@ -114,8 +114,8 @@ class TestMultiplier:
 
 class TestProcedure1:
     def test_shape_normalization(self, surrogate_fitted):
-        region, log = procedure1_qz(surrogate_fitted, theorem=1, rz=500.0,
-                                    rz_step1=500.0)
+        region, _, _ = procedure1_qz(surrogate_fitted, theorem=1, rz=500.0,
+                                     rz_step1=500.0)
         assert np.linalg.norm(region.Qz, 2) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.eigvalsh(region.Qz)[-1] < 0.0
         assert region.Rz == 500.0
@@ -125,10 +125,11 @@ class TestProcedure1:
             procedure1_qz(surrogate_fitted, rz=500.0, rz_step1=500.0)
 
     def test_step1_omits_invariance(self, surrogate_fitted):
-        _, log = procedure1_qz(surrogate_fitted, theorem=2, rz=500.0,
-                               rz_step1=500.0)
-        assert "invariance" not in log.step1_constraints
-        assert any(name.startswith("trace_cap") for name in log.step1_constraints)
+        _, record, report = procedure1_qz(surrogate_fitted, theorem=2, rz=500.0,
+                                          rz_step1=500.0)
+        assert "invariance" not in record["step1_constraints"]
+        assert any(name.startswith("trace_cap") for name in record["step1_constraints"])
+        assert report.status == "feasible"
 
     def test_pendulum_area_improvement(self, surrogate_pendulum,
                                        region_pendulum_shaped,

@@ -172,6 +172,12 @@ def test_cli_import_leaves_scipy_integrate_out():
     # its CARE with numpy, the Sobol d0 draws with the bundled generator)
     code = f"import sys, koopsyn.cli; print({SCIPY_LOADED})"
     assert _subprocess_modules(code) == "[]"
+    # nor any other third-party package: the import brings in numpy alone
+    # (what the interpreter loaded at start-up is left out)
+    code = ("import sys\nbefore = set(sys.modules)\nimport koopsyn.cli\n"
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names)))")
+    assert _subprocess_modules(code) == "koopsyn numpy"
 
 
 @pytest.mark.parametrize("example", ["cooked_up", "pendulum"])
