@@ -483,31 +483,31 @@ def _run_record(x0, traj):
             "final_norm": float(np.linalg.norm(traj.final_state))}
 
 
-def _lqr_grid(plant, surrogate, starts, weights, horizon, rtol):
-    """CARE/LQR baseline with R = w I for each weight, simulated from every
-    start in one batch over all (weight, start) rows, each row under its
-    weight's gain.  Returns the report entry of each weight and its
+def _lqr_grid(surrogate, starts, weights):
+    """CARE/LQR baseline with R = w I for each weight, over every (weight,
+    start) row: the starts (rows, n) and gains (rows, m, N) of the rows,
+    weight by weight, with u = -K_lqr z, and the function that takes the
+    rows' trajectories to the report entry of each weight and its
     trajectories."""
-    if not weights:
-        return [], []
-    X0 = np.reshape(starts, (-1, plant.n))
+    X0 = np.reshape(starts, (-1, surrogate.lifting.n))
     solved = [verify.lqr_baseline(surrogate, R=w * np.eye(surrogate.m))
               for w in weights]
-    # u = -K_lqr z, one gain per (weight, start) row
-    gains = np.repeat(np.array([-K_lqr for K_lqr, _, _ in solved]), len(X0), axis=0)
-    runs_all = verify.simulate_many(
-        plant, controller.ClosedLoop(surrogate.lifting, gains),
-        np.tile(X0, (len(weights), 1)), horizon=horizon, rtol=rtol, atol=rtol)
-    entries, trajectories = [], []
-    for j, (w, (K_lqr, _, info)) in enumerate(zip(weights, solved)):
-        trajs = runs_all[j * len(X0):(j + 1) * len(X0)]
-        runs = [_run_record(x0, traj) for x0, traj in zip(starts, trajs)]
-        entries.append({"R": w, "K": K_lqr.ravel().tolist(),
-                        "care_relative_residual": info["relative_residual"],
-                        "trajectories": runs,
-                        "n_failed": sum(r["final_norm"] > 1e-6 for r in runs)})
-        trajectories.append(trajs)
-    return entries, trajectories
+    gains = np.repeat(np.reshape([-K_lqr for K_lqr, _, _ in solved],
+                                 (-1, surrogate.m, surrogate.N)), len(X0), axis=0)
+
+    def report(runs_all):
+        entries, trajectories = [], []
+        for j, (w, (K_lqr, _, info)) in enumerate(zip(weights, solved)):
+            trajs = runs_all[j * len(X0):(j + 1) * len(X0)]
+            runs = [_run_record(x0, traj) for x0, traj in zip(starts, trajs)]
+            entries.append({"R": w, "K": K_lqr.ravel().tolist(),
+                            "care_relative_residual": info["relative_residual"],
+                            "trajectories": runs,
+                            "n_failed": sum(r["final_norm"] > 1e-6 for r in runs)})
+            trajectories.append(trajs)
+        return entries, trajectories
+
+    return np.tile(X0, (len(weights), 1)), gains, report
 
 
 def _certified_starts(design, lifting, n_starts, seed):
@@ -556,11 +556,24 @@ def cmd_verify(cfg):
     if len(starts) < sampling["requested"]:
         print(f"warning: found {len(starts)} of {sampling['requested']} starts "
               f"with V <= 0.99 in {sampling['tries']} draws", file=sys.stderr)
+    # one batch: the certified starts under the design's gains, then, with
+    # verify.lqr, every (weight, start) row of the LQR grid under -K_lqr(w)
+    # with a zero scheduling gain (u = -K_lqr z); P_inv is the design's
+    X0 = np.reshape(starts, (-1, plant.n))
+    gains = np.repeat(design.K[None], len(X0), axis=0)
+    Kw = None if design.Kw is None else np.repeat(design.Kw[None], len(X0), axis=0)
+    if _setting(cfg, "verify.lqr"):
+        X_lqr, K_lqr, lqr_report = _lqr_grid(surrogate, starts[:8],
+                                             _setting(cfg, "verify.lqr_weights"))
+        X0, gains = np.concatenate([X0, X_lqr]), np.concatenate([gains, K_lqr])
+        if Kw is not None:
+            Kw = np.concatenate([Kw, np.zeros((len(X_lqr),) + design.Kw.shape)])
+    runs = verify.simulate_many(
+        plant, controller.ClosedLoop(lifting, gains, Kw, design.P_inv), X0,
+        horizon=horizon, rtol=rtol, atol=rtol)
+    trajs = runs[:len(starts)]
     results = []
     outputs = []
-    trajs = verify.simulate_many(plant, controller.ClosedLoop.of(design, lifting),
-                                 np.reshape(starts, (-1, plant.n)),
-                                 horizon=horizon, rtol=rtol, atol=rtol)
     for i, (x0, traj) in enumerate(zip(starts, trajs)):
         audit = verify.lyapunov_audit(traj)
         path = outdir / f"traj_{i:03d}.dat"
@@ -576,9 +589,7 @@ def cmd_verify(cfg):
               "n_converged": sum(r["reason"] == "converged" for r in results),
               "start_sampling": sampling}
     if _setting(cfg, "verify.lqr"):
-        report["lqr_grid"], _ = _lqr_grid(
-            plant, surrogate, starts[:8], _setting(cfg, "verify.lqr_weights"),
-            horizon, rtol)
+        report["lqr_grid"], _ = lqr_report(runs[len(starts):])
     _write_json(outdir / "verify_report.json", report)
     outputs.append(outdir / "verify_report.json")
     _write_manifest(outdir, "verify", cfg,
@@ -690,8 +701,11 @@ def _fig5_trajectories(outdir, plant, surrogate, designs, boundaries, cfg):
             path = outdir / f"fig5_traj_thm{thm}_{i}.dat"
             verify.export_trajectory_dat(traj, path)
             files.append(path)
-    grid, trajectories = _lqr_grid(
-        plant, surrogate, starts, _setting(cfg, "verify.lqr_weights"), horizon, rtol)
+    X_lqr, K_lqr, lqr_report = _lqr_grid(surrogate, starts,
+                                         _setting(cfg, "verify.lqr_weights"))
+    grid, trajectories = lqr_report(verify.simulate_many(
+        plant, controller.ClosedLoop(surrogate.lifting, K_lqr), X_lqr,
+        horizon=horizon, rtol=rtol, atol=rtol))
     failing = [(e["R"], trajs) for e, trajs in zip(grid, trajectories)
                if e["n_failed"]]
     plotted_weight, plotted = failing[0] if failing else (None, [])

@@ -107,9 +107,11 @@ class ClosedLoop:
     ``matops.quadratic_rows`` does, so that a row's values do not depend on
     its batch.
 
-    ``K`` is one gain (m, N) or a linear gain stack (d, m, N), one gain per
-    row of a batch of starts; the batch methods then take the stack index of
-    each lift, and each product of a row is the one its single gain makes.
+    ``K`` is one gain (m, N) or a gain stack (d, m, N), one gain per row of
+    a batch; ``Kw`` is then None, one (m, m N) gain or a stack (d, m, m N)
+    of its own.  Row i of a batch takes gain i of a stack, and each product
+    of a row is the one its single gain makes.  A zero ``Kw`` row makes
+    ``W = I`` exactly, so that row's u is the linear one bit for bit.
     """
 
     def __init__(self, lifting, K, Kw=None, P_inv=None):
@@ -118,21 +120,32 @@ class ClosedLoop:
         self.P_inv = P_inv
         self._observables = lifting.observables[1:]
         m, N = self.K.shape[-2:]
-        scheduled = Kw is not None and np.any(Kw)
-        if scheduled and self.K.ndim == 3:
-            raise ValueError("a gain stack takes no scheduling gain Kw")
-        # (m, m, N): column k holds the coefficients of z_k in Kw (I_m kron z)
-        self._Kw = Kw.reshape(m, m, N) if scheduled else None
+        # (..., m, m, N): [..., k] holds the coefficients of z_k in
+        # Kw (I_m kron z)
+        self.Kw = (np.reshape(Kw, self.K.shape[:-2] + (m, m, N))
+                   if Kw is not None and np.any(Kw) else None)
         self._eye = np.eye(m)
-        # per-observable coefficients of the fixed-order sums over z: (m,),
-        # or (d, m) for a gain stack
+        # per-observable coefficients of the fixed-order sums over z: (m,)
+        # and (m, m), or (d, m) and (d, m, m) for a gain stack
         self._K_cols = [self.K[..., k].copy() for k in range(N)]
-        if self._Kw is not None:
-            self._Kw_cols = [self._Kw[:, :, k].copy() for k in range(N)]
+        if self.Kw is not None:
+            self._Kw_cols = [self.Kw[..., k].copy() for k in range(N)]
 
     @classmethod
     def of(cls, design, lifting):
         return cls(lifting, design.K, design.Kw, design.P_inv)
+
+    def take(self, rows):
+        """The loop whose gain stack holds gains ``rows`` of this one, in
+        order, on the same path (scheduled or linear) whatever those gains
+        are; a single gain serves every row, so it returns itself."""
+        if self.K.ndim == 2:
+            return self
+        loop = ClosedLoop(self.lifting, self.K[rows], P_inv=self.P_inv)
+        if self.Kw is not None:
+            loop.Kw = self.Kw[rows]
+            loop._Kw_cols = [c[rows] for c in self._Kw_cols]
+        return loop
 
     def lift_many(self, X):
         """Reduced lift of every row of X (d, n), without the finiteness
@@ -141,24 +154,21 @@ class ClosedLoop:
         ``Lifting.lift_many``: each column is contiguous."""
         return evaluate(self._observables, X).T
 
-    def feedback_of_lifts(self, Z, rows=None):
+    def feedback_of_lifts(self, Z):
         """u at every row of Z (d, N), and a flag per row that is set where
         the scheduling matrix is singular; such rows get u = NaN instead of
-        an exception.  ``rows`` gives the gain-stack index of each row of Z
-        (default 0, 1, ...); a single gain ignores it."""
+        an exception.  A gain stack holds one gain per row of Z."""
         K_cols = self._K_cols
-        if self.K.ndim == 3:
-            rows = np.arange(len(Z)) if rows is None else rows
-            K_cols = [c[rows] for c in K_cols]
         U = Z[:, :1] * K_cols[0]
         for k in range(1, Z.shape[1]):
             U = U + Z[:, k, None] * K_cols[k]
         singular = np.zeros(len(Z), dtype=bool)
-        if self._Kw is None:
+        if self.Kw is None:
             return U, singular
-        KwZ = Z[:, 0, None, None] * self._Kw_cols[0]
+        Kw_cols = self._Kw_cols
+        KwZ = Z[:, 0, None, None] * Kw_cols[0]
         for k in range(1, Z.shape[1]):
-            KwZ = KwZ + Z[:, k, None, None] * self._Kw_cols[k]
+            KwZ = KwZ + Z[:, k, None, None] * Kw_cols[k]
         W = self._eye - KwZ
         finite = np.all(np.isfinite(W), axis=(1, 2))
         singular[finite] = self._singular(W[finite])

@@ -143,17 +143,22 @@ class Surrogate:
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
-        B0 = np.asarray(self.B0, dtype=float).reshape(A.shape[0], -1)
+        B0 = np.asarray(self.B0, dtype=float)
         B = tuple(np.asarray(Bi, dtype=float) for Bi in self.B)
+        # N is the lifting's when one is given, else A's
+        N = A.shape[0] if A.ndim else 0
+        if self.lifting is not None:
+            N = self.lifting.N
+        expected = {"A": (N, N), "B0": (N, len(B))}
+        expected.update((f"B[{i}]", (N, N)) for i in range(len(B)))
+        for name, M in zip(expected, (A, B0, *B)):
+            if M.shape != expected[name]:
+                raise ValueError(f"surrogate matrix '{name}' has shape "
+                                 f"{list(M.shape)}, but N = {N} and m = {len(B)} "
+                                 f"need {list(expected[name])}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B0", B0)
         object.__setattr__(self, "B", B)
-        N = A.shape[0]
-        if A.shape != (N, N) or B0.shape != (N, len(B)):
-            raise ValueError("inconsistent surrogate dimensions")
-        for Bi in B:
-            if Bi.shape != (N, N):
-                raise ValueError("inconsistent bilinear channel dimensions")
         if self.c_r is not None and self.c_r <= 0:
             raise ValueError("remainder bound must be positive")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
@@ -190,6 +195,14 @@ class Surrogate:
 
         doc = json.loads(text)
         dec = decode_matrix
+        if not isinstance(doc.get("B"), list):
+            raise ValueError("surrogate 'B' must be a list of stored matrices")
+        if "lifting" in doc and not (
+                isinstance(doc["lifting"], dict)
+                and isinstance(doc["lifting"].get("observables"), list)
+                and all(isinstance(o, dict) for o in doc["lifting"]["observables"])):
+            raise ValueError("surrogate 'lifting' must be an object whose "
+                             "'observables' is a list of objects")
         lifting = Lifting.from_descriptor(doc["lifting"]) if "lifting" in doc else None
         return Surrogate(A=dec(doc["A"]), B0=dec(doc["B0"]),
                          B=tuple(dec(b) for b in doc["B"]),

@@ -62,18 +62,32 @@ _ERROR_EXPONENT = -1.0 / 5.0        # the error estimate is of order 4
 _EPS = np.finfo(float).eps
 
 
-def _combine(K, coeffs):
-    """sum_j coeffs[j] K[j] over the nonzero coefficients, in index order."""
-    out = None
-    for k, c in zip(K, coeffs):
-        if c:
-            out = k * c if out is None else out + k * c
-    return out
+# each stage combination as (stages, coefficient column): the nonzero
+# coefficients, picked by index from the stage axis of the (7, d, n) slopes
+def _stages(coeffs):
+    index = np.flatnonzero(coeffs)
+    return index, np.array(coeffs)[index, None, None]
+
+
+_A_COLS = [np.array(a)[:, None, None] for a in _A[1:]]
+(_B_INDEX, _B_COL), (_E_INDEX, _E_COL) = _stages(_B), _stages(_E)
+_P_STAGES = [_stages([row[q] for row in _P]) for q in range(4)]
+
+
+def _stage_sum(terms):
+    """The sum over the stage axis of ``terms`` in index order.  Numpy adds
+    a non-contiguous axis of fewer than 8 terms in order, from the start
+    value; -0.0 leaves every first term as it is, so the sum is bit-equal to
+    ``terms[0] + terms[1] + ...``."""
+    return np.add.reduce(terms, axis=0, initial=-0.0)
 
 
 def _norm_rows(X):
     """Euclidean norm of every row, summed in a fixed order."""
-    return np.sqrt(sum(X[:, j] * X[:, j] for j in range(X.shape[1])))
+    sq = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        sq = sq + X[:, j] * X[:, j]
+    return np.sqrt(sq)
 
 
 def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
@@ -81,31 +95,36 @@ def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
     """Integrate ``plant`` under the feedback of ``loop`` from every row of
     ``X0`` (d, n); returns one :class:`Trajectory` per row.
 
-    ``loop`` is a ``controller.ClosedLoop``; its ``feedback_of_lifts``
-    receives the start index of each row, which selects the row's gain in a
-    gain stack.  All starts advance together as one (d, n) array with an
-    explicit Dormand-Prince 4(5) pair, each row under the step control of
-    scipy's ``RK45``: its initial-step rule, RMS error norm, safety factor
-    0.9, step factors in [0.2, 10] with no growth right after a rejection,
-    ``max_step``, and a minimum step of 10 ulp of t.  A run ends with reason
-    ``converged`` when the state norm falls to ``converged_tol`` and
-    ``left_domain`` when it rises to ``escape_radius`` (both located by
-    Brent's method on the step's quartic dense output), ``horizon`` at
-    t = ``horizon``, ``numerical_failure`` when the step falls below the
-    minimum (a non-finite right-hand side shrinks it until it does) and
-    ``singular_feedback`` when the feedback flags a state.  A run that ends
-    ``singular_feedback``, or ``numerical_failure`` at its start, keeps only
-    its start state, with u = NaN.
+    ``loop`` is a ``controller.ClosedLoop``; a gain stack holds one gain
+    (and scheduling gain) per row of ``X0``.  All starts advance together
+    as one (d, n) array with an explicit Dormand-Prince 4(5) pair, each row
+    under the step control of scipy's ``RK45``: its initial-step rule, RMS
+    error norm, safety factor 0.9, step factors in [0.2, 10] with no growth
+    right after a rejection, ``max_step``, and a minimum step of 10 ulp of
+    t.  A run ends with reason ``converged`` when the state norm falls to
+    ``converged_tol`` and ``left_domain`` when it rises to ``escape_radius``
+    (both located by Brent's method on the step's quartic dense output),
+    ``horizon`` at t = ``horizon``, ``numerical_failure`` when the step
+    falls below the minimum (a non-finite right-hand side shrinks it until
+    it does) and ``singular_feedback`` when the feedback flags a state.  A
+    run that ends ``singular_feedback``, or ``numerical_failure`` at its
+    start, keeps only its start state, with u = NaN.
 
     Every operation is row-wise and every sum runs in a fixed order (the
     loop's batch methods keep the same rule), so a row's trajectory does not
     depend on the batch it is integrated in, and a row that turns singular
-    or non-finite ends alone.  The u and V columns are evaluated in one
-    batched pass after integration.
+    or non-finite ends alone.  The seven stage slopes of a step are one
+    (7, d, n) array and each stage combination one sum over its first axis.
+    The plant's shapes are checked once, here; the stack's gains are
+    gathered when the set of running rows changes.  The u and V columns are
+    evaluated in one batched pass after integration.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != plant.n:
         raise ValueError(f"starts must have shape (d, {plant.n})")
+    if loop.lifting.n != plant.n or loop.K.shape[-2] != plant.m:
+        raise ValueError(f"the feedback must map {plant.n} states to "
+                         f"{plant.m} inputs")
     if not np.all(np.isfinite(X0)):
         raise ValueError("initial state must be finite")
     t_bound = float(horizon)
@@ -122,29 +141,30 @@ def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
     sqrt_n = n ** 0.5
     code = np.zeros(d, dtype=np.int8)      # index into _REASONS; 0 = running
 
-    def rhs(X, rows):
-        U, singular = loop.feedback_of_lifts(loop.lift_many(X), rows)
-        return plant.vector_field(X, U), singular
+    def rhs(X, gains):
+        U, singular = gains.feedback_of_lifts(gains.lift_many(X))
+        return plant.unchecked_field(X, U), singular
 
     def rms(X):
         return _norm_rows(X) / sqrt_n
 
-    # accepted states as (row, t, x) blocks, in time order per row
-    rec_rows, rec_t, rec_x = [np.arange(d)], [np.zeros(d)], [X0]
-    f, singular = rhs(X0, np.arange(d))
-    # from a non-finite start derivative the initial-step rule gives NaN
-    at_start = ~singular & ~np.all(np.isfinite(f), axis=1)
-    code[at_start] = _FAILURE
-    code[singular] = _SINGULAR
-    live = np.flatnonzero(code == 0)
-    y, f = X0[live], f[live]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # accepted states as (row, t, x) blocks, in time order per row
+        rec_rows, rec_t, rec_x = [np.arange(d)], [np.zeros(d)], [X0]
+        f, singular = rhs(X0, loop)
+        # from a non-finite start derivative the initial-step rule gives NaN
+        at_start = ~singular & ~np.all(np.isfinite(f), axis=1)
+        code[at_start] = _FAILURE
+        code[singular] = _SINGULAR
+        live = np.flatnonzero(code == 0)
+        gains = loop.take(live)
+        y, f = X0[live], f[live]
         # initial step (Hairer, Norsett & Wanner, II.4)
         scale = atol + np.abs(y) * rtol
         d0, d1 = rms(y / scale), rms(f / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, t_bound)
-        f1, singular = rhs(y + h0[:, None] * f, live)
+        f1, singular = rhs(y + h0[:, None] * f, gains)
         d2 = rms((f1 - f) / scale) / h0
         # fmax skips a NaN d2 (non-finite f1), as Python's max does in RK45
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
@@ -152,80 +172,88 @@ def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
                       (0.01 / np.fmax(d1, d2)) ** (1.0 / 5.0))
         h_abs = np.minimum(np.minimum(np.minimum(100 * h0, h1), t_bound),
                            max_step)
-    code[live[singular]] = _SINGULAR
-    keep = ~singular
-    live, y, f, h_abs = live[keep], y[keep], f[keep], h_abs[keep]
-    t = np.zeros(live.size)
-    rejected = np.zeros(live.size, dtype=bool)
-    norm = _norm_rows(y)
-    g_conv, g_esc = norm - converged_tol, norm - escape_radius
+        code[live[singular]] = _SINGULAR
+        keep = ~singular
+        live, y, f, h_abs = live[keep], y[keep], f[keep], h_abs[keep]
+        gains = loop.take(live)
+        t = np.zeros(live.size)
+        rejected = np.zeros(live.size, dtype=bool)
+        norm = _norm_rows(y)
+        g_conv, g_esc = norm - converged_tol, norm - escape_radius
 
-    while live.size:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while live.size:
             min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
             # a new step starts from h_abs clipped to [min_step, max_step]
-            h_abs = np.where(rejected, h_abs,
-                             np.where(h_abs > max_step, max_step,
-                                      np.maximum(h_abs, min_step)))
+            clipped = np.maximum(h_abs, min_step)
+            if max_step < np.inf:
+                clipped = np.where(h_abs > max_step, max_step, clipped)
+            h_abs = np.where(rejected, h_abs, clipped)
             t_new = np.minimum(t + h_abs, t_bound)
             h = (t_new - t)[:, None]
-            K = [f]
+            K = np.empty((7,) + y.shape)
+            K[0] = f
             singular = np.zeros(live.size, dtype=bool)
-            for a in _A[1:]:
-                k, flag = rhs(y + _combine(K, a) * h, live)
-                K.append(k)
+            for s, a in enumerate(_A_COLS, start=1):
+                K[s], flag = rhs(y + _stage_sum(a * K[:s]) * h, gains)
                 singular |= flag
-            y_new = y + h * _combine(K, _B)
-            f_new, flag = rhs(y_new, live)
-            K.append(f_new)
+            y_new = y + h * _stage_sum(_B_COL * K[_B_INDEX])
+            f_new, flag = rhs(y_new, gains)
+            K[6] = f_new
             singular |= flag
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = rms(_combine(K, _E) * h / scale)
+            err = rms(_stage_sum(_E_COL * K[_E_INDEX]) * h / scale)
             grow = _SAFETY * err ** _ERROR_EXPONENT
             # a NaN error norm rejects the step and shrinks it by MIN_FACTOR
             factor = np.where(err == 0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, grow))
             factor = np.where(err < 1, np.where(rejected, np.minimum(1.0, factor),
                                                 factor),
                               np.fmax(_MIN_FACTOR, grow))
-        step_code = np.where(h_abs < min_step, _FAILURE,
-                             np.where(singular, _SINGULAR, 0))
-        h_abs = h[:, 0] * factor
-        accepted = (err < 1) & (step_code == 0)
-        rejected = ~accepted
-        norm = _norm_rows(y_new)
-        gc_new, ge_new = norm - converged_tol, norm - escape_radius
-        hit_conv = accepted & (g_conv >= 0) & (gc_new <= 0)
-        hit_esc = accepted & (g_esc <= 0) & (ge_new >= 0)
-        for i in np.flatnonzero(hit_conv | hit_esc):
-            t_new[i], y_new[i], step_code[i] = _locate_event(
-                t[i], t_new[i], y[i], [k[i] for k in K],
-                (converged_tol, escape_radius), (hit_conv[i], hit_esc[i]))
-        step_code[accepted & (step_code == 0) & (t_new >= t_bound)] = _HORIZON
-        acc = np.flatnonzero(accepted)
-        rec_rows.append(live[acc])
-        rec_t.append(t_new[acc])
-        rec_x.append(y_new[acc])
-        t = np.where(accepted, t_new, t)
-        y = np.where(accepted[:, None], y_new, y)
-        f = np.where(accepted[:, None], f_new, f)
-        g_conv = np.where(accepted, gc_new, g_conv)
-        g_esc = np.where(accepted, ge_new, g_esc)
-        done = step_code != 0
-        if done.any():
-            code[live[done]] = step_code[done]
-            keep = ~done
-            live, t, y, f, h_abs, rejected, g_conv, g_esc = (
-                a[keep] for a in (live, t, y, f, h_abs, rejected, g_conv, g_esc))
+            step_code = np.where(h_abs < min_step, _FAILURE,
+                                 np.where(singular, _SINGULAR, 0))
+            h_abs = h[:, 0] * factor
+            accepted = (err < 1) & (step_code == 0)
+            rejected = ~accepted
+            norm = _norm_rows(y_new)
+            gc_new, ge_new = norm - converged_tol, norm - escape_radius
+            hit_conv = accepted & (g_conv >= 0) & (gc_new <= 0)
+            hit_esc = accepted & (g_esc <= 0) & (ge_new >= 0)
+            for i in np.flatnonzero(hit_conv | hit_esc):
+                t_new[i], y_new[i], step_code[i] = _locate_event(
+                    t[i], t_new[i], y[i], K[:, i:i + 1],
+                    (converged_tol, escape_radius), (hit_conv[i], hit_esc[i]))
+            step_code[accepted & (step_code == 0) & (t_new >= t_bound)] = _HORIZON
+            if rejected.any():
+                acc = np.flatnonzero(accepted)
+                rec_rows.append(live[acc])
+                rec_t.append(t_new[acc])
+                rec_x.append(y_new[acc])
+                t = np.where(accepted, t_new, t)
+                y = np.where(accepted[:, None], y_new, y)
+                f = np.where(accepted[:, None], f_new, f)
+                g_conv = np.where(accepted, gc_new, g_conv)
+                g_esc = np.where(accepted, ge_new, g_esc)
+            else:
+                rec_rows.append(live)
+                rec_t.append(t_new)
+                rec_x.append(y_new)
+                t, y, f, g_conv, g_esc = t_new, y_new, f_new, gc_new, ge_new
+            done = step_code != 0
+            if done.any():
+                code[live[done]] = step_code[done]
+                keep = ~done
+                live, t, y, f, h_abs, rejected, g_conv, g_esc = (
+                    a[keep] for a in (live, t, y, f, h_abs, rejected, g_conv, g_esc))
+                gains = loop.take(live)
     stopped = (code == _SINGULAR) | at_start
     return _trajectories(loop, X0, _REASONS[code].tolist(), stopped, rec_rows,
                          rec_t, rec_x)
 
 
 def _locate_event(t_old, t_new, y_old, K, levels, active):
-    """The first terminal event inside one accepted step of one row: the
-    root of ||x(t)|| - level on the step's dense output.  Returns
-    (t, x(t), reason)."""
-    Q = [_combine(K, [row[q] for row in _P]) for q in range(4)]
+    """The first terminal event inside one accepted step of one row, whose
+    stage slopes ``K`` are (7, 1, n): the root of ||x(t)|| - level on the
+    step's dense output.  Returns (t, x(t), reason)."""
+    Q = [_stage_sum(c * K[index]) for index, c in _P_STAGES]
     h = t_new - t_old
 
     def sol(t):
@@ -237,11 +265,11 @@ def _locate_event(t_old, t_new, y_old, K, levels, active):
             out = out + q * p
         return h * out + y_old
 
-    roots = [_brentq(lambda t, lv=level: _norm_rows(sol(t)[None, :])[0] - lv,
+    roots = [_brentq(lambda t, lv=level: _norm_rows(sol(t))[0] - lv,
                      t_old, t_new) if on else np.inf
              for level, on in zip(levels, active)]
     first = int(np.argmin(roots))
-    return roots[first], sol(roots[first]), (_CONVERGED, _LEFT)[first]
+    return roots[first], sol(roots[first])[0], (_CONVERGED, _LEFT)[first]
 
 
 def _brentq(fn, xa, xb, tol=4 * _EPS, maxiter=100):
@@ -298,7 +326,7 @@ def _trajectories(loop, X0, reasons, stopped, rec_rows, rec_t, rec_x):
     rows = rows[order]
     T, S = np.concatenate(rec_t)[order], np.concatenate(rec_x)[order]
     Z = loop.lift_many(S)
-    U, _ = loop.feedback_of_lifts(Z, rows)
+    U, _ = loop.take(rows).feedback_of_lifts(Z)
     V = loop.value_of_lifts(Z)
     bounds = np.searchsorted(rows, np.arange(len(X0) + 1))
     out = []

@@ -899,8 +899,21 @@ class TestVerifyCommand:
          lambda doc: doc["lifting"]["observables"][-1]["params"].update(index=-1),
          ("design", "verify"),
          "observable 'sine' index -1 is outside 0..1 (the plant has 2 states)"),
+        ("surrogate.json", lambda doc: doc.update(B=5), ("design", "verify"),
+         "surrogate 'B' must be a list of stored matrices"),
+        ("surrogate.json", lambda doc: doc["lifting"].update(observables=5),
+         ("design", "verify"),
+         "surrogate 'lifting' must be an object whose 'observables' is a list"),
+        ("surrogate.json", lambda doc: doc["lifting"].update(observables=[5]),
+         ("design", "verify"),
+         "surrogate 'lifting' must be an object whose 'observables' is a list"),
+        ("surrogate.json",
+         lambda doc: doc.update(A={"shape": [2, 2], "data": [1, 2, 3, 4]}),
+         ("design", "verify"),
+         "surrogate matrix 'A' has shape [2, 2], but N = 3 and m = 1 need [3, 3]"),
     ], ids=["design-Lambda-int", "surrogate-A-list", "sine-index-5",
-            "sine-index-negative"])
+            "sine-index-negative", "surrogate-B-int", "surrogate-observables-int",
+            "surrogate-observable-int", "surrogate-A-wrong-size"])
     def test_malformed_artifact_is_bad_input(self, pendulum_run, tmp_path, capsys,
                                              artifact, edit, commands, message):
         # a malformed matrix or an observable reading past the n states in an
@@ -971,40 +984,100 @@ class TestCertifiedStarts:
                             "tries": 100000, "requested": 2000}
 
 
+def _same_run(traj, ref, fields=("t", "states", "inputs")):
+    return traj.reason == ref.reason and all(
+        getattr(traj, f).tobytes() == getattr(ref, f).tobytes() for f in fields)
+
+
 def test_lqr_grid_one_batch_equals_one_batch_per_weight(
-        monkeypatch, plant_pendulum, surrogate_pendulum):
+        plant_pendulum, surrogate_pendulum):
     # every (weight, start) row integrates in one batch under its own gain;
     # each weight's rows must be the runs of that weight's gain alone
     starts = list(np.random.default_rng(4).uniform(-1.5, 1.5, size=(4, 2)))
     weights = [0.01, 0.1, 1.0, 10.0]
-    batches = []
-    simulate_many = verify.simulate_many
-
-    def counted(*args, **kwargs):
-        batches.append(len(args[2]))
-        return simulate_many(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "simulate_many", counted)
-    entries, grid = cli._lqr_grid(plant_pendulum, surrogate_pendulum, starts,
-                                  weights, horizon=50.0, rtol=1e-8)
-    assert batches == [len(weights) * len(starts)]
+    X, gains, report = cli._lqr_grid(surrogate_pendulum, starts, weights)
+    assert X.shape == (len(weights) * len(starts), 2)
+    assert gains.shape == (len(X), 1, surrogate_pendulum.N)
     lifting = surrogate_pendulum.lifting
+    entries, grid = report(verify.simulate_many(
+        plant_pendulum, controller.ClosedLoop(lifting, gains), X, horizon=50.0,
+        rtol=1e-8, atol=1e-8))
     for w, entry, trajs in zip(weights, entries, grid):
         K_w, _, _ = verify.lqr_baseline(surrogate_pendulum,
                                         R=w * np.eye(surrogate_pendulum.m))
         assert entry["K"] == K_w.ravel().tolist()
-        alone = simulate_many(plant_pendulum,
-                              controller.ClosedLoop(lifting, -K_w),
-                              np.array(starts), horizon=50.0, rtol=1e-8,
-                              atol=1e-8)
+        alone = verify.simulate_many(plant_pendulum,
+                                     controller.ClosedLoop(lifting, -K_w),
+                                     np.array(starts), horizon=50.0, rtol=1e-8,
+                                     atol=1e-8)
         assert len(trajs) == len(alone) == len(starts)
         for traj, ref in zip(trajs, alone):
-            assert traj.reason == ref.reason
-            for field in ("t", "states", "inputs"):
-                assert getattr(traj, field).tobytes() == \
-                    getattr(ref, field).tobytes(), (w, field)
+            assert _same_run(traj, ref), w
     # the weights steer differently, so a shared gain would show
     assert grid[0][0].states.tobytes() != grid[-1][0].states.tobytes()
+    assert cli._lqr_grid(surrogate_pendulum, starts, [])[2]([]) == ([], [])
+
+
+@pytest.fixture(scope="module")
+def cooked_up_xy_lqr_run(tmp_path_factory):
+    """Collect, fit and design of the scheduled cooked_up_xy example with
+    ``verify.lqr`` on; returns the config path."""
+    out = tmp_path_factory.mktemp("cooked_up_xy_lqr")
+    cfg = cli.example_config("cooked_up_xy")
+    cfg["verify"]["lqr"] = True
+    cfg["output_dir"] = str(out)
+    path = out / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for cmd in ("collect", "fit", "design"):
+        assert cli.main([cmd, "--config", str(path)]) == 0, cmd
+    return path
+
+
+@pytest.mark.parametrize("case", ["pendulum", "cooked_up_xy-lqr"])
+def test_verify_runs_one_batch(request, monkeypatch, tmp_path, case):
+    # verify integrates its certified starts and every (weight, start) row
+    # of the LQR grid in one batch; the certified rows, and each weight's
+    # rows, are the runs of a batch of their own
+    if case == "pendulum":
+        shutil.copytree(request.getfixturevalue("pendulum_run"), tmp_path,
+                        dirs_exist_ok=True)
+        argv = ["verify", "--example", "pendulum", "--out", str(tmp_path)]
+    else:
+        cfg = request.getfixturevalue("cooked_up_xy_lqr_run")
+        shutil.copytree(cfg.parent, tmp_path, dirs_exist_ok=True)
+        argv = ["verify", "--config", str(cfg), "--out", str(tmp_path)]
+    calls = []
+    simulate_many = verify.simulate_many
+
+    def recorded(plant, loop, X0, **options):
+        runs = simulate_many(plant, loop, X0, **options)
+        calls.append((plant, X0, options, runs))
+        return runs
+
+    monkeypatch.setattr(verify, "simulate_many", recorded)
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    plant, X0, options, runs = calls[0]
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    surrogate = edmd.Surrogate.from_json((tmp_path / "surrogate.json").read_text())
+    design = controller.DesignResult.from_json((tmp_path / "design.json").read_text())
+    assert (design.theorem == 2) == (case == "cooked_up_xy-lqr")
+    n_cert, weights = len(report["trajectories"]), [e["R"] for e in report["lqr_grid"]]
+    assert n_cert == 20 and len(weights) == 4 and len(X0) == 52
+    lifting = surrogate.lifting
+    alone = simulate_many(plant, controller.ClosedLoop.of(design, lifting),
+                          X0[:n_cert], **options)
+    for i, ref in enumerate(alone):
+        assert _same_run(runs[i], ref, ("t", "states", "inputs", "V")), i
+        assert report["trajectories"][i]["reason"] == ref.reason
+    for j, (w, entry) in enumerate(zip(weights, report["lqr_grid"])):
+        K_w, _, _ = verify.lqr_baseline(surrogate, R=w * np.eye(surrogate.m))
+        lo = n_cert + 8 * j
+        alone = simulate_many(plant, controller.ClosedLoop(lifting, -K_w),
+                              X0[lo:lo + 8], **options)
+        for i, ref in enumerate(alone):
+            assert _same_run(runs[lo + i], ref), (w, i)
+            assert entry["trajectories"][i] == cli._run_record(X0[lo + i], ref)
 
 
 class TestD0Command:

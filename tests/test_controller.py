@@ -181,7 +181,7 @@ class TestClosedLoop:
         Z = lifting_cooked.lift_reduced_many(rng.uniform(-2.0, 2.0, size=(10, 2)))
         rows = rng.integers(0, 6, size=10)
         stacked = ClosedLoop(lifting_cooked, gains)
-        U, singular = stacked.feedback_of_lifts(Z, rows)
+        U, singular = stacked.take(rows).feedback_of_lifts(Z)
         assert U.shape == (10, 2) and not singular.any()
         for i, row in enumerate(rows):
             alone, _ = ClosedLoop(lifting_cooked, gains[row]).feedback_of_lifts(
@@ -194,11 +194,34 @@ class TestClosedLoop:
                 Z[i:i + 1])
             assert U[i].tobytes() == alone[0].tobytes()
 
-    def test_gain_stack_refuses_scheduling(self, lifting_cooked):
-        gains = np.ones((4, 1, 3))
-        with pytest.raises(ValueError, match="gain stack"):
-            ClosedLoop(lifting_cooked, gains, Kw=np.ones((1, 3)))
-        ClosedLoop(lifting_cooked, gains, Kw=np.zeros((1, 3)))
+    def test_scheduling_stack_rows_equal_single_gains(self, lifting_cooked):
+        # a Kw stack gives each row its own scheduled u; a zero Kw row makes
+        # W = I and gets the linear u bit for bit, and a row whose scheduling
+        # matrix is singular is flagged alone
+        rng = np.random.default_rng(9)
+        for m in (1, 2):
+            gains = rng.normal(size=(6, m, 3))
+            Kw = 0.1 * rng.normal(size=(6, m, m * 3))
+            Kw[[1, 4]] = 0.0
+            X = rng.uniform(-2.0, 2.0, size=(6, 2))
+            Kw[5], X[5] = 0.0, [1.0, 0.0]
+            Kw[5, 0, 0] = 1.0       # W = I - z_1 e_1 e_1' is singular at x_1 = 1
+            Z = lifting_cooked.lift_reduced_many(X)
+            stacked = ClosedLoop(lifting_cooked, gains, Kw)
+            U, singular = stacked.feedback_of_lifts(Z)
+            assert singular.tolist() == [False] * 5 + [True]
+            assert np.all(np.isnan(U[5]))
+            for i in range(5):
+                alone = ClosedLoop(lifting_cooked, gains[i],
+                                   None if i in (1, 4) else Kw[i])
+                assert (i in (1, 4)) == (alone.Kw is None)
+                ref, _ = alone.feedback_of_lifts(Z[i:i + 1])
+                assert U[i].tobytes() == ref[0].tobytes(), (m, i)
+            # the rows taken from the stack keep their scheduled path
+            rows = np.array([4, 0, 1])
+            taken, _ = stacked.take(rows).feedback_of_lifts(Z[rows])
+            assert taken.tobytes() == U[rows].tobytes()
+            assert stacked.take([1, 4]).Kw is not None
 
 
 class TestDesignResult:

@@ -321,6 +321,21 @@ class TestSimulateMany:
                 np.testing.assert_array_equal(getattr(alone, field),
                                               getattr(batch[i], field))
 
+    @pytest.mark.parametrize("terms", range(1, 8))
+    def test_stage_sum_equals_fixed_order_sum(self, terms):
+        # the sum over the stage axis is terms[0] + terms[1] + ... bit for
+        # bit, the sign of an all -0.0 sum included
+        rng = np.random.default_rng(terms)
+        for d in (1, 20, 52, 9000):
+            for n in (1, 2, 3):
+                T = rng.normal(size=(terms, d, n)) * 10.0 ** rng.integers(
+                    -8, 9, size=(terms, d, n))
+                T[:, 0, 0] = -0.0
+                expected = T[0]
+                for k in T[1:]:
+                    expected = expected + k
+                assert verify._stage_sum(T).tobytes() == expected.tobytes(), (d, n)
+
     def test_brentq_matches_scipy(self):
         from scipy.optimize import brentq
 
