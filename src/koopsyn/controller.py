@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 
@@ -136,14 +137,16 @@ class ClosedLoop:
         return cls(lifting, design.K, design.Kw, design.P_inv)
 
     def take(self, rows):
-        """The loop whose gain stack holds gains ``rows`` of this one, in
-        order, on the same path (scheduled or linear) whatever those gains
-        are; a single gain serves every row, so it returns itself."""
+        """The loop whose batch methods apply gains ``rows`` of this stack,
+        in order, on the same path (scheduled or linear) whatever those gains
+        are; a single gain serves every row, so it returns itself.  Only the
+        per-observable columns are gathered: ``K`` and ``Kw`` of the copy
+        stay this loop's."""
         if self.K.ndim == 2:
             return self
-        loop = ClosedLoop(self.lifting, self.K[rows], P_inv=self.P_inv)
+        loop = copy.copy(self)
+        loop._K_cols = [c[rows] for c in self._K_cols]
         if self.Kw is not None:
-            loop.Kw = self.Kw[rows]
             loop._Kw_cols = [c[rows] for c in self._Kw_cols]
         return loop
 
@@ -159,6 +162,9 @@ class ClosedLoop:
         the scheduling matrix is singular; such rows get u = NaN instead of
         an exception.  A gain stack holds one gain per row of Z."""
         K_cols = self._K_cols
+        if K_cols[0].ndim == 2 and len(K_cols[0]) != len(Z):
+            raise ValueError(f"a gain stack of {len(K_cols[0])} gains "
+                             f"cannot serve {len(Z)} rows")
         U = Z[:, :1] * K_cols[0]
         for k in range(1, Z.shape[1]):
             U = U + Z[:, k, None] * K_cols[k]

@@ -59,11 +59,6 @@ class Plant:
                 u.ndim == 1 or (u.ndim == 2 and x.ndim == 2
                                 and u.shape[0] == x.shape[0])):
             raise ValueError("dimension mismatch in vector field evaluation")
-        return self.unchecked_field(x, u)
-
-    def unchecked_field(self, x, u):
-        """``f(x) + sum_i u_i g_i(x)`` for float arrays whose shapes
-        ``vector_field`` accepts, without its checks."""
         out = np.asarray(self.f(x), dtype=float)
         for i in range(self.m):
             out = out + u[..., i, None] * np.asarray(self.g[i](x), dtype=float)

@@ -115,9 +115,9 @@ def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
     depend on the batch it is integrated in, and a row that turns singular
     or non-finite ends alone.  The seven stage slopes of a step are one
     (7, d, n) array and each stage combination one sum over its first axis.
-    The plant's shapes are checked once, here; the stack's gains are
-    gathered when the set of running rows changes.  The u and V columns are
-    evaluated in one batched pass after integration.
+    The stack's gains are gathered when the set of running rows changes.
+    The u and V columns are evaluated in one batched pass after
+    integration.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != plant.n:
@@ -125,6 +125,9 @@ def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
     if loop.lifting.n != plant.n or loop.K.shape[-2] != plant.m:
         raise ValueError(f"the feedback must map {plant.n} states to "
                          f"{plant.m} inputs")
+    if loop.K.ndim == 3 and len(loop.K) != len(X0):
+        raise ValueError(f"a gain stack must hold one gain per start, "
+                         f"not {len(loop.K)} for {len(X0)}")
     if not np.all(np.isfinite(X0)):
         raise ValueError("initial state must be finite")
     t_bound = float(horizon)
@@ -143,7 +146,7 @@ def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
 
     def rhs(X, gains):
         U, singular = gains.feedback_of_lifts(gains.lift_many(X))
-        return plant.unchecked_field(X, U), singular
+        return plant.vector_field(X, U), singular
 
     def rms(X):
         return _norm_rows(X) / sqrt_n
@@ -184,10 +187,9 @@ def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
         while live.size:
             min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
             # a new step starts from h_abs clipped to [min_step, max_step]
-            clipped = np.maximum(h_abs, min_step)
-            if max_step < np.inf:
-                clipped = np.where(h_abs > max_step, max_step, clipped)
-            h_abs = np.where(rejected, h_abs, clipped)
+            h_abs = np.where(rejected, h_abs,
+                             np.where(h_abs > max_step, max_step,
+                                      np.maximum(h_abs, min_step)))
             t_new = np.minimum(t + h_abs, t_bound)
             h = (t_new - t)[:, None]
             K = np.empty((7,) + y.shape)
@@ -222,21 +224,15 @@ def simulate_many(plant, loop, X0, horizon=50.0, rtol=1e-9, atol=1e-9,
                     t[i], t_new[i], y[i], K[:, i:i + 1],
                     (converged_tol, escape_radius), (hit_conv[i], hit_esc[i]))
             step_code[accepted & (step_code == 0) & (t_new >= t_bound)] = _HORIZON
-            if rejected.any():
-                acc = np.flatnonzero(accepted)
-                rec_rows.append(live[acc])
-                rec_t.append(t_new[acc])
-                rec_x.append(y_new[acc])
-                t = np.where(accepted, t_new, t)
-                y = np.where(accepted[:, None], y_new, y)
-                f = np.where(accepted[:, None], f_new, f)
-                g_conv = np.where(accepted, gc_new, g_conv)
-                g_esc = np.where(accepted, ge_new, g_esc)
-            else:
-                rec_rows.append(live)
-                rec_t.append(t_new)
-                rec_x.append(y_new)
-                t, y, f, g_conv, g_esc = t_new, y_new, f_new, gc_new, ge_new
+            acc = np.flatnonzero(accepted)
+            rec_rows.append(live[acc])
+            rec_t.append(t_new[acc])
+            rec_x.append(y_new[acc])
+            t = np.where(accepted, t_new, t)
+            y = np.where(accepted[:, None], y_new, y)
+            f = np.where(accepted[:, None], f_new, f)
+            g_conv = np.where(accepted, gc_new, g_conv)
+            g_esc = np.where(accepted, ge_new, g_esc)
             done = step_code != 0
             if done.any():
                 code[live[done]] = step_code[done]

@@ -193,6 +193,10 @@ class TestClosedLoop:
             alone, _ = ClosedLoop(lifting_cooked, gains[i]).feedback_of_lifts(
                 Z[i:i + 1])
             assert U[i].tobytes() == alone[0].tobytes()
+        # a stack serves exactly as many rows as it holds gains
+        for rows in (Z[:1], Z):
+            with pytest.raises(ValueError, match="gain stack of 6 gains"):
+                stacked.feedback_of_lifts(rows)
 
     def test_scheduling_stack_rows_equal_single_gains(self, lifting_cooked):
         # a Kw stack gives each row its own scheduled u; a zero Kw row makes

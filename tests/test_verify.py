@@ -385,6 +385,13 @@ class TestSimulateMany:
             np.testing.assert_array_equal(alone.states, traj.states)
 
 
+    def test_gain_stack_must_match_starts(self, scalar_plant):
+        loop = ClosedLoop(make_lifting(1), np.zeros((3, 1, 1)))
+        for d in (1, 2, 4):
+            with pytest.raises(ValueError, match="one gain per start"):
+                verify.simulate_many(scalar_plant, loop, np.ones((d, 1)))
+
+
 def test_export_trajectory_dat_equals_savetxt(tmp_path):
     t = np.array([0.0, 5e-324, 0.1, 50.0])
     states = np.array([[-0.0, 1e-05], [1.7976931348623157e308, 2.0],
