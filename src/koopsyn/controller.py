@@ -83,9 +83,12 @@ class DesignResult:
 
     @staticmethod
     def from_json(text):
-        """Inverse of ``to_json``; refuses a document whose ``Lambda`` is
-        missing or not finite or whose ``theorem`` disagrees with ``Lw``."""
+        """Inverse of ``to_json``; refuses a document that is not an object,
+        or whose ``Lambda`` is missing or not finite or whose ``theorem``
+        disagrees with ``Lw``."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("design.json must hold a JSON object; re-run design")
         dec = decode_matrix
         Lam, Lw = dec(doc.get("Lambda")), dec(doc.get("Lw"))
         if (Lam is None or not np.all(np.isfinite(Lam))

@@ -62,6 +62,8 @@ def build_data_matrices(lifting, samples):
         b = samples.batch(k)
         if b.count < 1:
             raise FitError(f"batch {k} is empty")
+        if b.u_bar.shape != (m,):
+            raise FitError(f"batch {k} input must have m = {m} entries")
         if b.states.shape[1] != lifting.n:
             raise FitError("lifting/plant state dimension mismatch")
         if not (np.all(np.isfinite(b.states)) and np.all(np.isfinite(b.derivs))):
@@ -195,6 +197,8 @@ class Surrogate:
 
         doc = json.loads(text)
         dec = decode_matrix
+        if not isinstance(doc, dict):
+            raise ValueError("surrogate.json must hold a JSON object; re-run fit")
         if not isinstance(doc.get("B"), list):
             raise ValueError("surrogate 'B' must be a list of stored matrices")
         if "lifting" in doc and not (

@@ -90,17 +90,14 @@ def kron(a, b):
         a.shape[:-2] + (p * r, q * s))
 
 
-def write_table(path, M, fmt="%.17g", delimiter=" ", newline="\n", header=None):
-    """Write the rows of the 2-D array M as text, ``fmt`` per entry;
-    ``header`` (column names) goes on the first line.  The rows are
-    formatted and written TABLE_BLOCK_ROWS at a time, so the memory a write
-    needs does not grow with the table; the bytes are those of one pass.
-    The defaults give the bytes of ``np.savetxt(path, M, fmt="%.17g")``."""
+def write_table(path, M):
+    """Write the rows of the 2-D array M as text, the bytes of
+    ``np.savetxt(path, M, fmt="%.17g")``.  The rows are formatted and written
+    TABLE_BLOCK_ROWS at a time, so the memory a write needs does not grow
+    with the table."""
     M = np.asarray(M, dtype=float)
-    row = delimiter.join([fmt] * M.shape[1]) + newline
+    row = " ".join(["%.17g"] * M.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
-        if header is not None:
-            fh.write(delimiter.join(header) + newline)
         for lo in range(0, len(M), TABLE_BLOCK_ROWS):
             rows = M[lo:lo + TABLE_BLOCK_ROWS]
             fh.write((row * len(rows)) % tuple(rows.ravel().tolist()))

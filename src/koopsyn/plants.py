@@ -15,8 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .matops import write_table
-
 
 @dataclass(frozen=True)
 class Plant:
@@ -223,22 +221,19 @@ def collect_samples(plant, d, seed, noise_bound=0.0):
 
 
 def save_samples(samples, outdir, plant=None):
-    """Write one CSV per batch (samples_u<k>.csv) plus metadata JSON."""
+    """Write one float64 (d, 2n) array per batch, states then derivatives
+    (samples_u<k>.npy), plus metadata JSON naming the columns."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     n = samples.batches[0].states.shape[1]
-    header = [f"x_{j+1}" for j in range(n)] + [f"xdot_{j+1}" for j in range(n)]
     files = []
     for k, b in enumerate(samples.batches):
-        path = outdir / f"samples_u{k}.csv"
-        # the rows of a csv.writer over repr(float): a float's repr needs no
-        # quoting
-        write_table(path, np.hstack([b.states, b.derivs]), fmt="%r",
-                    delimiter=",", newline="\r\n", header=header)
-        files.append(path.name)
+        files.append(f"samples_u{k}.npy")
+        np.save(outdir / files[-1], np.hstack([b.states, b.derivs]), allow_pickle=False)
     meta = {
         "seed": samples.seed,
         "noise_bound": samples.noise_bound,
+        "columns": [f"x_{j+1}" for j in range(n)] + [f"xdot_{j+1}" for j in range(n)],
         "counts": [b.count for b in samples.batches],
         "inputs": [b.u_bar.tolist() for b in samples.batches],
         "files": files,
@@ -254,15 +249,46 @@ def save_samples(samples, outdir, plant=None):
 
 
 def load_samples(outdir):
-    """Read a SampleSet previously written by :func:`save_samples`."""
+    """Read a SampleSet written by :func:`save_samples`, or measured data in
+    its layout.  samples_meta.json must be an object whose ``files``,
+    ``counts`` and ``inputs`` are lists of one length; file k must be a .npy
+    float64 array of ``counts[k]`` rows and of one even width 2n for every
+    batch.  Anything else raises ``ValueError`` naming the file and field."""
     outdir = Path(outdir)
-    with open(outdir / "samples_meta.json") as fh:
-        meta = json.load(fh)
-    batches = []
-    for k, fname in enumerate(meta["files"]):
-        rows = np.loadtxt(outdir / fname, delimiter=",", skiprows=1, ndmin=2)
-        n = rows.shape[1] // 2
-        batches.append(SampleBatch(u_bar=np.asarray(meta["inputs"][k]),
-                                   states=rows[:, :n], derivs=rows[:, n:]))
-    return SampleSet(batches=tuple(batches), noise_bound=meta["noise_bound"],
-                     seed=meta["seed"])
+    meta_path = outdir / "samples_meta.json"
+    try:
+        meta = json.loads(meta_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{meta_path}: not JSON ({exc})") from None
+    lists = [meta.get(key) for key in ("files", "counts", "inputs")] \
+        if isinstance(meta, dict) else [None]
+    if not all(isinstance(v, list) for v in lists) or len({len(v) for v in lists}) != 1:
+        raise ValueError(f"{meta_path} must be an object whose 'files', 'counts' "
+                         f"and 'inputs' are lists of one length")
+    batches, width = [], None
+    for k, (name, count, u_bar) in enumerate(zip(*lists)):
+        if not (isinstance(name, str) and name.endswith(".npy")):
+            stale = isinstance(name, str) and name.endswith(".csv")
+            raise ValueError(f"{meta_path}: files[{k}] = {name!r} is not a .npy file"
+                             + ("; it is the text format of an earlier version, "
+                                "run collect again" if stale else ""))
+        if not (isinstance(u_bar, list) and len(u_bar) == len(lists[2][0])
+                and all(type(v) in (int, float) for v in u_bar)):
+            raise ValueError(f"{meta_path}: inputs[{k}] must be a list of numbers "
+                             f"as long as inputs[0]")
+        path = outdir / name
+        try:
+            rows = np.load(path, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise ValueError(f"{path}: not a readable .npy array ({exc})") from None
+        if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64
+                and rows.ndim == 2):
+            raise ValueError(f"{path} must hold a 2-D float64 array")
+        width = rows.shape[1] if width is None else width
+        if rows.shape != (count, width) or width % 2 or not width:
+            raise ValueError(f"{path} has shape {rows.shape}, but counts[{k}] is "
+                             f"{count!r} and every batch needs one even width 2n")
+        batches.append(SampleBatch(u_bar=u_bar, states=rows[:, :width // 2],
+                                   derivs=rows[:, width // 2:]))
+    return SampleSet(batches=tuple(batches), noise_bound=meta.get("noise_bound", 0.0),
+                     seed=meta.get("seed"))

@@ -404,7 +404,7 @@ class TestConfig:
         rc = cli.main(["collect", "--example", "cooked_up", "--out", "sub",
                        "--d", "5"])
         assert rc == 0
-        assert (tmp_path / "sub" / "samples_u0.csv").exists()
+        assert (tmp_path / "sub" / "samples_u0.npy").exists()
 
 
 def _schema_sections():
@@ -462,15 +462,17 @@ class TestCollect:
         rc = cli.main(["collect", "--example", "cooked_up",
                        "--out", str(tmp_path), "--d", "50"])
         assert rc == 0
+        meta = json.loads((tmp_path / "samples_meta.json").read_text())
+        assert meta["columns"] == ["x_1", "x_2", "xdot_1", "xdot_2"]
         for k in (0, 1):
-            rows = (tmp_path / f"samples_u{k}.csv").read_text().strip().splitlines()
-            assert len(rows) == 51  # header + d
+            rows = np.load(tmp_path / f"samples_u{k}.npy", allow_pickle=False)
+            assert rows.dtype == np.float64 and rows.shape == (50, 4)
 
     def test_single_sample_smoke(self, tmp_path):
         assert cli.main(["collect", "--example", "cooked_up",
                          "--out", str(tmp_path), "--d", "1"]) == 0
-        rows = (tmp_path / "samples_u0.csv").read_text().strip().splitlines()
-        assert len(rows) == 2
+        rows = np.load(tmp_path / "samples_u0.npy", allow_pickle=False)
+        assert rows.shape == (1, 4)
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -478,8 +480,8 @@ class TestCollect:
             assert cli.main(["collect", "--example", "cooked_up",
                              "--out", str(out), "--d", "20"]) == 0
         for k in (0, 1):
-            assert (a / f"samples_u{k}.csv").read_bytes() == \
-                (b / f"samples_u{k}.csv").read_bytes()
+            assert (a / f"samples_u{k}.npy").read_bytes() == \
+                (b / f"samples_u{k}.npy").read_bytes()
 
     def test_missing_seed_collects_as_seed_0(self, tmp_path):
         for name, seed in (("zero", 0), ("unset", None)):
@@ -494,21 +496,88 @@ class TestCollect:
             path.write_text(json.dumps(cfg))
             assert cli.main(["collect", "--config", str(path)]) == 0
         for k in (0, 1):
-            assert (tmp_path / "unset" / f"samples_u{k}.csv").read_bytes() == \
-                (tmp_path / "zero" / f"samples_u{k}.csv").read_bytes()
+            assert (tmp_path / "unset" / f"samples_u{k}.npy").read_bytes() == \
+                (tmp_path / "zero" / f"samples_u{k}.npy").read_bytes()
 
     def test_manifest_written(self, tmp_path):
         cli.main(["collect", "--example", "cooked_up", "--out", str(tmp_path),
                   "--d", "5"])
         man = json.loads((tmp_path / "manifest_collect.json").read_text())
         assert man["command"] == "collect"
-        assert any("samples_u0.csv" in o for o in man["outputs"])
+        assert any("samples_u0.npy" in o for o in man["outputs"])
 
 
 class TestFitAndDesign:
     def test_fit_requires_samples(self, tmp_path):
         assert cli.main(["fit", "--example", "cooked_up",
                          "--out", str(tmp_path)]) == cli.EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda out, meta: (out / "samples_u1.npy").write_bytes(
+            (out / "samples_u1.npy").read_bytes()[:-8]),
+         "samples_u1.npy: not a readable .npy array"),
+        (lambda out, meta: meta.update(counts=[5, 5]),
+         "samples_u0.npy has shape (50, 4), but counts[0] is 5"),
+        (lambda out, meta: [np.save(out / f, np.load(out / f)[:, :3])
+                            for f in meta["files"]],
+         "samples_u0.npy has shape (50, 3), but counts[0] is 50 and every batch "
+         "needs one even width 2n"),
+        (lambda out, meta: np.save(out / "samples_u1.npy", np.load(
+            out / "samples_u1.npy").astype(np.float32)),
+         "samples_u1.npy must hold a 2-D float64 array"),
+        (lambda out, meta: meta.update(files=["samples_u0.csv", "samples_u1.csv"]),
+         "samples_meta.json: files[0] = 'samples_u0.csv' is not a .npy file; it "
+         "is the text format of an earlier version, run collect again"),
+        (lambda out, meta: np.save(out / "samples_u0.npy",
+                                   np.array([[1.0, "a"]], dtype=object)),
+         "samples_u0.npy: not a readable .npy array (Object arrays cannot be "
+         "loaded when allow_pickle=False)"),
+        (lambda out, meta: meta.update(counts=[50]),
+         "samples_meta.json must be an object whose 'files', 'counts' and "
+         "'inputs' are lists of one length"),
+        (lambda out, meta: meta.update(inputs=[[0.0], [1.0, 0.0]]),
+         "samples_meta.json: inputs[1] must be a list of numbers as long as "
+         "inputs[0]"),
+        (lambda out, meta: "[]",
+         "samples_meta.json must be an object whose 'files', 'counts' and "
+         "'inputs' are lists of one length"),
+        (lambda out, meta: "{",
+         "samples_meta.json: not JSON (Expecting property name"),
+    ], ids=["truncated-batch", "wrong-counts", "odd-width", "float32", "csv-entry",
+            "object-array", "lengths-differ", "input-length", "top-level-list",
+            "not-json"])
+    def test_bad_samples_are_bad_input(self, tmp_path, capsys, edit, message):
+        # fit refuses sample files that disagree with their metadata in one
+        # error line naming the file and the field, and writes nothing
+        out = tmp_path / "out"
+        argv = ["--example", "cooked_up", "--out", str(out), "--d", "50"]
+        assert cli.main(["collect", *argv]) == 0
+        meta_path = out / "samples_meta.json"
+        meta = json.loads(meta_path.read_text())
+        text = edit(out, meta)      # a string replaces the whole meta file
+        meta_path.write_text(text if isinstance(text, str) else json.dumps(meta))
+        capsys.readouterr()
+        assert cli.main(["fit", *argv]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {out}")
+        assert message in err
+        assert not (out / "surrogate.json").exists()
+
+    def test_measured_data_need_files_counts_and_inputs(self, tmp_path):
+        # a meta of only the three keys the loader reads, as for measured
+        # data, fits the surrogate that collect's full meta fits
+        argv = ["--example", "cooked_up", "--d", "50"]
+        assert cli.main(["collect", "--out", str(tmp_path / "a"), *argv]) == 0
+        assert cli.main(["fit", "--out", str(tmp_path / "a"), *argv]) == 0
+        meta = json.loads((tmp_path / "a" / "samples_meta.json").read_text())
+        (tmp_path / "b").mkdir()
+        for name in meta["files"]:
+            shutil.copy(tmp_path / "a" / name, tmp_path / "b" / name)
+        (tmp_path / "b" / "samples_meta.json").write_text(json.dumps(
+            {key: meta[key] for key in ("files", "counts", "inputs")}))
+        assert cli.main(["fit", "--out", str(tmp_path / "b"), *argv]) == 0
+        assert ((tmp_path / "b" / "surrogate.json").read_bytes()
+                == (tmp_path / "a" / "surrogate.json").read_bytes())
 
     def test_design_requires_surrogate(self, tmp_path):
         assert cli.main(["design", "--example", "cooked_up",
@@ -930,6 +999,24 @@ class TestVerifyCommand:
                              "--d", "4000"]) == cli.EXIT_BAD_INPUT, cmd
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("artifact, commands, message", [
+        ("surrogate.json", ("design", "verify"),
+         "surrogate.json must hold a JSON object; re-run fit"),
+        ("design.json", ("verify",),
+         "design.json must hold a JSON object; re-run design"),
+    ], ids=["surrogate", "design"])
+    def test_non_object_artifact_is_bad_input(self, pendulum_run, tmp_path, capsys,
+                                              artifact, commands, message):
+        shutil.copytree(pendulum_run, tmp_path, dirs_exist_ok=True)
+        (tmp_path / artifact).write_text("[]\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for cmd in commands:
+            capsys.readouterr()
+            assert cli.main([cmd, "--example", "pendulum", "--out", str(tmp_path),
+                             "--d", "4000"]) == cli.EXIT_BAD_INPUT, cmd
+            assert capsys.readouterr().err == f"error: {message}\n"
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_verify_lqr_grid(self, tmp_path):

@@ -40,6 +40,15 @@ class TestDataMatrices:
         with pytest.raises(edmd.FitError):
             edmd.build_data_matrices(lifting_cooked, ss)
 
+    @pytest.mark.parametrize("inputs", [([], []), ([0.0, 0.0], [1.0, 0.0])])
+    def test_input_length_must_be_m(self, lifting_cooked, inputs):
+        # an empty input made an IndexError; a longer one fitted as if m = 1
+        ss = SampleSet(batches=tuple(SampleBatch(u_bar=u, states=np.zeros((1, 2)),
+                                                 derivs=np.zeros((1, 2)))
+                                     for u in inputs))
+        with pytest.raises(edmd.FitError, match="input must have m = 1 entries"):
+            edmd.build_data_matrices(lifting_cooked, ss)
+
     def test_dimension_mismatch(self, lifting_cooked):
         ss = tiny_sampleset(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(edmd.FitError):

@@ -57,7 +57,7 @@ def test_traced_collect_counts_saved_bytes(tmp_path):
         restore()
     assert rc == 0
     on_disk = sum((tmp_path / name).stat().st_size for name in
-                  ("samples_u0.csv", "samples_u1.csv", "samples_meta.json"))
+                  ("samples_u0.npy", "samples_u1.npy", "samples_meta.json"))
     assert tracer.counts["plants.save_samples.bytes"] == on_disk
     assert tracer.metrics()["plants.save_samples.bytes"] == on_disk
     assert tracer.calls["plants.save_samples"] == 1

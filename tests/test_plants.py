@@ -1,5 +1,5 @@
-import csv
 import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -120,16 +120,6 @@ class TestSampling:
         assert ss.batch(1).u_bar[0] == 0.5
 
 
-def csv_reference(batch):
-    """The bytes csv.writer gives for a batch's sample file."""
-    ref = io.StringIO(newline="")
-    writer = csv.writer(ref)
-    writer.writerow(["x_1", "x_2", "xdot_1", "xdot_2"])
-    for x, xd in zip(batch.states, batch.derivs):
-        writer.writerow([repr(float(v)) for v in x] + [repr(float(v)) for v in xd])
-    return ref.getvalue().encode("ascii")
-
-
 class TestSerialization:
     def test_round_trip(self, plant_cooked, tmp_path):
         ss = plants.collect_samples(plant_cooked, 20, seed=11, noise_bound=0.01)
@@ -140,17 +130,14 @@ class TestSerialization:
             np.testing.assert_array_equal(back.batch(k).derivs, ss.batch(k).derivs)
         assert back.noise_bound == 0.01
 
-    def test_bytes_equal_csv_writer(self, tmp_path):
-        # signed zero, the repr switch points to exponent notation, the
-        # smallest subnormal, the largest float and integral floats
-        values = np.array([[-0.0, 1e-05, 1e+16, 5e-324],
-                           [1.7976931348623157e308, 2.0, -3.0, 0.0001],
-                           [1e16 + 2.0, -1.7976931348623157e308, 0.1, -5e-324],
-                           [123456789012345.0, 1e-300, -1e+22, 0.0]])
+    def test_edge_values_round_trip_bit_for_bit(self, tmp_path):
+        # signed zero, the smallest subnormal, the largest float, an integral
+        # float past 2**53 and a tiny normal keep every bit through the file
+        values = np.array([[-0.0, 5e-324, 1.7976931348623157e308, 1e16 + 2.0],
+                           [1e-300, -5e-324, -1.7976931348623157e308, 0.0]])
         batch = plants.SampleBatch(u_bar=[0.0], states=values[:, :2],
                                    derivs=values[:, 2:])
         plants.save_samples(plants.SampleSet(batches=(batch,), seed=0), tmp_path)
-        assert (tmp_path / "samples_u0.csv").read_bytes() == csv_reference(batch)
         back = plants.load_samples(tmp_path).batch(0)
         assert back.states.tobytes() == batch.states.tobytes()
         assert back.derivs.tobytes() == batch.derivs.tobytes()
@@ -158,14 +145,17 @@ class TestSerialization:
     @pytest.mark.parametrize("rows", [1, matops.TABLE_BLOCK_ROWS,
                                       2 * matops.TABLE_BLOCK_ROWS + 37])
     def test_blocks_of_rows_keep_the_bytes(self, tmp_path, rows):
-        # a table of more rows than one block, and not a multiple of it, in
-        # the sample format and in the default (np.savetxt) format
+        # a table of more rows than one block, and not a multiple of it: the
+        # sample file is np.save's of the (d, 2n) array, and write_table's
+        # text is np.savetxt's
         values = np.random.default_rng(rows).standard_normal((rows, 4))
         values *= 10.0 ** np.arange(-6, 6, 3)
         batch = plants.SampleBatch(u_bar=[0.0], states=values[:, :2],
                                    derivs=values[:, 2:])
         plants.save_samples(plants.SampleSet(batches=(batch,), seed=0), tmp_path)
-        assert (tmp_path / "samples_u0.csv").read_bytes() == csv_reference(batch)
+        reference = io.BytesIO()
+        np.save(reference, values, allow_pickle=False)
+        assert (tmp_path / "samples_u0.npy").read_bytes() == reference.getvalue()
         matops.write_table(tmp_path / "table.txt", values)
         np.savetxt(tmp_path / "savetxt.txt", values, fmt="%.17g")
         assert ((tmp_path / "table.txt").read_bytes()
@@ -188,5 +178,5 @@ class TestSerialization:
         d1, d2 = tmp_path / "a", tmp_path / "b"
         plants.save_samples(ss, d1, plant=plant_cooked)
         plants.save_samples(ss, d2, plant=plant_cooked)
-        for name in ("samples_u0.csv", "samples_u1.csv", "samples_meta.json"):
+        for name in ("samples_u0.npy", "samples_u1.npy", "samples_meta.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
