@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -310,22 +311,13 @@ def _solver_options(cfg):
 # -- subcommands ------------------------------------------------------------
 
 
-def _collect(cfg, plant):
-    return plants.collect_samples(
-        plant, _setting(cfg, "sampling.d"), _setting(cfg, "sampling.seed"),
-        noise_bound=_setting(cfg, "sampling.noise_bound"))
-
-
-def _fit(cfg, lifting, samples):
-    eb = cfg["error_bound"]
-    return edmd.fit(edmd.build_data_matrices(lifting, samples), lifting=lifting,
-                    c_r=eb["c_r"], delta=eb["delta"])
-
-
 def cmd_collect(cfg):
     outdir = _outdir(cfg)
     plant = _plant(cfg)
-    meta = plants.save_samples(_collect(cfg, plant), outdir, plant=plant)
+    samples = plants.collect_samples(
+        plant, _setting(cfg, "sampling.d"), _setting(cfg, "sampling.seed"),
+        noise_bound=_setting(cfg, "sampling.noise_bound"))
+    meta = plants.save_samples(samples, outdir, plant=plant)
     outputs = [outdir / f for f in meta["files"]] + [outdir / "samples_meta.json"]
     _write_manifest(outdir, "collect", cfg, [], outputs)
     print(f"collect: wrote {len(meta['files'])} batches of "
@@ -340,7 +332,9 @@ def cmd_fit(cfg):
         raise FileNotFoundError(f"no sample files in {outdir}; run collect first")
     samples = plants.load_samples(outdir)
     lifting = make_lifting(samples.batches[0].states.shape[1], _extras(cfg))
-    surrogate, report = _fit(cfg, lifting, samples)
+    eb = cfg["error_bound"]
+    surrogate, report = edmd.fit(edmd.build_data_matrices(lifting, samples),
+                                 lifting=lifting, c_r=eb["c_r"], delta=eb["delta"])
     (outdir / "surrogate.json").write_text(surrogate.to_json() + "\n")
     _write_json(outdir / "fit_report.json",
                 {"batches": {str(k): v for k, v in report.batches.items()}})
@@ -429,26 +423,6 @@ def _design(cfg, surrogate, region):
     return problem, solves, check, design
 
 
-def _save_design(outdir, stem, cfg, region, design, lifting, region_boundary=False):
-    """The one writer of ``roa.dat`` (swept at the config's ``resolution``),
-    ``design.json`` and ``region.json``, plus, with ``region_boundary``, the
-    region's own boundary ``region.dat``; each name is prefixed ``<stem>_``
-    unless ``stem`` is empty.  Returns (files, boundary)."""
-    resolution = _setting(cfg, "resolution")
-    boundary = controller.roa_boundary_2d(design, lifting, resolution)
-    prefix = f"{stem}_" if stem else ""
-    files = [outdir / f"{prefix}{name}"
-             for name in ("roa.dat", "design.json", "region.json")]
-    controller.export_boundary_dat(boundary, files[0])
-    files[1].write_text(design.to_json() + "\n")
-    _write_json(files[2], region.to_json_dict(), indent=None)
-    if region_boundary:
-        files.append(outdir / f"{prefix}region.dat")
-        controller.export_boundary_dat(
-            controller.region_boundary_2d(region, lifting, resolution), files[3])
-    return files, boundary
-
-
 def cmd_design(cfg):
     outdir = _outdir(cfg)
     surrogate_path = outdir / "surrogate.json"
@@ -458,7 +432,14 @@ def cmd_design(cfg):
     region, log = _resolve_region(cfg, surrogate)
     problem, solves, check, design = _design(cfg, surrogate, region)
     kept = solves[-1]
-    files, boundary = _save_design(outdir, "", cfg, region, design, surrogate.lifting)
+    # the one writer of the design's files; roa.dat is swept at the
+    # config's resolution
+    boundary = controller.roa_boundary_2d(design, surrogate.lifting,
+                                          _setting(cfg, "resolution"))
+    files = [outdir / name for name in ("roa.dat", "design.json", "region.json")]
+    controller.export_boundary_dat(boundary, files[0])
+    files[1].write_text(design.to_json() + "\n")
+    _write_json(files[2], region.to_json_dict(), indent=None)
     log.update({
         "status": kept["status"],
         "iterations": kept["iterations"],
@@ -617,22 +598,58 @@ def _fig1(outdir):
     return files
 
 
-def cmd_reproduce(figure, outdir):
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+# Each figure's example and, by the stem of its files, the config change of
+# each design it shows; fig3_tuned's region is the paper's hand-weighted one.
+FIGURES = {
+    "fig2": ("cooked_up", {"fig2": {}}),
+    "fig3": ("cooked_up_xy", {"fig3_ball": {}, "fig3_tuned": {"region": {
+        "Qz": (-np.diag([2.5, 2.5, 1.25, 0.005])).tolist(), "Sz": [0.0] * 4,
+        "Rz": 1000.0}}}),
+    "fig4": ("pendulum", {"fig4_thm1": {"theorem": 1}, "fig4_thm2": {"theorem": 2}}),
+    "fig5": ("pendulum_shaped", {"fig5_thm1": {"theorem": 1},
+                                 "fig5_thm2": {"theorem": 2}}),
+}
+
+
+def cmd_reproduce(figure, out):
+    """Figure data.  Each design of fig2..fig5 is a run of the stages
+    collect, fit and design in ``<out>/<stem>/``; its ``roa.dat``,
+    ``design.json`` and ``region.json`` are copied as ``<stem>_*`` and the
+    shared ``surrogate.json`` as ``<figure>_surrogate.json``, and the other
+    plots are made from those files."""
+    outdir = _outdir({"output_dir": str(out)})
     if figure == "fig1":
         files = _fig1(outdir)
-    elif figure in ("fig2", "fig3", "fig4", "fig5"):
-        example = {"fig2": "cooked_up", "fig3": "cooked_up_xy",
-                   "fig4": "pendulum", "fig5": "pendulum_shaped"}[figure]
-        cfg = example_config(example)
+    elif figure in FIGURES:
+        example, changes = FIGURES[figure]
+        files = []
+        for stem, change in changes.items():
+            # relative when out is, so each stage's _outdir puts it under outdir
+            cfg = validate_config({**example_config(example), **change,
+                                   "output_dir": str(Path(out) / stem)})
+            for stage in (cmd_collect, cmd_fit, cmd_design):
+                stage(cfg)
+            for name in ("roa.dat", "design.json", "region.json"):
+                files.append(outdir / f"{stem}_{name}")
+                shutil.copyfile(_outdir(cfg) / name, files[-1])
+        # the designs of a figure differ in region or theorem, not in data
+        files.append(outdir / f"{figure}_surrogate.json")
+        shutil.copyfile(_outdir(cfg) / "surrogate.json", files[-1])
+        surrogate = edmd.Surrogate.from_json(files[-1].read_text())
         plant = _plant(cfg)
-        lifting = make_lifting(plant.n, _extras(cfg))
-        surrogate, _ = _fit(cfg, lifting, _collect(cfg, plant))
-        files = _reproduce_designs(figure, outdir, cfg, plant, surrogate)
-        p = outdir / f"{figure}_surrogate.json"
-        p.write_text(surrogate.to_json() + "\n")
-        files.append(p)
+        # a figure of several designs plots their regions' boundaries: once
+        # when they share the region (fig4, fig5), else once per design (fig3)
+        regions = {(outdir / f"{stem}_region.json").read_text(): stem
+                   for stem in changes} if len(changes) > 1 else {}
+        for doc, stem in regions.items():
+            files.append(outdir / f"{figure if len(regions) == 1 else stem}_region.dat")
+            controller.export_boundary_dat(controller.region_boundary_2d(
+                uncertainty.UncertaintyRegion.from_json_dict(json.loads(doc)),
+                surrogate.lifting, _setting(cfg, "resolution")), files[-1])
+        if figure == "fig5":
+            designs = [controller.DesignResult.from_json(
+                (outdir / f"{stem}_design.json").read_text()) for stem in changes]
+            files += _fig5_trajectories(outdir, plant, surrogate, designs, cfg)
     else:
         raise ValueError(f"unknown figure id '{figure}' (use fig1..fig5)")
     manifest = {"figure": figure, "files": sorted(str(f.name) for f in files)}
@@ -645,37 +662,6 @@ def cmd_reproduce(figure, outdir):
     return EXIT_OK
 
 
-def _reproduce_designs(figure, outdir, cfg, plant, surrogate):
-    """Design and boundary files of fig2..fig5 from one fitted surrogate."""
-    lifting = surrogate.lifting
-    region = _resolve_region(cfg, surrogate)[0]
-    if figure == "fig2":
-        design = _design(cfg, surrogate, region)[3]
-        return _save_design(outdir, "fig2", cfg, region, design, lifting)[0]
-    if figure == "fig3":
-        tuned = uncertainty.UncertaintyRegion(
-            Qz=-np.diag([2.5, 2.5, 1.25, 0.005]), Sz=np.zeros(4), Rz=1000.0)
-        files = []
-        for stem, reg in (("fig3_ball", region), ("fig3_tuned", tuned)):
-            design = _design(cfg, surrogate, reg)[3]
-            files += _save_design(outdir, stem, cfg, reg, design, lifting,
-                                  region_boundary=True)[0]
-        return files
-    files, designs, boundaries = [], {}, {}
-    for thm in (1, 2):
-        designs[thm] = _design({**cfg, "theorem": thm}, surrogate, region)[3]
-        saved, boundaries[thm] = _save_design(outdir, f"{figure}_thm{thm}", cfg,
-                                              region, designs[thm], lifting)
-        files += saved
-    rb = controller.region_boundary_2d(region, lifting, _setting(cfg, "resolution"))
-    controller.export_boundary_dat(rb, outdir / f"{figure}_region.dat")
-    files.append(outdir / f"{figure}_region.dat")
-    if figure == "fig5":
-        files += _fig5_trajectories(outdir, plant, surrogate, designs,
-                                    boundaries, cfg)
-    return files
-
-
 def fig5_start_set(boundaries):
     """Documented start set for the closed-loop comparison: four polar
     directions at 95 percent of the smallest certified radius among the
@@ -683,28 +669,29 @@ def fig5_start_set(boundaries):
     starts = []
     for deg in (45.0, 135.0, 225.0, 315.0):
         th = np.deg2rad(deg)
-        r = min(b.radii[np.argmin(np.abs(b.angles - th))]
-                for b in boundaries.values())
+        r = min(b.radii[np.argmin(np.abs(b.angles - th))] for b in boundaries)
         starts.append(0.95 * r * np.array([np.cos(th), np.sin(th)]))
     return starts
 
 
-def _fig5_trajectories(outdir, plant, surrogate, designs, boundaries, cfg):
+def _fig5_trajectories(outdir, plant, surrogate, designs, cfg):
     files = []
-    starts = fig5_start_set(boundaries)
+    lifting, resolution = surrogate.lifting, _setting(cfg, "resolution")
+    starts = fig5_start_set([controller.roa_boundary_2d(design, lifting, resolution)
+                             for design in designs])
     horizon, rtol = _setting(cfg, "verify.horizon"), _setting(cfg, "verify.rtol")
-    for thm, design in designs.items():
+    for design in designs:
         trajs = verify.simulate_many(
-            plant, controller.ClosedLoop.of(design, surrogate.lifting),
+            plant, controller.ClosedLoop.of(design, lifting),
             np.array(starts), horizon=horizon, rtol=rtol, atol=rtol)
         for i, traj in enumerate(trajs):
-            path = outdir / f"fig5_traj_thm{thm}_{i}.dat"
+            path = outdir / f"fig5_traj_thm{design.theorem}_{i}.dat"
             verify.export_trajectory_dat(traj, path)
             files.append(path)
     X_lqr, K_lqr, lqr_report = _lqr_grid(surrogate, starts,
                                          _setting(cfg, "verify.lqr_weights"))
     grid, trajectories = lqr_report(verify.simulate_many(
-        plant, controller.ClosedLoop(surrogate.lifting, K_lqr), X_lqr,
+        plant, controller.ClosedLoop(lifting, K_lqr), X_lqr,
         horizon=horizon, rtol=rtol, atol=rtol))
     failing = [(e["R"], trajs) for e, trajs in zip(grid, trajectories)
                if e["n_failed"]]

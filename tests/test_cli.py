@@ -401,10 +401,18 @@ class TestConfig:
 
     def test_env_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KOOPSYN_OUT", str(tmp_path))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
         rc = cli.main(["collect", "--example", "cooked_up", "--out", "sub",
                        "--d", "5"])
         assert rc == 0
         assert (tmp_path / "sub" / "samples_u0.npy").exists()
+        # the figure files and their stage directory land under the same root
+        assert cli.main(["reproduce", "fig2", "--out", "figs"]) == 0
+        assert (tmp_path / "figs" / "fig2_design.json").exists()
+        assert (tmp_path / "figs" / "fig2" / "manifest_design.json").exists()
+        assert not list(cwd.iterdir())
 
 
 def _schema_sections():
@@ -816,19 +824,50 @@ class TestFitAndDesign:
 
 
 class TestReproduceCommand:
-    def test_verifier_rejection_exit_code(self, tmp_path, monkeypatch, capsys):
-        verify = sdp.verify
+    @pytest.mark.parametrize("failure, code, message", [
+        ("verifier_rejection", cli.EXIT_VERIFICATION, "verifier rejected"),
+        ("infeasible", cli.EXIT_INFEASIBLE, "design infeasible"),
+    ], ids=["verifier_rejection", "infeasible"])
+    def test_verifier_rejection_exit_code(self, failure, code, message, tmp_path,
+                                          monkeypatch, capsys):
+        if failure == "verifier_rejection":
+            verify = sdp.verify
 
-        def reject(problem, assignment, slack=1e-7):
-            return dataclasses.replace(verify(problem, assignment, slack), ok=False)
+            def reject(problem, assignment, slack=1e-7):
+                return dataclasses.replace(verify(problem, assignment, slack), ok=False)
 
-        monkeypatch.setattr(sdp, "verify", reject)
+            monkeypatch.setattr(sdp, "verify", reject)
+        else:
+            # a remainder budget that no design meets
+            example = cli.example_config
+            monkeypatch.setattr(cli, "example_config", lambda name: {
+                **example(name), "error_bound": {"c_r": 10.0, "delta": 0.05}})
         rc = cli.main(["reproduce", "fig2", "--out", str(tmp_path)])
-        assert rc == cli.EXIT_VERIFICATION
+        assert rc == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "verifier rejected" in err
-        assert not (tmp_path / "fig2_design.json").exists()
+        assert message in err
+        assert not list(tmp_path.glob("fig2_*"))
+
+    def test_figure_designs_are_stage_directories(self, figures_dir, tmp_path):
+        configs = {}
+        for example, changes in cli.FIGURES.values():
+            for stem, change in changes.items():
+                configs[stem] = json.loads(
+                    (figures_dir / stem / "manifest_design.json").read_text())["config"]
+                expected = {**cli.example_config(example), **change,
+                            "output_dir": str(figures_dir / stem)}
+                assert configs[stem] == json.loads(json.dumps(expected)), stem
+        # a figure design's directory verifies like any stage directory
+        stage_dir = figures_dir / "fig3_tuned"
+        before = {p.name: p.read_bytes() for p in stage_dir.iterdir()}
+        copy = tmp_path / "fig3_tuned"
+        shutil.copytree(stage_dir, copy)
+        path = tmp_path / "fig3_tuned.json"
+        path.write_text(json.dumps(configs["fig3_tuned"]))
+        assert cli.main(["verify", "--config", str(path), "--out", str(copy)]) == 0
+        assert (copy / "verify_report.json").exists()
+        assert {p.name: p.read_bytes() for p in stage_dir.iterdir()} == before
 
 
 class TestVerifyCommand:
