@@ -1,12 +1,13 @@
 """Pipeline driver: collect -> fit -> d0 -> design -> verify, plus figure
 data reproduction.
 
-A single JSON config drives every stage; each stage reads the previous
-stage's artifacts from the output directory and writes a manifest with the
-input hashes and the config as loaded: command-line overrides applied,
-defaults not filled in.  Exit codes: 0 success, 2 infeasible
-design, 3 verification failure, 4 bad input (including a bad command line,
-an unknown config key and a solver backend other than the bundled ``ipm``).
+A single JSON config drives every stage.  ``STAGES`` names the files each
+stage reads from the output directory, and ``run_stage`` writes the stage's
+manifest: the config as loaded (command-line overrides applied, defaults not
+filled in, no ``output_dir``), its inputs' SHA-256 and its outputs, by name.
+Exit codes, picked by ``main`` alone: 0 success, 2 infeasible design, 3
+verification failure, 4 bad input (including a bad command line, a missing
+input, an unknown config key and a solver backend other than ``ipm``).
 """
 
 from __future__ import annotations
@@ -26,12 +27,16 @@ import numpy as np
 
 from . import bounds, controller, edmd, lmi, plants, sdp, uncertainty, verify
 from .lifting import make_lifting, observable
-from .matops import write_table
+from .matops import write_json, write_table
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_VERIFICATION = 3
 EXIT_BAD_INPUT = 4
+EXIT_CODES = {sdp.InfeasibleError: EXIT_INFEASIBLE,     # main's exit code per error
+              sdp.VerificationError: EXIT_VERIFICATION,
+              ValueError: EXIT_BAD_INPUT, KeyError: EXIT_BAD_INPUT,
+              FileNotFoundError: EXIT_BAD_INPUT}
 
 OBJECTIVES = ("feasibility", "maximize_roa")
 
@@ -245,11 +250,11 @@ def load_config(path=None, example=None, overrides=None):
 
 
 def _outdir(cfg):
+    """``output_dir``, under ``KOOPSYN_OUT`` when relative; not created here."""
     out = Path(cfg["output_dir"])
     root = os.environ.get("KOOPSYN_OUT")
     if root and not out.is_absolute():
         out = Path(root) / out
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -277,31 +282,6 @@ def _extras(cfg):
     return extras
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
-
-
-def _write_json(path, doc, indent=1):
-    """Write ``doc`` as sorted-key JSON with a trailing newline."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=indent, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_manifest(outdir, command, cfg, inputs, outputs):
-    doc = {
-        "command": command,
-        "config": cfg,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": sorted(str(o) for o in outputs),
-    }
-    path = outdir / f"manifest_{command}.json"
-    _write_json(path, doc)
-    return path
-
-
 def _solver_options(cfg):
     return sdp.SolverOptions(tol=_setting(cfg, "solver.tol"),
                              max_iters=_setting(cfg, "solver.max_iters"),
@@ -311,52 +291,41 @@ def _solver_options(cfg):
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_collect(cfg):
-    outdir = _outdir(cfg)
+def cmd_collect(cfg, outdir):
     plant = _plant(cfg)
     samples = plants.collect_samples(
         plant, _setting(cfg, "sampling.d"), _setting(cfg, "sampling.seed"),
         noise_bound=_setting(cfg, "sampling.noise_bound"))
     meta = plants.save_samples(samples, outdir, plant=plant)
-    outputs = [outdir / f for f in meta["files"]] + [outdir / "samples_meta.json"]
-    _write_manifest(outdir, "collect", cfg, [], outputs)
     print(f"collect: wrote {len(meta['files'])} batches of "
           f"{cfg['sampling']['d']} samples to {outdir}")
-    return EXIT_OK
+    return [], meta["files"] + ["samples_meta.json"]
 
 
-def cmd_fit(cfg):
-    outdir = _outdir(cfg)
-    meta_path = outdir / "samples_meta.json"
-    if not meta_path.exists():
-        raise FileNotFoundError(f"no sample files in {outdir}; run collect first")
+def cmd_fit(cfg, outdir):
     samples = plants.load_samples(outdir)
     lifting = make_lifting(samples.batches[0].states.shape[1], _extras(cfg))
     eb = cfg["error_bound"]
     surrogate, report = edmd.fit(edmd.build_data_matrices(lifting, samples),
                                  lifting=lifting, c_r=eb["c_r"], delta=eb["delta"])
     (outdir / "surrogate.json").write_text(surrogate.to_json() + "\n")
-    _write_json(outdir / "fit_report.json",
-                {"batches": {str(k): v for k, v in report.batches.items()}})
-    inputs = [meta_path] + [outdir / f for f in json.loads(meta_path.read_text())["files"]]
-    _write_manifest(outdir, "fit", cfg, inputs,
-                    [outdir / "surrogate.json", outdir / "fit_report.json"])
+    write_json(outdir / "fit_report.json",
+               {"batches": {str(k): v for k, v in report.batches.items()}})
     worst = report.worst_relative_residual()
     print(f"fit: surrogate written (worst relative residual {worst:.3e})")
-    return EXIT_OK
+    meta = json.loads((outdir / "samples_meta.json").read_text())
+    return ["samples_meta.json"] + meta["files"], ["surrogate.json", "fit_report.json"]
 
 
-def cmd_d0(cfg):
-    outdir = _outdir(cfg)
+def cmd_d0(cfg, outdir):
     plant = _plant(cfg)
     lifting = make_lifting(plant.n, _extras(cfg))
     eb = cfg["error_bound"]
     quad = bounds.QuadratureSpec(**cfg.get("d0", {}))
     req = bounds.compute_d0(plant, lifting, eb["c_r"], eb["delta"], quad)
     (outdir / "d0_report.json").write_text(req.to_json() + "\n")
-    _write_manifest(outdir, "d0", cfg, [], [outdir / "d0_report.json"])
     print(f"d0: {req.d0_float:.4e} (log10 = {req.log10_d0:.3f})")
-    return EXIT_OK
+    return [], ["d0_report.json"]
 
 
 def _resolve_region(cfg, surrogate):
@@ -423,12 +392,8 @@ def _design(cfg, surrogate, region):
     return problem, solves, check, design
 
 
-def cmd_design(cfg):
-    outdir = _outdir(cfg)
-    surrogate_path = outdir / "surrogate.json"
-    if not surrogate_path.exists():
-        raise FileNotFoundError(f"no surrogate in {outdir}; run fit first")
-    surrogate = edmd.Surrogate.from_json(surrogate_path.read_text())
+def cmd_design(cfg, outdir):
+    surrogate = edmd.Surrogate.from_json((outdir / "surrogate.json").read_text())
     region, log = _resolve_region(cfg, surrogate)
     problem, solves, check, design = _design(cfg, surrogate, region)
     kept = solves[-1]
@@ -436,10 +401,9 @@ def cmd_design(cfg):
     # config's resolution
     boundary = controller.roa_boundary_2d(design, surrogate.lifting,
                                           _setting(cfg, "resolution"))
-    files = [outdir / name for name in ("roa.dat", "design.json", "region.json")]
-    controller.export_boundary_dat(boundary, files[0])
-    files[1].write_text(design.to_json() + "\n")
-    _write_json(files[2], region.to_json_dict(), indent=None)
+    controller.export_boundary_dat(boundary, outdir / "roa.dat")
+    (outdir / "design.json").write_text(design.to_json() + "\n")
+    write_json(outdir / "region.json", region.to_json_dict(), indent=None)
     log.update({
         "status": kept["status"],
         "iterations": kept["iterations"],
@@ -449,12 +413,10 @@ def cmd_design(cfg):
         "roa_closed": boundary.closed,
         "state_box": controller.certified_box(design, surrogate.lifting).tolist(),
     })
-    _write_json(outdir / "design_log.json", log)
-    _write_manifest(outdir, "design", cfg, [surrogate_path],
-                    files + [outdir / "design_log.json"])
+    write_json(outdir / "design_log.json", log)
     print(f"design: feasible ({kept['iterations']} iterations); "
           f"K = {np.array2string(design.K, precision=4)}")
-    return EXIT_OK
+    return ["surrogate.json"], ["roa.dat", "design.json", "region.json", "design_log.json"]
 
 
 def _run_record(x0, traj):
@@ -510,11 +472,7 @@ def _certified_starts(design, lifting, n_starts, seed):
     return starts, {"box": box.tolist(), "tries": tries, "requested": n_starts}
 
 
-def cmd_verify(cfg):
-    outdir = _outdir(cfg)
-    for req in ("design.json", "surrogate.json"):
-        if not (outdir / req).exists():
-            raise FileNotFoundError(f"missing {req} in {outdir}; run design first")
+def cmd_verify(cfg, outdir):
     surrogate = edmd.Surrogate.from_json((outdir / "surrogate.json").read_text())
     design = controller.DesignResult.from_json((outdir / "design.json").read_text())
     lifting = surrogate.lifting
@@ -529,11 +487,11 @@ def cmd_verify(cfg):
     if not starts:
         # nothing to verify; the report keeps the draw that found no start
         (outdir / "manifest_verify.json").unlink(missing_ok=True)
-        _write_json(outdir / "verify_report.json",
-                    {"trajectories": [], "n_converged": 0, "start_sampling": sampling})
-        print(f"error: no start with V <= 0.99 in {sampling['tries']} draws from "
-              "the certified box; nothing was verified", file=sys.stderr)
-        return EXIT_VERIFICATION
+        write_json(outdir / "verify_report.json",
+                   {"trajectories": [], "n_converged": 0, "start_sampling": sampling})
+        raise sdp.VerificationError(
+            f"no start with V <= 0.99 in {sampling['tries']} draws from the "
+            "certified box; nothing was verified")
     if len(starts) < sampling["requested"]:
         print(f"warning: found {len(starts)} of {sampling['requested']} starts "
               f"with V <= 0.99 in {sampling['tries']} draws", file=sys.stderr)
@@ -553,13 +511,11 @@ def cmd_verify(cfg):
         plant, controller.ClosedLoop(lifting, gains, Kw, design.P_inv), X0,
         horizon=horizon, rtol=rtol, atol=rtol)
     trajs = runs[:len(starts)]
-    results = []
-    outputs = []
+    results, outputs = [], []
     for i, (x0, traj) in enumerate(zip(starts, trajs)):
         audit = verify.lyapunov_audit(traj)
-        path = outdir / f"traj_{i:03d}.dat"
-        verify.export_trajectory_dat(traj, path)
-        outputs.append(path)
+        outputs.append(f"traj_{i:03d}.dat")
+        verify.export_trajectory_dat(traj, outdir / outputs[-1])
         results.append({
             **_run_record(x0, traj),
             "V_max": float(np.nanmax(traj.V)),
@@ -571,12 +527,39 @@ def cmd_verify(cfg):
               "start_sampling": sampling}
     if _setting(cfg, "verify.lqr"):
         report["lqr_grid"], _ = lqr_report(runs[len(starts):])
-    _write_json(outdir / "verify_report.json", report)
-    outputs.append(outdir / "verify_report.json")
-    _write_manifest(outdir, "verify", cfg,
-                    [outdir / "design.json", outdir / "surrogate.json"], outputs)
+    write_json(outdir / "verify_report.json", report)
     print(f"verify: {report['n_converged']}/{len(results)} converged")
-    return EXIT_OK
+    return ["surrogate.json", "design.json"], outputs + ["verify_report.json"]
+
+
+# Each stage's handler and the files it reads, each by the stage that writes
+# it.  A handler runs in the existing output directory and returns the names,
+# relative to that directory, of the files it read and of those it wrote.
+STAGES = {
+    "collect": (cmd_collect, {}),
+    "fit": (cmd_fit, {"samples_meta.json": "collect"}),
+    "d0": (cmd_d0, {}),
+    "design": (cmd_design, {"surrogate.json": "fit"}),
+    "verify": (cmd_verify, {"surrogate.json": "fit", "design.json": "design"}),
+}
+
+
+def run_stage(name, cfg):
+    """Refuse a missing input before the output directory is made, run the
+    handler there, then write ``manifest_<name>.json``, which names no path."""
+    handler, reads = STAGES[name]
+    outdir = _outdir(cfg)
+    for file, stage in reads.items():
+        if not (outdir / file).exists():
+            raise FileNotFoundError(f"missing {file} in {outdir}; run {stage} first")
+    outdir.mkdir(parents=True, exist_ok=True)
+    inputs, outputs = handler(cfg, outdir)
+    write_json(outdir / f"manifest_{name}.json", {
+        "command": name,
+        "config": {key: v for key, v in cfg.items() if key != "output_dir"},
+        "inputs": {file: hashlib.sha256((outdir / file).read_bytes()).hexdigest()
+                   for file in inputs},
+        "outputs": sorted(outputs)})
 
 
 # -- figure reproduction ----------------------------------------------------
@@ -617,18 +600,21 @@ def cmd_reproduce(figure, out):
     ``design.json`` and ``region.json`` are copied as ``<stem>_*`` and the
     shared ``surrogate.json`` as ``<figure>_surrogate.json``, and the other
     plots are made from those files."""
+    if figure != "fig1" and figure not in FIGURES:
+        raise ValueError(f"unknown figure id '{figure}' (use fig1..fig5)")
     outdir = _outdir({"output_dir": str(out)})
+    outdir.mkdir(parents=True, exist_ok=True)
     if figure == "fig1":
         files = _fig1(outdir)
-    elif figure in FIGURES:
+    else:
         example, changes = FIGURES[figure]
         files = []
         for stem, change in changes.items():
             # relative when out is, so each stage's _outdir puts it under outdir
             cfg = validate_config({**example_config(example), **change,
                                    "output_dir": str(Path(out) / stem)})
-            for stage in (cmd_collect, cmd_fit, cmd_design):
-                stage(cfg)
+            for stage in ("collect", "fit", "design"):
+                run_stage(stage, cfg)
             for name in ("roa.dat", "design.json", "region.json"):
                 files.append(outdir / f"{stem}_{name}")
                 shutil.copyfile(_outdir(cfg) / name, files[-1])
@@ -650,16 +636,13 @@ def cmd_reproduce(figure, out):
             designs = [controller.DesignResult.from_json(
                 (outdir / f"{stem}_design.json").read_text()) for stem in changes]
             files += _fig5_trajectories(outdir, plant, surrogate, designs, cfg)
-    else:
-        raise ValueError(f"unknown figure id '{figure}' (use fig1..fig5)")
     manifest = {"figure": figure, "files": sorted(str(f.name) for f in files)}
     if figure != "fig1":
         # certified sets can reach far beyond the sampling box; record the
         # box so plots can show both
         manifest["sampling_box"] = plant.state_box.tolist()
-    _write_json(outdir / f"{figure}_manifest.json", manifest)
+    write_json(outdir / f"{figure}_manifest.json", manifest)
     print(f"reproduce {figure}: wrote {len(files)} files to {outdir}")
-    return EXIT_OK
 
 
 def fig5_start_set(boundaries):
@@ -700,10 +683,10 @@ def _fig5_trajectories(outdir, plant, surrogate, designs, cfg):
         path = outdir / f"fig5_traj_lqr_{i}.dat"
         verify.export_trajectory_dat(traj, path)
         files.append(path)
-    _write_json(outdir / "fig5_lqr_report.json",
-                {"weight_grid": grid,
-                 "starts": [np.asarray(s).tolist() for s in starts],
-                 "plotted_weight": plotted_weight})
+    write_json(outdir / "fig5_lqr_report.json",
+               {"weight_grid": grid,
+                "starts": [np.asarray(s).tolist() for s in starts],
+                "plotted_weight": plotted_weight})
     files.append(outdir / "fig5_lqr_report.json")
     return files
 
@@ -752,7 +735,7 @@ def main(argv=None):
         prog="koopsyn",
         description="Bilinear Koopman surrogates with certified feedback synthesis")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("collect", "fit", "d0", "design", "verify"):
+    for name in STAGES:
         _add_common(subs.add_parser(name))
     rep = subs.add_parser("reproduce")
     rep.add_argument("figure", help="fig1 | fig2 | fig3 | fig4 | fig5")
@@ -762,23 +745,16 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.command == "reproduce":
-            return cmd_reproduce(args.figure, args.out)
-        if args.command == "example-config":
+            cmd_reproduce(args.figure, args.out)
+        elif args.command == "example-config":
             print(json.dumps(example_config(args.name), indent=1, sort_keys=True))
-            return EXIT_OK
-        cfg = load_config(args.config, args.example, _overrides(args))
-        handler = {"collect": cmd_collect, "fit": cmd_fit, "d0": cmd_d0,
-                   "design": cmd_design, "verify": cmd_verify}[args.command]
-        return handler(cfg)
-    except sdp.InfeasibleError as exc:
+        else:
+            run_stage(args.command, load_config(args.config, args.example,
+                                                _overrides(args)))
+        return EXIT_OK
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except sdp.VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except (ValueError, KeyError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lifting import evaluate
-from .matops import decode_matrix, encode_matrix, quadratic_rows, sym, write_table
+from .matops import (check_fields, decode_matrix, encode_matrix, quadratic_rows, sym,
+                     write_table)
 
 COND_LIMIT = 1e12           # scheduling-matrix refusal limit, see _singular
 SWEEP_TOL = 1e-8            # relative bracket width that ends a ray's bisection
@@ -84,11 +85,12 @@ class DesignResult:
     @staticmethod
     def from_json(text):
         """Inverse of ``to_json``; refuses a document that is not an object,
-        or whose ``Lambda`` is missing or not finite or whose ``theorem``
-        disagrees with ``Lw``."""
+        lacks a field, holds a non-finite ``tau``, ``nu`` or ``Lambda`` or
+        whose ``theorem`` disagrees with ``Lw``."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("design.json must hold a JSON object; re-run design")
+        check_fields(doc, "design.json", "design", ("P", "L", "tau", "nu"), ("tau", "nu"))
         dec = decode_matrix
         Lam, Lw = dec(doc.get("Lambda")), dec(doc.get("Lw"))
         if (Lam is None or not np.all(np.isfinite(Lam))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matops import decode_matrix, encode_matrix
+from .matops import check_fields, decode_matrix, encode_matrix
 
 SVD_CUTOFF = 1e-12    # relative singular-value cutoff of the pseudo-inverse
 
@@ -199,6 +199,7 @@ class Surrogate:
         dec = decode_matrix
         if not isinstance(doc, dict):
             raise ValueError("surrogate.json must hold a JSON object; re-run fit")
+        check_fields(doc, "surrogate.json", "fit", ("A", "B0", "B"), ("c_r", "delta"))
         if not isinstance(doc.get("B"), list):
             raise ValueError("surrogate 'B' must be a list of stored matrices")
         if "lifting" in doc and not (

@@ -1,7 +1,8 @@
-"""Small dense-matrix helpers shared across the toolkit."""
+"""Small dense-matrix and artifact (JSON) helpers shared across the toolkit."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -103,6 +104,13 @@ def write_table(path, M):
             fh.write((row * len(rows)) % tuple(rows.ravel().tolist()))
 
 
+def write_json(path, doc, indent=1):
+    """Write ``doc`` as sorted-key JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
+
+
 def encode_matrix(M):
     """JSON form ``{"shape", "data"}`` of an array (``None`` stays ``None``);
     vectors and scalars are stored as 2-D rows."""
@@ -127,3 +135,15 @@ def decode_matrix(obj):
                          "list of non-negative integers and whose 'data' is a "
                          "list of that many numbers")
     return np.asarray(data, dtype=float).reshape(shape)
+
+
+def check_fields(doc, file, stage, required, numbers):
+    """Refuse an artifact ``doc`` that lacks a ``required`` key or whose key
+    in ``numbers`` is not a finite number (or null, when not required)."""
+    for key in (*required, *numbers):
+        value, optional = doc.get(key), key not in required
+        what = " as a finite number" + " or null" * optional if key in numbers else ""
+        if not (optional or key in doc) or what and not (
+                value is None and optional
+                or type(value) in (int, float) and math.isfinite(value)):
+            raise ValueError(f"{file} needs '{key}'{what}; re-run {stage}")

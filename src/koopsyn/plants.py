@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .matops import write_json
+
 
 @dataclass(frozen=True)
 class Plant:
@@ -242,9 +244,7 @@ def save_samples(samples, outdir, plant=None):
         meta["plant"] = {"name": plant.name, "n": plant.n, "m": plant.m,
                          "state_box": plant.state_box.tolist(),
                          "input_box": plant.input_box.tolist()}
-    with open(outdir / "samples_meta.json", "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "samples_meta.json", meta)
     return meta
 
 

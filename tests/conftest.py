@@ -17,8 +17,7 @@ def figures_dir(tmp_path_factory):
     are the designs of the four built-in examples."""
     out = tmp_path_factory.mktemp("figures")
     for fig in ("fig1", "fig2", "fig3", "fig4", "fig5"):
-        rc = cli.cmd_reproduce(fig, out)
-        assert rc == 0
+        cli.cmd_reproduce(fig, out)      # raises when a figure fails
     return Path(out)
 
 

@@ -512,13 +512,43 @@ class TestCollect:
                   "--d", "5"])
         man = json.loads((tmp_path / "manifest_collect.json").read_text())
         assert man["command"] == "collect"
-        assert any("samples_u0.npy" in o for o in man["outputs"])
+        assert man["inputs"] == {}
+        assert man["outputs"] == ["samples_meta.json", "samples_u0.npy",
+                                  "samples_u1.npy"]
+
+
+def test_manifests_do_not_depend_on_the_directory(tmp_path):
+    # every stage of one config, run in two directories of different depth,
+    # writes the same bytes, manifests included, and no manifest names its
+    # directory
+    dirs = [tmp_path / "a", tmp_path / "b" / "c" / "d"]
+    for out in dirs:
+        for cmd in cli.STAGES:
+            assert cli.main([cmd, "--example", "cooked_up", "--out", str(out),
+                             "--d", "400"]) == 0, cmd
+    trees = [{p.name: p.read_bytes() for p in out.iterdir()} for out in dirs]
+    assert trees[0] == trees[1]
+    manifests = [trees[0][f"manifest_{cmd}.json"] for cmd in cli.STAGES]
+    assert not [out for out in dirs for text in manifests if str(out).encode() in text]
 
 
 class TestFitAndDesign:
-    def test_fit_requires_samples(self, tmp_path):
-        assert cli.main(["fit", "--example", "cooked_up",
-                         "--out", str(tmp_path)]) == cli.EXIT_BAD_INPUT
+    @pytest.mark.parametrize("argv, message", [
+        (["reproduce", "fig9"], "unknown figure id 'fig9' (use fig1..fig5)"),
+        (["fit", "--example", "cooked_up"],
+         "missing samples_meta.json in {out}; run collect first"),
+        (["design", "--example", "cooked_up"],
+         "missing surrogate.json in {out}; run fit first"),
+        (["verify", "--example", "cooked_up"],
+         "missing surrogate.json in {out}; run fit first"),
+    ], ids=["reproduce", "fit", "design", "verify"])
+    def test_refused_command_makes_no_directory(self, tmp_path, capsys, argv,
+                                                message):
+        # a refused command writes nothing, its output directory included
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: {message.format(out=out)}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda out, meta: (out / "samples_u1.npy").write_bytes(
@@ -586,10 +616,6 @@ class TestFitAndDesign:
         assert cli.main(["fit", "--out", str(tmp_path / "b"), *argv]) == 0
         assert ((tmp_path / "b" / "surrogate.json").read_bytes()
                 == (tmp_path / "a" / "surrogate.json").read_bytes())
-
-    def test_design_requires_surrogate(self, tmp_path):
-        assert cli.main(["design", "--example", "cooked_up",
-                         "--out", str(tmp_path)]) == cli.EXIT_BAD_INPUT
 
     def test_pipeline_artifacts(self, tmp_path):
         run_pipeline(tmp_path)
@@ -855,8 +881,8 @@ class TestReproduceCommand:
             for stem, change in changes.items():
                 configs[stem] = json.loads(
                     (figures_dir / stem / "manifest_design.json").read_text())["config"]
-                expected = {**cli.example_config(example), **change,
-                            "output_dir": str(figures_dir / stem)}
+                expected = {**cli.example_config(example), **change}
+                del expected["output_dir"]
                 assert configs[stem] == json.loads(json.dumps(expected)), stem
         # a figure design's directory verifies like any stage directory
         stage_dir = figures_dir / "fig3_tuned"
@@ -1019,13 +1045,28 @@ class TestVerifyCommand:
          lambda doc: doc.update(A={"shape": [2, 2], "data": [1, 2, 3, 4]}),
          ("design", "verify"),
          "surrogate matrix 'A' has shape [2, 2], but N = 3 and m = 1 need [3, 3]"),
+        ("design.json", lambda doc: doc.pop("P"), ("verify",),
+         "design.json needs 'P'; re-run design"),
+        ("design.json", lambda doc: doc.pop("tau"), ("verify",),
+         "design.json needs 'tau' as a finite number; re-run design"),
+        ("design.json", lambda doc: doc.update(tau=None), ("verify",),
+         "design.json needs 'tau' as a finite number; re-run design"),
+        ("design.json", lambda doc: doc.update(nu=[1]), ("verify",),
+         "design.json needs 'nu' as a finite number; re-run design"),
+        ("surrogate.json", lambda doc: doc.update(c_r="x"), ("design", "verify"),
+         "surrogate.json needs 'c_r' as a finite number or null; re-run fit"),
+        ("surrogate.json", lambda doc: doc.update(delta=[0.1]), ("design", "verify"),
+         "surrogate.json needs 'delta' as a finite number or null; re-run fit"),
     ], ids=["design-Lambda-int", "surrogate-A-list", "sine-index-5",
             "sine-index-negative", "surrogate-B-int", "surrogate-observables-int",
-            "surrogate-observable-int", "surrogate-A-wrong-size"])
+            "surrogate-observable-int", "surrogate-A-wrong-size", "design-no-P",
+            "design-no-tau", "design-tau-null", "design-nu-list",
+            "surrogate-c_r-string", "surrogate-delta-list"])
     def test_malformed_artifact_is_bad_input(self, pendulum_run, tmp_path, capsys,
                                              artifact, edit, commands, message):
-        # a malformed matrix or an observable reading past the n states in an
-        # artifact is refused in one error line, before anything is written
+        # a malformed matrix, a missing or non-numeric field or an observable
+        # reading past the n states in an artifact is refused in one error
+        # line, before anything is written
         shutil.copytree(pendulum_run, tmp_path, dirs_exist_ok=True)
         path = tmp_path / artifact
         doc = json.loads(path.read_text())
