@@ -2,7 +2,7 @@
 
 from .controller import DesignResult
 from .edmd import Surrogate
-from .lifting import Lifting, make_lifting
+from .lifting import Lifting
 from .plants import Plant, make_example
 from .uncertainty import UncertaintyRegion
 
@@ -15,5 +15,4 @@ __all__ = [
     "Surrogate",
     "UncertaintyRegion",
     "make_example",
-    "make_lifting",
 ]

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, controller, edmd, lmi, plants, sdp, uncertainty, verify
-from .lifting import make_lifting, observable
+from .lifting import Lifting, observable
 from .matops import write_json, write_table
 
 EXIT_OK = 0
@@ -222,7 +222,7 @@ def validate_config(cfg):
                          f"{n} states; set d0 \"sobol\": false for plain "
                          "Monte Carlo")
     extras = _extras(cfg)                         # refuses an unknown observable
-    make_lifting(n, extras)                       # and one outside the n states
+    Lifting(n, extras)                            # and a bad or implied one
     if not heuristic:                             # a fixed region of the lift's size
         N, region = n + len(extras), cfg["region"]
         if {len(region["Sz"]), len(region["Qz"]), *map(len, region["Qz"])} != {N}:
@@ -276,8 +276,6 @@ def _extras(cfg):
             raise ValueError(f"missing config key '{key}.kind'")
         params = item.get("params", {})
         _check(f"{key}.params", params, _OBJECT)
-        if item["kind"] in ("coordinate", "constant"):
-            raise ValueError("constant and coordinates are implied, not extras")
         extras.append(observable(item["kind"], params))
     return extras
 
@@ -304,7 +302,7 @@ def cmd_collect(cfg, outdir):
 
 def cmd_fit(cfg, outdir):
     samples = plants.load_samples(outdir)
-    lifting = make_lifting(samples.batches[0].states.shape[1], _extras(cfg))
+    lifting = Lifting(samples.batches[0].states.shape[1], _extras(cfg))
     eb = cfg["error_bound"]
     surrogate, report = edmd.fit(edmd.build_data_matrices(lifting, samples),
                                  lifting=lifting, c_r=eb["c_r"], delta=eb["delta"])
@@ -319,7 +317,7 @@ def cmd_fit(cfg, outdir):
 
 def cmd_d0(cfg, outdir):
     plant = _plant(cfg)
-    lifting = make_lifting(plant.n, _extras(cfg))
+    lifting = Lifting(plant.n, _extras(cfg))
     eb = cfg["error_bound"]
     quad = bounds.QuadratureSpec(**cfg.get("d0", {}))
     req = bounds.compute_d0(plant, lifting, eb["c_r"], eb["delta"], quad)
@@ -475,6 +473,10 @@ def _certified_starts(design, lifting, n_starts, seed):
 def cmd_verify(cfg, outdir):
     surrogate = edmd.Surrogate.from_json((outdir / "surrogate.json").read_text())
     design = controller.DesignResult.from_json((outdir / "design.json").read_text())
+    if (design.P.shape[0], design.L.shape[0]) != (surrogate.N, surrogate.m):
+        raise ValueError(f"design.json has N = {design.P.shape[0]} and m = "
+                         f"{design.L.shape[0]}, but surrogate.json has N = {surrogate.N} "
+                         f"and m = {surrogate.m}; re-run design")
     lifting = surrogate.lifting
     plant = _plant(cfg)
     horizon, rtol = _setting(cfg, "verify.horizon"), _setting(cfg, "verify.rtol")

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lifting import evaluate
-from .matops import (check_fields, decode_matrix, encode_matrix, quadratic_rows, sym,
+from .matops import (decode_fields, encode_matrix, quadratic_rows, read_artifact, sym,
                      write_table)
 
 COND_LIMIT = 1e12           # scheduling-matrix refusal limit, see _singular
@@ -84,22 +84,26 @@ class DesignResult:
 
     @staticmethod
     def from_json(text):
-        """Inverse of ``to_json``; refuses a document that is not an object,
-        lacks a field, holds a non-finite ``tau``, ``nu`` or ``Lambda`` or
-        whose ``theorem`` disagrees with ``Lw``."""
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("design.json must hold a JSON object; re-run design")
-        check_fields(doc, "design.json", "design", ("P", "L", "tau", "nu"), ("tau", "nu"))
-        dec = decode_matrix
-        Lam, Lw = dec(doc.get("Lambda")), dec(doc.get("Lw"))
-        if (Lam is None or not np.all(np.isfinite(Lam))
+        """Inverse of ``to_json``; refuses a document that is not a JSON
+        object, lacks a field, holds a non-finite number or matrix entry,
+        whose ``theorem`` disagrees with ``Lw`` or whose blocks do not fit
+        together: ``P`` N x N, ``L`` m x N, ``Lambda`` m x m, ``Lw`` m x Nm."""
+        doc = read_artifact(text, "design.json", "design", ("P", "L", "tau", "nu"),
+                            ("tau", "nu"))
+        P, L, Lam, Lw = decode_fields({k: doc.get(k) for k in ("P", "L", "Lambda", "Lw")},
+                                      "design.json", "design")
+        if (any(M is None for M in (P, L, Lam))
                 or doc.get("theorem") != (1 if Lw is None else 2)):
-            raise ValueError("the design needs a finite 'Lambda' and 'theorem' 2 with "
+            raise ValueError("the design needs 'P', 'L', 'Lambda' and 'theorem' 2 with "
                              "'Lw' or 1 without; re-run design")
-        return DesignResult(P=dec(doc["P"]), L=dec(doc["L"]), tau=float(doc["tau"]),
-                            nu=float(doc["nu"]), Lam=Lam, Lw=Lw,
-                            margins=doc.get("margins", {}))
+        N, m = (M.shape[0] if M.ndim else 0 for M in (P, L))
+        shapes = {"P": (N, N), "L": (m, N), "Lambda": (m, m), "Lw": (m, N * m)}
+        for (key, shape), M in zip(shapes.items(), (P, L, Lam, Lw)):
+            if M is not None and M.shape != shape:
+                raise ValueError(f"design.json '{key}' has shape {list(M.shape)}, but "
+                                 f"N = {N} and m = {m} need {list(shape)}; re-run design")
+        return DesignResult(P=P, L=L, tau=float(doc["tau"]), nu=float(doc["nu"]),
+                            Lam=Lam, Lw=Lw, margins=doc.get("margins", {}))
 
 
 class ClosedLoop:

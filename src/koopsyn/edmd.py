@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matops import check_fields, decode_matrix, encode_matrix
+from .matops import decode_fields, encode_matrix, read_artifact
 
 SVD_CUTOFF = 1e-12    # relative singular-value cutoff of the pseudo-inverse
 
@@ -118,9 +118,9 @@ def least_squares_fit(Y, X):
         "residual": resid,
         "relative_residual": resid / ynorm if ynorm > 0 else 0.0,
     }
-    if rank < min(X.shape):
+    if rank < X.shape[0]:     # below the regressor count: Theta is not unique
         warnings.warn(
-            f"rank-deficient regression data (rank {rank} of {min(X.shape)}, "
+            f"rank-deficient regression data (rank {rank} of {X.shape[0]} regressors, "
             f"condition {diag['cond']:.3e}); pseudo-inverse fallback used",
             RuntimeWarning,
         )
@@ -195,24 +195,15 @@ class Surrogate:
     def from_json(text):
         from .lifting import Lifting
 
-        doc = json.loads(text)
-        dec = decode_matrix
-        if not isinstance(doc, dict):
-            raise ValueError("surrogate.json must hold a JSON object; re-run fit")
-        check_fields(doc, "surrogate.json", "fit", ("A", "B0", "B"), ("c_r", "delta"))
+        doc = read_artifact(text, "surrogate.json", "fit", ("A", "B0", "B"),
+                            ("c_r", "delta"))
         if not isinstance(doc.get("B"), list):
             raise ValueError("surrogate 'B' must be a list of stored matrices")
-        if "lifting" in doc and not (
-                isinstance(doc["lifting"], dict)
-                and isinstance(doc["lifting"].get("observables"), list)
-                and all(isinstance(o, dict) for o in doc["lifting"]["observables"])):
-            raise ValueError("surrogate 'lifting' must be an object whose "
-                             "'observables' is a list of objects")
         lifting = Lifting.from_descriptor(doc["lifting"]) if "lifting" in doc else None
-        return Surrogate(A=dec(doc["A"]), B0=dec(doc["B0"]),
-                         B=tuple(dec(b) for b in doc["B"]),
-                         c_r=doc.get("c_r"), delta=doc.get("delta"),
-                         lifting=lifting)
+        A, B0, *B = decode_fields({"A": doc["A"], "B0": doc["B0"], **{
+            f"B[{i}]": b for i, b in enumerate(doc["B"])}}, "surrogate.json", "fit")
+        return Surrogate(A=A, B0=B0, B=tuple(B), c_r=doc.get("c_r"),
+                         delta=doc.get("delta"), lifting=lifting)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,16 @@
 """Observable dictionaries for Koopman lifting.
 
-A dictionary always starts with the constant observable and the coordinate
-maps; user-chosen observables follow and must vanish at the origin.  The full
-lift of a state ``x`` is ``(1, x_1, ..., x_n, phi_{n+1}(x), ..., phi_N(x))``;
-the reduced lift drops the leading constant entry and therefore vanishes at
-``x = 0``.
+A dictionary ``Lifting(n, extras)`` is the constant observable, the n
+coordinate maps, then the user-chosen extras, which must vanish at the
+origin.  The full lift of a state ``x`` is ``(1, x_1, ..., x_n,
+phi_{n+1}(x), ..., phi_N(x))``; the reduced lift drops the leading constant
+entry and therefore vanishes at ``x = 0``.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -192,17 +192,22 @@ def observable(kind, params):
 
 @dataclass(frozen=True)
 class Lifting:
-    """Immutable observable dictionary.
+    """Immutable observable dictionary of an ``n``-state plant.
 
     ``observables`` has length N+1: entry 0 is the constant, entries 1..n the
-    coordinates, the rest user observables vanishing at the origin.
+    coordinate maps, the rest the ``extras``, observables vanishing at the
+    origin.
     """
 
     n: int
-    observables: tuple
+    extras: tuple = ()
+    observables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate(self)
+        object.__setattr__(self, "extras", tuple(self.extras))
+        _validate(self.n, self.extras)
+        object.__setattr__(self, "observables", (constant(),) + tuple(
+            coordinate(k) for k in range(self.n)) + self.extras)
 
     @property
     def N(self):
@@ -214,7 +219,10 @@ class Lifting:
 
     def lift(self, x):
         """Full lifted vector Phi(x) of length N+1."""
-        return self.lift_many(self._check_state(x)[None])[0]
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError(f"state has shape {x.shape}, expected ({self.n},)")
+        return self.lift_many(x[None])[0]
 
     def lift_many(self, X, out=None):
         """Vectorized full lift of X (d, n): the (d, N+1) transpose of the
@@ -251,30 +259,42 @@ class Lifting:
 
     def descriptor(self):
         """JSON-serializable description ``{n, N, observables}``."""
-        obs = []
-        for ob in self.observables:
+        for ob in self.extras:
             if ob.kind not in _CATALOG:
                 raise ValueError(f"observable kind '{ob.kind}' is not serializable")
-            obs.append({"kind": ob.kind, "params": ob.params})
-        return {"n": self.n, "N": self.N, "observables": obs}
+        return {"n": self.n, "N": self.N, "observables": [
+            {"kind": ob.kind, "params": ob.params} for ob in self.observables]}
 
     @staticmethod
     def from_descriptor(desc):
-        obs = tuple(observable(o["kind"], o.get("params", {})) for o in desc["observables"])
-        return Lifting(n=int(desc["n"]), observables=obs)
+        """Inverse of ``descriptor``, the one check of a stored dictionary:
+        each refusal names its field."""
+        if not isinstance(desc, dict):
+            raise ValueError(f"lifting must be an object, not {desc!r}")
+        n, N, obs = desc.get("n"), desc.get("N"), desc.get("observables")
+        if not (_is_integer(n) and n >= 1):
+            raise ValueError(f"lifting 'n' must be an integer of at least 1, not {n!r}")
+        if not (isinstance(obs, list) and all(isinstance(o, dict) and isinstance(
+                o.get("kind"), str) and isinstance(o.get("params", {}), dict) for o in obs)):
+            raise ValueError("lifting 'observables' must be a list of objects, each "
+                             "with a 'kind' string and a 'params' object")
+        obs = [observable(o["kind"], o.get("params", {})) for o in obs]
+        if [(o.kind, o.params) for o in obs[:n + 1]] != [("constant", {})] + [
+                ("coordinate", {"index": k}) for k in range(n)]:
+            raise ValueError(f"lifting 'observables' must start with the constant "
+                             f"and the coordinate maps x_1..x_{n}, in order")
+        if not (_is_integer(N) and N == len(obs) - 1):
+            raise ValueError(f"lifting 'N' must be {len(obs) - 1}, the number of "
+                             f"observables after the constant, not {N!r}")
+        return Lifting(n, obs[n + 1:])
 
-    # -- internals ------------------------------------------------------
 
-    def _check_state(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"state has shape {x.shape}, expected ({self.n},)")
-        return x
-
-
-def _validate(L):
-    n = L.n
-    for ob in L.observables:    # before any is evaluated (numpy wraps index -1)
+def _validate(n, extras):
+    """Refuse an extra that is implied, that reads outside the n states, or
+    that is not finite and zero at the origin."""
+    for ob in extras:    # before any is evaluated (numpy wraps index -1)
+        if ob.kind in ("constant", "coordinate"):
+            raise DictionaryError(f"observable '{ob.kind}' is implied, not an extra")
         if "index" in ob.params and not 0 <= ob.params["index"] < n:
             raise ValueError(f"observable '{ob.kind}' index {ob.params['index']} "
                              f"is outside 0..{n - 1} (the plant has {n} states)")
@@ -282,27 +302,6 @@ def _validate(L):
             if len(exps) != n:
                 raise ValueError(f"observable '{ob.kind}' exponent list {exps} has "
                                  f"length {len(exps)}, but the plant has {n} states")
-    if len(L.observables) < n + 1:
-        raise DictionaryError("dictionary must contain the constant and all coordinates")
-    rng = np.random.default_rng(0)
-    # the origin, then three random states
-    probes = np.vstack([np.zeros(n), rng.uniform(-1.0, 1.0, size=(3, n))])
-    values = evaluate(L.observables, probes).T
-    X, E = np.repeat(probes, n, axis=0), np.tile(np.eye(n), (len(probes), 1))
-    if (np.any(np.abs(values[:, 0] - 1.0) > 1e-12)
-            or np.any(np.abs(L.lie_many(X, E)[:, 0]) > 1e-12)):
-        raise DictionaryError("observable 0 must be identically 1")
-    for k in range(1, n + 1):
-        if np.any(np.abs(values[:, k] - probes[:, k - 1]) > 1e-12):
-            raise DictionaryError(f"observable {k} must be the coordinate map x_{k}")
-    for k in range(n + 1, len(L.observables)):
-        v = float(values[0, k])
+    for k, v in enumerate(evaluate(extras, np.zeros((1, n)))[:, 0], start=n + 1):
         if not np.isfinite(v) or abs(v) > 1e-12:
             raise DictionaryError(f"observable {k} must vanish at the origin (got {v})")
-
-
-def make_lifting(n, extras=()):
-    """Build a dictionary from the extra observables only; the constant and
-    coordinate maps are prepended automatically."""
-    obs = (constant(),) + tuple(coordinate(k) for k in range(n)) + tuple(extras)
-    return Lifting(n=n, observables=obs)

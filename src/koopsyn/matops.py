@@ -137,9 +137,17 @@ def decode_matrix(obj):
     return np.asarray(data, dtype=float).reshape(shape)
 
 
-def check_fields(doc, file, stage, required, numbers):
-    """Refuse an artifact ``doc`` that lacks a ``required`` key or whose key
-    in ``numbers`` is not a finite number (or null, when not required)."""
+def read_artifact(text, file, stage, required, numbers):
+    """The JSON object held by the text of artifact ``file``; text that is
+    not readable JSON or not an object, a missing ``required`` key, and a
+    key in ``numbers`` that is not a finite number (or null, when not
+    required) are refused naming ``file`` and the ``stage`` to re-run."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{file} is not readable JSON ({exc}); re-run {stage}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{file} must hold a JSON object; re-run {stage}")
     for key in (*required, *numbers):
         value, optional = doc.get(key), key not in required
         what = " as a finite number" + " or null" * optional if key in numbers else ""
@@ -147,3 +155,15 @@ def check_fields(doc, file, stage, required, numbers):
                 value is None and optional
                 or type(value) in (int, float) and math.isfinite(value)):
             raise ValueError(f"{file} needs '{key}'{what}; re-run {stage}")
+    return doc
+
+
+def decode_fields(fields, file, stage):
+    """The matrices of ``fields`` (name -> stored matrix or None), each decoded
+    by :func:`decode_matrix`; one with a non-finite entry is refused naming
+    ``file``, the field and the ``stage`` to re-run."""
+    out = [decode_matrix(obj) for obj in fields.values()]
+    for name, M in zip(fields, out):
+        if M is not None and not np.all(np.isfinite(M)):
+            raise ValueError(f"{file} '{name}' must hold finite numbers; re-run {stage}")
+    return out

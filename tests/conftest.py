@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from koopsyn import bounds, cli, controller, edmd, lmi, plants, sdp, uncertainty
-from koopsyn.lifting import Observable, make_lifting, poly, sine
+from koopsyn.lifting import Lifting, Observable, poly, sine
 from koopsyn.matops import block, mT
 
 EXACT_A = np.array([[-2.0, 0.0, 0.0], [0.0, -4.0, 5.0], [0.0, 0.0, 1.0]])
@@ -23,18 +23,18 @@ def figures_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def lifting_cooked():
-    return make_lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))])])
+    return Lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))])])
 
 
 @pytest.fixture(scope="session")
 def lifting_cooked_xy():
-    return make_lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))]),
+    return Lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))]),
                             poly([(1.0, (1, 1))])])
 
 
 @pytest.fixture(scope="session")
 def lifting_pendulum():
-    return make_lifting(2, [sine(0)])
+    return Lifting(2, [sine(0)])
 
 
 @pytest.fixture(scope="session")

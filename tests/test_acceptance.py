@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from koopsyn import cli, controller, edmd, lmi, plants, sdp, uncertainty, verify
-from koopsyn.lifting import make_lifting, poly
+from koopsyn.lifting import Lifting, poly
 
 from conftest import (EXACT_A, EXACT_B0, containment_margins,
                       matches_theorem1_reference, multiplier_inverse_reference)
@@ -88,7 +88,7 @@ def test_criterion_03_design_feasibility(surrogate_fitted, region_cooked):
 
 
 def test_criterion_04_design_reduction():
-    lifting = make_lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))])])
+    lifting = Lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))])])
     B1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.1, -0.2, 0.3]])
     surrogate = edmd.Surrogate(A=EXACT_A, B0=EXACT_B0, B=(B1,), c_r=0.1,
                                delta=0.05, lifting=lifting)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from koopsyn import bounds, lmi
-from koopsyn.lifting import Observable, make_lifting
+from koopsyn.lifting import Lifting, Observable
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +110,7 @@ class TestComputeD0:
 
     def test_nonfinite_integrand_reported(self, plant_cooked):
         # pole at x1 = 0.125, which is a midpoint-grid node for 8 points/axis
-        spiky = make_lifting(2, [Observable(
+        spiky = Lifting(2, [Observable(
             kind="pole", params={},
             fn=lambda X: X[..., 0] / (X[..., 0] - 0.125),
             lie=lambda X, V: -0.125 / (X[..., 0] - 0.125) ** 2 * V[..., 0])])
@@ -154,7 +154,7 @@ class TestStreamedQuadrature:
             fn=lambda X: np.where(X[..., 0] >= cut, np.nan, X[..., 0] * X[..., 1]),
             lie=lambda X, V: np.zeros(np.shape(X)[:-1]))
         with pytest.raises(ValueError, match="non-finite observable value"):
-            bounds.compute_d0(plant_cooked, make_lifting(2, [spike]), 0.1, 0.05,
+            bounds.compute_d0(plant_cooked, Lifting(2, [spike]), 0.1, 0.05,
                               bounds.QuadratureSpec(points_per_axis=101))
 
     def test_report_counts_integrated_points(self, plant_cooked, lifting_cooked,

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from koopsyn import cli, controller, edmd, lmi, sdp, verify
+from koopsyn.matops import encode_matrix
 
 
 def run_pipeline(tmp_path, example="cooked_up", d=400, extra=()):
@@ -533,6 +535,21 @@ def test_manifests_do_not_depend_on_the_directory(tmp_path):
 
 
 class TestFitAndDesign:
+    @pytest.mark.parametrize("d", [1, 2, None], ids=["d1", "d2", "example"])
+    def test_fit_warns_below_the_regressor_count(self, tmp_path, d):
+        # pendulum regresses on N = 3 and N + 1 = 4 rows: fewer samples fit
+        # them exactly but not uniquely; the example's d = 15000 does not warn
+        argv = ["--example", "pendulum", "--out", str(tmp_path)]
+        argv += [] if d is None else ["--d", str(d)]
+        assert cli.main(["collect", *argv]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["fit", *argv]) == 0
+        rank = [str(w.message) for w in caught if "rank-deficient" in str(w.message)]
+        assert bool(rank) == (d is not None), rank
+        if d is not None:
+            assert f"(rank {d} of 3 regressors" in rank[0]
+
     @pytest.mark.parametrize("argv, message", [
         (["reproduce", "fig9"], "unknown figure id 'fig9' (use fig1..fig5)"),
         (["fit", "--example", "cooked_up"],
@@ -1036,17 +1053,42 @@ class TestVerifyCommand:
         ("surrogate.json", lambda doc: doc.update(B=5), ("design", "verify"),
          "surrogate 'B' must be a list of stored matrices"),
         ("surrogate.json", lambda doc: doc["lifting"].update(observables=5),
-         ("design", "verify"),
-         "surrogate 'lifting' must be an object whose 'observables' is a list"),
+         ("design", "verify"), "lifting 'observables' must be a list of objects"),
         ("surrogate.json", lambda doc: doc["lifting"].update(observables=[5]),
-         ("design", "verify"),
-         "surrogate 'lifting' must be an object whose 'observables' is a list"),
+         ("design", "verify"), "lifting 'observables' must be a list of objects"),
+        ("surrogate.json", lambda doc: doc["lifting"].update(n=2.7), ("design", "verify"),
+         "lifting 'n' must be an integer of at least 1, not 2.7"),
+        ("surrogate.json", lambda doc: doc["lifting"].update(N=99), ("design", "verify"),
+         "lifting 'N' must be 3, the number of observables after the constant, not 99"),
+        ("surrogate.json", lambda doc: doc["lifting"].pop("n"), ("design", "verify"),
+         "lifting 'n' must be an integer of at least 1, not None"),
+        ("surrogate.json", lambda doc: doc["lifting"]["observables"].insert(
+            1, doc["lifting"]["observables"].pop(2)), ("design", "verify"),
+         "lifting 'observables' must start with the constant "
+         "and the coordinate maps x_1..x_2, in order"),
+        ("surrogate.json", lambda doc: doc["lifting"]["observables"].__setitem__(
+            -1, {"kind": "coordinate", "params": {"index": 0}}), ("design", "verify"),
+         "observable 'coordinate' is implied, not an extra"),
+        ("surrogate.json", lambda doc: doc["A"]["data"].__setitem__(0, float("nan")),
+         ("design", "verify"), "surrogate.json 'A' must hold finite numbers; re-run fit"),
         ("surrogate.json",
          lambda doc: doc.update(A={"shape": [2, 2], "data": [1, 2, 3, 4]}),
          ("design", "verify"),
          "surrogate matrix 'A' has shape [2, 2], but N = 3 and m = 1 need [3, 3]"),
         ("design.json", lambda doc: doc.pop("P"), ("verify",),
          "design.json needs 'P'; re-run design"),
+        ("design.json", lambda doc: doc["P"]["data"].__setitem__(0, float("inf")),
+         ("verify",), "design.json 'P' must hold finite numbers; re-run design"),
+        ("design.json", lambda doc: doc["P"]["data"].__setitem__(0, float("nan")),
+         ("verify",), "design.json 'P' must hold finite numbers; re-run design"),
+        ("design.json", lambda doc: doc.update(P=encode_matrix(np.eye(4)),
+                                               L=encode_matrix(np.ones((1, 4)))),
+         ("verify",), "design.json has N = 4 and m = 1, but surrogate.json has N = 3 "
+         "and m = 1; re-run design"),
+        ("design.json", lambda doc: doc.update(P=encode_matrix(np.eye(2)),
+                                               L=encode_matrix(np.ones((1, 4)))),
+         ("verify",), "design.json 'L' has shape [1, 4], but N = 2 and m = 1 need "
+         "[1, 2]; re-run design"),
         ("design.json", lambda doc: doc.pop("tau"), ("verify",),
          "design.json needs 'tau' as a finite number; re-run design"),
         ("design.json", lambda doc: doc.update(tau=None), ("verify",),
@@ -1059,14 +1101,20 @@ class TestVerifyCommand:
          "surrogate.json needs 'delta' as a finite number or null; re-run fit"),
     ], ids=["design-Lambda-int", "surrogate-A-list", "sine-index-5",
             "sine-index-negative", "surrogate-B-int", "surrogate-observables-int",
-            "surrogate-observable-int", "surrogate-A-wrong-size", "design-no-P",
+            "surrogate-observable-int", "lifting-n-float", "lifting-N-wrong",
+            "lifting-no-n", "lifting-coordinates-swapped", "lifting-coordinate-extra",
+            "surrogate-A-nan", "surrogate-A-wrong-size", "design-no-P",
+            "design-P-inf", "design-P-nan", "design-other-surrogate",
+            "design-blocks-disagree",
             "design-no-tau", "design-tau-null", "design-nu-list",
             "surrogate-c_r-string", "surrogate-delta-list"])
     def test_malformed_artifact_is_bad_input(self, pendulum_run, tmp_path, capsys,
                                              artifact, edit, commands, message):
-        # a malformed matrix, a missing or non-numeric field or an observable
-        # reading past the n states in an artifact is refused in one error
-        # line, before anything is written
+        # a malformed or non-finite matrix, a missing or non-numeric field, a
+        # lifting descriptor that breaks the dictionary's structure or an
+        # observable reading past the n states in an artifact, and a design
+        # whose blocks do not fit each other or the surrogate, is refused in
+        # one error line, before anything is written
         shutil.copytree(pendulum_run, tmp_path, dirs_exist_ok=True)
         path = tmp_path / artifact
         doc = json.loads(path.read_text())
@@ -1081,16 +1129,22 @@ class TestVerifyCommand:
             assert err.count("\n") == 1 and err.startswith(f"error: {message}")
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    @pytest.mark.parametrize("artifact, commands, message", [
-        ("surrogate.json", ("design", "verify"),
+    @pytest.mark.parametrize("artifact, text, commands, message", [
+        ("surrogate.json", "[]\n", ("design", "verify"),
          "surrogate.json must hold a JSON object; re-run fit"),
-        ("design.json", ("verify",),
+        ("design.json", "[]\n", ("verify",),
          "design.json must hold a JSON object; re-run design"),
-    ], ids=["surrogate", "design"])
+        ("surrogate.json", "\n", ("design", "verify"),
+         "surrogate.json is not readable JSON (Expecting value: line 2 column 1 "
+         "(char 1)); re-run fit"),
+        ("design.json", "{\n", ("verify",),
+         "design.json is not readable JSON (Expecting property name enclosed in "
+         "double quotes: line 2 column 1 (char 2)); re-run design"),
+    ], ids=["surrogate", "design", "surrogate-empty", "design-unreadable"])
     def test_non_object_artifact_is_bad_input(self, pendulum_run, tmp_path, capsys,
-                                              artifact, commands, message):
+                                              artifact, text, commands, message):
         shutil.copytree(pendulum_run, tmp_path, dirs_exist_ok=True)
-        (tmp_path / artifact).write_text("[]\n")
+        (tmp_path / artifact).write_text(text)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         for cmd in commands:
             capsys.readouterr()

@@ -8,7 +8,7 @@ from koopsyn.controller import (ClosedLoop, DesignResult, FeedbackSingularError,
                                 _polar_sweep, feedback, polygon_area,
                                 region_boundary_2d, roa_boundary_2d,
                                 roa_membership)
-from koopsyn.lifting import make_lifting
+from koopsyn.lifting import Lifting
 
 from conftest import containment_margins
 
@@ -271,7 +271,7 @@ class TestRoAMembership:
 
 class TestBoundary:
     def test_unit_circle(self):
-        L = make_lifting(2)
+        L = Lifting(2)
         d = linear_design(np.zeros((1, 2)), P=np.eye(2))
         b = roa_boundary_2d(d, L, resolution=64)
         assert np.max(np.abs(b.radii - 1.0)) <= 1e-9
@@ -290,13 +290,13 @@ class TestBoundary:
         assert np.max(np.abs(b.points[:, 1])) >= 12.0
 
     def test_polygon_area_circle(self):
-        L = make_lifting(2)
+        L = Lifting(2)
         d = linear_design(np.zeros((1, 2)), P=np.eye(2))
         b = roa_boundary_2d(d, L, resolution=720)
         assert polygon_area(b.points) == pytest.approx(np.pi, rel=1e-3)
 
     def test_open_rays_flagged_at_cap(self):
-        L = make_lifting(2)
+        L = Lifting(2)
         d = linear_design(np.zeros((1, 2)), P=np.diag([1.0e6, 1.0]))
         b = _polar_sweep(ClosedLoop.of(d, L).value_many, 10.0, 8)
         assert np.any(b.open_rays) and not b.closed
@@ -367,7 +367,7 @@ class TestPolarSweep:
         assert "open" not in stops
 
     def test_open_rays(self):
-        L = make_lifting(2)
+        L = Lifting(2)
         d = linear_design(np.zeros((1, 2)), P=np.diag([1.0e6, 1.0]))
         b = _polar_sweep(ClosedLoop.of(d, L).value_many, 10.0, 16)
         stops = self.check(b, ClosedLoop.of(d, L).value_many, 10.0, 16)
@@ -377,7 +377,7 @@ class TestPolarSweep:
         # an ellipse with semi-axes 100 and about 55: a shallow value slope
         # at the crossing lets |V - 1| <= 1e-9 hold on some rays before the
         # bracket is tol * r wide
-        L = make_lifting(2)
+        L = Lifting(2)
         d = linear_design(np.zeros((1, 2)), P=np.diag([1.0e4, 3.0e3]))
         b = roa_boundary_2d(d, L, resolution=64)
         stops = self.check(b, ClosedLoop.of(d, L).value_many, 1e5, 64)
@@ -456,7 +456,7 @@ class TestContainment:
 
 class TestRegionBoundary:
     def test_ball_region_circle_in_lifted_identity(self):
-        L = make_lifting(2)
+        L = Lifting(2)
         reg = uncertainty.identity_region(2, 4.0)
         b = region_boundary_2d(reg, L, resolution=32)
         assert np.max(np.abs(b.radii - 2.0)) <= 1e-6

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from koopsyn import edmd, plants
-from koopsyn.lifting import make_lifting, poly
+from koopsyn.lifting import Lifting, poly
 from koopsyn.plants import SampleBatch, SampleSet
 
 from conftest import EXACT_A, EXACT_B0
@@ -17,7 +17,7 @@ def tiny_sampleset(states, derivs, u_states=None, u_derivs=None, u=1.0):
 
 class TestDataMatrices:
     def test_identity_single_sample(self):
-        L = make_lifting(1)
+        L = Lifting(1)
         ss = tiny_sampleset(np.array([[2.0]]), np.array([[-2.0]]))
         dm = edmd.build_data_matrices(L, ss)
         assert np.array_equal(dm.X0, [[2.0]])
@@ -62,7 +62,7 @@ class TestFit:
         assert np.max(np.abs(surrogate_fitted.B[0])) <= 1e-10
 
     def test_scalar_linear_exact(self):
-        L = make_lifting(1)
+        L = Lifting(1)
         xs = np.array([[0.5], [-1.2], [2.0]])
         ss = tiny_sampleset(xs, -xs, u_derivs=-xs)
         s, _ = edmd.fit(edmd.build_data_matrices(L, ss))
@@ -101,14 +101,14 @@ class TestFit:
         p = plants.make_example("cooked_up")
         narrow = plants.Plant(name="narrow", n=2, m=1, f=p.f, g=p.g,
                               state_box=p.state_box, input_box=[[-0.5, 0.5]])
-        L = make_lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))])])
+        L = Lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))])])
         ss = plants.collect_samples(narrow, 2000, seed=3)
         s, _ = edmd.fit(edmd.build_data_matrices(L, ss))
         assert np.max(np.abs(s.B0 - EXACT_B0)) <= 1e-9
         assert np.max(np.abs(s.A - EXACT_A)) <= 1e-9
 
     def test_rank_deficiency_warns(self):
-        L = make_lifting(2)
+        L = Lifting(2)
         states = np.tile([[1.0, 2.0]], (4, 1))   # single repeated sample
         ss = tiny_sampleset(states, np.zeros((4, 2)))
         dm = edmd.build_data_matrices(L, ss)
@@ -116,7 +116,7 @@ class TestFit:
             edmd.fit(dm)
 
     def test_nan_rejected(self):
-        L = make_lifting(1)
+        L = Lifting(1)
         ss = tiny_sampleset(np.array([[1.0]]), np.array([[np.nan]]))
         with pytest.raises(edmd.FitError):
             edmd.build_data_matrices(L, ss)

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopsyn.lifting import (DictionaryError, Lifting, cosine_minus_one, make_lifting,
+from koopsyn.lifting import (DictionaryError, Lifting, cosine_minus_one,
                              observable, poly, sine)
 
 from conftest import outside_catalog
 
 
 def pendulum_lifting():
-    return make_lifting(2, [sine(0)])
+    return Lifting(2, [sine(0)])
 
 
 class TestLift:
@@ -35,7 +35,7 @@ class TestLift:
             lifting_cooked.lift(np.zeros(3))
 
     def test_nonfinite_rejected(self):
-        L = make_lifting(1, [outside_catalog(
+        L = Lifting(1, [outside_catalog(
             lambda X: np.where(X[..., 0] > -0.5, X[..., 0], np.nan))])
         with pytest.raises(ValueError):
             L.lift(np.array([-1.0]))
@@ -53,7 +53,7 @@ class TestLiftReduced:
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=2))
     @settings(max_examples=100, deadline=None)
     def test_norm_lower_bound(self, xs):
-        L = make_lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))])])
+        L = Lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))])])
         x = np.array(xs)
         assert np.linalg.norm(L.lift_reduced_many(x[None])[0]) ** 2 \
             >= np.linalg.norm(x) ** 2
@@ -72,9 +72,9 @@ class TestGradient:
         np.testing.assert_allclose(G[3], [1.0, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("factory", [
-        lambda: make_lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))])]),
-        lambda: make_lifting(2, [sine(0), cosine_minus_one(1)]),
-        lambda: make_lifting(3, [poly([(0.5, (1, 1, 1))])]),
+        lambda: Lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))])]),
+        lambda: Lifting(2, [sine(0), cosine_minus_one(1)]),
+        lambda: Lifting(3, [poly([(0.5, (1, 1, 1))])]),
     ])
     def test_matches_finite_differences(self, factory):
         L = factory()
@@ -96,9 +96,9 @@ class TestGradient:
 
 class TestLie:
     @pytest.mark.parametrize("factory", [
-        lambda: make_lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))]),
+        lambda: Lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))]),
                                  poly([(1.0, (1, 1))])]),
-        lambda: make_lifting(2, [sine(0), cosine_minus_one(1)]),
+        lambda: Lifting(2, [sine(0), cosine_minus_one(1)]),
     ])
     def test_equals_gradient_contraction(self, factory):
         # the fit's former einsum over the gradient tensor, bit for bit
@@ -122,20 +122,33 @@ class TestLie:
 class TestValidation:
     def test_rejects_nonvanishing_extra(self):
         with pytest.raises(DictionaryError):
-            make_lifting(1, [outside_catalog(lambda X: np.cos(X[..., 0]))])
+            Lifting(1, [outside_catalog(lambda X: np.cos(X[..., 0]))])
 
     def test_replace_revalidates(self):
         # a copy is checked like a new dictionary: an extra observable that
-        # does not vanish at the origin is refused either way
-        L = make_lifting(1)
+        # does not vanish at the origin is refused either way, and the copy's
+        # observables follow its extras
+        L = Lifting(1)
         cos = outside_catalog(lambda X: np.cos(X[..., 0]))
         with pytest.raises(DictionaryError):
-            dataclasses.replace(L, observables=L.observables + (cos,))
+            dataclasses.replace(L, extras=L.extras + (cos,))
+        wide = dataclasses.replace(L, n=2)
+        assert [ob.kind for ob in wide.observables] == ["constant", "coordinate",
+                                                         "coordinate"]
 
     def test_rejects_missing_coordinates(self):
-        from koopsyn.lifting import constant
-        with pytest.raises(DictionaryError):
-            Lifting(n=2, observables=(constant(),))
+        # the constant and the coordinate maps are implied: an extra of their
+        # kind is refused, and so is a descriptor that lacks or reorders them
+        from koopsyn.lifting import constant, coordinate
+        for extra in (constant(), coordinate(0)):
+            with pytest.raises(DictionaryError, match=f"'{extra.kind}' is implied"):
+                Lifting(2, [extra])
+        desc = pendulum_lifting().descriptor()
+        for obs in (desc["observables"][:1] + desc["observables"][3:],
+                    [desc["observables"][k] for k in (0, 2, 1, 3)]):
+            with pytest.raises(ValueError, match="lifting 'observables' must start "
+                               "with the constant and the coordinate maps x_1..x_2"):
+                Lifting.from_descriptor({**desc, "observables": obs})
 
     def test_rejects_degree_zero_poly_term(self):
         with pytest.raises(DictionaryError):
@@ -151,7 +164,7 @@ class TestValidation:
         # before any observable is evaluated: numpy would raise IndexError on
         # index 2 and wrap index -1 to x_2; a descriptor is refused the same way
         with pytest.raises(ValueError, match=re.escape(message)):
-            make_lifting(2, [extra])
+            Lifting(2, [extra])
         desc = pendulum_lifting().descriptor()
         desc["observables"][-1] = {"kind": extra.kind, "params": extra.params}
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -211,6 +224,6 @@ class TestSerialization:
         assert str(info.value) == message
 
     def test_custom_not_serializable(self):
-        L = make_lifting(1, [outside_catalog(lambda X: X[..., 0] ** 3)])
+        L = Lifting(1, [outside_catalog(lambda X: X[..., 0] ** 3)])
         with pytest.raises(ValueError):
             L.descriptor()

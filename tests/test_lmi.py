@@ -5,7 +5,7 @@ import pytest
 
 from koopsyn import controller, lmi, uncertainty
 from koopsyn.edmd import Surrogate
-from koopsyn.lifting import make_lifting, poly
+from koopsyn.lifting import Lifting, poly
 from koopsyn.matops import sym
 
 from conftest import (EXACT_A, EXACT_B0, constraint, matches_theorem1_reference,
@@ -16,7 +16,7 @@ from conftest import (EXACT_A, EXACT_B0, constraint, matches_theorem1_reference,
 def stressed_pair():
     """Single-input surrogate with nonzero bilinear channel and a region with
     offset, to exercise every block of both builders."""
-    L = make_lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))])])
+    L = Lifting(2, [poly([(1.0, (0, 1)), (-0.2, (2, 0))])])
     B1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.1, -0.2, 0.3]])
     s = Surrogate(A=EXACT_A, B0=EXACT_B0, B=(B1,), c_r=0.1, delta=0.05, lifting=L)
     reg = uncertainty.UncertaintyRegion(Qz=-np.diag([1.0, 2.0, 3.0]),

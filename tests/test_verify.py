@@ -10,7 +10,7 @@ import pytest
 from koopsyn import cli, edmd, plants, verify
 from koopsyn.controller import (ClosedLoop, DesignResult, FeedbackSingularError,
                                 feedback)
-from koopsyn.lifting import make_lifting
+from koopsyn.lifting import Lifting
 
 from conftest import outside_catalog
 
@@ -45,7 +45,7 @@ class TestSimulate:
         assert np.max(np.abs(traj.states)) == 0.0
 
     def test_linear_decay_closed_form(self, scalar_plant):
-        L = make_lifting(1)
+        L = Lifting(1)
         traj = simulate_one(scalar_plant, zero_design(1), L, np.array([1.0]),
                             horizon=1.0)
         idx = np.argmin(np.abs(traj.t - 1.0))
@@ -54,7 +54,7 @@ class TestSimulate:
         assert abs(traj.states[idx, 0] - np.exp(-traj.t[idx])) < 1e-6
 
     def test_converged_status(self, scalar_plant):
-        L = make_lifting(1)
+        L = Lifting(1)
         traj = simulate_one(scalar_plant, zero_design(1), L, np.array([1.0]),
                             horizon=50.0)
         assert traj.reason == "converged"
@@ -74,14 +74,14 @@ class TestSimulate:
                             f=lambda x: np.asarray(x, dtype=float),
                             g=scalar_plant.g, state_box=[[-1.0, 1.0]],
                             input_box=[[-1.0, 1.0]])
-        L = make_lifting(1)
+        L = Lifting(1)
         traj = simulate_one(grow, zero_design(1), L, np.array([1.0]),
                             horizon=50.0, escape_radius=100.0)
         assert traj.reason == "left_domain"
 
     def test_integrator_order(self, scalar_plant):
         # fixed-step reading: halving the step cuts the error by >= 4x
-        L = make_lifting(1)
+        L = Lifting(1)
         errs = []
         for h in (0.5, 0.25):
             traj = simulate_one(scalar_plant, zero_design(1), L,
@@ -92,7 +92,7 @@ class TestSimulate:
         assert errs[1] <= errs[0] / 4.0
 
     def test_tolerance_scaling(self, scalar_plant):
-        L = make_lifting(1)
+        L = Lifting(1)
         errs = []
         for rtol in (1.6e-6, 1e-7):
             traj = simulate_one(scalar_plant, zero_design(1), L,
@@ -115,7 +115,7 @@ class TestSimulate:
         Lw[0, 2] = 1.0e4
         design = DesignResult(P=np.eye(2), L=np.zeros((2, 2)),
                               tau=1.0, nu=1.0, Lam=np.eye(2), Lw=Lw)
-        traj = simulate_one(plant, design, make_lifting(2),
+        traj = simulate_one(plant, design, Lifting(2),
                             np.array([0.5, 0.5]), horizon=50.0)
         assert traj.reason == "singular_feedback"
 
@@ -124,7 +124,7 @@ class TestSimulate:
         # at t = ln 2, where the run ends with a reason rather than an error
         hole = outside_catalog(
             lambda X: np.where((0.0 < X[..., 0]) & (X[..., 0] < 0.5), np.nan, 0.0))
-        L = make_lifting(1, [hole])
+        L = Lifting(1, [hole])
         traj = simulate_one(scalar_plant, zero_design(2), L, np.array([1.0]))
         assert traj.reason == "numerical_failure"
         assert abs(traj.t[-1] - np.log(2.0)) < 1e-6
@@ -140,7 +140,7 @@ class TestSimulate:
         design = DesignResult(P=np.eye(1), L=np.zeros((1, 1)),
                               tau=1.0, nu=1.0, Lam=np.eye(1),
                               Lw=np.array([[-1.0]]))
-        lifting = make_lifting(1)
+        lifting = Lifting(1)
         traj = simulate_one(scalar_plant, design, lifting,
                             np.array([-1.0 + 1e-13]))
         assert traj.reason == "singular_feedback"
@@ -237,10 +237,10 @@ def test_sobol_d0_loads_no_scipy(tmp_path):
 def test_simulate_leaves_scipy_integrate_out():
     code = ("import sys, numpy as np\n"
             "from koopsyn import controller, plants, verify\n"
-            "from koopsyn.lifting import make_lifting, sine\n"
+            "from koopsyn.lifting import Lifting, sine\n"
             "design = controller.DesignResult(P=np.eye(3),\n"
             "    L=np.array([[-20.0, -5.0, 0.0]]), tau=1.0, nu=1.0, Lam=[[1.0]])\n"
-            "loop = controller.ClosedLoop.of(design, make_lifting(2, [sine(0)]))\n"
+            "loop = controller.ClosedLoop.of(design, Lifting(2, [sine(0)]))\n"
             "traj = verify.simulate_many(plants.make_example('pendulum'), loop,\n"
             "    np.array([[0.3, -0.2]]))[0]\n"
             "print(traj.reason, 'scipy.integrate' in sys.modules)")
@@ -363,7 +363,7 @@ class TestSimulateMany:
             lambda X: np.where((3.0 < X[..., 0]) & (X[..., 0] < 4.0), np.nan, 0.0))
         plateau = outside_catalog(
             lambda X: np.where((-0.8 < X[..., 0]) & (X[..., 0] < -0.7), 1.0, 0.0))
-        lifting = make_lifting(1, [hole, plateau])
+        lifting = Lifting(1, [hole, plateau])
         design = DesignResult(P=np.eye(3),
                               L=np.array([[0.0, 1.0, 0.0]]), tau=1.0, nu=1.0,
                               Lam=np.eye(1), Lw=np.array([[0.0, 0.0, 1.0]]))
@@ -386,7 +386,7 @@ class TestSimulateMany:
 
 
     def test_gain_stack_must_match_starts(self, scalar_plant):
-        loop = ClosedLoop(make_lifting(1), np.zeros((3, 1, 1)))
+        loop = ClosedLoop(Lifting(1), np.zeros((3, 1, 1)))
         for d in (1, 2, 4):
             with pytest.raises(ValueError, match="one gain per start"):
                 verify.simulate_many(scalar_plant, loop, np.ones((d, 1)))
