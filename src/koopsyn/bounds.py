@@ -11,7 +11,6 @@ required.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -202,7 +201,7 @@ class DataRequirement:
     def log10_d0(self):
         return math.log10(self.d0_float) if self.d0_float > 0 else -math.inf
 
-    def to_json(self):
+    def to_doc(self):
         per_k = []
         for k in range(len(self.A_k)):
             per_k.append({
@@ -224,7 +223,7 @@ class DataRequirement:
         }
         if self.mc_stderr is not None:
             doc["mc_stderr"] = self.mc_stderr
-        return json.dumps(doc, sort_keys=True)
+        return doc
 
 
 def _moment_tables(plant, lifting, replicates):

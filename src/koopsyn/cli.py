@@ -6,8 +6,9 @@ stage reads from the output directory, and ``run_stage`` writes the stage's
 manifest: the config as loaded (command-line overrides applied, defaults not
 filled in, no ``output_dir``), its inputs' SHA-256 and its outputs, by name.
 Exit codes, picked by ``main`` alone: 0 success, 2 infeasible design, 3
-verification failure, 4 bad input (including a bad command line, a missing
-input, an unknown config key and a solver backend other than ``ipm``).
+verification failure, 4 bad input (a bad command line, a missing or
+unreadable input, an unknown config key, a solver backend other than ``ipm``,
+an OS error on a path); each warning is printed as one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import numbers
 import os
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds, controller, edmd, lmi, plants, sdp, uncertainty, verify
 from .lifting import Lifting, observable
-from .matops import write_json, write_table
+from .matops import read_json, write_json, write_table
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -36,7 +38,7 @@ EXIT_BAD_INPUT = 4
 EXIT_CODES = {sdp.InfeasibleError: EXIT_INFEASIBLE,     # main's exit code per error
               sdp.VerificationError: EXIT_VERIFICATION,
               ValueError: EXIT_BAD_INPUT, KeyError: EXIT_BAD_INPUT,
-              FileNotFoundError: EXIT_BAD_INPUT}
+              OSError: EXIT_BAD_INPUT}
 
 OBJECTIVES = ("feasibility", "maximize_roa")
 
@@ -186,9 +188,7 @@ def _theorems(cfg):
 
 
 def _check_keys(cfg):
-    """Refuse a config or section that is not an object, or a key not in CONFIG."""
-    if not isinstance(cfg, dict):
-        raise ValueError("a config must be a JSON object")
+    """Refuse a config section that is not an object, or a key not in CONFIG."""
     for name, value in cfg.items():
         if name in _SECTIONS:
             _check(f"config section '{name}'", value, _OBJECT)
@@ -236,8 +236,7 @@ def load_config(path=None, example=None, overrides=None):
     if (path is None) == (example is None):
         raise ValueError("give exactly one of --config or --example")
     if path is not None:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        cfg = read_json(path, "koopsyn example-config prints a valid one")
     else:
         cfg = example_config(example)
     _check_keys(cfg)
@@ -306,13 +305,12 @@ def cmd_fit(cfg, outdir):
     eb = cfg["error_bound"]
     surrogate, report = edmd.fit(edmd.build_data_matrices(lifting, samples),
                                  lifting=lifting, c_r=eb["c_r"], delta=eb["delta"])
-    (outdir / "surrogate.json").write_text(surrogate.to_json() + "\n")
+    write_json(outdir / "surrogate.json", surrogate.to_doc(), indent=None)
     write_json(outdir / "fit_report.json",
                {"batches": {str(k): v for k, v in report.batches.items()}})
     worst = report.worst_relative_residual()
     print(f"fit: surrogate written (worst relative residual {worst:.3e})")
-    meta = json.loads((outdir / "samples_meta.json").read_text())
-    return ["samples_meta.json"] + meta["files"], ["surrogate.json", "fit_report.json"]
+    return ["samples_meta.json", *samples.files], ["surrogate.json", "fit_report.json"]
 
 
 def cmd_d0(cfg, outdir):
@@ -321,7 +319,7 @@ def cmd_d0(cfg, outdir):
     eb = cfg["error_bound"]
     quad = bounds.QuadratureSpec(**cfg.get("d0", {}))
     req = bounds.compute_d0(plant, lifting, eb["c_r"], eb["delta"], quad)
-    (outdir / "d0_report.json").write_text(req.to_json() + "\n")
+    write_json(outdir / "d0_report.json", req.to_doc(), indent=None)
     print(f"d0: {req.d0_float:.4e} (log10 = {req.log10_d0:.3f})")
     return [], ["d0_report.json"]
 
@@ -337,7 +335,7 @@ def _resolve_region(cfg, surrogate):
             solver_options=_solver_options(cfg))
         return region, {"solves": [_solve_entry("region", report)],
                         "heuristic": record}
-    return uncertainty.UncertaintyRegion.from_json_dict(cfg["region"]), {}
+    return uncertainty.UncertaintyRegion.from_doc(cfg["region"]), {}
 
 
 def _solve_entry(stage, report):
@@ -391,7 +389,7 @@ def _design(cfg, surrogate, region):
 
 
 def cmd_design(cfg, outdir):
-    surrogate = edmd.Surrogate.from_json((outdir / "surrogate.json").read_text())
+    surrogate = edmd.Surrogate.read(outdir / "surrogate.json")
     region, log = _resolve_region(cfg, surrogate)
     problem, solves, check, design = _design(cfg, surrogate, region)
     kept = solves[-1]
@@ -400,8 +398,8 @@ def cmd_design(cfg, outdir):
     boundary = controller.roa_boundary_2d(design, surrogate.lifting,
                                           _setting(cfg, "resolution"))
     controller.export_boundary_dat(boundary, outdir / "roa.dat")
-    (outdir / "design.json").write_text(design.to_json() + "\n")
-    write_json(outdir / "region.json", region.to_json_dict(), indent=None)
+    write_json(outdir / "design.json", design.to_doc(), indent=None)
+    write_json(outdir / "region.json", region.to_doc(), indent=None)
     log.update({
         "status": kept["status"],
         "iterations": kept["iterations"],
@@ -471,8 +469,8 @@ def _certified_starts(design, lifting, n_starts, seed):
 
 
 def cmd_verify(cfg, outdir):
-    surrogate = edmd.Surrogate.from_json((outdir / "surrogate.json").read_text())
-    design = controller.DesignResult.from_json((outdir / "design.json").read_text())
+    surrogate = edmd.Surrogate.read(outdir / "surrogate.json")
+    design = controller.DesignResult.read(outdir / "design.json")
     if (design.P.shape[0], design.L.shape[0]) != (surrogate.N, surrogate.m):
         raise ValueError(f"design.json has N = {design.P.shape[0]} and m = "
                          f"{design.L.shape[0]}, but surrogate.json has N = {surrogate.N} "
@@ -495,8 +493,8 @@ def cmd_verify(cfg, outdir):
             f"no start with V <= 0.99 in {sampling['tries']} draws from the "
             "certified box; nothing was verified")
     if len(starts) < sampling["requested"]:
-        print(f"warning: found {len(starts)} of {sampling['requested']} starts "
-              f"with V <= 0.99 in {sampling['tries']} draws", file=sys.stderr)
+        warnings.warn(f"found {len(starts)} of {sampling['requested']} starts "
+                      f"with V <= 0.99 in {sampling['tries']} draws")
     # one batch: the certified starts under the design's gains, then, with
     # verify.lqr, every (weight, start) row of the LQR grid under -K_lqr(w)
     # with a zero scheduling gain (u = -K_lqr z); P_inv is the design's
@@ -623,20 +621,22 @@ def cmd_reproduce(figure, out):
         # the designs of a figure differ in region or theorem, not in data
         files.append(outdir / f"{figure}_surrogate.json")
         shutil.copyfile(_outdir(cfg) / "surrogate.json", files[-1])
-        surrogate = edmd.Surrogate.from_json(files[-1].read_text())
+        surrogate = edmd.Surrogate.read(files[-1])
         plant = _plant(cfg)
         # a figure of several designs plots their regions' boundaries: once
         # when they share the region (fig4, fig5), else once per design (fig3)
-        regions = {(outdir / f"{stem}_region.json").read_text(): stem
+        regions = {stem: read_json(outdir / f"{stem}_region.json", "re-run reproduce")
                    for stem in changes} if len(changes) > 1 else {}
-        for doc, stem in regions.items():
-            files.append(outdir / f"{figure if len(regions) == 1 else stem}_region.dat")
+        if len(set(map(json.dumps, regions.values()))) == 1:
+            regions = {figure: regions.popitem()[1]}
+        for name, doc in regions.items():
+            files.append(outdir / f"{name}_region.dat")
             controller.export_boundary_dat(controller.region_boundary_2d(
-                uncertainty.UncertaintyRegion.from_json_dict(json.loads(doc)),
+                uncertainty.UncertaintyRegion.from_doc(doc),
                 surrogate.lifting, _setting(cfg, "resolution")), files[-1])
         if figure == "fig5":
-            designs = [controller.DesignResult.from_json(
-                (outdir / f"{stem}_design.json").read_text()) for stem in changes]
+            designs = [controller.DesignResult.read(outdir / f"{stem}_design.json")
+                       for stem in changes]
             files += _fig5_trajectories(outdir, plant, surrogate, designs, cfg)
     manifest = {"figure": figure, "files": sorted(str(f.name) for f in files)}
     if figure != "fig1":
@@ -744,19 +744,22 @@ def main(argv=None):
     rep.add_argument("--out", default="figures")
     exa = subs.add_parser("example-config")
     exa.add_argument("name")
-    try:
-        args = parser.parse_args(argv)
-        if args.command == "reproduce":
-            cmd_reproduce(args.figure, args.out)
-        elif args.command == "example-config":
-            print(json.dumps(example_config(args.name), indent=1, sort_keys=True))
-        else:
-            run_stage(args.command, load_config(args.config, args.example,
-                                                _overrides(args)))
-        return EXIT_OK
-    except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+    with warnings.catch_warnings():     # each warning as one "warning:" line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                         file=sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+            if args.command == "reproduce":
+                cmd_reproduce(args.figure, args.out)
+            elif args.command == "example-config":
+                print(json.dumps(example_config(args.name), indent=1, sort_keys=True))
+            else:
+                run_stage(args.command, load_config(args.config, args.example,
+                                                    _overrides(args)))
+            return EXIT_OK
+        except tuple(EXIT_CODES) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lifting import evaluate
-from .matops import (decode_fields, encode_matrix, quadratic_rows, read_artifact, sym,
+from .matops import (decode_fields, encode_matrix, quadratic_rows, read_json, sym,
                      write_table)
 
 COND_LIMIT = 1e12           # scheduling-matrix refusal limit, see _singular
@@ -72,36 +71,35 @@ class DesignResult:
                             Lam=assignment["Lam"], Lw=assignment.get("Lw"),
                             margins=margins or {})
 
-    def to_json(self):
+    def to_doc(self):
         enc = encode_matrix
-        doc = {"theorem": self.theorem, "P": enc(self.P), "L": enc(self.L),
-               "Lw": enc(self.Lw), "Lambda": enc(self.Lam),
-               "tau": self.tau, "nu": self.nu,
-               "K": enc(self.K), "Kw": enc(self.Kw),
-               "margins": {k: list(v) if isinstance(v, tuple) else v
-                           for k, v in self.margins.items()}}
-        return json.dumps(doc, sort_keys=True)
+        return {"theorem": self.theorem, "P": enc(self.P), "L": enc(self.L),
+                "Lw": enc(self.Lw), "Lambda": enc(self.Lam),
+                "tau": self.tau, "nu": self.nu,
+                "K": enc(self.K), "Kw": enc(self.Kw),
+                "margins": {k: list(v) if isinstance(v, tuple) else v
+                            for k, v in self.margins.items()}}
 
     @staticmethod
-    def from_json(text):
-        """Inverse of ``to_json``; refuses a document that is not a JSON
-        object, lacks a field, holds a non-finite number or matrix entry,
+    def read(path):
+        """The design ``to_doc`` stored at ``path``; refuses (re-run design) a
+        file that lacks a field, holds a non-finite number or matrix entry,
         whose ``theorem`` disagrees with ``Lw`` or whose blocks do not fit
         together: ``P`` N x N, ``L`` m x N, ``Lambda`` m x m, ``Lw`` m x Nm."""
-        doc = read_artifact(text, "design.json", "design", ("P", "L", "tau", "nu"),
-                            ("tau", "nu"))
+        hint = "re-run design"
+        doc = read_json(path, hint, ("P", "L", "tau", "nu"), ("tau", "nu"))
         P, L, Lam, Lw = decode_fields({k: doc.get(k) for k in ("P", "L", "Lambda", "Lw")},
-                                      "design.json", "design")
+                                      path, hint)
         if (any(M is None for M in (P, L, Lam))
                 or doc.get("theorem") != (1 if Lw is None else 2)):
-            raise ValueError("the design needs 'P', 'L', 'Lambda' and 'theorem' 2 with "
-                             "'Lw' or 1 without; re-run design")
+            raise ValueError(f"{path} needs 'P', 'L', 'Lambda' and 'theorem' 2 with "
+                             f"'Lw' or 1 without; {hint}")
         N, m = (M.shape[0] if M.ndim else 0 for M in (P, L))
         shapes = {"P": (N, N), "L": (m, N), "Lambda": (m, m), "Lw": (m, N * m)}
         for (key, shape), M in zip(shapes.items(), (P, L, Lam, Lw)):
             if M is not None and M.shape != shape:
-                raise ValueError(f"design.json '{key}' has shape {list(M.shape)}, but "
-                                 f"N = {N} and m = {m} need {list(shape)}; re-run design")
+                raise ValueError(f"{path} '{key}' has shape {list(M.shape)}, but "
+                                 f"N = {N} and m = {m} need {list(shape)}; {hint}")
         return DesignResult(P=P, L=L, tau=float(doc["tau"]), nu=float(doc["nu"]),
                             Lam=Lam, Lw=Lw, margins=doc.get("margins", {}))
 

@@ -11,13 +11,12 @@ whose first-row/first-column zero structure is enforced by construction.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matops import decode_fields, encode_matrix, read_artifact
+from .matops import decode_fields, encode_matrix, read_json
 
 SVD_CUTOFF = 1e-12    # relative singular-value cutoff of the pseudo-inverse
 
@@ -179,7 +178,7 @@ class Surrogate:
         """Concatenation [B_1 ... B_m], shape (N, N*m)."""
         return np.hstack(self.B)
 
-    def to_json(self):
+    def to_doc(self):
         doc = {
             "A": encode_matrix(self.A),
             "B0": encode_matrix(self.B0),
@@ -189,19 +188,19 @@ class Surrogate:
         }
         if self.lifting is not None:
             doc["lifting"] = self.lifting.descriptor()
-        return json.dumps(doc, sort_keys=True)
+        return doc
 
     @staticmethod
-    def from_json(text):
+    def read(path):
+        """The surrogate ``to_doc`` stored at ``path``; refusals say re-run fit."""
         from .lifting import Lifting
 
-        doc = read_artifact(text, "surrogate.json", "fit", ("A", "B0", "B"),
-                            ("c_r", "delta"))
+        doc = read_json(path, "re-run fit", ("A", "B0", "B"), ("c_r", "delta"))
         if not isinstance(doc.get("B"), list):
             raise ValueError("surrogate 'B' must be a list of stored matrices")
         lifting = Lifting.from_descriptor(doc["lifting"]) if "lifting" in doc else None
         A, B0, *B = decode_fields({"A": doc["A"], "B0": doc["B0"], **{
-            f"B[{i}]": b for i, b in enumerate(doc["B"])}}, "surrogate.json", "fit")
+            f"B[{i}]": b for i, b in enumerate(doc["B"])}}, path, "re-run fit")
         return Surrogate(A=A, B0=B0, B=tuple(B), c_r=doc.get("c_r"),
                          delta=doc.get("delta"), lifting=lifting)
 

@@ -1,4 +1,4 @@
-"""Small dense-matrix and artifact (JSON) helpers shared across the toolkit."""
+"""Small dense-matrix helpers, and the one JSON codec: write_json, read_json."""
 
 from __future__ import annotations
 
@@ -137,33 +137,36 @@ def decode_matrix(obj):
     return np.asarray(data, dtype=float).reshape(shape)
 
 
-def read_artifact(text, file, stage, required, numbers):
-    """The JSON object held by the text of artifact ``file``; text that is
-    not readable JSON or not an object, a missing ``required`` key, and a
-    key in ``numbers`` that is not a finite number (or null, when not
-    required) are refused naming ``file`` and the ``stage`` to re-run."""
+def read_json(path, hint, required=(), numbers=()):
+    """The JSON object in the file at ``path``.  A file that cannot be read,
+    is not UTF-8 JSON or holds no object, a missing ``required`` key, and a key
+    in ``numbers`` that is not a finite number (or null, when not required) are
+    refused in one ``ValueError`` naming ``path`` and ending in ``hint``."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{file} is not readable JSON ({exc}); re-run {stage}") from None
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode("utf-8"))
+    except OSError as exc:
+        raise ValueError(f"{path} cannot be read ({exc.strerror}); {hint}") from None
+    except ValueError as exc:        # not UTF-8, or not JSON
+        raise ValueError(f"{path} is not readable JSON ({exc}); {hint}") from None
     if not isinstance(doc, dict):
-        raise ValueError(f"{file} must hold a JSON object; re-run {stage}")
+        raise ValueError(f"{path} must hold a JSON object; {hint}")
     for key in (*required, *numbers):
         value, optional = doc.get(key), key not in required
         what = " as a finite number" + " or null" * optional if key in numbers else ""
         if not (optional or key in doc) or what and not (
                 value is None and optional
                 or type(value) in (int, float) and math.isfinite(value)):
-            raise ValueError(f"{file} needs '{key}'{what}; re-run {stage}")
+            raise ValueError(f"{path} needs '{key}'{what}; {hint}")
     return doc
 
 
-def decode_fields(fields, file, stage):
+def decode_fields(fields, path, hint):
     """The matrices of ``fields`` (name -> stored matrix or None), each decoded
     by :func:`decode_matrix`; one with a non-finite entry is refused naming
-    ``file``, the field and the ``stage`` to re-run."""
+    ``path`` and the field, and ending in ``hint``."""
     out = [decode_matrix(obj) for obj in fields.values()]
     for name, M in zip(fields, out):
         if M is not None and not np.all(np.isfinite(M)):
-            raise ValueError(f"{file} '{name}' must hold finite numbers; re-run {stage}")
+            raise ValueError(f"{path} '{name}' must hold finite numbers; {hint}")
     return out

@@ -6,7 +6,6 @@ closed-loop simulation; the synthesis path itself only ever sees samples.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matops import write_json
+from .matops import read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -168,6 +167,7 @@ class SampleSet:
     batches: tuple
     noise_bound: float = 0.0
     seed: int | None = None
+    files: tuple = ()       # the batch files load_samples read
 
     def batch(self, k):
         """Batch k, with k = 0 the zero-input batch and k = i the e_i batch."""
@@ -256,12 +256,8 @@ def load_samples(outdir):
     batch.  Anything else raises ``ValueError`` naming the file and field."""
     outdir = Path(outdir)
     meta_path = outdir / "samples_meta.json"
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{meta_path}: not JSON ({exc})") from None
-    lists = [meta.get(key) for key in ("files", "counts", "inputs")] \
-        if isinstance(meta, dict) else [None]
+    meta = read_json(meta_path, "re-run collect")
+    lists = [meta.get(key) for key in ("files", "counts", "inputs")]
     if not all(isinstance(v, list) for v in lists) or len({len(v) for v in lists}) != 1:
         raise ValueError(f"{meta_path} must be an object whose 'files', 'counts' "
                          f"and 'inputs' are lists of one length")
@@ -291,4 +287,4 @@ def load_samples(outdir):
         batches.append(SampleBatch(u_bar=u_bar, states=rows[:, :width // 2],
                                    derivs=rows[:, width // 2:]))
     return SampleSet(batches=tuple(batches), noise_bound=meta.get("noise_bound", 0.0),
-                     seed=meta.get("seed"))
+                     seed=meta.get("seed"), files=tuple(lists[0]))

@@ -66,11 +66,11 @@ class UncertaintyRegion:
         M[N, N] = self.Rz
         return M
 
-    def to_json_dict(self):
+    def to_doc(self):
         return {"Qz": self.Qz.tolist(), "Sz": self.Sz.tolist(), "Rz": self.Rz}
 
     @staticmethod
-    def from_json_dict(doc):
+    def from_doc(doc):
         return UncertaintyRegion(Qz=np.asarray(doc["Qz"], dtype=float),
                                  Sz=np.asarray(doc["Sz"], dtype=float),
                                  Rz=float(doc["Rz"]))

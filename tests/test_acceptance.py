@@ -22,10 +22,9 @@ def report(num, ok, details):
 
 
 def load_stem(figdir, stem, surrogate_name):
-    surrogate = edmd.Surrogate.from_json((figdir / surrogate_name).read_text())
-    design = controller.DesignResult.from_json(
-        (figdir / f"{stem}_design.json").read_text())
-    region = uncertainty.UncertaintyRegion.from_json_dict(
+    surrogate = edmd.Surrogate.read(figdir / surrogate_name)
+    design = controller.DesignResult.read(figdir / f"{stem}_design.json")
+    region = uncertainty.UncertaintyRegion.from_doc(
         json.loads((figdir / f"{stem}_region.json").read_text()))
     return surrogate, design, region
 

@@ -96,7 +96,7 @@ class TestComputeD0:
         assert mc.mc_stderr is not None
 
     def test_report_json(self, req_grid):
-        doc = json.loads(req_grid.to_json())
+        doc = json.loads(json.dumps(req_grid.to_doc()))
         assert doc["d0"] >= 1
         assert doc["log10_d0"] == pytest.approx(np.log10(req_grid.d0_float))
         assert len(doc["per_k"]) == 2
@@ -162,10 +162,10 @@ class TestStreamedQuadrature:
         # Sobol rounds each replicate up to a power of two: 8 x 128 points
         mc = bounds.compute_d0(plant_cooked, lifting_cooked, 0.1, 0.05,
                                bounds.QuadratureSpec(method="mc", samples=1000))
-        assert json.loads(mc.to_json())["quadrature"] == {
+        assert mc.to_doc()["quadrature"] == {
             "method": "mc", "samples": 1000, "replicates": 8, "seed": 0,
             "sobol": True, "points_integrated": 1024}
-        assert json.loads(req_grid.to_json())["quadrature"] == {
+        assert req_grid.to_doc()["quadrature"] == {
             "method": "grid", "points_per_axis": 101, "points_integrated": 10201}
 
     @pytest.mark.parametrize("field", ["points_per_axis", "samples", "replicates"])

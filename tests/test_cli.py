@@ -6,7 +6,6 @@ import re
 import shutil
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -115,17 +114,25 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, message", [
-        ('{"region": 5}', "config section 'region' must be an object"),
-        ("[1]", "a config must be a JSON object"),
-    ], ids=["section", "list"])
+        (b'{"region": 5}', "config section 'region' must be an object"),
+        (b"[1]", "{path} must hold a JSON object; koopsyn example-config prints "
+         "a valid one"),
+        (b"\xff\xfe", "{path} is not readable JSON ('utf-8' codec can't decode byte "
+         "0xff in position 0: invalid start byte); koopsyn example-config prints "
+         "a valid one"),
+        (None, "{path} cannot be read (Is a directory); koopsyn example-config "
+         "prints a valid one"),
+    ], ids=["section", "list", "not-utf8", "directory"])
     def test_flag_on_config_that_is_not_an_object(self, tmp_path, capsys, text,
                                                    message):
-        # --rz looks into the region before the config is validated
+        # --rz looks into the region before the config is validated; a config
+        # that cannot be read as a JSON object is named in one line
         path = tmp_path / "shape.json"
-        path.write_text(text)
+        path.mkdir() if text is None else path.write_bytes(text)
         assert cli.main(["collect", "--config", str(path), "--rz", "2"]) == \
             cli.EXIT_BAD_INPUT
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_region_theorem_rejected(self, tmp_path, capsys):
         cfg = cli.example_config("pendulum_shaped")
@@ -536,36 +543,42 @@ def test_manifests_do_not_depend_on_the_directory(tmp_path):
 
 class TestFitAndDesign:
     @pytest.mark.parametrize("d", [1, 2, None], ids=["d1", "d2", "example"])
-    def test_fit_warns_below_the_regressor_count(self, tmp_path, d):
+    def test_fit_warns_below_the_regressor_count(self, tmp_path, capsys, d):
         # pendulum regresses on N = 3 and N + 1 = 4 rows: fewer samples fit
-        # them exactly but not uniquely; the example's d = 15000 does not warn
+        # them exactly but not uniquely; the example's d = 15000 does not
+        # warn.  Each warning is one "warning:" line on stderr.
         argv = ["--example", "pendulum", "--out", str(tmp_path)]
         argv += [] if d is None else ["--d", str(d)]
         assert cli.main(["collect", *argv]) == 0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cli.main(["fit", *argv]) == 0
-        rank = [str(w.message) for w in caught if "rank-deficient" in str(w.message)]
-        assert bool(rank) == (d is not None), rank
+        capsys.readouterr()
+        assert cli.main(["fit", *argv]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("warning: rank-deficient") for line in lines), lines
+        assert bool(lines) == (d is not None), lines
         if d is not None:
-            assert f"(rank {d} of 3 regressors" in rank[0]
+            assert f"(rank {d} of 3 regressors" in lines[0]
 
-    @pytest.mark.parametrize("argv, message", [
-        (["reproduce", "fig9"], "unknown figure id 'fig9' (use fig1..fig5)"),
-        (["fit", "--example", "cooked_up"],
+    @pytest.mark.parametrize("argv, out, message", [
+        (["reproduce", "fig9"], "out", "unknown figure id 'fig9' (use fig1..fig5)"),
+        (["fit", "--example", "cooked_up"], "out",
          "missing samples_meta.json in {out}; run collect first"),
-        (["design", "--example", "cooked_up"],
+        (["design", "--example", "cooked_up"], "out",
          "missing surrogate.json in {out}; run fit first"),
-        (["verify", "--example", "cooked_up"],
+        (["verify", "--example", "cooked_up"], "out",
          "missing surrogate.json in {out}; run fit first"),
-    ], ids=["reproduce", "fit", "design", "verify"])
-    def test_refused_command_makes_no_directory(self, tmp_path, capsys, argv,
+        (["collect", "--example", "cooked_up"], "file/sub",
+         "[Errno 20] Not a directory: '{out}'"),
+        (["reproduce", "fig1"], "file", "[Errno 17] File exists: '{out}'"),
+    ], ids=["reproduce", "fit", "design", "verify", "out-under-file", "out-is-file"])
+    def test_refused_command_makes_no_directory(self, tmp_path, capsys, argv, out,
                                                 message):
-        # a refused command writes nothing, its output directory included
-        out = tmp_path / "out"
+        # a refused command writes nothing, its output directory included;
+        # an OS error on the output path is bad input too
+        (tmp_path / "file").write_text("")
+        out = tmp_path / out
         assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_BAD_INPUT
         assert capsys.readouterr().err == f"error: {message.format(out=out)}\n"
-        assert not out.exists()
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "file"]
 
     @pytest.mark.parametrize("edit, message", [
         (lambda out, meta: (out / "samples_u1.npy").write_bytes(
@@ -594,13 +607,15 @@ class TestFitAndDesign:
          "samples_meta.json: inputs[1] must be a list of numbers as long as "
          "inputs[0]"),
         (lambda out, meta: "[]",
-         "samples_meta.json must be an object whose 'files', 'counts' and "
-         "'inputs' are lists of one length"),
+         "samples_meta.json must hold a JSON object; re-run collect"),
         (lambda out, meta: "{",
-         "samples_meta.json: not JSON (Expecting property name"),
+         "samples_meta.json is not readable JSON (Expecting property name"),
+        (lambda out, meta: b"\xff\xfe",
+         "samples_meta.json is not readable JSON ('utf-8' codec can't decode "
+         "byte 0xff in position 0: invalid start byte); re-run collect"),
     ], ids=["truncated-batch", "wrong-counts", "odd-width", "float32", "csv-entry",
             "object-array", "lengths-differ", "input-length", "top-level-list",
-            "not-json"])
+            "not-json", "not-utf8"])
     def test_bad_samples_are_bad_input(self, tmp_path, capsys, edit, message):
         # fit refuses sample files that disagree with their metadata in one
         # error line naming the file and the field, and writes nothing
@@ -609,8 +624,9 @@ class TestFitAndDesign:
         assert cli.main(["collect", *argv]) == 0
         meta_path = out / "samples_meta.json"
         meta = json.loads(meta_path.read_text())
-        text = edit(out, meta)      # a string replaces the whole meta file
-        meta_path.write_text(text if isinstance(text, str) else json.dumps(meta))
+        text = edit(out, meta)      # a string or bytes replace the whole meta file
+        text = text if isinstance(text, (str, bytes)) else json.dumps(meta)
+        meta_path.write_bytes(text if isinstance(text, bytes) else text.encode())
         capsys.readouterr()
         assert cli.main(["fit", *argv]) == cli.EXIT_BAD_INPUT
         err = capsys.readouterr().err
@@ -790,10 +806,8 @@ class TestFitAndDesign:
             assert cli.main([cmd, "--example", example, "--out", out]) == 0, cmd
         box = np.array(json.loads((tmp_path / "design_log.json").read_text())
                        ["state_box"])
-        design = controller.DesignResult.from_json(
-            (tmp_path / "design.json").read_text())
-        lifting = edmd.Surrogate.from_json(
-            (tmp_path / "surrogate.json").read_text()).lifting
+        design = controller.DesignResult.read(tmp_path / "design.json")
+        lifting = edmd.Surrogate.read(tmp_path / "surrogate.json").lifting
         assert np.array_equal(box, controller.certified_box(design, lifting))
         assert np.array_equal(box[:, 1], np.sqrt(np.diag(design.P)[:2]))
         rng = np.random.default_rng(7)
@@ -926,10 +940,8 @@ class TestVerifyCommand:
         assert cols.shape[1] == 1 + 2 + 1 + 1  # t, states, input, V
         # the batched start sampler keeps the one-draw-per-try stream from
         # the certified box
-        design = controller.DesignResult.from_json(
-            (tmp_path / "design.json").read_text())
-        lifting = edmd.Surrogate.from_json(
-            (tmp_path / "surrogate.json").read_text()).lifting
+        design = controller.DesignResult.read(tmp_path / "design.json")
+        lifting = edmd.Surrogate.read(tmp_path / "surrogate.json").lifting
         vcfg = cli.example_config("cooked_up")["verify"]
         rng = np.random.default_rng(vcfg["seed"])
         box = controller.certified_box(design, lifting)
@@ -1070,35 +1082,35 @@ class TestVerifyCommand:
             -1, {"kind": "coordinate", "params": {"index": 0}}), ("design", "verify"),
          "observable 'coordinate' is implied, not an extra"),
         ("surrogate.json", lambda doc: doc["A"]["data"].__setitem__(0, float("nan")),
-         ("design", "verify"), "surrogate.json 'A' must hold finite numbers; re-run fit"),
+         ("design", "verify"), "{out}/surrogate.json 'A' must hold finite numbers; re-run fit"),
         ("surrogate.json",
          lambda doc: doc.update(A={"shape": [2, 2], "data": [1, 2, 3, 4]}),
          ("design", "verify"),
          "surrogate matrix 'A' has shape [2, 2], but N = 3 and m = 1 need [3, 3]"),
         ("design.json", lambda doc: doc.pop("P"), ("verify",),
-         "design.json needs 'P'; re-run design"),
+         "{out}/design.json needs 'P'; re-run design"),
         ("design.json", lambda doc: doc["P"]["data"].__setitem__(0, float("inf")),
-         ("verify",), "design.json 'P' must hold finite numbers; re-run design"),
+         ("verify",), "{out}/design.json 'P' must hold finite numbers; re-run design"),
         ("design.json", lambda doc: doc["P"]["data"].__setitem__(0, float("nan")),
-         ("verify",), "design.json 'P' must hold finite numbers; re-run design"),
+         ("verify",), "{out}/design.json 'P' must hold finite numbers; re-run design"),
         ("design.json", lambda doc: doc.update(P=encode_matrix(np.eye(4)),
                                                L=encode_matrix(np.ones((1, 4)))),
          ("verify",), "design.json has N = 4 and m = 1, but surrogate.json has N = 3 "
          "and m = 1; re-run design"),
         ("design.json", lambda doc: doc.update(P=encode_matrix(np.eye(2)),
                                                L=encode_matrix(np.ones((1, 4)))),
-         ("verify",), "design.json 'L' has shape [1, 4], but N = 2 and m = 1 need "
+         ("verify",), "{out}/design.json 'L' has shape [1, 4], but N = 2 and m = 1 need "
          "[1, 2]; re-run design"),
         ("design.json", lambda doc: doc.pop("tau"), ("verify",),
-         "design.json needs 'tau' as a finite number; re-run design"),
+         "{out}/design.json needs 'tau' as a finite number; re-run design"),
         ("design.json", lambda doc: doc.update(tau=None), ("verify",),
-         "design.json needs 'tau' as a finite number; re-run design"),
+         "{out}/design.json needs 'tau' as a finite number; re-run design"),
         ("design.json", lambda doc: doc.update(nu=[1]), ("verify",),
-         "design.json needs 'nu' as a finite number; re-run design"),
+         "{out}/design.json needs 'nu' as a finite number; re-run design"),
         ("surrogate.json", lambda doc: doc.update(c_r="x"), ("design", "verify"),
-         "surrogate.json needs 'c_r' as a finite number or null; re-run fit"),
+         "{out}/surrogate.json needs 'c_r' as a finite number or null; re-run fit"),
         ("surrogate.json", lambda doc: doc.update(delta=[0.1]), ("design", "verify"),
-         "surrogate.json needs 'delta' as a finite number or null; re-run fit"),
+         "{out}/surrogate.json needs 'delta' as a finite number or null; re-run fit"),
     ], ids=["design-Lambda-int", "surrogate-A-list", "sine-index-5",
             "sine-index-negative", "surrogate-B-int", "surrogate-observables-int",
             "surrogate-observable-int", "lifting-n-float", "lifting-N-wrong",
@@ -1126,32 +1138,49 @@ class TestVerifyCommand:
             assert cli.main([cmd, "--example", "pendulum", "--out", str(tmp_path),
                              "--d", "4000"]) == cli.EXIT_BAD_INPUT, cmd
             err = capsys.readouterr().err
-            assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: {message.format(out=tmp_path)}")
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("artifact, text, commands, message", [
-        ("surrogate.json", "[]\n", ("design", "verify"),
+        ("surrogate.json", b"[]\n", ("design", "verify"),
          "surrogate.json must hold a JSON object; re-run fit"),
-        ("design.json", "[]\n", ("verify",),
+        ("design.json", b"[]\n", ("verify",),
          "design.json must hold a JSON object; re-run design"),
-        ("surrogate.json", "\n", ("design", "verify"),
+        ("surrogate.json", b"\n", ("design", "verify"),
          "surrogate.json is not readable JSON (Expecting value: line 2 column 1 "
          "(char 1)); re-run fit"),
-        ("design.json", "{\n", ("verify",),
+        ("design.json", b"{\n", ("verify",),
          "design.json is not readable JSON (Expecting property name enclosed in "
          "double quotes: line 2 column 1 (char 2)); re-run design"),
-    ], ids=["surrogate", "design", "surrogate-empty", "design-unreadable"])
+        ("surrogate.json", b"\xff\xfe", ("design", "verify"),
+         "surrogate.json is not readable JSON ('utf-8' codec can't decode byte 0xff "
+         "in position 0: invalid start byte); re-run fit"),
+        ("design.json", b"\xff\xfe", ("verify",),
+         "design.json is not readable JSON ('utf-8' codec can't decode byte 0xff "
+         "in position 0: invalid start byte); re-run design"),
+        ("design.json", None, ("verify",),
+         "design.json cannot be read (Is a directory); re-run design"),
+    ], ids=["surrogate", "design", "surrogate-empty", "design-unreadable",
+            "surrogate-not-utf8", "design-not-utf8", "design-directory"])
     def test_non_object_artifact_is_bad_input(self, pendulum_run, tmp_path, capsys,
                                               artifact, text, commands, message):
+        # each refusal names the file by its path, and nothing is written
         shutil.copytree(pendulum_run, tmp_path, dirs_exist_ok=True)
-        (tmp_path / artifact).write_text(text)
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        path = tmp_path / artifact
+        if text is None:
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_bytes(text)
+        before = {p.name: p.is_file() and p.read_bytes() for p in tmp_path.iterdir()}
         for cmd in commands:
             capsys.readouterr()
             assert cli.main([cmd, "--example", "pendulum", "--out", str(tmp_path),
                              "--d", "4000"]) == cli.EXIT_BAD_INPUT, cmd
-            assert capsys.readouterr().err == f"error: {message}\n"
-            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+            assert capsys.readouterr().err == f"error: {tmp_path}/{message}\n"
+            assert {p.name: p.is_file() and p.read_bytes()
+                    for p in tmp_path.iterdir()} == before
 
     def test_verify_lqr_grid(self, tmp_path):
         cfg = cli.example_config("cooked_up")
@@ -1176,10 +1205,8 @@ class TestCertifiedStarts:
 
     @staticmethod
     def design_xy(figures_dir):
-        design = controller.DesignResult.from_json(
-            (figures_dir / "fig3_ball_design.json").read_text())
-        lifting = edmd.Surrogate.from_json(
-            (figures_dir / "fig3_surrogate.json").read_text()).lifting
+        design = controller.DesignResult.read(figures_dir / "fig3_ball_design.json")
+        lifting = edmd.Surrogate.read(figures_dir / "fig3_surrogate.json").lifting
         return design, lifting
 
     def test_starts_cover_the_whole_certified_set(self, figures_dir):
@@ -1280,8 +1307,8 @@ def test_verify_runs_one_batch(request, monkeypatch, tmp_path, case):
     assert len(calls) == 1
     plant, X0, options, runs = calls[0]
     report = json.loads((tmp_path / "verify_report.json").read_text())
-    surrogate = edmd.Surrogate.from_json((tmp_path / "surrogate.json").read_text())
-    design = controller.DesignResult.from_json((tmp_path / "design.json").read_text())
+    surrogate = edmd.Surrogate.read(tmp_path / "surrogate.json")
+    design = controller.DesignResult.read(tmp_path / "design.json")
     assert (design.theorem == 2) == (case == "cooked_up_xy-lqr")
     n_cert, weights = len(report["trajectories"]), [e["R"] for e in report["lqr_grid"]]
     assert n_cert == 20 and len(weights) == 4 and len(X0) == 52

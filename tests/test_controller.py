@@ -9,6 +9,7 @@ from koopsyn.controller import (ClosedLoop, DesignResult, FeedbackSingularError,
                                 region_boundary_2d, roa_boundary_2d,
                                 roa_membership)
 from koopsyn.lifting import Lifting
+from koopsyn.matops import write_json
 
 from conftest import containment_margins
 
@@ -239,15 +240,17 @@ class TestDesignResult:
             DesignResult(P=-np.eye(2), L=np.ones((1, 2)), tau=1.0, nu=1.0,
                          Lam=[[1.0]])
 
-    def test_theorem1_json_round_trip(self, design_cooked):
-        back = DesignResult.from_json(design_cooked.to_json())
+    def test_theorem1_json_round_trip(self, design_cooked, tmp_path):
+        write_json(tmp_path / "design.json", design_cooked.to_doc(), indent=None)
+        back = DesignResult.read(tmp_path / "design.json")
         assert back.Lam.shape == (1, 1) and back.Kw is None and back.theorem == 1
         assert back.K.tobytes() == design_cooked.K.tobytes()
         assert back.Lam.tobytes() == design_cooked.Lam.tobytes()
 
-    def test_json_round_trip(self, design_pendulum_shaped_thm2):
+    def test_json_round_trip(self, design_pendulum_shaped_thm2, tmp_path):
         d = design_pendulum_shaped_thm2
-        back = DesignResult.from_json(d.to_json())
+        write_json(tmp_path / "design.json", d.to_doc(), indent=None)
+        back = DesignResult.read(tmp_path / "design.json")
         assert np.array_equal(back.P, d.P)
         assert np.array_equal(back.K, d.K)
         assert np.array_equal(back.Kw, d.Kw)
@@ -390,10 +393,8 @@ class TestPolarSweep:
     def test_default_cap_keeps_the_old_cap_sweep(self, figures_dir, stem, fig):
         # the four example designs: the cap from certified_box sweeps
         # exactly as the earlier eigenvalue cap did
-        design = DesignResult.from_json(
-            (figures_dir / f"{stem}_design.json").read_text())
-        lifting = edmd.Surrogate.from_json(
-            (figures_dir / f"{fig}_surrogate.json").read_text()).lifting
+        design = DesignResult.read(figures_dir / f"{stem}_design.json")
+        lifting = edmd.Surrogate.read(figures_dir / f"{fig}_surrogate.json").lifting
         old_cap = 1e3 * max(1.0, float(np.sqrt(np.linalg.eigvalsh(design.P)[-1])))
         b = roa_boundary_2d(design, lifting)
         ref = _polar_sweep(ClosedLoop.of(design, lifting).value_many, old_cap, 360)
@@ -411,10 +412,9 @@ class TestPolarSweep:
         # sweeps exactly as the earlier 1e3 max(1, sqrt(Rz)) cap did
         from koopsyn.uncertainty import margins
 
-        region = uncertainty.UncertaintyRegion.from_json_dict(json.loads(
+        region = uncertainty.UncertaintyRegion.from_doc(json.loads(
             (figures_dir / f"{stem}_region.json").read_text()))
-        lifting = edmd.Surrogate.from_json(
-            (figures_dir / f"{fig}_surrogate.json").read_text()).lifting
+        lifting = edmd.Surrogate.read(figures_dir / f"{fig}_surrogate.json").lifting
         b = region_boundary_2d(region, lifting)
         ref = _polar_sweep(lambda X: 1.0 - margins(
             region, lifting.lift_reduced_many(X)) / region.Rz,

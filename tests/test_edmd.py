@@ -3,6 +3,7 @@ import pytest
 
 from koopsyn import edmd, plants
 from koopsyn.lifting import Lifting, poly
+from koopsyn.matops import write_json
 from koopsyn.plants import SampleBatch, SampleSet
 
 from conftest import EXACT_A, EXACT_B0
@@ -166,8 +167,9 @@ class TestPredict:
 
 
 class TestSerialization:
-    def test_round_trip(self, surrogate_fitted):
-        back = edmd.Surrogate.from_json(surrogate_fitted.to_json())
+    def test_round_trip(self, surrogate_fitted, tmp_path):
+        write_json(tmp_path / "surrogate.json", surrogate_fitted.to_doc(), indent=None)
+        back = edmd.Surrogate.read(tmp_path / "surrogate.json")
         assert np.array_equal(back.A, surrogate_fitted.A)
         assert np.array_equal(back.B0, surrogate_fitted.B0)
         assert back.c_r == surrogate_fitted.c_r

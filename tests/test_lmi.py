@@ -228,10 +228,9 @@ class TestSolvedCertificates:
                                               surrogate_file):
         # the theorem-1 designs of the cooked_up, pendulum and
         # pendulum_shaped examples
-        s = Surrogate.from_json((figures_dir / surrogate_file).read_text())
-        design = controller.DesignResult.from_json(
-            (figures_dir / f"{stem}_design.json").read_text())
-        region = uncertainty.UncertaintyRegion.from_json_dict(
+        s = Surrogate.read(figures_dir / surrogate_file)
+        design = controller.DesignResult.read(figures_dir / f"{stem}_design.json")
+        region = uncertainty.UncertaintyRegion.from_doc(
             json.loads((figures_dir / f"{stem}_region.json").read_text()))
         assert design.theorem == 1
         G, mineig = lmi.primal_certificate(s, region, design)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from koopsyn import uncertainty
+from koopsyn.matops import read_json, write_json
 from koopsyn.uncertainty import (UncertaintyRegion, identity_region, margins,
                                  multiplier, procedure1_qz)
 
@@ -30,9 +31,11 @@ class TestRegion:
             prod = reg.block_matrix() @ inverse
             assert np.max(np.abs(prod - np.eye(N + 1))) <= 1e-10
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         reg = identity_region(3, 500.0)
-        back = UncertaintyRegion.from_json_dict(reg.to_json_dict())
+        write_json(tmp_path / "region.json", reg.to_doc(), indent=None)
+        back = UncertaintyRegion.from_doc(read_json(tmp_path / "region.json",
+                                                    "re-run design"))
         assert np.array_equal(back.Qz, reg.Qz) and back.Rz == reg.Rz
 
 

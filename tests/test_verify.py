@@ -256,10 +256,8 @@ EXAMPLE_STEMS = (("cooked_up", "fig2", "fig2"),
 
 def example_case(figures_dir, example):
     _, stem, fig = next(s for s in EXAMPLE_STEMS if s[0] == example)
-    surrogate = edmd.Surrogate.from_json(
-        (figures_dir / f"{fig}_surrogate.json").read_text())
-    design = DesignResult.from_json(
-        (figures_dir / f"{stem}_design.json").read_text())
+    surrogate = edmd.Surrogate.read(figures_dir / f"{fig}_surrogate.json")
+    design = DesignResult.read(figures_dir / f"{stem}_design.json")
     cfg = cli.example_config(example)
     starts, _ = cli._certified_starts(design, surrogate.lifting,
                                       cfg["verify"]["n_starts"],
@@ -491,8 +489,7 @@ class TestCARE:
 
     @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4", "fig5"])
     def test_matches_scipy_on_examples(self, figures_dir, fig):
-        surrogate = edmd.Surrogate.from_json(
-            (figures_dir / f"{fig}_surrogate.json").read_text())
+        surrogate = edmd.Surrogate.read(figures_dir / f"{fig}_surrogate.json")
         for w in cli.example_config("pendulum")["verify"]["lqr_weights"]:
             assert_matches_scipy_care(surrogate, w * np.eye(surrogate.m))
 
